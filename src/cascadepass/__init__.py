@@ -54,14 +54,12 @@ from .protocol import (
     ROUTE_VERIFIED,
     ROUTE_SYNTHESIZED,
     DimensionMismatch,
-    GainRecoveryFailed,
     DesignFailed,
     MessengerPacket,
     DesignRecord,
     NetworkDesignState,
     local_verify,
     local_synthesize,
-    recover_gains,
     build_packet,
     run_cascade_design,
     add_subsystem,
@@ -118,14 +116,12 @@ __all__ = [
     "ROUTE_VERIFIED",
     "ROUTE_SYNTHESIZED",
     "DimensionMismatch",
-    "GainRecoveryFailed",
     "DesignFailed",
     "MessengerPacket",
     "DesignRecord",
     "NetworkDesignState",
     "local_verify",
     "local_synthesize",
-    "recover_gains",
     "build_packet",
     "run_cascade_design",
     "add_subsystem",

@@ -1,18 +1,20 @@
 """Command-line front end for cascade validation, design and checking.
 
 Exit codes: 0 success, 2 design infeasible at some step, 3 invalid or
-malformed input (network structure, file schema, fingerprint mismatch),
-4 certificate or trajectory check failed.
+malformed input (network structure, file schema, fingerprint mismatch,
+a non-positive --tol, --T or --dt), 4 certificate or trajectory check
+failed (including a simulation that leaves the finite range).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from . import files, oracle, protocol
+from . import files, lmi, oracle, protocol
 from .model import InvalidNetwork, validate_network
 
 __all__ = ["execute", "main"]
@@ -136,6 +138,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if not (0.0 < args.T < math.inf and 0.0 < args.dt < math.inf):
+        print("--T and --dt must be positive and finite", file=sys.stderr)
+        return EXIT_INVALID
     state = files.load_state(args.state)
     cl = oracle.assemble_closed_loop(state)
     disturbance = oracle.SineDisturbance.from_seed(cl.m, args.seed)
@@ -196,9 +201,12 @@ def execute(argv=None) -> int:
         print(f"design failed at step {exc.index}: {exc.diagnosis.reason} "
               f"(best margin {exc.diagnosis.best_lambda_min:.3e})", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except protocol.GainRecoveryFailed as exc:
-        print(f"gain recovery failed: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    except lmi.MalformedProblem as exc:
+        print(f"malformed problem: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except oracle.NonFiniteTrajectory as exc:
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 def main() -> None:

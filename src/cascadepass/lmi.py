@@ -22,6 +22,8 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import minimize
 
+from .model import _frozen
+
 __all__ = [
     "MalformedProblem",
     "AffineFeasibilityProblem",
@@ -72,12 +74,6 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
     S[iu] = vals
     S[(iu[1], iu[0])] = vals
     return S
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,8 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of ``a``."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a

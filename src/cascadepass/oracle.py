@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import blockla
-from .model import assemble_global
+from .model import _frozen, assemble_global
 from .protocol import NetworkDesignState, _state_gains
 
 __all__ = [
@@ -41,12 +41,6 @@ class IncompleteState(ValueError):
 
 class NonFiniteTrajectory(ArithmeticError):
     """Numerical integration produced an overflow or NaN."""
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -239,16 +233,19 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
     A, B2 = cl.Acl, cl.B2
     x = np.empty((steps + 1, n))
     x[0] = x0
-    for k in range(steps):
-        xk = x[k]
-        w0 = w_half[2 * k]
-        w1 = w_half[2 * k + 1]
-        w2 = w_half[2 * k + 2]
-        k1 = A @ xk + B2 @ w0
-        k2 = A @ (xk + 0.5 * h * k1) + B2 @ w1
-        k3 = A @ (xk + 0.5 * h * k2) + B2 @ w1
-        k4 = A @ (xk + h * k3) + B2 @ w2
-        x[k + 1] = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # An unstable step size overflows; that is reported once, below, as
+    # NonFiniteTrajectory rather than as a warning per operation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            xk = x[k]
+            w0 = w_half[2 * k]
+            w1 = w_half[2 * k + 1]
+            w2 = w_half[2 * k + 2]
+            k1 = A @ xk + B2 @ w0
+            k2 = A @ (xk + 0.5 * h * k1) + B2 @ w1
+            k3 = A @ (xk + 0.5 * h * k2) + B2 @ w1
+            k4 = A @ (xk + h * k3) + B2 @ w2
+            x[k + 1] = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     if not np.all(np.isfinite(x)):
         raise NonFiniteTrajectory("state trajectory left the finite range")

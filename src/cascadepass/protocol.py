@@ -2,19 +2,21 @@
 
 Each subsystem is processed in index order. Step i receives a compact
 packet from step i-1 (the closed-loop margin block plus two coupling
-products) and solves a local feasibility problem for a storage matrix Q_i
-and a passivity rate eps_i:
+products) and solves one local feasibility problem for a storage matrix
+Q_i and a passivity rate eps_i, first without gain variables and, when
+that fails, with them:
 
-* local_verify tries first with all feedback gains pinned to zero;
-* local_synthesize additionally searches state-feedback gains K(i,i),
-  K(i,i-1) and K(i-1,i), resolving the Q*K bilinearity in two stages
-  (a substitution stage for Q, then an exact re-solve with Q frozen).
+* local_verify tries the problem with all feedback gains pinned to zero;
+* local_synthesize adds state-feedback gains K(i,i), K(i,i-1) and
+  K(i-1,i), resolving the Q*K bilinearity in two stages (a substitution
+  stage for Q, then an exact re-solve over the gains with Q frozen).
 
-Positivity of the step's margin block M_cl is imposed through a two-block
-Schur form so the local problem stays affine. The chain of M_cl blocks is
-exactly the Schur recursion of the global closed-loop certificate matrix,
-which is what makes the one-pass design sound; the oracle module checks
-that global matrix independently.
+Both routes then settle the rate in closed form, re-certify the point and
+form the step's margin block M_cl. Positivity of M_cl is imposed through a
+two-block Schur form so the local problem stays affine. The chain of M_cl
+blocks is exactly the Schur recursion of the global closed-loop
+certificate matrix, which is what makes the one-pass design sound; the
+oracle module checks that global matrix independently.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .model import (
     CascadeNetwork,
     InvalidNetwork,
     Subsystem,
+    _frozen,
     as_matrix,
     extend_network,
     validate_network,
@@ -40,14 +43,12 @@ __all__ = [
     "ROUTE_VERIFIED",
     "ROUTE_SYNTHESIZED",
     "DimensionMismatch",
-    "GainRecoveryFailed",
     "DesignFailed",
     "MessengerPacket",
     "DesignRecord",
     "NetworkDesignState",
     "local_verify",
     "local_synthesize",
-    "recover_gains",
     "build_packet",
     "run_cascade_design",
     "add_subsystem",
@@ -73,21 +74,6 @@ class DimensionMismatch(ValueError):
     """Inputs whose shapes cannot describe one cascade step."""
 
 
-class GainRecoveryFailed(Exception):
-    """Least-squares gain recovery left too large a residual.
-
-    Only raised on the single-stage synthesis path; the default two-stage
-    path re-solves for exact gains instead.
-    """
-
-    def __init__(self, residual: float, tolerance: float):
-        self.residual = residual
-        self.tolerance = tolerance
-        super().__init__(
-            f"gain recovery residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
-        )
-
-
 class DesignFailed(Exception):
     """Both the verification and synthesis routes failed at one step."""
 
@@ -98,12 +84,6 @@ class DesignFailed(Exception):
             f"design failed at step {index} "
             f"(best margin {diagnosis.best_lambda_min:.3e}, {diagnosis.reason})"
         )
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -291,39 +271,35 @@ def _solver_target(prob, packet, tau) -> float:
     return max(t, 2.0 * tau)
 
 
-def _maximize_epsilon(prob, theta, eps_index, tau, eps_min) -> float:
+def _maximize_epsilon(prob, theta, eps_index, n, tau) -> float:
     """Half-supremum rule for the passivity rate.
 
-    The master matrix is affine and non-increasing in eps, so its feasible
-    eps set is an interval. Bisect for the supremum, then settle on half of
-    it: a deterministic compromise between the rate itself and the margin
-    left in M_cl.
+    eps enters the master only as -eps*I on its leading n x n block S.
+    Writing the master minus tau*I as [[S0 - eps*I, X], [X', R]] with S0
+    the block at eps = 0, a Schur complement gives the supremum of the
+    feasible rates in closed form (Boyd, El Ghaoui, Feron & Balakrishnan,
+    LMIs in System and Control Theory, 1994, sec. 2.1):
+
+        eps_sup = lambda_min(S0 - X R^-1 X').
+
+    Settle on half of it: a deterministic compromise between the rate
+    itself and the margin left in M_cl. The solver's own eps is kept when
+    R is not positive definite or half the supremum is below EPS_MIN.
     """
     work = np.array(theta, dtype=float)
     eps0 = float(work[eps_index])
-
-    def feasible(eps):
-        work[eps_index] = eps
-        return float(np.linalg.eigvalsh(prob.master(work))[0]) >= tau
-
-    hi = max(1.0, 2.0 * eps0)
-    for _ in range(60):
-        if not feasible(hi):
-            break
-        hi *= 2.0
-    else:
-        return eps0
-    lo = eps0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    half = 0.5 * lo
-    if half >= eps_min and feasible(half):
-        return half
-    return eps0
+    work[eps_index] = 0.0
+    M = prob.master(work) - tau * np.eye(prob.dim)
+    S0 = M[:n, :n]
+    if M.shape[0] > n:
+        try:
+            L = np.linalg.cholesky(M[n:, n:])
+        except np.linalg.LinAlgError:
+            return eps0
+        W = solve_triangular(L, M[n:, :n], lower=True)
+        S0 = S0 - W.T @ W
+    half = 0.5 * float(np.linalg.eigvalsh(S0)[0])
+    return half if half >= EPS_MIN else eps0
 
 
 def _check_self_coupling(h_self, sub):
@@ -355,17 +331,6 @@ def _check_prev_coupling(h_prev, sub, packet, prev_n=None):
     return h
 
 
-def _closed_margin(sub, packet, Q, eps, coupling_self, X):
-    """M_cl = S - F with the neighbor correction F applied through the
-    packet's Cholesky factor."""
-    S = -_sym2(sub.A.T @ Q + coupling_self) - eps * np.eye(sub.n)
-    if packet is None:
-        return blockla.symmetric_part(S)
-    U = blockla.cholesky_lower(packet.M_prev)
-    W = solve_triangular(U, X.T, lower=True)
-    return blockla.symmetric_part(S - W.T @ W)
-
-
 def _not_pd(point, reason) -> lmi.Infeasible:
     return lmi.Infeasible(
         best_lambda_min=point.lambda_min,
@@ -375,68 +340,101 @@ def _not_pd(point, reason) -> lmi.Infeasible:
     )
 
 
-def local_verify(
-    sub: Subsystem,
-    h_self=None,
-    h_prev=None,
-    packet: MessengerPacket | None = None,
-    *,
-    eps_min: float = EPS_MIN,
-    margin: float | None = None,
-    target: float | None = None,
-    max_evals: int = 5000,
-):
-    """Try to certify the step with all gains pinned to zero.
+def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
+    """One local design problem, without (verify) or with (synthesize) gains.
 
-    Returns a DesignRecord with route Verified, or lmi.Infeasible (which
-    the caller routes to synthesis).
+    Verification is synthesis's stage 1 without the Z and K variables; see
+    local_verify and local_synthesize. Returns a DesignRecord or
+    lmi.Infeasible.
     """
     index = 1 if packet is None else packet.prev_index + 1
     h_self = _check_self_coupling(h_self, sub)
-    h_prev = _check_prev_coupling(h_prev, sub, packet)
-    n = sub.n
+    h_prev = _check_prev_coupling(h_prev, sub, packet, prev_n)
+    n, p = sub.n, sub.p
+    eye = np.eye(n)
+    tau = _step_margin(sub) if margin is None else float(margin)
 
-    layout = _Layout()
-    layout.sym("Q", n)
-    layout.scalar("eps")
-
-    def master(v):
-        Q, eps = v["Q"], v["eps"]
-        S = -_sym2(sub.A.T @ Q + Q @ sub.B1 @ h_self) - eps * np.eye(n)
-        q_block = Q - Q_FLOOR * np.eye(n)
+    def blocks(Q, eps, self_term=0.0, prev_term=0.0, K_up=None):
+        # The S block of the master and, with a packet, the X block coupling
+        # it to M_prev; absent gain terms are zero.
+        S = -_sym2(sub.A.T @ Q + Q @ sub.B1 @ h_self + self_term) - eps * eye
         if packet is None:
-            return block_diag(S, q_block)
-        X = packet.G_prev.T + Q @ sub.B1 @ h_prev
-        top = np.block([[S, X], [X.T, packet.M_prev]])
-        return block_diag(top, q_block)
+            return S, None
+        upstream = packet.G_prev if K_up is None else packet.G_prev + packet.T_prev @ K_up
+        return S, upstream.T + Q @ sub.B1 @ h_prev + prev_term
+
+    def top(S, X):
+        return S if X is None else np.block([[S, X], [X.T, packet.M_prev]])
+
+    stage1 = _Layout()
+    stage1.sym("Q", n)
+    stage1.scalar("eps")
+    if gains:
+        stage1.full("Z_self", (n, n))
+        if packet is not None:
+            stage1.full("Z_prev", (n, packet.M_prev.shape[0]))
+            stage1.full("K_prev_to_self", (packet.T_prev.shape[1], n))
+
+    def master1(v):
+        S, X = blocks(v["Q"], v["eps"], v.get("Z_self", 0.0), v.get("Z_prev", 0.0),
+                      v.get("K_prev_to_self"))
+        return block_diag(top(S, X), v["Q"] - Q_FLOOR * eye)
 
     def equalities(v):
         return (v["Q"] @ sub.B2 - sub.C.T).ravel()
 
-    prob = _assemble_problem(layout, master, equalities, {"eps": eps_min})
-    tau = _step_margin(sub) if margin is None else float(margin)
-    goal = _solver_target(prob, packet, tau) if target is None else float(target)
-    point = lmi.solve_feasibility(prob, tau, target=goal, max_evals=max_evals)
+    prob = _assemble_problem(stage1, master1, equalities, {"eps": EPS_MIN})
+    point = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, packet, tau))
     if isinstance(point, lmi.Infeasible):
         return point
-
-    v = layout.unpack(point.theta)
-    Q = v["Q"]
+    layout, theta = stage1, point.theta
+    Q = stage1.unpack(theta)["Q"]
     try:
         blockla.cholesky_lower(Q)
     except blockla.NotPositiveDefinite:
         return _not_pd(point, "StorageNotPositiveDefinite")
+    QB3 = Q @ sub.B3
 
-    theta = np.array(point.theta)
-    eps = _maximize_epsilon(prob, theta, layout.index("eps"), tau, eps_min)
-    theta[layout.index("eps")] = eps
+    def closed_blocks(v):
+        # S and X with Q frozen, under the gains present in v.
+        self_term = QB3 @ v["K_self"] if "K_self" in v else 0.0
+        prev_term = QB3 @ v["K_to_prev"] if "K_to_prev" in v else 0.0
+        return blocks(Q, v["eps"], self_term, prev_term, v.get("K_prev_to_self"))
+
+    if gains:
+        layout = _Layout()
+        layout.scalar("eps")
+        layout.full("K_self", (p, n))
+        if packet is not None:
+            layout.full("K_to_prev", (p, packet.M_prev.shape[0]))
+            layout.full("K_prev_to_self", (packet.T_prev.shape[1], n))
+        prob = _assemble_problem(
+            layout, lambda v: top(*closed_blocks(v)), lambda v: np.zeros(0), {"eps": EPS_MIN}
+        )
+        # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
+        # floor; deriving a fresh one from the stage-2 constant block would let
+        # a large found Q inflate the requirement beyond reach.
+        point2 = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, packet, tau))
+        if isinstance(point2, lmi.Infeasible):
+            return point2
+        theta = point2.theta
+
+    theta = np.array(theta)
+    eps_idx = layout.index("eps")
+    eps_found = float(theta[eps_idx])
+    theta[eps_idx] = _maximize_epsilon(prob, theta, eps_idx, n, tau)
     if not lmi.certify_point(theta, prob, tau).ok:
-        theta, eps = np.array(point.theta), v["eps"]
+        theta[eps_idx] = eps_found
         if not lmi.certify_point(theta, prob, tau).ok:
             return _not_pd(point, "CertificationFailed")
 
-    X = None if packet is None else packet.G_prev.T + Q @ sub.B1 @ h_prev
-    M_cl = _closed_margin(sub, packet, Q, eps, Q @ sub.B1 @ h_self, X)
+    v = layout.unpack(theta)
+    # M_cl = S - X M_prev^-1 X', applied through the packet's Cholesky factor.
+    S, X = closed_blocks(v)
+    if X is not None:
+        W = solve_triangular(blockla.cholesky_lower(packet.M_prev), X.T, lower=True)
+        S = S - W.T @ W
+    M_cl = blockla.symmetric_part(S)
     try:
         blockla.cholesky_lower(M_cl)
     except blockla.NotPositiveDefinite:
@@ -445,27 +443,30 @@ def local_verify(
     return DesignRecord(
         index=index,
         Q=Q,
-        epsilon=eps,
-        K_self=None,
-        K_to_prev=None,
-        K_prev_to_self=None,
+        epsilon=v["eps"],
+        K_self=v.get("K_self"),
+        K_to_prev=v.get("K_to_prev"),
+        K_prev_to_self=v.get("K_prev_to_self"),
         M_cl=M_cl,
-        route=ROUTE_VERIFIED,
+        route=ROUTE_SYNTHESIZED if gains else ROUTE_VERIFIED,
     )
 
 
-def recover_gains(Q, B3, Z):
-    """Invert the substitution Z = Q B3 K in least squares.
+def local_verify(
+    sub: Subsystem,
+    h_self=None,
+    h_prev=None,
+    packet: MessengerPacket | None = None,
+    *,
+    margin: float | None = None,
+):
+    """Try to certify the step with all gains pinned to zero.
 
-    Returns (K, residual) with residual the infinity norm of Q B3 K - Z.
+    Returns a DesignRecord with route Verified, or lmi.Infeasible (which
+    the caller routes to synthesis). margin is the solver's positivity
+    floor; by default it is scaled from the subsystem's data.
     """
-    Q = np.asarray(Q, dtype=float)
-    B3 = np.asarray(B3, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    G = Q @ B3
-    K, *_ = np.linalg.lstsq(G, Z, rcond=None)
-    residual = float(np.abs(G @ K - Z).max()) if Z.size else 0.0
-    return K, residual
+    return _design_step(sub, h_self, h_prev, packet, None, margin, gains=False)
 
 
 def local_synthesize(
@@ -475,155 +476,31 @@ def local_synthesize(
     packet: MessengerPacket | None = None,
     prev_n: int | None = None,
     *,
-    eps_min: float = EPS_MIN,
     margin: float | None = None,
-    target: float | None = None,
-    two_stage: bool = True,
-    recovery_rtol: float = 1e-8,
-    max_evals: int = 5000,
 ):
     """Design local feedback gains that passivate the step.
 
     Stage 1 searches (Q, eps) with the gain products substituted by free
     matrices Z = Q B3 K, keeping the problem affine. Stage 2 freezes Q and
     re-solves directly over the gains, so the returned gains are exactly
-    realizable. With two_stage=False the gains are instead recovered from
-    the stage-1 substitutes by least squares; a residual above tolerance
-    raises GainRecoveryFailed.
+    realizable. Returns a DesignRecord with route Synthesized, or
+    lmi.Infeasible.
     """
-    index = 1 if packet is None else packet.prev_index + 1
-    h_self = _check_self_coupling(h_self, sub)
-    h_prev = _check_prev_coupling(h_prev, sub, packet, prev_n)
-    n, p = sub.n, sub.p
-    n_prev = None if packet is None else packet.M_prev.shape[0]
-    p_prev = None if packet is None else packet.T_prev.shape[1]
+    return _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains=True)
 
-    stage1 = _Layout()
-    stage1.sym("Q", n)
-    stage1.scalar("eps")
-    stage1.full("Z_self", (n, n))
-    if packet is not None:
-        stage1.full("Z_prev", (n, n_prev))
-        stage1.full("K_prev_to_self", (p_prev, n))
 
-    def master1(v):
-        Q, eps = v["Q"], v["eps"]
-        S = -_sym2(sub.A.T @ Q + Q @ sub.B1 @ h_self + v["Z_self"]) - eps * np.eye(n)
-        q_block = Q - Q_FLOOR * np.eye(n)
-        if packet is None:
-            return block_diag(S, q_block)
-        upstream = packet.G_prev + packet.T_prev @ v["K_prev_to_self"]
-        X = upstream.T + Q @ sub.B1 @ h_prev + v["Z_prev"]
-        top = np.block([[S, X], [X.T, packet.M_prev]])
-        return block_diag(top, q_block)
+def _step(sub, h_self, h_prev, packet, margin) -> DesignRecord:
+    """Verify, else synthesize; DesignFailed when neither clears the step.
 
-    def equalities(v):
-        return (v["Q"] @ sub.B2 - sub.C.T).ravel()
-
-    prob1 = _assemble_problem(stage1, master1, equalities, {"eps": eps_min})
-    tau1 = _step_margin(sub) if margin is None else float(margin)
-    goal1 = _solver_target(prob1, packet, tau1) if target is None else float(target)
-    point1 = lmi.solve_feasibility(prob1, tau1, target=goal1, max_evals=max_evals)
-    if isinstance(point1, lmi.Infeasible):
-        return point1
-
-    v1 = stage1.unpack(point1.theta)
-    Q = v1["Q"]
-    try:
-        blockla.cholesky_lower(Q)
-    except blockla.NotPositiveDefinite:
-        return _not_pd(point1, "StorageNotPositiveDefinite")
-
-    QB3 = Q @ sub.B3
-
-    stage2 = _Layout()
-    stage2.scalar("eps")
-    stage2.full("K_self", (p, n))
-    if packet is not None:
-        stage2.full("K_to_prev", (p, n_prev))
-        stage2.full("K_prev_to_self", (p_prev, n))
-
-    def master2(v):
-        S = -_sym2(sub.A.T @ Q + Q @ sub.B1 @ h_self + QB3 @ v["K_self"]) - v["eps"] * np.eye(n)
-        if packet is None:
-            return S
-        upstream = packet.G_prev + packet.T_prev @ v["K_prev_to_self"]
-        X = upstream.T + Q @ sub.B1 @ h_prev + QB3 @ v["K_to_prev"]
-        return np.block([[S, X], [X.T, packet.M_prev]])
-
-    prob2 = _assemble_problem(stage2, master2, lambda v: np.zeros(0), {"eps": eps_min})
-    # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
-    # floor; deriving a fresh one from the stage-2 constant block would let
-    # a large found Q inflate the requirement beyond reach.
-    tau2 = tau1
-
-    if two_stage:
-        goal2 = _solver_target(prob2, packet, tau2) if target is None else float(target)
-        point2 = lmi.solve_feasibility(prob2, tau2, target=goal2, max_evals=max_evals)
-        if isinstance(point2, lmi.Infeasible):
-            return point2
-        theta2 = np.array(point2.theta)
-    else:
-        K_self, r_self = recover_gains(Q, sub.B3, v1["Z_self"])
-        worst = r_self
-        tol = recovery_rtol * max(1.0, float(np.abs(v1["Z_self"]).max()))
-        pieces = {"eps": v1["eps"], "K_self": K_self}
-        if packet is not None:
-            K_to_prev, r_prev = recover_gains(Q, sub.B3, v1["Z_prev"])
-            worst = max(worst, r_prev)
-            tol = recovery_rtol * max(
-                1.0, float(np.abs(v1["Z_self"]).max()), float(np.abs(v1["Z_prev"]).max())
-            )
-            pieces["K_to_prev"] = K_to_prev
-            pieces["K_prev_to_self"] = v1["K_prev_to_self"]
-        if worst > tol:
-            raise GainRecoveryFailed(worst, tol)
-        theta2 = np.zeros(stage2.size)
-        for name, kind, meta, start, width in stage2._slots:
-            val = pieces[name]
-            if kind == "scalar":
-                theta2[start] = val
-            else:
-                theta2[start:start + width] = np.asarray(val, dtype=float).ravel()
-        if not lmi.certify_point(theta2, prob2, tau2).ok:
-            return _not_pd(point1, "CertificationFailed")
-
-    eps_idx = stage2.index("eps")
-    eps_found = float(theta2[eps_idx])
-    eps = _maximize_epsilon(prob2, theta2, eps_idx, tau2, eps_min)
-    theta2[eps_idx] = eps
-    if not lmi.certify_point(theta2, prob2, tau2).ok:
-        eps = eps_found
-        theta2[eps_idx] = eps
-        if not lmi.certify_point(theta2, prob2, tau2).ok:
-            return _not_pd(point1, "CertificationFailed")
-
-    v2 = stage2.unpack(theta2)
-    K_self = v2["K_self"]
-    K_to_prev = v2.get("K_to_prev")
-    K_prev_to_self = v2.get("K_prev_to_self")
-
-    coupling_self = Q @ sub.B1 @ h_self + QB3 @ K_self
-    if packet is None:
-        X = None
-    else:
-        X = (packet.G_prev + packet.T_prev @ K_prev_to_self).T + Q @ sub.B1 @ h_prev + QB3 @ K_to_prev
-    M_cl = _closed_margin(sub, packet, Q, eps, coupling_self, X)
-    try:
-        blockla.cholesky_lower(M_cl)
-    except blockla.NotPositiveDefinite:
-        return _not_pd(point1, "MarginNotPositiveDefinite")
-
-    return DesignRecord(
-        index=index,
-        Q=Q,
-        epsilon=eps,
-        K_self=K_self,
-        K_to_prev=K_to_prev,
-        K_prev_to_self=K_prev_to_self,
-        M_cl=M_cl,
-        route=ROUTE_SYNTHESIZED,
-    )
+    The routes are looked up as module globals on every call, so a wrapper
+    installed on them sees both whole designs and single additions.
+    """
+    rec = local_verify(sub, h_self, h_prev, packet, margin=margin)
+    if isinstance(rec, lmi.Infeasible):
+        rec = local_synthesize(sub, h_self, h_prev, packet, margin=margin)
+    if isinstance(rec, lmi.Infeasible):
+        raise DesignFailed(1 if packet is None else packet.prev_index + 1, rec)
+    return rec
 
 
 def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> MessengerPacket | None:
@@ -649,15 +526,7 @@ def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> Messenger
     )
 
 
-def run_cascade_design(
-    net: CascadeNetwork,
-    *,
-    eps_min: float = EPS_MIN,
-    margin: float | None = None,
-    target: float | None = None,
-    two_stage: bool = True,
-    max_evals: int = 5000,
-) -> NetworkDesignState:
+def run_cascade_design(net: CascadeNetwork, *, margin: float | None = None) -> NetworkDesignState:
     """One pass down the cascade: verify where possible, synthesize where not.
 
     Raises InvalidNetwork on structural problems and DesignFailed(i) when
@@ -669,18 +538,10 @@ def run_cascade_design(
     if not report.ok:
         raise InvalidNetwork(report)
 
-    opts = dict(eps_min=eps_min, margin=margin, target=target, max_evals=max_evals)
     records: list[DesignRecord] = []
     packet = None
-    for i in range(1, net.n_subsystems + 1):
-        sub = net.subsystems[i - 1]
-        h_self = net.h(i, i)
-        h_prev = net.h(i, i - 1) if i > 1 else None
-        rec = local_verify(sub, h_self, h_prev, packet, **opts)
-        if isinstance(rec, lmi.Infeasible):
-            rec = local_synthesize(sub, h_self, h_prev, packet, two_stage=two_stage, **opts)
-        if isinstance(rec, lmi.Infeasible):
-            raise DesignFailed(i, rec)
+    for i, sub in enumerate(net.subsystems, start=1):
+        rec = _step(sub, net.h(i, i), net.h(i, i - 1) if i > 1 else None, packet, margin)
         records.append(rec)
         if i < net.n_subsystems:
             packet = build_packet(rec, sub, net.h_or_zero(i, i + 1))
@@ -694,11 +555,7 @@ def add_subsystem(
     h_prev=None,
     h_to_new=None,
     *,
-    eps_min: float = EPS_MIN,
     margin: float | None = None,
-    target: float | None = None,
-    two_stage: bool = True,
-    max_evals: int = 5000,
 ) -> NetworkDesignState:
     """Grow a designed cascade by one subsystem without touching old records.
 
@@ -720,13 +577,7 @@ def add_subsystem(
                 f"h(N,N+1) is {h_to_new_block.shape}, expected ({last_sub.p}, {new_sub.n})"
             )
     packet = build_packet(last_rec, last_sub, h_to_new_block)
-
-    opts = dict(eps_min=eps_min, margin=margin, target=target, max_evals=max_evals)
-    rec = local_verify(new_sub, h_self, h_prev, packet, **opts)
-    if isinstance(rec, lmi.Infeasible):
-        rec = local_synthesize(new_sub, h_self, h_prev, packet, two_stage=two_stage, **opts)
-    if isinstance(rec, lmi.Infeasible):
-        raise DesignFailed(N + 1, rec)
+    rec = _step(new_sub, h_self, h_prev, packet, margin)
 
     additions = {
         (N + 1, N + 1): None if h_self is None else as_matrix(h_self, "h(N+1,N+1)"),

@@ -169,3 +169,29 @@ def test_tol_flag_reaches_solver(net_file, tmp_path):
     assert execute(["design", "--net", net_file, "--tol", "1e-7",
                     "--out", str(out)]) == EXIT_OK
     assert files.load_state(out).records
+
+
+def one_stderr_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_simulate_non_finite_trajectory_fails_check(state_file, capsys):
+    code = execute(["simulate", "--state", state_file, "--T", "4000", "--dt", "4"])
+    assert code == EXIT_CHECK_FAILED
+    assert "finite range" in one_stderr_line(capsys)
+
+
+@pytest.mark.parametrize("flag,value", [("--T", "0"), ("--T", "nan"), ("--dt", "-1e-3")])
+def test_simulate_rejects_bad_horizon_or_step(state_file, capsys, flag, value):
+    assert execute(["simulate", "--state", state_file, f"{flag}={value}"]) == EXIT_INVALID
+    assert "must be positive" in one_stderr_line(capsys)
+
+
+@pytest.mark.parametrize("tol", ["-1e-7", "nan"])
+def test_bad_tol_is_invalid(net_file, tmp_path, capsys, tol):
+    out = tmp_path / "never.json"
+    assert execute(["design", "--net", net_file, f"--tol={tol}", "--out", str(out)]) == EXIT_INVALID
+    assert "margin must be positive" in one_stderr_line(capsys)
+    assert not out.exists()

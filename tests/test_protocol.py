@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cascadepass import blockla, lmi, oracle
+from cascadepass import blockla, lmi, oracle, protocol
 from cascadepass.model import CascadeNetwork, InvalidNetwork, Subsystem
 from cascadepass.protocol import (
     ROUTE_SYNTHESIZED,
@@ -11,7 +11,6 @@ from cascadepass.protocol import (
     DesignFailed,
     DesignRecord,
     DimensionMismatch,
-    GainRecoveryFailed,
     MessengerPacket,
     NetworkDesignState,
     add_subsystem,
@@ -20,7 +19,6 @@ from cascadepass.protocol import (
     design_tridiagonal,
     local_synthesize,
     local_verify,
-    recover_gains,
     run_cascade_design,
 )
 from cascadepass.sample_cascades import (
@@ -83,20 +81,6 @@ def test_state_validation():
         )
 
 
-def test_recover_gains_known_values():
-    K, residual = recover_gains([[1.0]], [[1.0]], [[-2.0]])
-    assert K[0, 0] == -2.0
-    assert residual == 0.0
-
-    K, residual = recover_gains(np.eye(2), [[1.0], [1.0]], [[3.0], [3.0]])
-    assert np.allclose(K, [[3.0]], atol=1e-14)
-    assert residual <= 1e-14
-
-    K, residual = recover_gains(np.eye(2), [[1.0], [1.0]], [[1.0], [0.0]])
-    assert np.allclose(K, [[0.5]], atol=1e-14)
-    assert np.isclose(residual, 0.5, atol=1e-14)
-
-
 def test_verify_stable_scalar_exact_outcome():
     rec = local_verify(scalar_subsystem())
     assert isinstance(rec, DesignRecord)
@@ -146,14 +130,8 @@ def uncontrollable_pair():
     )
 
 
-def test_one_stage_recovery_failure_is_reported():
-    with pytest.raises(GainRecoveryFailed) as info:
-        local_synthesize(uncontrollable_pair(), two_stage=False)
-    assert info.value.residual > info.value.tolerance
-
-
 def test_two_stage_declares_infeasible_when_no_exact_gain_exists():
-    out = local_synthesize(uncontrollable_pair(), two_stage=True)
+    out = local_synthesize(uncontrollable_pair())
     assert isinstance(out, lmi.Infeasible)
 
 
@@ -198,6 +176,59 @@ def test_design_two_stage_scalar_chain_rates():
     assert abs(state.records[0].M_cl[0, 0] - 1.0) <= 1e-3
     assert abs(state.records[1].M_cl[0, 0] - 0.5) <= 1e-3
     assert state.global_epsilon == state.records[1].epsilon
+
+
+def bisected_rate_supremum(prob, theta, eps_index, tau):
+    """Reference for the closed-form rate: bisect the feasible eps interval.
+
+    The master is affine and non-increasing in eps, so the eps that keep
+    lambda_min >= tau form an interval starting at the solver's own eps.
+    """
+    work = np.array(theta, dtype=float)
+
+    def feasible(eps):
+        work[eps_index] = eps
+        return np.linalg.eigvalsh(prob.master(work))[0] >= tau
+
+    lo = float(theta[eps_index])
+    assert feasible(lo)
+    hi = max(1.0, 2.0 * lo)
+    while feasible(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_rate_is_half_the_bisected_supremum(monkeypatch):
+    calls = []
+    closed_form = protocol._maximize_epsilon
+
+    def recording(prob, theta, eps_index, n, tau):
+        eps = closed_form(prob, theta, eps_index, n, tau)
+        calls.append((prob, np.array(theta), eps_index, tau, eps))
+        return eps
+
+    monkeypatch.setattr(protocol, "_maximize_epsilon", recording)
+    rng = np.random.default_rng(5)
+    records = []
+    for _ in range(6):
+        try:
+            state = run_cascade_design(random_cascade(int(rng.integers(2, 5)), rng))
+        except DesignFailed:
+            continue
+        records.extend(state.records)
+    assert {rec.route for rec in records} == {ROUTE_VERIFIED, ROUTE_SYNTHESIZED}
+    chosen = {eps for *_, eps in calls}
+    assert all(rec.epsilon in chosen for rec in records)
+    for prob, theta, eps_index, tau, eps in calls:
+        supremum = bisected_rate_supremum(prob, theta, eps_index, tau)
+        assert abs(eps - 0.5 * supremum) <= 1e-9 * supremum
 
 
 def test_build_packet_contents_and_none():
