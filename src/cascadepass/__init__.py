@@ -47,7 +47,6 @@ from .lmi import (
     solve_feasibility,
     certify_point,
     default_margin,
-    record_points,
 )
 from .protocol import (
     EPS_MIN,
@@ -111,7 +110,6 @@ __all__ = [
     "solve_feasibility",
     "certify_point",
     "default_margin",
-    "record_points",
     "EPS_MIN",
     "ROUTE_VERIFIED",
     "ROUTE_SYNTHESIZED",

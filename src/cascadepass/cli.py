@@ -1,9 +1,10 @@
 """Command-line front end for cascade validation, design and checking.
 
 Exit codes: 0 success, 2 design infeasible at some step, 3 invalid or
-malformed input (network structure, file schema, fingerprint mismatch,
-a non-positive --tol, --T or --dt), 4 certificate or trajectory check
-failed (including a simulation that leaves the finite range).
+malformed input (a usage error, network structure, file schema,
+fingerprint mismatch, a non-positive --tol, --T or --dt), 4 certificate
+or trajectory check failed (including a simulation that leaves the
+finite range).
 """
 
 from __future__ import annotations
@@ -25,44 +26,57 @@ EXIT_INVALID = 3
 EXIT_CHECK_FAILED = 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="solver positivity floor (default: scaled from the problem)")
-    common.add_argument("--margin", type=float, default=None,
-                        help="oracle pass margin (default: scaled from the certificate matrix)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for generated disturbances (default 0)")
+class _UsageError(Exception):
+    pass
 
-    parser = argparse.ArgumentParser(
+
+class _Parser(argparse.ArgumentParser):
+    # Subparsers inherit this class, so every usage error lands here and
+    # exits 3 instead of argparse's 2, which would read as "infeasible".
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="cascadepass",
         description="Sequential passivity design for cascade networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a network file for structural problems")
+    p = sub.add_parser("validate", help="check a network file for structural problems")
     p.add_argument("--net", required=True, help="network JSON file")
 
-    p = sub.add_parser("design", parents=[common], help="run the sequential design and save the state")
+    p = sub.add_parser("design", help="run the sequential design and save the state")
     p.add_argument("--net", required=True, help="network JSON file")
     p.add_argument("--out", required=True, help="state JSON file to write")
+    p.add_argument("--tol", type=float, default=None,
+                   help="solver positivity floor (default: scaled from the problem)")
 
-    p = sub.add_parser("add", parents=[common], help="extend a designed cascade by one subsystem")
+    p = sub.add_parser("add", help="extend a designed cascade by one subsystem")
     p.add_argument("--state", required=True, help="existing state JSON file")
     p.add_argument("--sub", required=True, help="addition JSON file with the new subsystem")
     p.add_argument("--out", required=True, help="state JSON file to write")
+    p.add_argument("--tol", type=float, default=None,
+                   help="solver positivity floor (default: scaled from the problem)")
 
-    p = sub.add_parser("check", parents=[common], help="re-certify a designed state centrally")
+    p = sub.add_parser("check", help="re-certify a designed state centrally")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--net", default=None, help="optional network file that must match the state")
+    p.add_argument("--margin", type=float, default=None,
+                   help="oracle pass margin (default: scaled from the certificate matrix)")
 
-    p = sub.add_parser("simulate", parents=[common], help="integrate the closed loop and check dissipation")
+    p = sub.add_parser("simulate", help="integrate the closed loop and check dissipation")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--T", type=float, default=20.0, help="horizon (default 20)")
     p.add_argument("--dt", type=float, default=1e-3, help="step size (default 1e-3)")
     p.add_argument("--csv", default=None, help="write the trajectory to this CSV file")
+    p.add_argument("--margin", type=float, default=None,
+                   help="bound on the dissipation slack: fail below -MARGIN (default 1e-6)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the generated disturbance (default 0)")
 
-    p = sub.add_parser("report", parents=[common], help="summarize a designed state")
+    p = sub.add_parser("report", help="summarize a designed state")
     p.add_argument("--state", required=True, help="state JSON file")
 
     return parser
@@ -180,8 +194,11 @@ _COMMANDS = {
 
 
 def execute(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         return _COMMANDS[args.command](args)
     except files.MalformedFile as exc:

@@ -15,7 +15,6 @@ search path. Everything is deterministic: no randomness anywhere.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "default_margin",
     "solve_feasibility",
     "certify_point",
-    "record_points",
     "sym_vec_size",
     "sym_to_vec",
     "vec_to_sym",
@@ -197,32 +195,6 @@ def default_margin(prob: AffineFeasibilityProblem) -> float:
     return 1e-6 * max(1.0, float(scale))
 
 
-_RECORDERS: list[list] = []
-
-
-@contextlib.contextmanager
-def record_points():
-    """Collect every (problem, margin, FeasiblePoint) the solver emits.
-
-    Used by audits that re-certify all certificates produced during a run.
-    """
-    buf: list[tuple[AffineFeasibilityProblem, float, FeasiblePoint]] = []
-    _RECORDERS.append(buf)
-    try:
-        yield buf
-    finally:
-        # Drop by identity: equal-content buffers must not shadow each other.
-        for k, other in enumerate(_RECORDERS):
-            if other is buf:
-                del _RECORDERS[k]
-                break
-
-
-def _emit(prob, margin, point):
-    for buf in _RECORDERS:
-        buf.append((prob, margin, point))
-
-
 class _TargetReached(Exception):
     pass
 
@@ -232,12 +204,12 @@ def solve_feasibility(
     margin: float | None = None,
     *,
     target: float | None = None,
-    max_evals: int = 5000,
 ):
     """Search for a certified feasible point.
 
-    Returns FeasiblePoint on success (lambda_min(Phi) >= margin, equalities
-    within tolerance, bounds satisfied) or Infeasible with the best point
+    Returns FeasiblePoint exactly when the search reaches the margin and
+    ``certify_point`` accepts the point; its lambda_min and eq_residual are
+    that certificate's. Otherwise returns Infeasible with the best point
     found. ``target`` stops the search early once the smallest eigenvalue of
     the augmented matrix reaches it; larger targets buy margin for downstream
     consumers at the cost of more iterations.
@@ -252,26 +224,49 @@ def solve_feasibility(
         target = max(2.0 * tau, 1e-4 * scale)
     target = max(float(target), tau)
 
+    E, e = prob.eq_matrix, prob.eq_rhs
+    if E.shape[0]:
+        theta_p, *_ = np.linalg.lstsq(E, e, rcond=None)
+        resid = np.abs(E @ theta_p - e).max() if e.size else 0.0
+        if resid > EQ_RTOL * max(1.0, np.abs(e).max() if e.size else 0.0):
+            lam = float(np.linalg.eigvalsh(prob.master(theta_p))[0]) if d else -np.inf
+            return Infeasible(
+                best_lambda_min=lam,
+                best_theta=theta_p,
+                evaluations=1,
+                reason="InconsistentEqualities",
+            )
+    else:
+        theta_p = np.zeros(v)
+
+    if d == 0 and not np.any(np.isfinite(prob.lower_bounds)):
+        # No matrix block and no bounds: only the equalities constrain theta.
+        theta, best_lam, norm, evals = theta_p, np.inf, 1.0, 0
+    else:
+        theta, best_lam, norm, evals = _search(prob, theta_p, tau, target)
+
+    cert = certify_point(theta, prob, tau)
+    if best_lam >= tau / norm and cert.ok:
+        return FeasiblePoint(theta=theta, lambda_min=cert.lambda_min, eq_residual=cert.eq_residual)
+    return Infeasible(
+        best_lambda_min=best_lam * norm if np.isfinite(best_lam) else cert.lambda_min,
+        best_theta=theta,
+        evaluations=evals,
+        reason="Stalled",
+    )
+
+
+def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, target: float):
+    """Maximize the smallest eigenvalue of the augmented matrix over the
+    solutions theta_p + null(E) z of the equalities.
+
+    Returns (theta, best_lam, norm, evaluations); best_lam is in the
+    normalized units of the augmented matrix divided by norm.
+    """
+    v = prob.var_count
+    d = prob.dim
     bounded = np.flatnonzero(np.isfinite(prob.lower_bounds))
     da = d + bounded.size
-    if da == 0:
-        # No matrix block and no bounds: only the equalities constrain theta.
-        E, e = prob.eq_matrix, prob.eq_rhs
-        if E.shape[0]:
-            theta_p, *_ = np.linalg.lstsq(E, e, rcond=None)
-            resid = float(np.abs(E @ theta_p - e).max()) if e.size else 0.0
-            if resid > EQ_RTOL * max(1.0, float(np.abs(e).max()) if e.size else 0.0):
-                return Infeasible(
-                    best_lambda_min=-np.inf,
-                    best_theta=theta_p,
-                    evaluations=1,
-                    reason="InconsistentEqualities",
-                )
-        else:
-            theta_p, resid = np.zeros(v), 0.0
-        point = FeasiblePoint(theta=theta_p, lambda_min=np.inf, eq_residual=resid)
-        _emit(prob, tau, point)
-        return point
 
     # Augmented coefficient tensor: master block plus one 1x1 slack block
     # (theta_k - lb_k) per bounded variable.
@@ -285,23 +280,7 @@ def solve_feasibility(
     for slot, k in enumerate(bounded):
         C_aug[d + slot, d + slot] = -prob.lower_bounds[k]
 
-    E, e = prob.eq_matrix, prob.eq_rhs
-    evals = 0
-    if E.shape[0]:
-        theta_p, *_ = np.linalg.lstsq(E, e, rcond=None)
-        resid = np.abs(E @ theta_p - e).max() if e.size else 0.0
-        if resid > EQ_RTOL * max(1.0, np.abs(e).max() if e.size else 0.0):
-            lam = float(np.linalg.eigvalsh(prob.master(theta_p))[0]) if d else -np.inf
-            return Infeasible(
-                best_lambda_min=lam,
-                best_theta=theta_p,
-                evaluations=1,
-                reason="InconsistentEqualities",
-            )
-        basis = null_space(E)
-    else:
-        theta_p = np.zeros(v)
-        basis = np.eye(v)
+    basis = null_space(prob.eq_matrix) if prob.eq_matrix.shape[0] else np.eye(v)
     f = basis.shape[1]
 
     C0 = C_aug + (np.tensordot(theta_p, T, axes=1) if v else 0.0)
@@ -320,6 +299,7 @@ def solve_feasibility(
 
     best_u = np.zeros(f)
     best_lam = -np.inf
+    evals = 0
 
     def evaluate(u):
         nonlocal evals, best_u, best_lam
@@ -351,7 +331,7 @@ def solve_feasibility(
         def make_objective(s):
             def fun(u):
                 lam, vecs = evaluate(u)
-                if best_lam >= target_n or evals >= max_evals:
+                if best_lam >= target_n:
                     raise _TargetReached
                 shifted = -(lam - lam[0]) / s
                 w = np.exp(shifted)
@@ -367,14 +347,14 @@ def solve_feasibility(
             evaluate(best_u)
             if best_lam < target_n:
                 for s in levels:
-                    res = minimize(
+                    minimize(
                         make_objective(s),
                         best_u.copy(),
                         jac=True,
                         method="L-BFGS-B",
                         options={"maxiter": 100, "maxfun": 200, "ftol": 1e-15, "gtol": 1e-12},
                     )
-                    if best_lam >= target_n or evals >= max_evals:
+                    if best_lam >= target_n:
                         break
         except _TargetReached:
             pass
@@ -414,22 +394,7 @@ def solve_feasibility(
 
     best_z = (best_u / gamma) * norm if f else np.zeros(0)
     theta = theta_p + (basis @ best_z if f else 0.0)
-    lam_master = float(np.linalg.eigvalsh(prob.master(theta))[0]) if d else np.inf
-    eq_residual = float(np.abs(E @ theta - e).max()) if E.shape[0] else 0.0
-    bounds_ok = bool(np.all(theta[bounded] >= prob.lower_bounds[bounded])) if bounded.size else True
-    best_lam_true = best_lam * norm if np.isfinite(best_lam) else lam_master
-
-    if best_lam >= tau_n and lam_master >= tau and bounds_ok:
-        point = FeasiblePoint(theta=theta, lambda_min=lam_master, eq_residual=eq_residual)
-        _emit(prob, tau, point)
-        return point
-    reason = "BudgetExhausted" if evals >= max_evals else "Stalled"
-    return Infeasible(
-        best_lambda_min=best_lam_true,
-        best_theta=theta,
-        evaluations=evals,
-        reason=reason,
-    )
+    return theta, best_lam, norm, evals
 
 
 def certify_point(

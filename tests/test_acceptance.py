@@ -3,6 +3,7 @@
 import time
 
 import numpy as np
+import pytest
 
 from cascadepass import blockla, files, lmi, oracle, protocol
 from cascadepass.protocol import (
@@ -181,8 +182,31 @@ def test_5_growth_reproduces_from_scratch_design():
     )
 
 
-def test_6_random_cascades_never_certify_falsely():
-    states, declined = run_random_campaign(seed=0, trials=50)
+@pytest.fixture(scope="module")
+def campaign():
+    """The four-stage design and the seeded random campaign, run once.
+
+    Returns the campaign's states, its declined count and every
+    (problem, margin, FeasiblePoint) that lmi.solve_feasibility returned.
+    """
+    emitted = []
+    original = lmi.solve_feasibility
+
+    def recording(prob, margin=None, **kwargs):
+        out = original(prob, margin, **kwargs)
+        if isinstance(out, lmi.FeasiblePoint):
+            emitted.append((prob, margin, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmi, "solve_feasibility", recording)
+        protocol.run_cascade_design(four_stage_cascade())
+        states, declined = run_random_campaign(seed=0, trials=50)
+    return states, declined, emitted
+
+
+def test_6_random_cascades_never_certify_falsely(campaign):
+    states, declined, _ = campaign
     false_certs = 0
     for state in states:
         cert = oracle.centralized_sp_check(oracle.assemble_closed_loop(state))
@@ -196,10 +220,8 @@ def test_6_random_cascades_never_certify_falsely():
     )
 
 
-def test_7_every_emitted_point_recertifies():
-    with lmi.record_points() as emitted:
-        protocol.run_cascade_design(four_stage_cascade())
-        run_random_campaign(seed=0, trials=50)
+def test_7_every_emitted_point_recertifies(campaign):
+    _, _, emitted = campaign
     bad = 0
     for prob, margin, point in emitted:
         if not lmi.certify_point(point.theta, prob, margin).ok:

@@ -195,3 +195,36 @@ def test_bad_tol_is_invalid(net_file, tmp_path, capsys, tol):
     assert execute(["design", "--net", net_file, f"--tol={tol}", "--out", str(out)]) == EXIT_INVALID
     assert "margin must be positive" in one_stderr_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("check", "--tol"), ("validate", "--seed"), ("report", "--margin"), ("design", "--seed"),
+])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(
+    command, flag, net_file, state_file, tmp_path, capsys
+):
+    inputs = {
+        "check": ["--state", state_file],
+        "validate": ["--net", net_file],
+        "report": ["--state", state_file],
+        "design": ["--net", net_file, "--out", str(tmp_path / "o.json")],
+    }
+    assert execute([command, *inputs[command], flag, "1"]) == EXIT_INVALID
+    assert "unrecognized arguments" in one_stderr_line(capsys)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["design", "--net", "n.json", "--out", "o.json", "--tol", "-1e-7"], "expected one argument"),
+    (["bogus"], "invalid choice"),
+    (["validate"], "required: --net"),
+])
+def test_usage_error_exits_invalid(argv, message, capsys):
+    assert execute(argv) == EXIT_INVALID
+    assert message in one_stderr_line(capsys)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        execute(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
