@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 design infeasible at some step, 3 invalid or
 malformed input (a usage error, network structure, file schema,
-fingerprint mismatch, a non-positive --tol, --T or --dt), 4 certificate
-or trajectory check failed (including a simulation that leaves the
-finite range).
+fingerprint mismatch, a non-positive --tol, --T or --dt, a non-finite
+--margin), 4 certificate or trajectory check failed (including a
+simulation that leaves the finite range).
 """
 
 from __future__ import annotations
@@ -139,6 +139,10 @@ def _cmd_add(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # A NaN or infinite margin would make the pass test a constant.
+    if args.margin is not None and not math.isfinite(args.margin):
+        print("--margin must be finite", file=sys.stderr)
+        return EXIT_INVALID
     state = files.load_state(args.state)
     if args.net is not None:
         net = files.load_network(args.net)
@@ -154,6 +158,9 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     if not (0.0 < args.T < math.inf and 0.0 < args.dt < math.inf):
         print("--T and --dt must be positive and finite", file=sys.stderr)
+        return EXIT_INVALID
+    if args.margin is not None and not math.isfinite(args.margin):
+        print("--margin must be finite", file=sys.stderr)
         return EXIT_INVALID
     state = files.load_state(args.state)
     cl = oracle.assemble_closed_loop(state)

@@ -114,14 +114,19 @@ def test_simulate_passes_and_writes_csv(state_file, tmp_path, capsys):
     assert header == "t,x1,x2,y1,y2,w1,w2,V"
 
 
-def test_simulate_detects_overclaimed_rate(state_file, tmp_path, capsys):
+@pytest.fixture
+def overclaimed_file(state_file, tmp_path):
     doc = json.loads(open(state_file).read())
     for rec in doc["records"]:
         rec["epsilon"] = 5.0
     doc["global_epsilon"] = 5.0
     tampered = tmp_path / "overclaimed.json"
     tampered.write_text(json.dumps(doc))
-    code = execute(["simulate", "--state", str(tampered), "--T", "2.0"])
+    return str(tampered)
+
+
+def test_simulate_detects_overclaimed_rate(overclaimed_file, capsys):
+    code = execute(["simulate", "--state", overclaimed_file, "--T", "2.0"])
     assert code == EXIT_CHECK_FAILED
     assert "violated" in capsys.readouterr().err
 
@@ -187,6 +192,18 @@ def test_simulate_non_finite_trajectory_fails_check(state_file, capsys):
 def test_simulate_rejects_bad_horizon_or_step(state_file, capsys, flag, value):
     assert execute(["simulate", "--state", state_file, f"{flag}={value}"]) == EXIT_INVALID
     assert "must be positive" in one_stderr_line(capsys)
+
+
+# The overclaimed state fails both checks at any finite margin; a NaN or
+# infinite one would otherwise let it pass.
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_margin_is_invalid(overclaimed_file, capsys, command, value):
+    argv = [command, "--state", overclaimed_file, f"--margin={value}"]
+    if command == "simulate":
+        argv += ["--T", "2.0"]
+    assert execute(argv) == EXIT_INVALID
+    assert "--margin must be finite" in one_stderr_line(capsys)
 
 
 @pytest.mark.parametrize("tol", ["-1e-7", "nan"])

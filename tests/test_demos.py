@@ -1,0 +1,28 @@
+"""The demo scripts run end to end."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_dissipation_trial_demo_writes_csv(tmp_path):
+    csv = tmp_path / "last.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "dissipation_trial.py"),
+         "--trials", "2", "--T", "2", "--csv", str(csv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "(ok)" in proc.stdout
+    header = csv.read_text().splitlines()[0]
+    assert header == ",".join(
+        ["t"] + [f"x{i}" for i in range(1, 7)] + [f"y{j}" for j in range(1, 5)]
+        + [f"w{j}" for j in range(1, 5)] + ["V"]
+    )

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from cascadepass import protocol
+
 from cascadepass.model import Subsystem
 from cascadepass.oracle import (
     Certificate,
@@ -23,7 +25,7 @@ from cascadepass.protocol import (
     DesignRecord,
     NetworkDesignState,
 )
-from cascadepass.sample_cascades import two_stage_scalar_cascade
+from cascadepass.sample_cascades import four_stage_cascade, two_stage_scalar_cascade
 
 
 def record(index, q=1.0, eps=0.5, route=ROUTE_VERIFIED, **gains):
@@ -201,3 +203,123 @@ def test_export_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(data[:, 3:5], traj.y)
     assert np.array_equal(data[:, 5:7], traj.w)
     assert np.array_equal(data[:, 7], traj.V)
+
+
+def _rk4_reference(cl, disturbance, x0, T, dt):
+    """Step-by-step RK4 with one scalar disturbance call per half-grid time."""
+    steps = max(1, int(round(T / dt)))
+    h = T / steps
+    A, B = cl.Acl, cl.B2
+    w = [np.asarray(disturbance(k * (0.5 * h)), dtype=float) for k in range(2 * steps + 1)]
+    x = np.empty((steps + 1, cl.n))
+    x[0] = x0
+    for k in range(steps):
+        xk = x[k]
+        w0, w1, w2 = w[2 * k], w[2 * k + 1], w[2 * k + 2]
+        k1 = A @ xk + B @ w0
+        k2 = A @ (xk + 0.5 * h * k1) + B @ w1
+        k3 = A @ (xk + 0.5 * h * k2) + B @ w1
+        k4 = A @ (xk + h * k3) + B @ w2
+        x[k + 1] = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    V = 0.5 * np.einsum("ki,ij,kj->k", x, cl.Q, x)
+    return x, V
+
+
+def assert_matches_reference(traj, cl, disturbance, x0, T, dt):
+    x_ref, V_ref = _rk4_reference(cl, disturbance, x0, T, dt)
+    assert traj.x.shape == x_ref.shape
+    assert np.abs(traj.x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    assert np.abs(traj.V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
+
+
+@pytest.fixture(scope="module")
+def four_stage_loop():
+    return assemble_closed_loop(protocol.run_cascade_design(four_stage_cascade()))
+
+
+# Step counts 1 and 2 make one-row blocks, 14 and 7143 pad the last
+# block, 400 is a perfect square, and 20000 is the default horizon.
+@pytest.mark.parametrize("T,dt,steps", [
+    (20.0, 1e-3, 20000),
+    (1e-3, 1e-3, 1),
+    (2e-3, 1e-3, 2),
+    (0.0137, 1e-3, 14),
+    (5.0, 7e-4, 7143),
+    (0.4, 1e-3, 400),
+])
+def test_simulate_matches_step_by_step_rk4(four_stage_loop, T, dt, steps):
+    cl = four_stage_loop
+    x0 = np.linspace(-1.0, 1.0, cl.n)
+    disturbance = SineDisturbance.from_seed(cl.m, seed=3)
+    traj = simulate(cl, disturbance, x0=x0, T=T, dt=dt)
+    assert traj.t.shape == (steps + 1,)
+    assert_matches_reference(traj, cl, disturbance, x0, T, dt)
+
+
+def test_sine_disturbance_on_array_equals_scalar_calls():
+    d = SineDisturbance.from_seed(4, seed=7)
+    ts = np.concatenate((np.arange(2001) * 5e-4, [-3.25, 1e3, 0.1]))
+    samples = d(ts)
+    assert samples.shape == (ts.shape[0], 4)
+    assert np.array_equal(samples, np.stack([d(float(t)) for t in ts]))
+    # The sum over the wave axis adds the waves in the same order.
+    summed = np.stack([np.sin(d.freqs * float(t) + d.phases).sum(axis=1) for t in ts])
+    assert np.array_equal(samples, summed)
+
+
+def test_simulate_broadcasts_constant_disturbance():
+    cl = assemble_closed_loop(two_scalar_state())
+    calls = []
+
+    def constant(t):
+        calls.append(np.shape(t))
+        return np.array([0.5, -1.0])
+
+    traj = simulate(cl, constant, x0=[1.0, -2.0], T=0.5, dt=1e-3)
+    assert calls == [(1001,)]
+    assert np.array_equal(traj.w, np.tile([0.5, -1.0], (501, 1)))
+    assert_matches_reference(traj, cl, constant, [1.0, -2.0], 0.5, 1e-3)
+
+
+@pytest.mark.parametrize("shape", [(1001, 3), (1000, 2), (1001,), (1, 2)])
+def test_simulate_rejects_disturbance_of_wrong_shape(shape):
+    cl = assemble_closed_loop(two_scalar_state())
+    with pytest.raises(ValueError):
+        simulate(cl, lambda t: np.zeros(shape), T=0.5, dt=1e-3)
+
+
+# Dissipation margins of acceptance test 2 (four-stage design, seeds 0-9,
+# T = 20, dt = 1e-3) from _rk4_reference: at the design rate, and at the
+# overclaimed rate 10, where the margin is negative.
+REFERENCE_MARGINS = [
+    (0.0, -231.65037711473812),
+    (0.0, -39.721152458878024),
+    (0.0, -59.94595381569137),
+    (0.0, -26.846674105750537),
+    (0.0, -21.57247063619379),
+    (0.0, -63.39312012356837),
+    (0.0, -198.93762274544093),
+    (0.0, -35.74178831069863),
+    (0.0, -64.57700041998567),
+    (0.0, -196.00652836286898),
+]
+
+
+def test_acceptance_margins_match_step_by_step_rk4(four_stage_loop):
+    cl = four_stage_loop
+    for seed, (at_rate, overclaimed) in enumerate(REFERENCE_MARGINS):
+        traj = simulate(cl, SineDisturbance.from_seed(cl.m, seed), T=20.0, dt=1e-3)
+        assert abs(dissipation_margin(traj, cl.epsilon) - at_rate) <= 1e-12
+        assert abs(dissipation_margin(traj, 10.0) - overclaimed) <= 1e-12 * abs(overclaimed)
+
+
+def test_export_trajectory_csv_bytes(tmp_path):
+    cl = assemble_closed_loop(two_scalar_state())
+    traj = simulate(cl, SineDisturbance.from_seed(cl.m, seed=2), x0=[0.3, -1.0], T=0.05, dt=1e-3)
+    path = tmp_path / "trace.csv"
+    export_trajectory_csv(traj, path)
+    lines = ["t,x1,x2,y1,y2,w1,w2,V"]
+    for k in range(traj.t.shape[0]):
+        row = [traj.t[k], *traj.x[k], *traj.y[k], *traj.w[k], traj.V[k]]
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
