@@ -1,10 +1,10 @@
 """Block linear algebra for symmetric tri-diagonal certificate matrices.
 
 Provides a Cholesky factorization with an explicit pivot tolerance, a
-smallest-eigenvalue helper, and the sequential positive-definiteness test
-for symmetric block tri-diagonal matrices. The sequential test mirrors the
-physics of the chain: block i can be cleared knowing only the Schur
-complement left behind by block i-1.
+smallest-eigenvalue helper, one Schur complement step, and the sequential
+positive-definiteness test for symmetric block tri-diagonal matrices, which
+mirrors the physics of the chain: block i can be cleared knowing only the
+Schur complement left behind by block i-1.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "symmetric_part",
     "cholesky_lower",
     "min_eigen_sym",
+    "schur_step",
     "tridiag_pd_sequence",
 ]
 
@@ -109,6 +110,13 @@ def min_eigen_sym(S) -> float:
     if A.size == 0:
         raise ValueError("empty matrix has no eigenvalues")
     return float(np.linalg.eigvalsh(A)[0])
+
+
+def schur_step(L, R, D):
+    """(D - W' W, W) with W = L^-1 R: the Schur complement D - R' P^-1 R
+    of P = L L' (L lower), by one triangular solve; P^-1 is never formed."""
+    W = solve_triangular(L, R, lower=True)
+    return D - W.T @ W, W
 
 
 @dataclass(frozen=True)
@@ -198,22 +206,16 @@ def tridiag_pd_sequence(P: BlockTriDiagonal) -> TriDiagFactor:
     """Sequential positive-definiteness test with certificate.
 
     Runs the Schur recursion M_1 = D_1, M_i = D_i - R_i' M_{i-1}^{-1} R_i
-    (R_i the block at (i-1, i)) and factors each M_i. The inverse is never
-    formed; it is applied through triangular solves against the stored
-    Cholesky factor. Raises NotPositiveDefinite with the 1-based block index
-    where the recursion first fails.
+    (R_i the block at (i-1, i)) by schur_step and factors each M_i. Raises
+    NotPositiveDefinite with the 1-based block index where it first fails.
     """
     Ms: list[np.ndarray] = []
     Us: list[np.ndarray] = []
     Vs: list[np.ndarray] = []
     for i, D in enumerate(P.diag_blocks, start=1):
-        if i == 1:
-            M = D
-        else:
-            R = P.super_blocks[i - 2]
-            # W = U_{i-1}^{-1} R, so R' M_{i-1}^{-1} R = W' W.
-            W = solve_triangular(Us[-1], R, lower=True)
-            M = D - W.T @ W
+        M = D
+        if Us:
+            M, W = schur_step(Us[-1], P.super_blocks[i - 2], D)
             Vs.append(W.T)
         M = 0.5 * (M + M.T)
         try:

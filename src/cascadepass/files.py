@@ -85,6 +85,12 @@ def _matrix(value, name):
     return a
 
 
+def _number(value, name) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedFile(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _expect(doc, kind):
     if not isinstance(doc, dict):
         raise MalformedFile("top-level document must be an object")
@@ -161,10 +167,12 @@ def save_network(net: CascadeNetwork, path) -> None:
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def load_network(path) -> CascadeNetwork:
@@ -172,43 +180,48 @@ def load_network(path) -> CascadeNetwork:
 
 
 def _record_to_dict(rec: DesignRecord) -> dict:
-    def opt(a):
-        return None if a is None else a
-
     return {
         "index": rec.index,
         "Q": rec.Q,
         "epsilon": rec.epsilon,
-        "K_self": opt(rec.K_self),
-        "K_to_prev": opt(rec.K_to_prev),
-        "K_prev_to_self": opt(rec.K_prev_to_self),
+        "K_self": rec.K_self,
+        "K_to_prev": rec.K_to_prev,
+        "K_prev_to_self": rec.K_prev_to_self,
         "M_cl": rec.M_cl,
         "route": rec.route,
     }
 
 
-def _record_from_dict(d, where) -> DesignRecord:
+def _record_from_dict(d, where, sub: Subsystem, prev: Subsystem | None) -> DesignRecord:
+    """One record, its matrices shaped for sub; prev is None for record 1."""
     if not isinstance(d, dict):
         raise MalformedFile(f"{where} must be an object")
-
-    def opt(name):
+    index = d.get("index")
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise MalformedFile(f"{where}: index must be an integer, got {index!r}")
+    shapes = {
+        "Q": (sub.n, sub.n),
+        "M_cl": (sub.n, sub.n),
+        "K_self": (sub.p, sub.n),
+        "K_to_prev": None if prev is None else (sub.p, prev.n),
+        "K_prev_to_self": None if prev is None else (prev.p, sub.n),
+    }
+    matrices = {}
+    for name, shape in shapes.items():
         value = d.get(name)
-        return None if value is None else _matrix(value, name)
-
+        if value is None and name.startswith("K_"):
+            matrices[name] = None
+            continue
+        if shape is None:
+            raise MalformedFile(f"{where}: record 1 cannot carry {name}")
+        a = _matrix(value, f"{where}.{name}")
+        if a.shape != shape:
+            raise MalformedFile(f"{where}: {name} is {a.shape}, expected {shape}")
+        matrices[name] = a
+    epsilon = _number(d.get("epsilon"), f"{where}.epsilon")
     try:
-        return DesignRecord(
-            index=int(d["index"]),
-            Q=_matrix(d.get("Q"), "Q"),
-            epsilon=float(d["epsilon"]),
-            K_self=opt("K_self"),
-            K_to_prev=opt("K_to_prev"),
-            K_prev_to_self=opt("K_prev_to_self"),
-            M_cl=_matrix(d.get("M_cl"), "M_cl"),
-            route=str(d.get("route")),
-        )
-    except MalformedFile:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        return DesignRecord(index=index, epsilon=epsilon, route=str(d.get("route")), **matrices)
+    except ValueError as exc:
         raise MalformedFile(f"{where}: {exc}") from None
 
 
@@ -235,13 +248,19 @@ def state_from_dict(doc) -> NetworkDesignState:
     recs_doc = doc.get("records")
     if not isinstance(recs_doc, list) or not recs_doc:
         raise MalformedFile("a state needs a non-empty record list")
-    records = tuple(_record_from_dict(d, f"records[{k}]") for k, d in enumerate(recs_doc))
+    subs = net.subsystems
+    if len(recs_doc) != len(subs):
+        raise MalformedFile(f"{len(subs)} subsystems but {len(recs_doc)} records")
+    records = tuple(
+        _record_from_dict(d, f"records[{k}]", subs[k], subs[k - 1] if k else None)
+        for k, d in enumerate(recs_doc)
+    )
     try:
         state = NetworkDesignState(net=net, records=records)
     except ValueError as exc:
         raise MalformedFile(str(exc)) from None
     stored_eps = doc.get("global_epsilon")
-    if stored_eps is not None and float(stored_eps) != state.global_epsilon:
+    if stored_eps is not None and _number(stored_eps, "global_epsilon") != state.global_epsilon:
         raise MalformedFile(
             f"global_epsilon {stored_eps!r} does not match the record minimum {state.global_epsilon!r}"
         )

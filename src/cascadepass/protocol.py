@@ -13,10 +13,10 @@ that fails, with them:
 
 Both routes then settle the rate in closed form, re-certify the point and
 form the step's margin block M_cl. Positivity of M_cl is imposed through a
-two-block Schur form so the local problem stays affine. The chain of M_cl
-blocks is exactly the Schur recursion of the global closed-loop
-certificate matrix, which is what makes the one-pass design sound; the
-oracle module checks that global matrix independently.
+two-block Schur form so the local problem stays affine. One function builds
+the local and global certificate blocks and one Schur step clears them, so
+each record's M_cl is bit for bit the Schur recursion of the global matrix,
+which makes the one-pass design sound; the oracle checks it independently.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import block_diag
 
 from . import blockla, lmi
 from .model import (
@@ -94,19 +94,20 @@ class MessengerPacket:
     G_prev = Q_prev B1_prev h(i-1,i) is the fixed part of the upstream
     coupling; T_prev = Q_prev B3_prev is the channel through which step i
     may still shape the gain K(i-1,i) acting on subsystem i-1's input.
-    None of these reveal A_prev or C_prev.
+    None of these reveal A_prev or C_prev; L_prev is M_prev's lower factor.
     """
 
     prev_index: int
     M_prev: np.ndarray
     G_prev: np.ndarray
     T_prev: np.ndarray
+    L_prev: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.prev_index < 1:
             raise DimensionMismatch("prev_index must be >= 1")
         M = blockla.symmetric_part(self.M_prev, "M_prev")
-        blockla.cholesky_lower(M)
+        L = blockla.cholesky_lower(M)
         G = np.array(self.G_prev, dtype=float)
         T = np.array(self.T_prev, dtype=float)
         n_prev = M.shape[0]
@@ -114,7 +115,7 @@ class MessengerPacket:
             raise DimensionMismatch(f"G_prev must have {n_prev} rows, got shape {G.shape}")
         if T.ndim != 2 or T.shape[0] != n_prev:
             raise DimensionMismatch(f"T_prev must have {n_prev} rows, got shape {T.shape}")
-        for name, a in (("M_prev", M), ("G_prev", G), ("T_prev", T)):
+        for name, a in (("M_prev", M), ("G_prev", G), ("T_prev", T), ("L_prev", L)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -175,10 +176,6 @@ class NetworkDesignState:
             )
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "global_epsilon", min(r.epsilon for r in records))
-
-
-def _sym2(M: np.ndarray) -> np.ndarray:
-    return M + M.T
 
 
 class _Layout:
@@ -296,10 +293,31 @@ def _maximize_epsilon(prob, theta, eps_index, n, tau) -> float:
             L = np.linalg.cholesky(M[n:, n:])
         except np.linalg.LinAlgError:
             return eps0
-        W = solve_triangular(L, M[n:, :n], lower=True)
-        S0 = S0 - W.T @ W
+        S0, _ = blockla.schur_step(L, M[n:, :n], S0)
     half = 0.5 * float(np.linalg.eigvalsh(S0)[0])
     return half if half >= EPS_MIN else eps0
+
+
+def _certificate_blocks(sub, Q, eps, h_self, h_prev, G_prev, T_prev, gains):
+    """Step i's diagonal block S and its coupling X to step i-1 (None at step 1).
+
+    A local master is [[S, X], [X', M_prev]]; the global certificate holds S
+    at block (i, i) and -X' at (i-1, i). gains may hold K_self, K_to_prev and
+    K_prev_to_self, or, in synthesis's first stage, free matrices Z_self and
+    Z_prev standing in for Q B3 K_self and Q B3 K_to_prev; absent ones are 0.
+    """
+
+    def product(z_name, k_name):
+        K = gains.get(k_name)
+        return gains.get(z_name, 0.0) if K is None else Q @ sub.B3 @ K
+
+    Y = sub.A.T @ Q + Q @ sub.B1 @ h_self + product("Z_self", "K_self")
+    S = -(Y + Y.T) - eps * np.eye(sub.n)
+    if G_prev is None:
+        return S, None
+    K_up = gains.get("K_prev_to_self")
+    upstream = G_prev if K_up is None else G_prev + T_prev @ K_up
+    return S, upstream.T + Q @ sub.B1 @ h_prev + product("Z_prev", "K_to_prev")
 
 
 def _check_self_coupling(h_self, sub):
@@ -351,17 +369,11 @@ def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
     h_self = _check_self_coupling(h_self, sub)
     h_prev = _check_prev_coupling(h_prev, sub, packet, prev_n)
     n, p = sub.n, sub.p
-    eye = np.eye(n)
     tau = _step_margin(sub) if margin is None else float(margin)
+    G_prev, T_prev = (None, None) if packet is None else (packet.G_prev, packet.T_prev)
 
-    def blocks(Q, eps, self_term=0.0, prev_term=0.0, K_up=None):
-        # The S block of the master and, with a packet, the X block coupling
-        # it to M_prev; absent gain terms are zero.
-        S = -_sym2(sub.A.T @ Q + Q @ sub.B1 @ h_self + self_term) - eps * eye
-        if packet is None:
-            return S, None
-        upstream = packet.G_prev if K_up is None else packet.G_prev + packet.T_prev @ K_up
-        return S, upstream.T + Q @ sub.B1 @ h_prev + prev_term
+    def blocks(Q, v):
+        return _certificate_blocks(sub, Q, v["eps"], h_self, h_prev, G_prev, T_prev, v)
 
     def top(S, X):
         return S if X is None else np.block([[S, X], [X.T, packet.M_prev]])
@@ -376,9 +388,7 @@ def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
             stage1.full("K_prev_to_self", (packet.T_prev.shape[1], n))
 
     def master1(v):
-        S, X = blocks(v["Q"], v["eps"], v.get("Z_self", 0.0), v.get("Z_prev", 0.0),
-                      v.get("K_prev_to_self"))
-        return block_diag(top(S, X), v["Q"] - Q_FLOOR * eye)
+        return block_diag(top(*blocks(v["Q"], v)), v["Q"] - Q_FLOOR * np.eye(n))
 
     def equalities(v):
         return (v["Q"] @ sub.B2 - sub.C.T).ravel()
@@ -393,13 +403,6 @@ def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
         blockla.cholesky_lower(Q)
     except blockla.NotPositiveDefinite:
         return _not_pd(point, "StorageNotPositiveDefinite")
-    QB3 = Q @ sub.B3
-
-    def closed_blocks(v):
-        # S and X with Q frozen, under the gains present in v.
-        self_term = QB3 @ v["K_self"] if "K_self" in v else 0.0
-        prev_term = QB3 @ v["K_to_prev"] if "K_to_prev" in v else 0.0
-        return blocks(Q, v["eps"], self_term, prev_term, v.get("K_prev_to_self"))
 
     if gains:
         layout = _Layout()
@@ -409,7 +412,7 @@ def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
             layout.full("K_to_prev", (p, packet.M_prev.shape[0]))
             layout.full("K_prev_to_self", (packet.T_prev.shape[1], n))
         prob = _assemble_problem(
-            layout, lambda v: top(*closed_blocks(v)), lambda v: np.zeros(0), {"eps": EPS_MIN}
+            layout, lambda v: top(*blocks(Q, v)), lambda v: np.zeros(0), {"eps": EPS_MIN}
         )
         # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
         # floor; deriving a fresh one from the stage-2 constant block would let
@@ -429,12 +432,10 @@ def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
             return _not_pd(point, "CertificationFailed")
 
     v = layout.unpack(theta)
-    # M_cl = S - X M_prev^-1 X', applied through the packet's Cholesky factor.
-    S, X = closed_blocks(v)
+    # M_cl = S - X M_prev^-1 X', the same step tridiag_pd_sequence takes.
+    M_cl, X = blocks(Q, v)
     if X is not None:
-        W = solve_triangular(blockla.cholesky_lower(packet.M_prev), X.T, lower=True)
-        S = S - W.T @ W
-    M_cl = blockla.symmetric_part(S)
+        M_cl, _ = blockla.schur_step(packet.L_prev, X.T, M_cl)
     try:
         blockla.cholesky_lower(M_cl)
     except blockla.NotPositiveDefinite:
@@ -595,9 +596,9 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
     """Blocks of the closed-loop certificate matrix for given (Q_i, eps_i, K).
 
     storages and epsilons are per-subsystem; gains maps (i, j) index pairs
-    to gain matrices K(i,j), absent pairs meaning zero. The result feeds
-    blockla.tridiag_pd_sequence, whose Schur sequence reproduces the
-    M_cl blocks of a protocol run.
+    to gain matrices K(i,j), absent pairs meaning zero. Block i is built as
+    design step i builds it, from the same packet products, so on a designed
+    state blockla.tridiag_pd_sequence reproduces each M_cl bit for bit.
     """
     N = net.n_subsystems
     storages = [blockla.symmetric_part(Qi, f"storages[{k}]") for k, Qi in enumerate(storages)]
@@ -606,23 +607,20 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
         raise DimensionMismatch("need one storage matrix and one epsilon per subsystem")
     gains = {} if gains is None else gains
 
-    def coupling(i, j):
-        sub = net.subsystems[i - 1]
-        M = sub.B1 @ net.h_or_zero(i, j)
-        K = gains.get((i, j))
-        if K is not None:
-            M = M + sub.B3 @ np.asarray(K, dtype=float)
-        return storages[i - 1] @ M
-
     diag = []
-    for i in range(1, N + 1):
-        sub = net.subsystems[i - 1]
-        block = -_sym2(sub.A.T @ storages[i - 1] + coupling(i, i)) - epsilons[i - 1] * np.eye(sub.n)
-        diag.append(block)
-    supers = [
-        -(coupling(i, i + 1) + coupling(i + 1, i).T)
-        for i in range(1, N)
-    ]
+    supers = []
+    G_prev = T_prev = None
+    for i, (sub, Q, eps) in enumerate(zip(net.subsystems, storages, epsilons), start=1):
+        pairs = {"K_self": (i, i), "K_to_prev": (i, i - 1), "K_prev_to_self": (i - 1, i)}
+        step_gains = {name: np.asarray(gains[ij], dtype=float) for name, ij in pairs.items() if ij in gains}
+        h_prev = None if G_prev is None else net.h_or_zero(i, i - 1)
+        S, X = _certificate_blocks(sub, Q, eps, net.h_or_zero(i, i), h_prev, G_prev, T_prev, step_gains)
+        diag.append(S)
+        if X is not None:
+            supers.append(-X.T)
+        if i < N:
+            G_prev = Q @ sub.B1 @ net.h_or_zero(i, i + 1)
+            T_prev = Q @ sub.B3
     return blockla.BlockTriDiagonal(tuple(diag), tuple(supers))
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cascadepass import files
+from cascadepass import files, protocol
 from cascadepass.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INFEASIBLE,
@@ -59,6 +59,14 @@ def test_malformed_file_is_invalid(tmp_path, capsys):
     path.write_text("{]")
     assert execute(["validate", "--net", str(path)]) == EXIT_INVALID
     assert "malformed" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_invalid(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": 1, "type": "network", "note": "\xe9"}')
+    assert execute(["validate", "--net", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "malformed" in err and "UTF-8" in err and "Traceback" not in err
 
 
 def test_design_writes_state(net_file, tmp_path, capsys):
@@ -245,3 +253,46 @@ def test_help_exits_zero(capsys):
         execute(["simulate", "--help"])
     assert exc.value.code == 0
     assert "--seed" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def four_stage_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("four") / "state.json"
+    files.save_state(protocol.run_cascade_design(four_stage_cascade()), path)
+    return json.loads(path.read_text())
+
+
+def _set_record(index, name, value):
+    def tamper(doc):
+        doc["records"][index - 1][name] = value
+    return tamper
+
+
+# Record 1 and record 4 of the four-stage design are Synthesized (n = 2,
+# p = 1); record 2 has n = 1, p = 1.
+@pytest.mark.parametrize("command,tamper", [
+    ("check", _set_record(4, "K_self", [[1.0, 2.0, 3.0]])),
+    ("simulate", _set_record(4, "K_self", [[1.0, 2.0, 3.0]])),
+    ("check", _set_record(1, "K_to_prev", [[1.0]])),
+    ("check", _set_record(1, "K_prev_to_self", [[1.0]])),
+    ("check", _set_record(1, "Q", [[1.0]])),
+    ("check", _set_record(2, "M_cl", [[1.0, 0.0], [0.0, 1.0]])),
+    ("check", _set_record(2, "K_to_prev", [[1.0]])),
+    ("check", _set_record(4, "K_prev_to_self", [[1.0]])),
+    ("check", _set_record(1, "index", 1.7)),
+    ("check", lambda doc: doc.update(global_epsilon="abc")),
+], ids=[
+    "K_self-shape-check", "K_self-shape-simulate", "record1-K_to_prev", "record1-K_prev_to_self",
+    "Q-shape", "M_cl-shape", "K_to_prev-shape", "K_prev_to_self-shape", "float-index",
+    "string-global_epsilon",
+])
+def test_state_record_that_does_not_fit_its_subsystem_is_malformed(
+    four_stage_doc, tmp_path, capsys, command, tamper
+):
+    doc = json.loads(json.dumps(four_stage_doc))
+    tamper(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--state", str(path)] + (["--T", "2.0"] if command == "simulate" else [])
+    assert execute(argv) == EXIT_INVALID
+    assert one_stderr_line(capsys).startswith("malformed file:")

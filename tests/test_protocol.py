@@ -293,10 +293,23 @@ def test_schur_recursion_reproduces_step_margins():
             continue
         factor = blockla.tridiag_pd_sequence(design_tridiagonal(state))
         for rec, M in zip(state.records, factor.M_blocks):
-            scale = max(1.0, np.abs(rec.M_cl).max())
-            assert np.abs(rec.M_cl - M).max() <= 1e-8 * scale
+            assert np.array_equal(rec.M_cl, M), rec.index
         checked += 1
     assert checked >= 5
+
+
+def test_schur_recursion_reproduces_margins_of_a_grown_chain():
+    # The blocks of a seeded 32-subsystem random cascade, added one by one.
+    net = random_cascade(32, np.random.default_rng(0))
+    first = {key: c.h for key, c in net.couplings.items() if key == (1, 1)}
+    state = run_cascade_design(CascadeNetwork.from_blocks(net.subsystems[:1], first))
+    for k in range(2, 33):
+        state = add_subsystem(
+            state, net.subsystems[k - 1], net.h(k, k), net.h(k, k - 1), net.h(k - 1, k)
+        )
+    factor = blockla.tridiag_pd_sequence(design_tridiagonal(state))
+    for rec, M in zip(state.records, factor.M_blocks):
+        assert np.array_equal(rec.M_cl, M), rec.index
 
 
 def test_tridiagonal_blocks_match_dense_certificate():
