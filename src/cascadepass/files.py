@@ -49,8 +49,28 @@ def _fmt_float(x) -> str:
     return format(x, ".17g")
 
 
+class _Verbatim(str):
+    """Text already in canonical form, written as it is."""
+
+
+def _matrix_text(a: np.ndarray) -> str:
+    """Canonical text of a 2-D float64 array: one format call per row.
+
+    "%.17g" and format(x, ".17g") format a float identically, so this is
+    the text the element-by-element path writes.
+    """
+    if not np.isfinite(a).all():
+        raise MalformedFile("non-finite value cannot be serialized")
+    row = "[" + ",".join(["%.17g"] * a.shape[1]) + "]"
+    return "[" + ",".join([row % tuple(r) for r in a.tolist()]) + "]"
+
+
 def _canonical(obj) -> str:
     """Serialize with sorted keys, no whitespace and 17-digit floats."""
+    if isinstance(obj, _Verbatim):
+        return obj
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
+        return _matrix_text(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -155,9 +175,12 @@ def network_from_dict(doc) -> CascadeNetwork:
     return CascadeNetwork.from_blocks(subs, blocks)
 
 
-def network_fingerprint(net: CascadeNetwork) -> str:
-    text = _canonical(network_to_dict(net))
+def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def network_fingerprint(net: CascadeNetwork) -> str:
+    return _sha256(_canonical(network_to_dict(net)))
 
 
 def save_network(net: CascadeNetwork, path) -> None:
@@ -225,15 +248,19 @@ def _record_from_dict(d, where, sub: Subsystem, prev: Subsystem | None) -> Desig
         raise MalformedFile(f"{where}: {exc}") from None
 
 
-def state_to_dict(state: NetworkDesignState) -> dict:
+def _state_doc(state: NetworkDesignState, network, fingerprint: str) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "type": "state",
-        "fingerprint": network_fingerprint(state.net),
-        "network": network_to_dict(state.net),
+        "fingerprint": fingerprint,
+        "network": network,
         "records": [_record_to_dict(r) for r in state.records],
         "global_epsilon": state.global_epsilon,
     }
+
+
+def state_to_dict(state: NetworkDesignState) -> dict:
+    return _state_doc(state, network_to_dict(state.net), network_fingerprint(state.net))
 
 
 def state_from_dict(doc) -> NetworkDesignState:
@@ -268,8 +295,11 @@ def state_from_dict(doc) -> NetworkDesignState:
 
 
 def save_state(state: NetworkDesignState, path) -> None:
+    # The network is rendered once, for both its fingerprint and its copy.
+    network = _Verbatim(_canonical(network_to_dict(state.net)))
+    text = _canonical(_state_doc(state, network, _sha256(network)))
     with open(path, "w") as fh:
-        fh.write(_canonical(state_to_dict(state)) + "\n")
+        fh.write(text + "\n")
 
 
 def load_state(path) -> NetworkDesignState:

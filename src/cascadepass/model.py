@@ -143,7 +143,13 @@ class CascadeNetwork:
         return None if block is None else block.h
 
     def h_or_zero(self, i: int, j: int) -> np.ndarray:
-        """Coupling matrix h(i, j), a zero block when absent."""
+        """Coupling matrix h(i, j), a zero block when absent.
+
+        Raises IndexError unless 1 <= i, j <= n_subsystems.
+        """
+        N = self.n_subsystems
+        if not (1 <= i <= N and 1 <= j <= N):
+            raise IndexError(f"h({i}, {j}) is outside a {N}-subsystem chain")
         block = self.couplings.get((i, j))
         if block is not None:
             return block.h

@@ -65,6 +65,9 @@ Q_FLOOR = 1e-4
 # Fraction of the problem scale the solver chases as margin before stopping
 # early. Larger values fatten M_cl for downstream steps.
 TARGET_FRACTION = 0.2
+# Relative spectral-abscissa threshold above which verify is declined
+# without the solver; see _design_step.
+HURWITZ_RTOL = 1e-8
 
 ROUTE_VERIFIED = "Verified"
 ROUTE_SYNTHESIZED = "Synthesized"
@@ -358,16 +361,58 @@ def _not_pd(point, reason) -> lmi.Infeasible:
     )
 
 
+def _not_hurwitz(A_s) -> lmi.Infeasible | None:
+    """Decline a verify whose drift A_s = A + B1 h(i,i) is not Hurwitz.
+
+    Returns None when max Re(lambda(A_s)) <= HURWITZ_RTOL * max(1, ||A_s||_F),
+    and for non-finite A_s, which the solver rejects as MalformedProblem.
+    """
+    if not np.isfinite(A_s).all():
+        return None
+    g = float(np.linalg.eigvals(A_s).real.max())
+    if g <= HURWITZ_RTOL * max(1.0, float(np.linalg.norm(A_s))):
+        return None
+    return lmi.Infeasible(
+        best_lambda_min=-(2.0 * g * Q_FLOOR + EPS_MIN) / (1.0 + 2.0 * g),
+        best_theta=np.zeros(0),
+        evaluations=0,
+        reason="NotHurwitz",
+    )
+
+
 def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
     """One local design problem, without (verify) or with (synthesize) gains.
 
     Verification is synthesis's stage 1 without the Z and K variables; see
     local_verify and local_synthesize. Returns a DesignRecord or
     lmi.Infeasible.
+
+    Verify is screened before any problem is assembled: its master holds
+    S = -(A_s'Q + Q A_s) - eps I as a principal block, with A_s = A + B1 h(i,i),
+    Q - Q_FLOOR I as another, and eps >= EPS_MIN, so a feasible point needs a
+    Hurwitz A_s (Lyapunov; Khalil, Nonlinear Systems, Thm. 4.6). Precisely,
+    let g = max Re(lambda(A_s)) > 0 and v a unit eigenvector, A_s v = lambda v
+    with Re(lambda) = g. At any point whose master has smallest eigenvalue t,
+
+        t <= v*Sv = -2g v*Qv - eps <= -2g (Q_FLOOR + t) - EPS_MIN,
+
+    since Q - Q_FLOOR I >= tI gives v*Qv >= Q_FLOOR + t. Hence
+
+        t <= -(2g Q_FLOOR + EPS_MIN) / (1 + 2g) < 0 < tau,
+
+    and no point of the master reaches the margin; that bound is the
+    NotHurwitz diagnosis's best_lambda_min. The screen declines only when
+    g > HURWITZ_RTOL * max(1, ||A_s||_F), about sqrt(u) relative, which covers
+    the eigenvalue error of a defective 2x2 block. A false decline can only
+    send a step to synthesis, never emit a certificate.
     """
     index = 1 if packet is None else packet.prev_index + 1
     h_self = _check_self_coupling(h_self, sub)
     h_prev = _check_prev_coupling(h_prev, sub, packet, prev_n)
+    if not gains:
+        declined = _not_hurwitz(sub.A + sub.B1 @ h_self)
+        if declined is not None:
+            return declined
     n, p = sub.n, sub.p
     tau = _step_margin(sub) if margin is None else float(margin)
     G_prev, T_prev = (None, None) if packet is None else (packet.G_prev, packet.T_prev)
@@ -596,9 +641,11 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
     """Blocks of the closed-loop certificate matrix for given (Q_i, eps_i, K).
 
     storages and epsilons are per-subsystem; gains maps (i, j) index pairs
-    to gain matrices K(i,j), absent pairs meaning zero. Block i is built as
-    design step i builds it, from the same packet products, so on a designed
-    state blockla.tridiag_pd_sequence reproduces each M_cl bit for bit.
+    to gain matrices K(i,j), absent pairs meaning zero. Only (i, i) and
+    (i, i+-1) pairs within the chain are gains; any other key raises
+    DimensionMismatch. Block i is built as design step i builds it, from the
+    same packet products, so on a designed state blockla.tridiag_pd_sequence
+    reproduces each M_cl bit for bit.
     """
     N = net.n_subsystems
     storages = [blockla.symmetric_part(Qi, f"storages[{k}]") for k, Qi in enumerate(storages)]
@@ -606,6 +653,12 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
     if len(storages) != N or len(epsilons) != N:
         raise DimensionMismatch("need one storage matrix and one epsilon per subsystem")
     gains = {} if gains is None else gains
+    band = {(i, j) for i in range(1, N + 1) for j in (i - 1, i, i + 1) if 1 <= j <= N}
+    for key in gains:
+        if key not in band:
+            raise DimensionMismatch(
+                f"gain key {key!r} is not (i, i) or (i, i+-1) within a {N}-subsystem chain"
+            )
 
     diag = []
     supers = []

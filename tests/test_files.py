@@ -1,6 +1,8 @@
 """Canonical JSON round trips, fingerprints and schema rejection."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from cascadepass.files import (
     state_to_dict,
 )
 from cascadepass.model import CascadeNetwork, Subsystem
-from cascadepass.protocol import run_cascade_design
-from cascadepass.sample_cascades import four_stage_cascade, two_stage_scalar_cascade
+from cascadepass.protocol import add_subsystem, run_cascade_design
+from cascadepass.sample_cascades import four_stage_cascade, random_cascade, two_stage_scalar_cascade
 
 
 def awkward_network():
@@ -154,3 +156,76 @@ def test_written_documents_are_canonical(tmp_path):
     assert " " not in text
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
+
+
+def reference_canonical(obj) -> str:
+    """The element-by-element renderer the files layer must match byte for byte."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise MalformedFile("non-finite value cannot be serialized")
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return reference_canonical(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_canonical(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return "{" + ",".join(json.dumps(str(k)) + ":" + reference_canonical(v) for k, v in items) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def grown_state(N):
+    net = random_cascade(N, np.random.default_rng(0))
+    first = {key: c.h for key, c in net.couplings.items() if key == (1, 1)}
+    state = run_cascade_design(CascadeNetwork.from_blocks(net.subsystems[:1], first))
+    for k in range(2, N + 1):
+        state = add_subsystem(
+            state, net.subsystems[k - 1], net.h(k, k), net.h(k, k - 1), net.h(k - 1, k)
+        )
+    return state
+
+
+def test_written_bytes_match_the_reference_renderer(tmp_path):
+    base = awkward_network()
+    awkward = CascadeNetwork.from_blocks(
+        base.subsystems, {**{key: c.h for key, c in base.couplings.items()}, (1, 2): [[-0.0]]}
+    )
+    assert '"h":[[-0]]' in reference_canonical(network_to_dict(awkward))
+    states = [run_cascade_design(four_stage_cascade()), run_cascade_design(awkward), grown_state(16)]
+    for state in states:
+        net_text = reference_canonical(network_to_dict(state.net))
+        assert network_fingerprint(state.net) == hashlib.sha256(net_text.encode("ascii")).hexdigest()
+        save_network(state.net, tmp_path / "net.json")
+        assert (tmp_path / "net.json").read_text() == net_text + "\n"
+        save_state(state, tmp_path / "state.json")
+        assert (tmp_path / "state.json").read_text() == reference_canonical(state_to_dict(state)) + "\n"
+        sub = state.net.subsystems[-1]
+        h_self, h_to_new = np.full((sub.p, sub.n), -0.0), np.full((sub.p, sub.n), 1.0 / 3.0)
+        save_addition(sub, h_self, None, h_to_new, tmp_path / "add.json")
+        doc = {
+            "schema": 1, "type": "addition",
+            "subsystem": {"A": sub.A, "B1": sub.B1, "B2": sub.B2, "B3": sub.B3, "C": sub.C},
+            "h_self": h_self, "h_prev": None, "h_to_new": h_to_new,
+        }
+        assert (tmp_path / "add.json").read_text() == reference_canonical(doc) + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_entry_is_malformed(tmp_path, bad):
+    sub = Subsystem(A=[[-1.0, bad], [0.0, -1.0]], B1=np.eye(2), B2=np.eye(2), B3=np.eye(2), C=np.eye(2))
+    with pytest.raises(MalformedFile):
+        save_network(CascadeNetwork.from_blocks([sub], {}), tmp_path / "net.json")
+    with pytest.raises(MalformedFile):
+        network_fingerprint(CascadeNetwork.from_blocks([sub], {}))
+    good = Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1.0)
+    with pytest.raises(MalformedFile):
+        save_addition(good, [[bad]], None, None, tmp_path / "add.json")

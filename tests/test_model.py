@@ -56,6 +56,15 @@ def test_network_coupling_lookup():
     assert np.array_equal(net.h_or_zero(1, 2), np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("i, j", [(1, 0), (1, -1), (0, 1), (1, 3)])
+def test_h_or_zero_rejects_indices_outside_the_chain(i, j):
+    net = CascadeNetwork.from_blocks(
+        [scalar_subsystem(), scalar_subsystem()], {(2, 1): [[0.3]]}
+    )
+    with pytest.raises(IndexError):
+        net.h_or_zero(i, j)
+
+
 def test_validate_clean_network():
     net = CascadeNetwork.from_blocks(
         [scalar_subsystem(), scalar_subsystem()], {(2, 1): [[1.0]], (1, 1): [[0.2]]}

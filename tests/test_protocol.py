@@ -1,5 +1,7 @@
 """Step-by-step design protocol: packets, records, routes and recursion."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from cascadepass.protocol import (
     run_cascade_design,
 )
 from cascadepass.sample_cascades import (
+    four_stage_cascade,
     random_cascade,
     two_stage_scalar_cascade,
 )
@@ -109,6 +112,106 @@ def test_synthesize_stabilizes_unstable_scalar():
     k = rec.K_self[0, 0]
     assert 3.0 + k < 0.0
     assert np.isclose(rec.M_cl[0, 0], -2.0 * (3.0 + k) - rec.epsilon, atol=1e-12)
+
+
+def counting_solver(monkeypatch):
+    calls = []
+    solve = lmi.solve_feasibility
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lmi, "solve_feasibility", counting)
+    return calls
+
+
+def test_verify_declines_non_hurwitz_drift_without_the_solver(monkeypatch):
+    calls = counting_solver(monkeypatch)
+    for out in (local_verify(scalar_subsystem(3.0)),
+                local_verify(scalar_subsystem(-1.0), h_self=[[2.0]])):
+        assert isinstance(out, lmi.Infeasible)
+        assert out.reason == "NotHurwitz"
+        assert out.evaluations == 0
+    assert calls == []
+    # g = 3: the bound -(2g Q_FLOOR + EPS_MIN) / (1 + 2g) is the diagnosis.
+    bound = -(6.0 * protocol.Q_FLOOR + protocol.EPS_MIN) / 7.0
+    assert local_verify(scalar_subsystem(3.0)).best_lambda_min == bound
+
+
+def test_verify_reaches_the_solver_on_hurwitz_drift(monkeypatch):
+    calls = counting_solver(monkeypatch)
+    assert isinstance(local_verify(scalar_subsystem(-1.0)), DesignRecord)
+    assert len(calls) == 1
+    # A_s = A + B1 h(i,i) is what the screen tests, not A alone.
+    out = local_verify(scalar_subsystem(1.0), h_self=[[-2.0]])
+    assert len(calls) == 2
+    assert getattr(out, "reason", None) != "NotHurwitz"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verify_of_non_finite_drift_stays_a_malformed_problem(bad):
+    with pytest.raises(lmi.MalformedProblem), np.errstate(invalid="ignore"):
+        local_verify(scalar_subsystem(bad))
+
+
+def test_non_hurwitz_bound_holds_for_the_solver(monkeypatch):
+    # With the screen off the solver's best point stays below the bound the
+    # screen reports, as the Lyapunov argument in _design_step requires.
+    screened = local_verify(scalar_subsystem(3.0))
+    monkeypatch.setattr(protocol, "_not_hurwitz", lambda A_s: None)
+    solved = local_verify(scalar_subsystem(3.0))
+    assert isinstance(solved, lmi.Infeasible) and solved.reason != "NotHurwitz"
+    assert solved.best_lambda_min <= screened.best_lambda_min
+
+
+def test_four_stage_routes_and_screened_declines(monkeypatch):
+    declines = []
+    verify = protocol.local_verify
+
+    def recording(*args, **kwargs):
+        out = verify(*args, **kwargs)
+        if isinstance(out, lmi.Infeasible):
+            declines.append(out.reason)
+        return out
+
+    monkeypatch.setattr(protocol, "local_verify", recording)
+    state = run_cascade_design(four_stage_cascade())
+    assert [rec.route for rec in state.records] == [
+        ROUTE_SYNTHESIZED, ROUTE_SYNTHESIZED, ROUTE_VERIFIED, ROUTE_SYNTHESIZED
+    ]
+    assert declines == ["NotHurwitz"] * 3
+
+
+def test_screen_changes_no_record_and_never_blocks_a_verified_step(monkeypatch):
+    def designs():
+        rng = np.random.default_rng(7)
+        out = []
+        for _ in range(6):
+            try:
+                out.append(run_cascade_design(random_cascade(int(rng.integers(2, 6)), rng)))
+            except DesignFailed as exc:
+                out.append(exc.index)
+        return out
+
+    screened = designs()
+    screen = protocol._not_hurwitz
+    monkeypatch.setattr(protocol, "_not_hurwitz", lambda A_s: None)
+    unscreened = designs()
+    verified = declined = 0
+    for a, b in zip(screened, unscreened):
+        if isinstance(b, int):
+            assert a == b
+            continue
+        for i, (ra, rb, sub) in enumerate(zip(a.records, b.records, b.net.subsystems), start=1):
+            assert ra.route == rb.route and ra.epsilon == rb.epsilon
+            assert np.array_equal(ra.Q, rb.Q) and np.array_equal(ra.M_cl, rb.M_cl)
+            out = screen(sub.A + sub.B1 @ b.net.h_or_zero(i, i))
+            if rb.route == ROUTE_VERIFIED:
+                verified += 1
+                assert out is None
+            declined += out is not None
+    assert verified >= 3 and declined >= 3
 
 
 def test_synthesize_reports_prev_n_mismatch():
@@ -274,6 +377,15 @@ def test_closed_loop_blocks_pinned_rates_recursion():
     factor = blockla.tridiag_pd_sequence(blocks)
     assert factor.M_blocks[0][0, 0] == 1.0
     assert factor.M_blocks[1][0, 0] == 0.5
+
+
+def test_closed_loop_blocks_rejects_gains_outside_the_band():
+    state = run_cascade_design(four_stage_cascade())
+    storages = [rec.Q for rec in state.records]
+    epsilons = [rec.epsilon for rec in state.records]
+    for key in ((1, 3), (0, 1), (4, 5)):
+        with pytest.raises(DimensionMismatch, match=re.escape(repr(key))):
+            closed_loop_blocks(state.net, storages, epsilons, {key: 100 * np.ones((1, 1))})
 
 
 def test_closed_loop_blocks_requires_matching_lengths():
