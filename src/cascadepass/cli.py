@@ -108,12 +108,10 @@ def _print_record(rec: protocol.DesignRecord) -> None:
 def _cmd_validate(args) -> int:
     net = files.load_network(args.net)
     report = validate_network(net)
-    if report.ok:
-        print(f"network ok: {net.n_subsystems} subsystems")
-        return EXIT_OK
-    print("invalid network:", file=sys.stderr)
-    print(str(report), file=sys.stderr)
-    return EXIT_INVALID
+    if not report.ok:
+        raise InvalidNetwork(report)
+    print(f"network ok: {net.n_subsystems} subsystems")
+    return EXIT_OK
 
 
 def _cmd_design(args) -> int:
@@ -212,8 +210,7 @@ def execute(argv=None) -> int:
         print(f"malformed file: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InvalidNetwork as exc:
-        print("invalid network:", file=sys.stderr)
-        print(str(exc.report), file=sys.stderr)
+        print(f"invalid network: {exc.report}", file=sys.stderr)
         return EXIT_INVALID
     except protocol.DimensionMismatch as exc:
         print(f"dimension mismatch: {exc}", file=sys.stderr)

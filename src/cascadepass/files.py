@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .model import CascadeNetwork, Subsystem
+from .model import CascadeNetwork, Subsystem, as_matrix
 from .protocol import DesignRecord, NetworkDesignState
 
 __all__ = [
@@ -81,8 +81,6 @@ def _canonical(obj) -> str:
         return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -311,14 +309,16 @@ def save_addition(sub: Subsystem, h_self, h_prev, h_to_new, path) -> None:
 
     h_self couples the new subsystem to itself, h_prev to its predecessor,
     and h_to_new is the predecessor's new coupling column; each may be None.
+    Each is coerced as model.as_matrix does, so 1-D or 3-D input raises
+    ValueError and a scalar is written as a 1x1 matrix.
     """
     doc = {
         "schema": SCHEMA_VERSION,
         "type": "addition",
         "subsystem": _subsystem_to_dict(sub),
-        "h_self": None if h_self is None else np.asarray(h_self, dtype=float),
-        "h_prev": None if h_prev is None else np.asarray(h_prev, dtype=float),
-        "h_to_new": None if h_to_new is None else np.asarray(h_to_new, dtype=float),
+        "h_self": None if h_self is None else as_matrix(h_self, "h_self"),
+        "h_prev": None if h_prev is None else as_matrix(h_prev, "h_prev"),
+        "h_to_new": None if h_to_new is None else as_matrix(h_to_new, "h_to_new"),
     }
     with open(path, "w") as fh:
         fh.write(_canonical(doc) + "\n")

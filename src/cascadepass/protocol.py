@@ -17,6 +17,10 @@ two-block Schur form so the local problem stays affine. One function builds
 the local and global certificate blocks and one Schur step clears them, so
 each record's M_cl is bit for bit the Schur recursion of the global matrix,
 which makes the one-pass design sound; the oracle checks it independently.
+
+One private step function designs step i from record i-1 alone:
+run_cascade_design loops over it and add_subsystem takes it once on the
+validated grown network, so growth reproduces a from-scratch design.
 """
 
 from __future__ import annotations
@@ -332,14 +336,12 @@ def _check_self_coupling(h_self, sub):
     return h
 
 
-def _check_prev_coupling(h_prev, sub, packet, prev_n=None):
+def _check_prev_coupling(h_prev, sub, packet):
     if packet is None:
         if h_prev is not None:
             raise DimensionMismatch("a coupling to the previous subsystem needs a packet")
         return None
     n_prev = packet.M_prev.shape[0]
-    if prev_n is not None and prev_n != n_prev:
-        raise DimensionMismatch(f"prev_n={prev_n} but the packet describes {n_prev} states")
     if packet.G_prev.shape[1] != sub.n:
         raise DimensionMismatch(
             f"packet G_prev has {packet.G_prev.shape[1]} columns, subsystem has {sub.n} states"
@@ -380,7 +382,7 @@ def _not_hurwitz(A_s) -> lmi.Infeasible | None:
     )
 
 
-def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
+def _design_step(sub, h_self, h_prev, packet, margin, gains: bool):
     """One local design problem, without (verify) or with (synthesize) gains.
 
     Verification is synthesis's stage 1 without the Z and K variables; see
@@ -408,7 +410,7 @@ def _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains: bool):
     """
     index = 1 if packet is None else packet.prev_index + 1
     h_self = _check_self_coupling(h_self, sub)
-    h_prev = _check_prev_coupling(h_prev, sub, packet, prev_n)
+    h_prev = _check_prev_coupling(h_prev, sub, packet)
     if not gains:
         declined = _not_hurwitz(sub.A + sub.B1 @ h_self)
         if declined is not None:
@@ -512,7 +514,7 @@ def local_verify(
     the caller routes to synthesis). margin is the solver's positivity
     floor; by default it is scaled from the subsystem's data.
     """
-    return _design_step(sub, h_self, h_prev, packet, None, margin, gains=False)
+    return _design_step(sub, h_self, h_prev, packet, margin, gains=False)
 
 
 def local_synthesize(
@@ -520,7 +522,6 @@ def local_synthesize(
     h_self=None,
     h_prev=None,
     packet: MessengerPacket | None = None,
-    prev_n: int | None = None,
     *,
     margin: float | None = None,
 ):
@@ -532,21 +533,7 @@ def local_synthesize(
     realizable. Returns a DesignRecord with route Synthesized, or
     lmi.Infeasible.
     """
-    return _design_step(sub, h_self, h_prev, packet, prev_n, margin, gains=True)
-
-
-def _step(sub, h_self, h_prev, packet, margin) -> DesignRecord:
-    """Verify, else synthesize; DesignFailed when neither clears the step.
-
-    The routes are looked up as module globals on every call, so a wrapper
-    installed on them sees both whole designs and single additions.
-    """
-    rec = local_verify(sub, h_self, h_prev, packet, margin=margin)
-    if isinstance(rec, lmi.Infeasible):
-        rec = local_synthesize(sub, h_self, h_prev, packet, margin=margin)
-    if isinstance(rec, lmi.Infeasible):
-        raise DesignFailed(1 if packet is None else packet.prev_index + 1, rec)
-    return rec
+    return _design_step(sub, h_self, h_prev, packet, margin, gains=True)
 
 
 def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> MessengerPacket | None:
@@ -572,25 +559,42 @@ def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> Messenger
     )
 
 
+def _design_next(net: CascadeNetwork, records, margin) -> DesignRecord:
+    """Design step i = len(records) + 1 of a validated network.
+
+    The packet is built from record i-1 and the coupling h(i-1,i); then
+    verify, else synthesize, and DesignFailed(i) when neither clears the
+    step. Step i reads nothing past h(i-1,i), so a whole design and a
+    later addition take the same step. The routes are looked up as module
+    globals on every call, so a wrapper installed on them sees both.
+    """
+    i = len(records) + 1
+    sub = net.subsystems[i - 1]
+    packet = None
+    if i > 1:
+        packet = build_packet(records[-1], net.subsystems[i - 2], net.h_or_zero(i - 1, i))
+    h_self, h_prev = net.h(i, i), net.h(i, i - 1)
+    rec = local_verify(sub, h_self, h_prev, packet, margin=margin)
+    if isinstance(rec, lmi.Infeasible):
+        rec = local_synthesize(sub, h_self, h_prev, packet, margin=margin)
+    if isinstance(rec, lmi.Infeasible):
+        raise DesignFailed(i, rec)
+    return rec
+
+
 def run_cascade_design(net: CascadeNetwork, *, margin: float | None = None) -> NetworkDesignState:
     """One pass down the cascade: verify where possible, synthesize where not.
 
     Raises InvalidNetwork on structural problems and DesignFailed(i) when
-    neither route clears step i. Step i never looks at the coupling to its
-    successor until its own record is final, which is what makes later
-    subsystem additions reproduce this function's records exactly.
+    neither route clears step i. The pass is a loop over the step that
+    add_subsystem takes, so later additions reproduce its records exactly.
     """
     report = validate_network(net)
     if not report.ok:
         raise InvalidNetwork(report)
-
     records: list[DesignRecord] = []
-    packet = None
-    for i, sub in enumerate(net.subsystems, start=1):
-        rec = _step(sub, net.h(i, i), net.h(i, i - 1) if i > 1 else None, packet, margin)
-        records.append(rec)
-        if i < net.n_subsystems:
-            packet = build_packet(rec, sub, net.h_or_zero(i, i + 1))
+    for _ in net.subsystems:
+        records.append(_design_next(net, records, margin))
     return NetworkDesignState(net=net, records=tuple(records))
 
 
@@ -605,35 +609,20 @@ def add_subsystem(
 ) -> NetworkDesignState:
     """Grow a designed cascade by one subsystem without touching old records.
 
-    h_self is h(N+1,N+1), h_prev is h(N+1,N), h_to_new is h(N,N+1). The
-    packet is built from record N exactly as run_cascade_design would have
-    built it, so the result matches a from-scratch design of the larger
-    network record for record.
+    h_self is h(N+1,N+1), h_prev is h(N+1,N), h_to_new is h(N,N+1); None
+    means absent. The grown network is validated first, so a bad shape or
+    a non-finite entry raises InvalidNetwork before any solve; then the
+    step run_cascade_design takes designs subsystem N+1, and the result
+    matches a from-scratch design of the grown network record for record.
     """
-    N = len(state.records)
-    last_sub = state.net.subsystems[-1]
-    last_rec = state.records[-1]
-
-    if h_to_new is None:
-        h_to_new_block = np.zeros((last_sub.p, new_sub.n))
-    else:
-        h_to_new_block = as_matrix(h_to_new, "h(N,N+1)")
-        if h_to_new_block.shape != (last_sub.p, new_sub.n):
-            raise DimensionMismatch(
-                f"h(N,N+1) is {h_to_new_block.shape}, expected ({last_sub.p}, {new_sub.n})"
-            )
-    packet = build_packet(last_rec, last_sub, h_to_new_block)
-    rec = _step(new_sub, h_self, h_prev, packet, margin)
-
-    additions = {
-        (N + 1, N + 1): None if h_self is None else as_matrix(h_self, "h(N+1,N+1)"),
-        (N + 1, N): None if h_prev is None else as_matrix(h_prev, "h(N+1,N)"),
-        (N, N + 1): None if h_to_new is None else h_to_new_block,
-    }
-    net = extend_network(state.net, new_sub, additions)
+    N = state.net.n_subsystems
+    net = extend_network(
+        state.net, new_sub, {(N + 1, N + 1): h_self, (N + 1, N): h_prev, (N, N + 1): h_to_new}
+    )
     report = validate_network(net)
     if not report.ok:
         raise InvalidNetwork(report)
+    rec = _design_next(net, state.records, margin)
     return NetworkDesignState(net=net, records=state.records + (rec,))
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cascadepass import files, protocol
+from cascadepass import files, lmi, protocol
 from cascadepass.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INFEASIBLE,
@@ -46,7 +46,7 @@ def test_validate_rejects_skip_coupling(tmp_path, capsys):
     path = tmp_path / "skip.json"
     files.save_network(net, path)
     assert execute(["validate", "--net", str(path)]) == EXIT_INVALID
-    assert "NonCascadeCoupling" in capsys.readouterr().err
+    assert "NonCascadeCoupling" in one_stderr_line(capsys)
 
 
 def test_missing_file_is_invalid(tmp_path, capsys):
@@ -168,6 +168,28 @@ def test_add_extends_designed_state(tmp_path, capsys):
     grown = files.load_state(grown_path)
     assert len(grown.records) == 4
     assert execute(["check", "--state", str(grown_path)]) == EXIT_OK
+
+
+def test_add_with_non_finite_entry_is_invalid_before_any_solve(tmp_path, capsys, monkeypatch):
+    net_path = tmp_path / "three.json"
+    files.save_network(four_stage_cascade(3), net_path)
+    state_path = tmp_path / "three_state.json"
+    assert execute(["design", "--net", str(net_path), "--out", str(state_path)]) == EXIT_OK
+    unit = [[1.0]]
+    add_path = tmp_path / "nan.json"
+    add_path.write_text(json.dumps({
+        "schema": 1, "type": "addition",
+        "subsystem": {"A": [[float("nan")]], "B1": unit, "B2": unit, "B3": unit, "C": unit},
+    }))
+    calls = []
+    solve = lmi.solve_feasibility
+    monkeypatch.setattr(lmi, "solve_feasibility", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    capsys.readouterr()
+    code = execute(["add", "--state", str(state_path), "--sub", str(add_path),
+                    "--out", str(tmp_path / "never.json")])
+    assert code == EXIT_INVALID
+    assert "NonFinite at (4,)" in one_stderr_line(capsys)
+    assert calls == []
 
 
 def test_report_summarizes_state(state_file, capsys):

@@ -33,6 +33,12 @@ def test_dissipation_trial_demo_writes_csv(tmp_path):
     )
 
 
+def test_growing_cascade_demo_matches_the_full_design():
+    out = run_demo("growing_cascade.py").stdout
+    assert "record for record: True" in out
+    assert re.search(r"^centralized check of the grown cascade: pass:", out, re.M)
+
+
 def test_tridiagonal_certificate_demo_blocks_are_identical():
     lines = [ln for ln in run_demo("tridiagonal_certificate.py").stdout.splitlines()
              if re.match(r"block \d+:", ln)]

@@ -219,6 +219,17 @@ def test_written_bytes_match_the_reference_renderer(tmp_path):
         assert (tmp_path / "add.json").read_text() == reference_canonical(doc) + "\n"
 
 
+def test_save_addition_writes_each_coupling_as_a_matrix(tmp_path):
+    sub = Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1.0)
+    path = tmp_path / "add.json"
+    save_addition(sub, 0.5, None, None, path)
+    assert '"h_self":[[0.5]]' in path.read_text()
+    assert load_addition(path)[1].tolist() == [[0.5]]
+    for bad in ([0.5], np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError):
+            save_addition(sub, bad, None, None, path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_matrix_entry_is_malformed(tmp_path, bad):
     sub = Subsystem(A=[[-1.0, bad], [0.0, -1.0]], B1=np.eye(2), B2=np.eye(2), B3=np.eye(2), C=np.eye(2))

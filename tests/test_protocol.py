@@ -214,12 +214,6 @@ def test_screen_changes_no_record_and_never_blocks_a_verified_step(monkeypatch):
     assert verified >= 3 and declined >= 3
 
 
-def test_synthesize_reports_prev_n_mismatch():
-    packet = MessengerPacket(prev_index=1, M_prev=[[1.0]], G_prev=[[0.1]], T_prev=[[1.0]])
-    with pytest.raises(DimensionMismatch):
-        local_synthesize(scalar_subsystem(), None, None, packet, prev_n=2)
-
-
 def uncontrollable_pair():
     # The storage equality forces Q = I, and any gain through B3 = [1; 1]
     # leaves Sym(B3 K) with a nonnegative eigenvalue, so no exact gain can
@@ -365,10 +359,15 @@ def test_add_subsystem_rejects_bad_column_shape():
         B3=[[1.0], [1.0]],
         C=[[1.0, 0.0]],
     )
-    with pytest.raises(DimensionMismatch):
-        add_subsystem(state, newcomer, h_to_new=[[1.0]])
-    with pytest.raises(DimensionMismatch):
-        add_subsystem(state, newcomer, h_prev=[[1.0, 1.0]], h_to_new=[[1.0, 0.5]])
+    for blocks, where in (
+        ({"h_to_new": [[1.0]]}, (2, 3)),
+        ({"h_prev": [[1.0, 1.0]], "h_to_new": [[1.0, 0.5]]}, (3, 2)),
+    ):
+        with pytest.raises(InvalidNetwork) as info:
+            add_subsystem(state, newcomer, **blocks)
+        assert [(v.code, v.where) for v in info.value.report.violations] == [
+            ("DimensionMismatch", where)
+        ]
 
 
 def test_closed_loop_blocks_pinned_rates_recursion():
@@ -410,6 +409,16 @@ def test_schur_recursion_reproduces_step_margins():
     assert checked >= 5
 
 
+def same_records(a, b):
+    for ra, rb in zip(a.records, b.records, strict=True):
+        assert (ra.index, ra.route, ra.epsilon) == (rb.index, rb.route, rb.epsilon)
+        assert np.array_equal(ra.Q, rb.Q) and np.array_equal(ra.M_cl, rb.M_cl)
+        for name in ("K_self", "K_to_prev", "K_prev_to_self"):
+            ka, kb = getattr(ra, name), getattr(rb, name)
+            assert (ka is None) == (kb is None), (ra.index, name)
+            assert ka is None or np.array_equal(ka, kb), (ra.index, name)
+
+
 def test_schur_recursion_reproduces_margins_of_a_grown_chain():
     # The blocks of a seeded 32-subsystem random cascade, added one by one.
     net = random_cascade(32, np.random.default_rng(0))
@@ -422,6 +431,8 @@ def test_schur_recursion_reproduces_margins_of_a_grown_chain():
     factor = blockla.tridiag_pd_sequence(design_tridiagonal(state))
     for rec, M in zip(state.records, factor.M_blocks):
         assert np.array_equal(rec.M_cl, M), rec.index
+    # Growth is the whole design's step taken once per addition.
+    same_records(state, run_cascade_design(net))
 
 
 def test_tridiagonal_blocks_match_dense_certificate():
