@@ -36,7 +36,7 @@ def main():
         print(f"seed {seed}: dissipation margin {margin:.3e}")
 
     print(f"\nworst margin over {args.trials} trials: {worst:.3e} "
-          f"({'ok' if worst >= -1e-6 else 'violated'})")
+          f"({'ok' if worst >= -oracle.SLACK_TOL else 'violated'})")
     if args.csv and traj is not None:
         oracle.export_trajectory_csv(traj, args.csv)
         print(f"wrote the last trajectory to {args.csv}")

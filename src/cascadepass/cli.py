@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 design infeasible at some step, 3 invalid or
 malformed input (a usage error, network structure, file schema,
-fingerprint mismatch, a non-positive --tol, --T or --dt, a non-finite
---margin), 4 certificate or trajectory check failed (including a
-simulation that leaves the finite range).
+fingerprint mismatch, a non-positive or non-finite --T or --dt), 4
+certificate or trajectory check failed (including a simulation that
+leaves the finite range).
 """
 
 from __future__ import annotations
@@ -50,29 +50,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="run the sequential design and save the state")
     p.add_argument("--net", required=True, help="network JSON file")
     p.add_argument("--out", required=True, help="state JSON file to write")
-    p.add_argument("--tol", type=float, default=None,
-                   help="solver positivity floor (default: scaled from the problem)")
 
     p = sub.add_parser("add", help="extend a designed cascade by one subsystem")
     p.add_argument("--state", required=True, help="existing state JSON file")
     p.add_argument("--sub", required=True, help="addition JSON file with the new subsystem")
     p.add_argument("--out", required=True, help="state JSON file to write")
-    p.add_argument("--tol", type=float, default=None,
-                   help="solver positivity floor (default: scaled from the problem)")
 
     p = sub.add_parser("check", help="re-certify a designed state centrally")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--net", default=None, help="optional network file that must match the state")
-    p.add_argument("--margin", type=float, default=None,
-                   help="oracle pass margin (default: scaled from the certificate matrix)")
 
     p = sub.add_parser("simulate", help="integrate the closed loop and check dissipation")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--T", type=float, default=20.0, help="horizon (default 20)")
     p.add_argument("--dt", type=float, default=1e-3, help="step size (default 1e-3)")
     p.add_argument("--csv", default=None, help="write the trajectory to this CSV file")
-    p.add_argument("--margin", type=float, default=None,
-                   help="bound on the dissipation slack: fail below -MARGIN (default 1e-6)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the generated disturbance (default 0)")
 
@@ -80,13 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="state JSON file")
 
     return parser
-
-
-def _design_options(args) -> dict:
-    opts = {}
-    if args.tol is not None:
-        opts["margin"] = args.tol
-    return opts
 
 
 def _print_record(rec: protocol.DesignRecord) -> None:
@@ -116,7 +101,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_design(args) -> int:
     net = files.load_network(args.net)
-    state = protocol.run_cascade_design(net, **_design_options(args))
+    state = protocol.run_cascade_design(net)
     for rec in state.records:
         _print_record(rec)
     files.save_state(state, args.out)
@@ -127,9 +112,7 @@ def _cmd_design(args) -> int:
 def _cmd_add(args) -> int:
     state = files.load_state(args.state)
     sub, h_self, h_prev, h_to_new = files.load_addition(args.sub)
-    new_state = protocol.add_subsystem(
-        state, sub, h_self, h_prev, h_to_new, **_design_options(args)
-    )
+    new_state = protocol.add_subsystem(state, sub, h_self, h_prev, h_to_new)
     _print_record(new_state.records[-1])
     files.save_state(new_state, args.out)
     print(f"saved state to {args.out} (global_epsilon={new_state.global_epsilon:.6e})")
@@ -137,10 +120,6 @@ def _cmd_add(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    # A NaN or infinite margin would make the pass test a constant.
-    if args.margin is not None and not math.isfinite(args.margin):
-        print("--margin must be finite", file=sys.stderr)
-        return EXIT_INVALID
     state = files.load_state(args.state)
     if args.net is not None:
         net = files.load_network(args.net)
@@ -148,7 +127,7 @@ def _cmd_check(args) -> int:
             print("state was designed for a different network", file=sys.stderr)
             return EXIT_INVALID
     cl = oracle.assemble_closed_loop(state)
-    cert = oracle.centralized_sp_check(cl, margin=args.margin)
+    cert = oracle.centralized_sp_check(cl)
     print(str(cert))
     return EXIT_OK if cert.verdict else EXIT_CHECK_FAILED
 
@@ -156,9 +135,6 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     if not (0.0 < args.T < math.inf and 0.0 < args.dt < math.inf):
         print("--T and --dt must be positive and finite", file=sys.stderr)
-        return EXIT_INVALID
-    if args.margin is not None and not math.isfinite(args.margin):
-        print("--margin must be finite", file=sys.stderr)
         return EXIT_INVALID
     state = files.load_state(args.state)
     cl = oracle.assemble_closed_loop(state)
@@ -169,8 +145,7 @@ def _cmd_simulate(args) -> int:
         oracle.export_trajectory_csv(traj, args.csv)
         print(f"wrote trajectory to {args.csv}")
     print(f"dissipation margin = {margin:.9e}")
-    allowed = 1e-6 if args.margin is None else args.margin
-    if margin < -allowed:
+    if margin < -oracle.SLACK_TOL:
         print("dissipation inequality violated along the trajectory", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK

@@ -180,18 +180,17 @@ def sp_matrix(cl: ClosedLoopSystem) -> np.ndarray:
     return -(cl.Acl.T @ cl.Q + cl.Q @ cl.Acl) - cl.epsilon * np.eye(cl.n)
 
 
-def centralized_sp_check(cl: ClosedLoopSystem, margin: float | None = None) -> Certificate:
+def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     """Algebraic pass/fail for state-strict passivity of the closed loop.
 
-    Pass requires the certificate matrix to clear -margin, the storage
-    output matching Q B2 = C' to relative precision, and a positive
-    definite storage. The default margin scales with the certificate
-    matrix itself.
+    Pass requires the certificate matrix's smallest eigenvalue to clear
+    -1e-8 * max(1, max |W_ij|), a margin scaled from the matrix itself,
+    the storage output matching Q B2 = C' to relative precision, and a
+    positive definite storage.
     """
     W = sp_matrix(cl)
     w_min = blockla.min_eigen_sym(W)
-    if margin is None:
-        margin = 1e-8 * max(1.0, float(np.abs(W).max()))
+    margin = 1e-8 * max(1.0, float(np.abs(W).max()))
     eq_residual = float(np.abs(cl.Q @ cl.B2 - cl.C.T).max())
     eq_tol = 1e-8 * max(1.0, float(np.abs(cl.C).max()))
 
@@ -321,14 +320,18 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
     return Trajectory(t=t, x=x, y=y, w=w, V=V)
 
 
+# Quadrature tolerance on the dissipation slack: a trajectory whose
+# dissipation_margin falls below -SLACK_TOL violates the claimed rate.
+SLACK_TOL = 1e-6
+
+
 def dissipation_margin(traj: Trajectory, epsilon: float) -> float:
     """Worst slack of the integrated dissipation inequality along the grid.
 
     For each grid time the trapezoid rule approximates the supplied energy
     minus the state-strict discount, and the storage increment is
     subtracted. The minimum over the grid (zero at the start, so never
-    positive) certifies the trajectory when it stays above a small
-    quadrature tolerance.
+    positive) certifies the trajectory when it stays above -SLACK_TOL.
     """
     supply = np.einsum("km,km->k", traj.w, traj.y) - epsilon * np.einsum(
         "kn,kn->k", traj.x, traj.x

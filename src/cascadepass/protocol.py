@@ -159,7 +159,10 @@ class DesignRecord:
             if val is not None:
                 if self.route == ROUTE_VERIFIED:
                     raise ValueError("a Verified record carries no gains")
-                object.__setattr__(self, name, as_matrix(val, name))
+                K = as_matrix(val, name)
+                if not np.isfinite(K).all():
+                    raise ValueError(f"{name} contains non-finite entries")
+                object.__setattr__(self, name, K)
 
 
 @dataclass(frozen=True)
@@ -382,7 +385,7 @@ def _not_hurwitz(A_s) -> lmi.Infeasible | None:
     )
 
 
-def _design_step(sub, h_self, h_prev, packet, margin, gains: bool):
+def _design_step(sub, h_self, h_prev, packet, gains: bool):
     """One local design problem, without (verify) or with (synthesize) gains.
 
     Verification is synthesis's stage 1 without the Z and K variables; see
@@ -416,7 +419,7 @@ def _design_step(sub, h_self, h_prev, packet, margin, gains: bool):
         if declined is not None:
             return declined
     n, p = sub.n, sub.p
-    tau = _step_margin(sub) if margin is None else float(margin)
+    tau = _step_margin(sub)
     G_prev, T_prev = (None, None) if packet is None else (packet.G_prev, packet.T_prev)
 
     def blocks(Q, v):
@@ -505,16 +508,14 @@ def local_verify(
     h_self=None,
     h_prev=None,
     packet: MessengerPacket | None = None,
-    *,
-    margin: float | None = None,
 ):
     """Try to certify the step with all gains pinned to zero.
 
     Returns a DesignRecord with route Verified, or lmi.Infeasible (which
-    the caller routes to synthesis). margin is the solver's positivity
-    floor; by default it is scaled from the subsystem's data.
+    the caller routes to synthesis). The solver's positivity floor is
+    scaled from the subsystem's own data.
     """
-    return _design_step(sub, h_self, h_prev, packet, margin, gains=False)
+    return _design_step(sub, h_self, h_prev, packet, gains=False)
 
 
 def local_synthesize(
@@ -522,8 +523,6 @@ def local_synthesize(
     h_self=None,
     h_prev=None,
     packet: MessengerPacket | None = None,
-    *,
-    margin: float | None = None,
 ):
     """Design local feedback gains that passivate the step.
 
@@ -533,7 +532,7 @@ def local_synthesize(
     realizable. Returns a DesignRecord with route Synthesized, or
     lmi.Infeasible.
     """
-    return _design_step(sub, h_self, h_prev, packet, margin, gains=True)
+    return _design_step(sub, h_self, h_prev, packet, gains=True)
 
 
 def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> MessengerPacket | None:
@@ -559,7 +558,7 @@ def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> Messenger
     )
 
 
-def _design_next(net: CascadeNetwork, records, margin) -> DesignRecord:
+def _design_next(net: CascadeNetwork, records) -> DesignRecord:
     """Design step i = len(records) + 1 of a validated network.
 
     The packet is built from record i-1 and the coupling h(i-1,i); then
@@ -574,15 +573,15 @@ def _design_next(net: CascadeNetwork, records, margin) -> DesignRecord:
     if i > 1:
         packet = build_packet(records[-1], net.subsystems[i - 2], net.h_or_zero(i - 1, i))
     h_self, h_prev = net.h(i, i), net.h(i, i - 1)
-    rec = local_verify(sub, h_self, h_prev, packet, margin=margin)
+    rec = local_verify(sub, h_self, h_prev, packet)
     if isinstance(rec, lmi.Infeasible):
-        rec = local_synthesize(sub, h_self, h_prev, packet, margin=margin)
+        rec = local_synthesize(sub, h_self, h_prev, packet)
     if isinstance(rec, lmi.Infeasible):
         raise DesignFailed(i, rec)
     return rec
 
 
-def run_cascade_design(net: CascadeNetwork, *, margin: float | None = None) -> NetworkDesignState:
+def run_cascade_design(net: CascadeNetwork) -> NetworkDesignState:
     """One pass down the cascade: verify where possible, synthesize where not.
 
     Raises InvalidNetwork on structural problems and DesignFailed(i) when
@@ -594,7 +593,7 @@ def run_cascade_design(net: CascadeNetwork, *, margin: float | None = None) -> N
         raise InvalidNetwork(report)
     records: list[DesignRecord] = []
     for _ in net.subsystems:
-        records.append(_design_next(net, records, margin))
+        records.append(_design_next(net, records))
     return NetworkDesignState(net=net, records=tuple(records))
 
 
@@ -604,8 +603,6 @@ def add_subsystem(
     h_self=None,
     h_prev=None,
     h_to_new=None,
-    *,
-    margin: float | None = None,
 ) -> NetworkDesignState:
     """Grow a designed cascade by one subsystem without touching old records.
 
@@ -622,7 +619,7 @@ def add_subsystem(
     report = validate_network(net)
     if not report.ok:
         raise InvalidNetwork(report)
-    rec = _design_next(net, state.records, margin)
+    rec = _design_next(net, state.records)
     return NetworkDesignState(net=net, records=state.records + (rec,))
 
 

@@ -86,6 +86,7 @@ def test_design_infeasible_network(tmp_path, capsys):
     code = execute(["design", "--net", str(net_path), "--out", str(tmp_path / "o.json")])
     assert code == EXIT_INFEASIBLE
     assert "design failed at step 1" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_check_passes_designed_state(state_file, capsys):
@@ -170,6 +171,26 @@ def test_add_extends_designed_state(tmp_path, capsys):
     assert execute(["check", "--state", str(grown_path)]) == EXIT_OK
 
 
+def test_grown_state_file_equals_a_from_scratch_design(tmp_path):
+    three = tmp_path / "three.json"
+    files.save_network(four_stage_cascade(3), three)
+    assert execute(["design", "--net", str(three), "--out", str(tmp_path / "three_state.json")]) == EXIT_OK
+    addition = tmp_path / "fourth.json"
+    files.save_addition(*addition_blocks(), addition)
+    grown = tmp_path / "grown.json"
+    assert execute(["add", "--state", str(tmp_path / "three_state.json"), "--sub", str(addition),
+                    "--out", str(grown)]) == EXIT_OK
+
+    grown_net = tmp_path / "grown_net.json"
+    files.save_network(files.load_state(grown).net, grown_net)
+    assert files.network_fingerprint(files.load_network(grown_net)) == files.network_fingerprint(
+        four_stage_cascade(4)
+    )
+    scratch = tmp_path / "scratch.json"
+    assert execute(["design", "--net", str(grown_net), "--out", str(scratch)]) == EXIT_OK
+    assert grown.read_bytes() == scratch.read_bytes()
+
+
 def test_add_with_non_finite_entry_is_invalid_before_any_solve(tmp_path, capsys, monkeypatch):
     net_path = tmp_path / "three.json"
     files.save_network(four_stage_cascade(3), net_path)
@@ -199,13 +220,6 @@ def test_report_summarizes_state(state_file, capsys):
     assert "routes: 2 verified, 0 synthesized" in out
 
 
-def test_tol_flag_reaches_solver(net_file, tmp_path):
-    out = tmp_path / "tol_state.json"
-    assert execute(["design", "--net", net_file, "--tol", "1e-7",
-                    "--out", str(out)]) == EXIT_OK
-    assert files.load_state(out).records
-
-
 def one_stderr_line(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -224,8 +238,8 @@ def test_simulate_rejects_bad_horizon_or_step(state_file, capsys, flag, value):
     assert "must be positive" in one_stderr_line(capsys)
 
 
-# The overclaimed state fails both checks at any finite margin; a NaN or
-# infinite one would otherwise let it pass.
+# check and simulate take no margin and design takes no tolerance, so no
+# value can make the overclaimed state pass or move a design's floor.
 @pytest.mark.parametrize("command", ["check", "simulate"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_margin_is_invalid(overclaimed_file, capsys, command, value):
@@ -233,35 +247,40 @@ def test_non_finite_margin_is_invalid(overclaimed_file, capsys, command, value):
     if command == "simulate":
         argv += ["--T", "2.0"]
     assert execute(argv) == EXIT_INVALID
-    assert "--margin must be finite" in one_stderr_line(capsys)
+    assert "unrecognized arguments: --margin" in one_stderr_line(capsys)
 
 
 @pytest.mark.parametrize("tol", ["-1e-7", "nan"])
 def test_bad_tol_is_invalid(net_file, tmp_path, capsys, tol):
     out = tmp_path / "never.json"
     assert execute(["design", "--net", net_file, f"--tol={tol}", "--out", str(out)]) == EXIT_INVALID
-    assert "margin must be positive" in one_stderr_line(capsys)
+    assert "unrecognized arguments: --tol" in one_stderr_line(capsys)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [
     ("check", "--tol"), ("validate", "--seed"), ("report", "--margin"), ("design", "--seed"),
+    ("add", "--tol"), ("check", "--margin"), ("simulate", "--margin"),
 ])
 def test_flag_a_subcommand_does_not_read_is_a_usage_error(
     command, flag, net_file, state_file, tmp_path, capsys
 ):
+    addition = tmp_path / "third.json"
+    files.save_addition(Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1.0), None, None, None, addition)
     inputs = {
         "check": ["--state", state_file],
         "validate": ["--net", net_file],
         "report": ["--state", state_file],
         "design": ["--net", net_file, "--out", str(tmp_path / "o.json")],
+        "add": ["--state", state_file, "--sub", str(addition), "--out", str(tmp_path / "o.json")],
+        "simulate": ["--state", state_file, "--T", "1.0"],
     }
     assert execute([command, *inputs[command], flag, "1"]) == EXIT_INVALID
     assert "unrecognized arguments" in one_stderr_line(capsys)
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["design", "--net", "n.json", "--out", "o.json", "--tol", "-1e-7"], "expected one argument"),
+    (["simulate", "--state", "s.json", "--T", "-1e-7"], "expected one argument"),
     (["bogus"], "invalid choice"),
     (["validate"], "required: --net"),
 ])
@@ -303,10 +322,15 @@ def _set_record(index, name, value):
     ("check", _set_record(4, "K_prev_to_self", [[1.0]])),
     ("check", _set_record(1, "index", 1.7)),
     ("check", lambda doc: doc.update(global_epsilon="abc")),
+    ("check", _set_record(4, "K_self", [[float("nan"), 0.0]])),
+    ("simulate", _set_record(4, "K_self", [[float("nan"), 0.0]])),
+    ("report", _set_record(4, "K_self", [[float("nan"), 0.0]])),
+    ("check", _set_record(4, "K_self", [[float("inf"), 0.0]])),
 ], ids=[
     "K_self-shape-check", "K_self-shape-simulate", "record1-K_to_prev", "record1-K_prev_to_self",
     "Q-shape", "M_cl-shape", "K_to_prev-shape", "K_prev_to_self-shape", "float-index",
-    "string-global_epsilon",
+    "string-global_epsilon", "nan-K_self-check", "nan-K_self-simulate", "nan-K_self-report",
+    "inf-K_self-check",
 ])
 def test_state_record_that_does_not_fit_its_subsystem_is_malformed(
     four_stage_doc, tmp_path, capsys, command, tamper

@@ -323,3 +323,15 @@ def test_export_trajectory_csv_bytes(tmp_path):
         row = [traj.t[k], *traj.x[k], *traj.y[k], *traj.w[k], traj.V[k]]
         lines.append(",".join(f"{v:.17g}" for v in row))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_worst_start_separates_design_rate_from_a_slightly_higher_one(four_stage_loop):
+    # Started on the direction where the storage decays slowest, with no
+    # disturbance, the slack grows at rate (r - rate)|x0|^2 at t = 0, so
+    # the margin goes negative at once for any claimed rate above r.
+    cl = four_stage_loop
+    lam, vecs = np.linalg.eigh(-0.5 * (cl.Acl.T @ cl.Q + cl.Q @ cl.Acl))
+    r, x0 = lam[0], vecs[:, 0]
+    traj = simulate(cl, lambda t: np.zeros(cl.m), x0=x0, T=0.05, dt=1e-4)
+    assert dissipation_margin(traj, cl.epsilon) >= -1e-9
+    assert dissipation_margin(traj, 1.01 * r) < -1e-5
