@@ -46,7 +46,6 @@ from .lmi import (
     MalformedProblem,
     solve_feasibility,
     certify_point,
-    default_margin,
 )
 from .protocol import (
     EPS_MIN,
@@ -109,7 +108,6 @@ __all__ = [
     "MalformedProblem",
     "solve_feasibility",
     "certify_point",
-    "default_margin",
     "EPS_MIN",
     "ROUTE_VERIFIED",
     "ROUTE_SYNTHESIZED",

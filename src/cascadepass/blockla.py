@@ -155,10 +155,6 @@ class BlockTriDiagonal:
         object.__setattr__(self, "super_blocks", tuple(supers))
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.diag_blocks)
-
-    @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(D.shape[0] for D in self.diag_blocks)
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 design infeasible at some step, 3 invalid or
 malformed input (a usage error, network structure, file schema,
-fingerprint mismatch, a non-positive or non-finite --T or --dt), 4
+fingerprint mismatch, a non-positive or non-finite --T or --dt, a
+negative --seed), 4
 certificate or trajectory check failed (including a simulation that
 leaves the finite range).
 """
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3, help="step size (default 1e-3)")
     p.add_argument("--csv", default=None, help="write the trajectory to this CSV file")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the generated disturbance (default 0)")
+                   help="non-negative seed for the generated disturbance (default 0)")
 
     p = sub.add_parser("report", help="summarize a designed state")
     p.add_argument("--state", required=True, help="state JSON file")
@@ -135,6 +136,9 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     if not (0.0 < args.T < math.inf and 0.0 < args.dt < math.inf):
         print("--T and --dt must be positive and finite", file=sys.stderr)
+        return EXIT_INVALID
+    if args.seed < 0:
+        print("--seed must be non-negative", file=sys.stderr)
         return EXIT_INVALID
     state = files.load_state(args.state)
     cl = oracle.assemble_closed_loop(state)

@@ -1,18 +1,20 @@
 """Canonical JSON files for networks, design states and cascade additions.
 
-Every float is written with 17 significant digits, which round-trips IEEE
-doubles exactly, so save followed by load reproduces arrays bit for bit.
-Documents are written in one canonical form (sorted keys, no whitespace)
-and a network's identity is the SHA-256 of that canonical form; state
-files embed both the network and its fingerprint so stale or mixed-up
-state can be rejected.
+Every document is written by the standard library's JSON encoder in one
+canonical form: sorted keys, no whitespace, and each float in Python's
+shortest round-trip form (repr), so save followed by load reproduces
+arrays bit for bit. A non-finite value cannot be written (MalformedFile),
+and a save that fails leaves the target file as it was. A network's
+identity is the SHA-256 of its canonical text; state files embed both the
+network and its fingerprint so stale or mixed-up state can be rejected,
+including a state whose fingerprint was taken over another float format.
+Coupling indices and record indices must be JSON integers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -42,51 +44,21 @@ class MalformedFile(ValueError):
     """A document that cannot be interpreted under the current schema."""
 
 
-def _fmt_float(x) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise MalformedFile("non-finite value cannot be serialized")
-    return format(x, ".17g")
+def _dumps(doc) -> str:
+    """The canonical text of a document: sorted keys, no whitespace."""
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=lambda a: a.tolist())
+    except ValueError:
+        raise MalformedFile("non-finite value cannot be serialized") from None
 
 
-class _Verbatim(str):
-    """Text already in canonical form, written as it is."""
-
-
-def _matrix_text(a: np.ndarray) -> str:
-    """Canonical text of a 2-D float64 array: one format call per row.
-
-    "%.17g" and format(x, ".17g") format a float identically, so this is
-    the text the element-by-element path writes.
-    """
-    if not np.isfinite(a).all():
-        raise MalformedFile("non-finite value cannot be serialized")
-    row = "[" + ",".join(["%.17g"] * a.shape[1]) + "]"
-    return "[" + ",".join([row % tuple(r) for r in a.tolist()]) + "]"
-
-
-def _canonical(obj) -> str:
-    """Serialize with sorted keys, no whitespace and 17-digit floats."""
-    if isinstance(obj, _Verbatim):
-        return obj
-    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
-        return _matrix_text(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _canonical(v) for k, v in items) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _write(doc, path) -> None:
+    # Rendering first means a document that cannot be written leaves the
+    # file as it was.
+    text = _dumps(doc)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def _matrix(value, name):
@@ -107,6 +79,13 @@ def _number(value, name) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedFile(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _integer(value, name) -> int:
+    # JSON true loads as bool, which is a subclass of int.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedFile(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _expect(doc, kind):
@@ -163,27 +142,20 @@ def network_from_dict(doc) -> CascadeNetwork:
     for k, entry in enumerate(coup_doc):
         if not isinstance(entry, dict):
             raise MalformedFile(f"couplings[{k}] must be an object")
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError):
-            raise MalformedFile(f"couplings[{k}] needs integer indices i and j") from None
+        i = _integer(entry.get("i"), f"couplings[{k}].i")
+        j = _integer(entry.get("j"), f"couplings[{k}].j")
         if (i, j) in blocks:
             raise MalformedFile(f"couplings[{k}] repeats the pair ({i}, {j})")
         blocks[(i, j)] = _matrix(entry.get("h"), f"couplings[{k}].h")
     return CascadeNetwork.from_blocks(subs, blocks)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
 def network_fingerprint(net: CascadeNetwork) -> str:
-    return _sha256(_canonical(network_to_dict(net)))
+    return hashlib.sha256(_dumps(network_to_dict(net)).encode("ascii")).hexdigest()
 
 
 def save_network(net: CascadeNetwork, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(_canonical(network_to_dict(net)) + "\n")
+    _write(network_to_dict(net), path)
 
 
 def _load_json(path):
@@ -217,9 +189,7 @@ def _record_from_dict(d, where, sub: Subsystem, prev: Subsystem | None) -> Desig
     """One record, its matrices shaped for sub; prev is None for record 1."""
     if not isinstance(d, dict):
         raise MalformedFile(f"{where} must be an object")
-    index = d.get("index")
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise MalformedFile(f"{where}: index must be an integer, got {index!r}")
+    index = _integer(d.get("index"), f"{where}.index")
     shapes = {
         "Q": (sub.n, sub.n),
         "M_cl": (sub.n, sub.n),
@@ -246,19 +216,15 @@ def _record_from_dict(d, where, sub: Subsystem, prev: Subsystem | None) -> Desig
         raise MalformedFile(f"{where}: {exc}") from None
 
 
-def _state_doc(state: NetworkDesignState, network, fingerprint: str) -> dict:
+def state_to_dict(state: NetworkDesignState) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "type": "state",
-        "fingerprint": fingerprint,
-        "network": network,
+        "fingerprint": network_fingerprint(state.net),
+        "network": network_to_dict(state.net),
         "records": [_record_to_dict(r) for r in state.records],
         "global_epsilon": state.global_epsilon,
     }
-
-
-def state_to_dict(state: NetworkDesignState) -> dict:
-    return _state_doc(state, network_to_dict(state.net), network_fingerprint(state.net))
 
 
 def state_from_dict(doc) -> NetworkDesignState:
@@ -293,11 +259,7 @@ def state_from_dict(doc) -> NetworkDesignState:
 
 
 def save_state(state: NetworkDesignState, path) -> None:
-    # The network is rendered once, for both its fingerprint and its copy.
-    network = _Verbatim(_canonical(network_to_dict(state.net)))
-    text = _canonical(_state_doc(state, network, _sha256(network)))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    _write(state_to_dict(state), path)
 
 
 def load_state(path) -> NetworkDesignState:
@@ -320,8 +282,7 @@ def save_addition(sub: Subsystem, h_self, h_prev, h_to_new, path) -> None:
         "h_prev": None if h_prev is None else as_matrix(h_prev, "h_prev"),
         "h_to_new": None if h_to_new is None else as_matrix(h_to_new, "h_to_new"),
     }
-    with open(path, "w") as fh:
-        fh.write(_canonical(doc) + "\n")
+    _write(doc, path)
 
 
 def load_addition(path):

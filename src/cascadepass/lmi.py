@@ -29,7 +29,6 @@ __all__ = [
     "FeasiblePoint",
     "Infeasible",
     "PointCertificate",
-    "default_margin",
     "solve_feasibility",
     "certify_point",
     "sym_vec_size",
@@ -189,19 +188,13 @@ class PointCertificate:
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
 
-def default_margin(prob: AffineFeasibilityProblem) -> float:
-    """tau = 1e-6 * max(1, ||Phi_0||_inf)."""
-    scale = np.abs(prob.constant_block).max() if prob.constant_block.size else 0.0
-    return 1e-6 * max(1.0, float(scale))
-
-
 class _TargetReached(Exception):
     pass
 
 
 def solve_feasibility(
     prob: AffineFeasibilityProblem,
-    margin: float | None = None,
+    margin: float,
     *,
     target: float | None = None,
 ):
@@ -217,7 +210,7 @@ def solve_feasibility(
     v = prob.var_count
     d = prob.dim
     scale = max(1.0, float(np.abs(prob.constant_block).max()) if d else 0.0)
-    tau = default_margin(prob) if margin is None else float(margin)
+    tau = float(margin)
     if not (tau > 0.0 and np.isfinite(tau)):
         raise MalformedProblem("margin must be positive and finite")
     if target is None:
@@ -400,7 +393,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
 def certify_point(
     theta,
     prob: AffineFeasibilityProblem,
-    margin: float | None = None,
+    margin: float,
 ) -> PointCertificate:
     """Re-check a point against the problem from scratch.
 
@@ -408,7 +401,7 @@ def certify_point(
     EqualityResidual, BoundViolation.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    tau = default_margin(prob) if margin is None else float(margin)
+    tau = float(margin)
     reasons = []
 
     lam = float(np.linalg.eigvalsh(prob.master(theta))[0]) if prob.dim else np.inf

@@ -168,14 +168,12 @@ class GlobalSystem:
     C: np.ndarray
     H: np.ndarray
     state_sizes: tuple[int, ...]
-    output_sizes: tuple[int, ...]
     input_sizes: tuple[int, ...]
 
     def __post_init__(self):
         for f in ("A", "B1", "B2", "B3", "C", "H"):
             object.__setattr__(self, f, _frozen(getattr(self, f)))
         object.__setattr__(self, "state_sizes", tuple(self.state_sizes))
-        object.__setattr__(self, "output_sizes", tuple(self.output_sizes))
         object.__setattr__(self, "input_sizes", tuple(self.input_sizes))
 
 
@@ -315,7 +313,7 @@ def assemble_global(net: CascadeNetwork) -> GlobalSystem:
 
     return GlobalSystem(
         A=A, B1=B1, B2=B2, B3=B3, C=C, H=H,
-        state_sizes=tuple(ns), output_sizes=tuple(ms), input_sizes=tuple(ps),
+        state_sizes=tuple(ns), input_sizes=tuple(ps),
     )
 
 

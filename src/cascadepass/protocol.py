@@ -476,10 +476,9 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     eps_idx = layout.index("eps")
     eps_found = float(theta[eps_idx])
     theta[eps_idx] = _maximize_epsilon(prob, theta, eps_idx, n, tau)
+    # solve_feasibility certified eps_found with this prob and tau.
     if not lmi.certify_point(theta, prob, tau).ok:
         theta[eps_idx] = eps_found
-        if not lmi.certify_point(theta, prob, tau).ok:
-            return _not_pd(point, "CertificationFailed")
 
     v = layout.unpack(theta)
     # M_cl = S - X M_prev^-1 X', the same step tridiag_pd_sequence takes.

@@ -238,6 +238,12 @@ def test_simulate_rejects_bad_horizon_or_step(state_file, capsys, flag, value):
     assert "must be positive" in one_stderr_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-1"]])
+def test_simulate_rejects_negative_seed(state_file, capsys, argv):
+    assert execute(["simulate", "--state", state_file, "--T", "1.0"] + argv) == EXIT_INVALID
+    assert "--seed must be non-negative" in one_stderr_line(capsys)
+
+
 # check and simulate take no margin and design takes no tolerance, so no
 # value can make the overclaimed state pass or move a design's floor.
 @pytest.mark.parametrize("command", ["check", "simulate"])

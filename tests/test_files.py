@@ -136,6 +136,20 @@ def test_rejects_duplicate_coupling_and_bad_matrix(tmp_path):
         network_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value", [("i", 2.9), ("i", 2.0), ("i", "2"), ("i", True), ("j", 1.0)])
+def test_coupling_indices_must_be_json_integers(key, value):
+    sub = {"A": [[-1.0]], "B1": [[1.0]], "B2": [[1.0]], "B3": [[1.0]], "C": [[1.0]]}
+    doc = {
+        "schema": 1,
+        "type": "network",
+        "subsystems": [sub, sub],
+        "couplings": [{"i": 2, "j": 1, "h": [[0.1]]}],
+    }
+    doc["couplings"][0][key] = value
+    with pytest.raises(MalformedFile, match=rf"couplings\[0\]\.{key} must be an integer"):
+        network_from_dict(doc)
+
+
 def test_rejects_invalid_json_and_missing_pieces(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -170,7 +184,7 @@ def reference_canonical(obj) -> str:
         x = float(obj)
         if not math.isfinite(x):
             raise MalformedFile("non-finite value cannot be serialized")
-        return format(x, ".17g")
+        return repr(x)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -199,7 +213,7 @@ def test_written_bytes_match_the_reference_renderer(tmp_path):
     awkward = CascadeNetwork.from_blocks(
         base.subsystems, {**{key: c.h for key, c in base.couplings.items()}, (1, 2): [[-0.0]]}
     )
-    assert '"h":[[-0]]' in reference_canonical(network_to_dict(awkward))
+    assert '"h":[[-0.0]]' in reference_canonical(network_to_dict(awkward))
     states = [run_cascade_design(four_stage_cascade()), run_cascade_design(awkward), grown_state(16)]
     for state in states:
         net_text = reference_canonical(network_to_dict(state.net))
@@ -240,3 +254,19 @@ def test_non_finite_matrix_entry_is_malformed(tmp_path, bad):
     good = Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1.0)
     with pytest.raises(MalformedFile):
         save_addition(good, [[bad]], None, None, tmp_path / "add.json")
+
+
+def test_failed_save_leaves_the_file_unchanged(tmp_path):
+    good = Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1.0)
+    broken = Subsystem(A=np.nan, B1=1.0, B2=1.0, B3=1.0, C=1.0)
+    net_path, add_path = tmp_path / "net.json", tmp_path / "add.json"
+    save_network(CascadeNetwork.from_blocks([good], {}), net_path)
+    save_addition(good, [[0.5]], None, None, add_path)
+    before = {path: path.read_bytes() for path in (net_path, add_path)}
+    with pytest.raises(MalformedFile):
+        save_network(CascadeNetwork.from_blocks([broken], {}), net_path)
+    with pytest.raises(MalformedFile):
+        save_addition(good, [[np.inf]], None, None, add_path)
+    with pytest.raises(ValueError):
+        save_addition(good, [0.5], None, None, add_path)
+    assert {path: path.read_bytes() for path in before} == before

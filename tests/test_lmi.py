@@ -9,7 +9,6 @@ from cascadepass.lmi import (
     Infeasible,
     MalformedProblem,
     certify_point,
-    default_margin,
     solve_feasibility,
     sym_to_vec,
     sym_vec_size,
@@ -181,17 +180,6 @@ def test_margin_must_be_positive():
         solve_feasibility(prob, margin=0.0)
     with pytest.raises(MalformedProblem):
         solve_feasibility(prob, margin=np.inf)
-
-
-def test_default_margin_formula():
-    prob = AffineFeasibilityProblem(
-        var_count=0, constant_block=[[50.0, 0.0], [0.0, -3.0]], coeff_blocks=()
-    )
-    assert default_margin(prob) == 1e-6 * 50.0
-    small = AffineFeasibilityProblem(
-        var_count=0, constant_block=[[0.25]], coeff_blocks=()
-    )
-    assert default_margin(small) == 1e-6
 
 
 def test_solver_is_deterministic():
