@@ -1,11 +1,10 @@
 """Command-line front end for cascade validation, design and checking.
 
 Exit codes: 0 success, 2 design infeasible at some step, 3 invalid or
-malformed input (a usage error, network structure, file schema,
-fingerprint mismatch, a non-positive or non-finite --T or --dt, a
-negative --seed), 4
-certificate or trajectory check failed (including a simulation that
-leaves the finite range).
+malformed input (a usage error, network structure, file schema, a state
+that does not certify its network, a non-positive or non-finite --T or
+--dt, a negative --seed), 4 certificate or trajectory check failed
+(including a simulation that leaves the finite range).
 """
 
 from __future__ import annotations

@@ -5,21 +5,32 @@ canonical form: sorted keys, no whitespace, and each float in Python's
 shortest round-trip form (repr), so save followed by load reproduces
 arrays bit for bit. A non-finite value cannot be written (MalformedFile),
 and a save that fails leaves the target file as it was. A network's
-identity is the SHA-256 of its canonical text; state files embed both the
-network and its fingerprint so stale or mixed-up state can be rejected,
-including a state whose fingerprint was taken over another float format.
-Coupling indices and record indices must be JSON integers.
+identity is the SHA-256 of its canonical text (network_fingerprint).
+
+A state file holds the network and each record's free data: Q, epsilon,
+the gains and the route. Everything derived from them is re-derived on
+load rather than trusted: each M_cl is the Schur recursion of the
+closed-loop certificate, and the global rate is the record minimum. A
+state loads only if its network validates, that recursion is positive
+definite, and each Q is positive definite with Q B2 - C' within the
+oracle's bound, so every state that loads certifies its own network.
+Keys a state file does not need, such as the stored M_cl, fingerprint
+and global_epsilon of older files, are ignored. Coupling indices and
+record indices must be JSON integers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
-from .model import CascadeNetwork, Subsystem, as_matrix
-from .protocol import DesignRecord, NetworkDesignState
+from . import blockla
+from .model import CascadeNetwork, Subsystem, as_matrix, validate_network
+from .oracle import storage_residual
+from .protocol import DesignRecord, NetworkDesignState, _gain_pairs, closed_loop_blocks
 
 __all__ = [
     "MalformedFile",
@@ -76,8 +87,8 @@ def _matrix(value, name):
 
 
 def _number(value, name) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedFile(f"{name} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise MalformedFile(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -180,82 +191,107 @@ def _record_to_dict(rec: DesignRecord) -> dict:
         "K_self": rec.K_self,
         "K_to_prev": rec.K_to_prev,
         "K_prev_to_self": rec.K_prev_to_self,
-        "M_cl": rec.M_cl,
         "route": rec.route,
     }
 
 
-def _record_from_dict(d, where, sub: Subsystem, prev: Subsystem | None) -> DesignRecord:
-    """One record, its matrices shaped for sub; prev is None for record 1."""
+def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
+    """A record's free data, shaped for sub; prev is None for record 1."""
     if not isinstance(d, dict):
         raise MalformedFile(f"{where} must be an object")
-    index = _integer(d.get("index"), f"{where}.index")
+    fields = {"index": _integer(d.get("index"), f"{where}.index")}
     shapes = {
         "Q": (sub.n, sub.n),
-        "M_cl": (sub.n, sub.n),
         "K_self": (sub.p, sub.n),
         "K_to_prev": None if prev is None else (sub.p, prev.n),
         "K_prev_to_self": None if prev is None else (prev.p, sub.n),
     }
-    matrices = {}
     for name, shape in shapes.items():
         value = d.get(name)
         if value is None and name.startswith("K_"):
-            matrices[name] = None
+            fields[name] = None
             continue
         if shape is None:
             raise MalformedFile(f"{where}: record 1 cannot carry {name}")
         a = _matrix(value, f"{where}.{name}")
         if a.shape != shape:
             raise MalformedFile(f"{where}: {name} is {a.shape}, expected {shape}")
-        matrices[name] = a
-    epsilon = _number(d.get("epsilon"), f"{where}.epsilon")
-    try:
-        return DesignRecord(index=index, epsilon=epsilon, route=str(d.get("route")), **matrices)
-    except ValueError as exc:
-        raise MalformedFile(f"{where}: {exc}") from None
+        if not np.isfinite(a).all():
+            raise MalformedFile(f"{where}: {name} has non-finite entries")
+        fields[name] = a
+    fields["epsilon"] = _number(d.get("epsilon"), f"{where}.epsilon")
+    fields["route"] = str(d.get("route"))
+    return fields
 
 
 def state_to_dict(state: NetworkDesignState) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "type": "state",
-        "fingerprint": network_fingerprint(state.net),
         "network": network_to_dict(state.net),
         "records": [_record_to_dict(r) for r in state.records],
-        "global_epsilon": state.global_epsilon,
     }
 
 
 def state_from_dict(doc) -> NetworkDesignState:
+    """A state whose records certify its network, each M_cl re-derived.
+
+    The network must validate; every M_cl is the Schur recursion of the
+    closed-loop certificate the records and the network define, which must
+    be positive definite; and each Q must be positive definite with
+    Q B2 - C' within the bound centralized_sp_check applies, taken per
+    subsystem.
+    """
     _expect(doc, "state")
     net = network_from_dict(doc.get("network"))
-    stored = doc.get("fingerprint")
-    actual = network_fingerprint(net)
-    if stored != actual:
-        raise MalformedFile(
-            f"network fingerprint mismatch: file says {stored!r}, network hashes to {actual!r}"
-        )
+    report = validate_network(net)
+    if not report.ok:
+        raise MalformedFile(f"invalid network: {report}")
     recs_doc = doc.get("records")
     if not isinstance(recs_doc, list) or not recs_doc:
         raise MalformedFile("a state needs a non-empty record list")
     subs = net.subsystems
     if len(recs_doc) != len(subs):
         raise MalformedFile(f"{len(subs)} subsystems but {len(recs_doc)} records")
-    records = tuple(
-        _record_from_dict(d, f"records[{k}]", subs[k], subs[k - 1] if k else None)
+    fields = [
+        _record_fields(d, f"records[{k}]", subs[k], subs[k - 1] if k else None)
         for k, d in enumerate(recs_doc)
-    )
+    ]
+    gains = {
+        ij: f[name]
+        for i, f in enumerate(fields, start=1)
+        for name, ij in _gain_pairs(i).items()
+        if f[name] is not None
+    }
     try:
-        state = NetworkDesignState(net=net, records=records)
+        blocks = closed_loop_blocks(
+            net, [f["Q"] for f in fields], [f["epsilon"] for f in fields], gains
+        )
+        margins = blockla.tridiag_pd_sequence(blocks).M_blocks
+    except blockla.NotPositiveDefinite as exc:
+        raise MalformedFile(
+            f"the records do not certify the network: closed-loop block {exc.index} "
+            "is not positive definite"
+        ) from None
+    except ValueError as exc:
+        raise MalformedFile(f"records: {exc}") from None
+    records = []
+    for k, (f, M_cl, sub) in enumerate(zip(fields, margins, subs)):
+        try:
+            rec = DesignRecord(**f, M_cl=M_cl)
+            blockla.cholesky_lower(rec.Q)
+        except ValueError as exc:
+            raise MalformedFile(f"records[{k}]: {exc}") from None
+        except blockla.NotPositiveDefinite:
+            raise MalformedFile(f"records[{k}]: Q is not positive definite") from None
+        residual, bound = storage_residual(rec.Q, sub.B2, sub.C)
+        if residual > bound:
+            raise MalformedFile(f"records[{k}]: max |Q B2 - C'| = {residual:.3e} exceeds {bound:.3e}")
+        records.append(rec)
+    try:
+        return NetworkDesignState(net=net, records=tuple(records))
     except ValueError as exc:
         raise MalformedFile(str(exc)) from None
-    stored_eps = doc.get("global_epsilon")
-    if stored_eps is not None and _number(stored_eps, "global_epsilon") != state.global_epsilon:
-        raise MalformedFile(
-            f"global_epsilon {stored_eps!r} does not match the record minimum {state.global_epsilon!r}"
-        )
-    return state
 
 
 def save_state(state: NetworkDesignState, path) -> None:

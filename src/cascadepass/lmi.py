@@ -286,7 +286,8 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
     C0n = C0 / norm
     if f:
         gamma = np.array([max(1e-30, float(np.abs(D[k]).max())) for k in range(f)])
-        Dn = D / gamma[:, None, None]
+        # One (f, da*da) matrix: each master is a vector-matrix product.
+        Dn = (D / gamma[:, None, None]).reshape(f, -1)
     tau_n = tau / norm
     target_n = target / norm
 
@@ -297,7 +298,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
     def evaluate(u):
         nonlocal evals, best_u, best_lam
         evals += 1
-        M = C0n if f == 0 else C0n + np.tensordot(u, Dn, axes=1)
+        M = C0n if f == 0 else C0n + (u @ Dn).reshape(da, da)
         lam, vecs = np.linalg.eigh(M)
         if lam[0] > best_lam:
             best_lam = float(lam[0])
@@ -332,7 +333,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
                 value = lam[0] - s * np.log(total) - reg * float(u @ u)
                 w /= total
                 G = (vecs * w) @ vecs.T
-                grad = np.tensordot(Dn, G, axes=([1, 2], [0, 1])) - 2.0 * reg * u
+                grad = Dn @ G.ravel() - 2.0 * reg * u
                 return -value, -grad
             return fun
 
@@ -366,7 +367,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
             u_end = best_u.copy()
 
             def lam_at(t):
-                M = C0n + np.tensordot(t * u_end, Dn, axes=1)
+                M = C0n + ((t * u_end) @ Dn).reshape(da, da)
                 return float(np.linalg.eigvalsh(M)[0])
 
             if lam_at(0.0) >= thr:

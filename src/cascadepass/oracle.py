@@ -28,6 +28,7 @@ __all__ = [
     "SineDisturbance",
     "assemble_closed_loop",
     "sp_matrix",
+    "storage_residual",
     "centralized_sp_check",
     "simulate",
     "dissipation_margin",
@@ -180,6 +181,11 @@ def sp_matrix(cl: ClosedLoopSystem) -> np.ndarray:
     return -(cl.Acl.T @ cl.Q + cl.Q @ cl.Acl) - cl.epsilon * np.eye(cl.n)
 
 
+def storage_residual(Q, B2, C) -> tuple[float, float]:
+    """max |Q B2 - C'| and its pass bound, 1e-8 * max(1, max |C_ij|)."""
+    return float(np.abs(Q @ B2 - C.T).max()), 1e-8 * max(1.0, float(np.abs(C).max()))
+
+
 def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     """Algebraic pass/fail for state-strict passivity of the closed loop.
 
@@ -191,8 +197,7 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     W = sp_matrix(cl)
     w_min = blockla.min_eigen_sym(W)
     margin = 1e-8 * max(1.0, float(np.abs(W).max()))
-    eq_residual = float(np.abs(cl.Q @ cl.B2 - cl.C.T).max())
-    eq_tol = 1e-8 * max(1.0, float(np.abs(cl.C).max()))
+    eq_residual, eq_tol = storage_residual(cl.Q, cl.B2, cl.C)
 
     reasons = []
     if w_min < -margin:

@@ -649,8 +649,7 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
     supers = []
     G_prev = T_prev = None
     for i, (sub, Q, eps) in enumerate(zip(net.subsystems, storages, epsilons), start=1):
-        pairs = {"K_self": (i, i), "K_to_prev": (i, i - 1), "K_prev_to_self": (i - 1, i)}
-        step_gains = {name: np.asarray(gains[ij], dtype=float) for name, ij in pairs.items() if ij in gains}
+        step_gains = {name: np.asarray(gains[ij], dtype=float) for name, ij in _gain_pairs(i).items() if ij in gains}
         h_prev = None if G_prev is None else net.h_or_zero(i, i - 1)
         S, X = _certificate_blocks(sub, Q, eps, net.h_or_zero(i, i), h_prev, G_prev, T_prev, step_gains)
         diag.append(S)
@@ -662,16 +661,18 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
     return blockla.BlockTriDiagonal(tuple(diag), tuple(supers))
 
 
+def _gain_pairs(i: int) -> dict:
+    """Each gain field of record i and the (i, j) pair of the gain K(i,j) it holds."""
+    return {"K_self": (i, i), "K_to_prev": (i, i - 1), "K_prev_to_self": (i - 1, i)}
+
+
 def _state_gains(state: NetworkDesignState) -> dict:
-    gains = {}
-    for rec in state.records:
-        if rec.K_self is not None:
-            gains[(rec.index, rec.index)] = rec.K_self
-        if rec.K_to_prev is not None:
-            gains[(rec.index, rec.index - 1)] = rec.K_to_prev
-        if rec.K_prev_to_self is not None:
-            gains[(rec.index - 1, rec.index)] = rec.K_prev_to_self
-    return gains
+    return {
+        ij: getattr(rec, name)
+        for rec in state.records
+        for name, ij in _gain_pairs(rec.index).items()
+        if getattr(rec, name) is not None
+    }
 
 
 def design_tridiagonal(state: NetworkDesignState) -> blockla.BlockTriDiagonal:

@@ -107,10 +107,9 @@ def test_check_fails_on_tampered_storage(state_file, tmp_path, capsys):
     doc["records"][0]["Q"] = [[2.0]]
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc))
-    assert execute(["check", "--state", str(tampered)]) == EXIT_CHECK_FAILED
-    out = capsys.readouterr().out
-    assert out.startswith("fail:")
-    assert "EqualityResidual" in out
+    assert execute(["check", "--state", str(tampered)]) == EXIT_INVALID
+    err = one_stderr_line(capsys)
+    assert err.startswith("malformed file:") and "Q B2 - C'" in err
 
 
 def test_simulate_passes_and_writes_csv(state_file, tmp_path, capsys):
@@ -128,7 +127,6 @@ def overclaimed_file(state_file, tmp_path):
     doc = json.loads(open(state_file).read())
     for rec in doc["records"]:
         rec["epsilon"] = 5.0
-    doc["global_epsilon"] = 5.0
     tampered = tmp_path / "overclaimed.json"
     tampered.write_text(json.dumps(doc))
     return str(tampered)
@@ -136,8 +134,9 @@ def overclaimed_file(state_file, tmp_path):
 
 def test_simulate_detects_overclaimed_rate(overclaimed_file, capsys):
     code = execute(["simulate", "--state", overclaimed_file, "--T", "2.0"])
-    assert code == EXIT_CHECK_FAILED
-    assert "violated" in capsys.readouterr().err
+    assert code == EXIT_INVALID
+    err = one_stderr_line(capsys)
+    assert err.startswith("malformed file:") and "do not certify the network" in err
 
 
 def test_simulate_seed_changes_disturbance(state_file, capsys):
@@ -323,19 +322,17 @@ def _set_record(index, name, value):
     ("check", _set_record(1, "K_to_prev", [[1.0]])),
     ("check", _set_record(1, "K_prev_to_self", [[1.0]])),
     ("check", _set_record(1, "Q", [[1.0]])),
-    ("check", _set_record(2, "M_cl", [[1.0, 0.0], [0.0, 1.0]])),
     ("check", _set_record(2, "K_to_prev", [[1.0]])),
     ("check", _set_record(4, "K_prev_to_self", [[1.0]])),
     ("check", _set_record(1, "index", 1.7)),
-    ("check", lambda doc: doc.update(global_epsilon="abc")),
     ("check", _set_record(4, "K_self", [[float("nan"), 0.0]])),
     ("simulate", _set_record(4, "K_self", [[float("nan"), 0.0]])),
     ("report", _set_record(4, "K_self", [[float("nan"), 0.0]])),
     ("check", _set_record(4, "K_self", [[float("inf"), 0.0]])),
 ], ids=[
     "K_self-shape-check", "K_self-shape-simulate", "record1-K_to_prev", "record1-K_prev_to_self",
-    "Q-shape", "M_cl-shape", "K_to_prev-shape", "K_prev_to_self-shape", "float-index",
-    "string-global_epsilon", "nan-K_self-check", "nan-K_self-simulate", "nan-K_self-report",
+    "Q-shape", "K_to_prev-shape", "K_prev_to_self-shape", "float-index",
+    "nan-K_self-check", "nan-K_self-simulate", "nan-K_self-report",
     "inf-K_self-check",
 ])
 def test_state_record_that_does_not_fit_its_subsystem_is_malformed(
@@ -348,3 +345,22 @@ def test_state_record_that_does_not_fit_its_subsystem_is_malformed(
     argv = [command, "--state", str(path)] + (["--T", "2.0"] if command == "simulate" else [])
     assert execute(argv) == EXIT_INVALID
     assert one_stderr_line(capsys).startswith("malformed file:")
+
+
+@pytest.mark.parametrize("command", ["report", "check", "simulate", "add"])
+def test_state_whose_network_is_not_a_cascade_is_malformed(four_stage_doc, tmp_path, capsys, command):
+    doc = json.loads(json.dumps(four_stage_doc))
+    subs = four_stage_cascade().subsystems
+    doc["network"]["couplings"].append({"i": 1, "j": 3, "h": np.ones((subs[0].p, subs[2].n)).tolist()})
+    path = tmp_path / "skip.json"
+    path.write_text(json.dumps(doc))
+    addition = tmp_path / "fifth.json"
+    files.save_addition(Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1.0), None, None, None, addition)
+    extra = {
+        "simulate": ["--T", "2.0"],
+        "add": ["--sub", str(addition), "--out", str(tmp_path / "never.json")],
+    }.get(command, [])
+    assert execute([command, "--state", str(path), *extra]) == EXIT_INVALID
+    err = one_stderr_line(capsys)
+    assert err.startswith("malformed file: invalid network:") and "NonCascadeCoupling" in err
+    assert not (tmp_path / "never.json").exists()

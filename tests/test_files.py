@@ -1,4 +1,4 @@
-"""Canonical JSON round trips, fingerprints and schema rejection."""
+"""Canonical JSON round trips, fingerprints, schema rejection and re-certified state loads."""
 
 import hashlib
 import json
@@ -18,10 +18,13 @@ from cascadepass.files import (
     save_addition,
     save_network,
     save_state,
+    state_from_dict,
     state_to_dict,
 )
+from cascadepass.blockla import tridiag_pd_sequence
 from cascadepass.model import CascadeNetwork, Subsystem
-from cascadepass.protocol import add_subsystem, run_cascade_design
+from cascadepass.oracle import assemble_closed_loop, centralized_sp_check
+from cascadepass.protocol import add_subsystem, design_tridiagonal, run_cascade_design
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade, two_stage_scalar_cascade
 
 
@@ -75,25 +78,121 @@ def test_state_round_trip_is_bitwise(tmp_path):
                 assert np.array_equal(left, right)
 
 
-def test_state_rejects_fingerprint_mismatch(tmp_path):
-    state = run_cascade_design(two_stage_scalar_cascade())
+def _state_doc(state):
+    return json.loads(json.dumps(state_to_dict(state), default=lambda a: np.asarray(a).tolist()))
+
+
+def test_state_file_holds_only_the_free_data(tmp_path):
+    state = run_cascade_design(four_stage_cascade())
     path = tmp_path / "state.json"
     save_state(state, path)
     doc = json.loads(path.read_text())
-    doc["network"]["couplings"][0]["h"] = [[2.0]]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(MalformedFile):
-        load_state(path)
+    assert sorted(doc) == ["network", "records", "schema", "type"]
+    for rec in doc["records"]:
+        assert sorted(rec) == sorted(
+            ["index", "Q", "epsilon", "K_self", "K_to_prev", "K_prev_to_self", "route"]
+        )
 
 
-def test_state_rejects_global_epsilon_mismatch(tmp_path):
+def test_edited_network_loads_only_if_the_records_still_certify_it():
     state = run_cascade_design(two_stage_scalar_cascade())
-    doc = state_to_dict(state)
-    doc = json.loads(json.dumps({**doc, "global_epsilon": 123.0}, default=lambda a: np.asarray(a).tolist()))
+    doc = _state_doc(state)
+    doc["network"]["couplings"][0]["h"] = [[0.5]]
+    edited = state_from_dict(doc)
+    assert edited.net.h(2, 1)[0, 0] == 0.5
+    assert not np.array_equal(edited.records[1].M_cl, state.records[1].M_cl)
+    factor = tridiag_pd_sequence(design_tridiagonal(edited))
+    for rec, M in zip(edited.records, factor.M_blocks):
+        assert np.array_equal(rec.M_cl, M)
+    assert centralized_sp_check(assemble_closed_loop(edited)).verdict
+
+    doc["network"]["couplings"][0]["h"] = [[2.0]]
+    with pytest.raises(MalformedFile, match="closed-loop block 2 is not positive definite"):
+        state_from_dict(doc)
+
+
+def test_parent_format_state_loads_with_its_margins_rederived(tmp_path):
+    # Files written before the derived fields were dropped also carry a
+    # fingerprint, the global rate and every M_cl; those keys are ignored.
+    state = run_cascade_design(four_stage_cascade())
+    doc = _state_doc(state)
+    doc["fingerprint"] = "0" * 64
+    doc["global_epsilon"] = 123.0
+    for rec in doc["records"]:
+        rec["M_cl"] = (1e6 * np.eye(len(rec["Q"]))).tolist()
     path = tmp_path / "state.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(MalformedFile):
-        load_state(path)
+    loaded = load_state(path)
+    assert loaded.global_epsilon == state.global_epsilon
+    for a, b in zip(state.records, loaded.records):
+        assert np.array_equal(a.M_cl, b.M_cl)
+
+
+def test_inflated_margin_in_a_state_file_cannot_unsound_a_growth(tmp_path):
+    # An M_cl scaled by 1e6 in the file once let the next step trust a
+    # margin the chain does not have; the oracle then rejected the growth
+    # with w_min_eig = -0.973.
+    doc = _state_doc(run_cascade_design(four_stage_cascade(3)))
+    doc["records"][-1]["M_cl"] = (1e6 * np.eye(1)).tolist()
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    grown = add_subsystem(load_state(path), Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=0.0, C=1.0),
+                          h_prev=[[1.0]], h_to_new=[[1.0]])
+    assert centralized_sp_check(assemble_closed_loop(grown)).verdict
+
+
+def _scale(where, name, factor):
+    def tamper(doc):
+        rec = doc["records"][where]
+        rec[name] = (factor * np.asarray(rec[name])).tolist()
+    return tamper
+
+
+def _nudge_q(where):
+    def tamper(doc):
+        Q = np.asarray(doc["records"][where]["Q"])
+        Q[0, 0] = np.nextafter(Q[0, 0], np.inf)
+        doc["records"][where]["Q"] = Q.tolist()
+    return tamper
+
+
+def _edit_coupling(k, factor):
+    def tamper(doc):
+        coupling = doc["network"]["couplings"][k]
+        coupling["h"] = (factor * np.asarray(coupling["h"])).tolist()
+    return tamper
+
+
+# Record 1 and record 4 of the four-stage design are Synthesized.
+TAMPERS = {
+    **{f"Q*2-{k + 1}": _scale(k, "Q", 2.0) for k in range(4)},
+    **{f"epsilon*1e3-{k + 1}": _scale(k, "epsilon", 1e3) for k in range(4)},
+    **{f"-K_self-{k + 1}": _scale(k, "K_self", -1.0) for k in (0, 3)},
+    **{f"Q+ulp-{k + 1}": _nudge_q(k) for k in range(4)},
+    **{f"coupling{k}*{factor}": _edit_coupling(k, factor) for k in range(10) for factor in (0.0, 2.0, 10.0)},
+}
+
+
+def test_tampered_state_either_fails_to_load_or_passes_the_oracle():
+    doc = _state_doc(run_cascade_design(four_stage_cascade()))
+    outcomes = {}
+    for name, tamper in TAMPERS.items():
+        tampered = json.loads(json.dumps(doc))
+        tamper(tampered)
+        try:
+            state = state_from_dict(tampered)
+        except MalformedFile:
+            outcomes[name] = "malformed"
+            continue
+        cert = centralized_sp_check(assemble_closed_loop(state))
+        assert cert.verdict, (name, str(cert))
+        outcomes[name] = "loads"
+    for name in TAMPERS:
+        if name.startswith(("Q*2", "epsilon", "-K_self")):
+            assert outcomes[name] == "malformed", name
+        if name.startswith("Q+ulp"):
+            assert outcomes[name] == "loads", name
+    assert "malformed" in {outcomes[f"coupling{k}*10.0"] for k in range(10)}
 
 
 def test_addition_round_trip(tmp_path):
