@@ -5,14 +5,26 @@ smallest-eigenvalue helper, one Schur complement step, and the sequential
 positive-definiteness test for symmetric block tri-diagonal matrices, which
 mirrors the physics of the chain: block i can be cleared knowing only the
 Schur complement left behind by block i-1.
+
+The blocks are 1x1 to a few rows, so a call's cost is its Python and
+numpy overhead, not its arithmetic. A matrix is therefore checked and
+symmetrized once, where it enters; a block this module or the protocol
+has just made exactly symmetric is factored without a second pass.
+schur_step calls LAPACK trtrs directly, with the arguments scipy's
+solve_triangular passes for a lower factor: trtrs(L, R, lower=1) when L
+is Fortran-ordered and trtrs(L', R, lower=0, trans=1) otherwise. On
+these sizes the wrapper costs over ten times the solve, and calling
+trtrs any other way could change the last bits of every Schur
+complement, and so of every stored design record.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "NotPositiveDefinite",
@@ -57,8 +69,13 @@ class NonFiniteMatrix(ValueError):
 
 
 def _require_finite(a: np.ndarray, name: str):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
+
+
+def _abs_max(a: np.ndarray):
+    """max |a_ij|, 0 for an empty a; NaN or inf exactly when a holds one."""
+    return np.abs(a).max() if a.size else 0.0
 
 
 def symmetric_part(S, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.ndarray:
@@ -69,9 +86,12 @@ def symmetric_part(S, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.n
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"{name} must be square, got shape {S.shape}")
-    _require_finite(S, name)
-    scale = max(1.0, np.abs(S).max() if S.size else 0.0)
-    skew = np.abs(S - S.T).max() if S.size else 0.0
+    scale = _abs_max(S)
+    if not math.isfinite(scale):
+        raise NonFiniteMatrix(f"{name} contains non-finite entries")
+    scale = max(1.0, scale)
+    # S - S' is exactly antisymmetric, so its largest entry is its largest |entry|.
+    skew = (S - S.T).max() if S.size else 0.0
     if skew > rtol * scale:
         raise AsymmetricMatrix(
             f"{name} is asymmetric: relative skew {skew / scale:.3e} exceeds {rtol:.1e}"
@@ -86,21 +106,36 @@ def cholesky_lower(P) -> np.ndarray:
     pivot raises NotPositiveDefinite carrying its 0-based index. The
     outer-product update runs column by column so the failing pivot is exact.
     """
-    A = symmetric_part(P, "P").copy()
+    A = symmetric_part(P, "P")
+    return _cholesky(A, PIVOT_RTOL * max(1.0, _abs_max(A)))
+
+
+def _factor_symmetric(M) -> np.ndarray:
+    """cholesky_lower(M) for an M that 0.5 * (X + X') has just made exactly
+    symmetric: symmetric_part would return such an M unchanged, so of its
+    checks only the finiteness test is repeated."""
+    scale = _abs_max(M)
+    if not math.isfinite(scale):
+        raise NonFiniteMatrix("P contains non-finite entries")
+    return _cholesky(M, PIVOT_RTOL * max(1.0, scale))
+
+
+def _cholesky(A, floor: float) -> np.ndarray:
+    """Column-by-column Cholesky factor of the exactly symmetric A, whose
+    pivots must exceed floor; A is not modified."""
+    A = A.copy()
     n = A.shape[0]
-    scale = max(1.0, np.abs(A).max() if A.size else 0.0)
-    floor = PIVOT_RTOL * scale
     L = np.zeros_like(A)
     for j in range(n):
         pivot = A[j, j]
         if pivot <= floor:
             raise NotPositiveDefinite(j, f"pivot {pivot:.6e} <= {floor:.6e}")
-        root = np.sqrt(pivot)
+        root = math.sqrt(pivot)
         L[j, j] = root
         if j + 1 < n:
             col = A[j + 1:, j] / root
             L[j + 1:, j] = col
-            A[j + 1:, j + 1:] -= np.outer(col, col)
+            A[j + 1:, j + 1:] -= col[:, None] * col
     return L
 
 
@@ -114,8 +149,18 @@ def min_eigen_sym(S) -> float:
 
 def schur_step(L, R, D):
     """(D - W' W, W) with W = L^-1 R: the Schur complement D - R' P^-1 R
-    of P = L L' (L lower), by one triangular solve; P^-1 is never formed."""
-    W = solve_triangular(L, R, lower=True)
+    of P = L L' (L lower), by one triangular solve; P^-1 is never formed.
+
+    The solve is LAPACK trtrs called as scipy's solve_triangular calls it
+    (see the module docstring); unlike that wrapper it does not check L
+    and R for NaN or infinity.
+    """
+    if L.flags.f_contiguous:
+        W, info = dtrtrs(L, R, lower=1)
+    else:
+        W, info = dtrtrs(L.T, R, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"singular triangular factor (trtrs info {info})")
     return D - W.T @ W, W
 
 
@@ -130,6 +175,18 @@ class BlockTriDiagonal:
 
     diag_blocks: tuple[np.ndarray, ...]
     super_blocks: tuple[np.ndarray, ...]
+
+    @classmethod
+    def _from_built(cls, diag_blocks, super_blocks) -> "BlockTriDiagonal":
+        """Blocks the package has just built: each diagonal block an exactly
+        symmetric float array, each shape consistent. They are frozen, not
+        checked; tridiag_pd_sequence still rejects a non-finite block."""
+        P = object.__new__(cls)
+        for name, blocks in (("diag_blocks", diag_blocks), ("super_blocks", super_blocks)):
+            for B in blocks:
+                B.flags.writeable = False
+            object.__setattr__(P, name, tuple(blocks))
+        return P
 
     def __post_init__(self):
         diags = []
@@ -203,7 +260,9 @@ def tridiag_pd_sequence(P: BlockTriDiagonal) -> TriDiagFactor:
 
     Runs the Schur recursion M_1 = D_1, M_i = D_i - R_i' M_{i-1}^{-1} R_i
     (R_i the block at (i-1, i)) by schur_step and factors each M_i. Raises
-    NotPositiveDefinite with the 1-based block index where it first fails.
+    NotPositiveDefinite with the 1-based block index where it first fails,
+    and NonFiniteMatrix when some M_i is not finite, which a non-finite
+    block of P always causes.
     """
     Ms: list[np.ndarray] = []
     Us: list[np.ndarray] = []
@@ -215,7 +274,7 @@ def tridiag_pd_sequence(P: BlockTriDiagonal) -> TriDiagFactor:
             Vs.append(W.T)
         M = 0.5 * (M + M.T)
         try:
-            U = cholesky_lower(M)
+            U = _factor_symmetric(M)
         except NotPositiveDefinite as err:
             raise NotPositiveDefinite(
                 i, f"Schur complement fails at pivot {err.index}"

@@ -10,6 +10,7 @@ that does not certify its network, a non-positive or non-finite --T or
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -37,7 +38,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = _Parser(
         prog="cascadepass",
         description="Sequential passivity design for cascade networks.",
@@ -178,7 +181,7 @@ _COMMANDS = {
 
 def execute(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,9 +12,11 @@ the gains and the route. Everything derived from them is re-derived on
 load rather than trusted: each M_cl is the Schur recursion of the
 closed-loop certificate, and the global rate is the record minimum. A
 state loads only if its network validates, that recursion is positive
-definite, and each Q is positive definite with Q B2 - C' within the
-oracle's bound, so every state that loads certifies its own network.
-Keys a state file does not need, such as the stored M_cl, fingerprint
+definite, and each Q passes the oracle's storage tests (positive
+definite above its pivot floor, Q B2 - C' within its bound), so every
+state that loads certifies its own network. Each matrix read from the
+file is checked where it is parsed; the closed-loop blocks and Schur
+complements built from it are not checked again. Keys a state file does not need, such as the stored M_cl, fingerprint
 and global_epsilon of older files, are ignored. Coupling indices and
 record indices must be JSON integers.
 """
@@ -30,7 +32,7 @@ import numpy as np
 from . import blockla
 from .model import CascadeNetwork, Subsystem, as_matrix, validate_network
 from .oracle import storage_residual
-from .protocol import DesignRecord, NetworkDesignState, _gain_pairs, closed_loop_blocks
+from .protocol import DesignRecord, NetworkDesignState, _closed_loop_blocks, _gain_pairs
 
 __all__ = [
     "MalformedFile",
@@ -196,7 +198,8 @@ def _record_to_dict(rec: DesignRecord) -> dict:
 
 
 def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
-    """A record's free data, shaped for sub; prev is None for record 1."""
+    """A record's free data, shaped for sub, with Q symmetrized; prev is
+    None for record 1."""
     if not isinstance(d, dict):
         raise MalformedFile(f"{where} must be an object")
     fields = {"index": _integer(d.get("index"), f"{where}.index")}
@@ -219,6 +222,10 @@ def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
         if not np.isfinite(a).all():
             raise MalformedFile(f"{where}: {name} has non-finite entries")
         fields[name] = a
+    try:
+        fields["Q"] = blockla.symmetric_part(fields["Q"], "Q")
+    except blockla.AsymmetricMatrix as exc:
+        raise MalformedFile(f"{where}: {exc}") from None
     fields["epsilon"] = _number(d.get("epsilon"), f"{where}.epsilon")
     fields["route"] = str(d.get("route"))
     return fields
@@ -238,9 +245,11 @@ def state_from_dict(doc) -> NetworkDesignState:
 
     The network must validate; every M_cl is the Schur recursion of the
     closed-loop certificate the records and the network define, which must
-    be positive definite; and each Q must be positive definite with
-    Q B2 - C' within the bound centralized_sp_check applies, taken per
-    subsystem.
+    be positive definite; and each Q must pass the storage tests of
+    centralized_sp_check: positive definite with the pivot floor that
+    check sets from the largest |Q_ij| of any record (factoring the
+    block-diagonal Q meets exactly each block's own pivots), and
+    Q B2 - C' within its bound, taken per subsystem.
     """
     _expect(doc, "state")
     net = network_from_dict(doc.get("network"))
@@ -263,10 +272,9 @@ def state_from_dict(doc) -> NetworkDesignState:
         for name, ij in _gain_pairs(i).items()
         if f[name] is not None
     }
+    storages = [f["Q"] for f in fields]
     try:
-        blocks = closed_loop_blocks(
-            net, [f["Q"] for f in fields], [f["epsilon"] for f in fields], gains
-        )
+        blocks = _closed_loop_blocks(net, storages, [f["epsilon"] for f in fields], gains)
         margins = blockla.tridiag_pd_sequence(blocks).M_blocks
     except blockla.NotPositiveDefinite as exc:
         raise MalformedFile(
@@ -275,11 +283,12 @@ def state_from_dict(doc) -> NetworkDesignState:
         ) from None
     except ValueError as exc:
         raise MalformedFile(f"records: {exc}") from None
+    floor = blockla.PIVOT_RTOL * max(1.0, max(float(np.abs(Q).max()) for Q in storages))
     records = []
     for k, (f, M_cl, sub) in enumerate(zip(fields, margins, subs)):
         try:
             rec = DesignRecord(**f, M_cl=M_cl)
-            blockla.cholesky_lower(rec.Q)
+            blockla._cholesky(rec.Q, floor)
         except ValueError as exc:
             raise MalformedFile(f"records[{k}]: {exc}") from None
         except blockla.NotPositiveDefinite:

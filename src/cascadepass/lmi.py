@@ -15,6 +15,7 @@ search path. Everything is deterministic: no randomness anywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,17 @@ def sym_vec_size(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=64)
+def _triu(n: int):
+    """Read-only upper-triangle indices of an n x n matrix, their
+    transpose, and the mask of the off-diagonal ones."""
+    rows, cols = np.triu_indices(n)
+    off = rows != cols
+    for a in (rows, cols, off):
+        a.flags.writeable = False
+    return (rows, cols), (cols, rows), off
+
+
 def sym_to_vec(S: np.ndarray) -> np.ndarray:
     """Pack a symmetric n x n matrix into its n(n+1)/2 free coordinates.
 
@@ -56,20 +68,19 @@ def sym_to_vec(S: np.ndarray) -> np.ndarray:
     dot(sym_to_vec(A), sym_to_vec(B)) equals the Frobenius inner product.
     """
     S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    iu = np.triu_indices(n)
-    v = S[iu].copy()
-    v[iu[0] != iu[1]] *= _SQRT2
+    iu, _, off = _triu(S.shape[0])
+    v = S[iu]
+    v[off] *= _SQRT2
     return v
 
+
 def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    iu, il, off = _triu(n)
+    vals = np.array(v, dtype=float)
+    vals[off] /= _SQRT2
     S = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    vals = v.copy()
-    vals[iu[0] != iu[1]] /= _SQRT2
     S[iu] = vals
-    S[(iu[1], iu[0])] = vals
+    S[il] = vals
     return S
 
 
@@ -90,25 +101,38 @@ class AffineFeasibilityProblem:
             raise MalformedProblem("var_count must be nonnegative")
         object.__setattr__(self, "var_count", v)
 
-        Phi0 = np.array(self.constant_block, dtype=float)
+        Phi0 = np.asarray(self.constant_block, dtype=float)
         if Phi0.ndim != 2 or Phi0.shape[0] != Phi0.shape[1]:
             raise MalformedProblem(f"constant_block must be square, got {Phi0.shape}")
         d = Phi0.shape[0]
-        blocks = [Phi0] + [np.array(B, dtype=float) for B in self.coeff_blocks]
+        blocks = [Phi0] + [np.asarray(B, dtype=float) for B in self.coeff_blocks]
         if len(blocks) - 1 != v:
             raise MalformedProblem(f"expected {v} coefficient blocks, got {len(blocks) - 1}")
-        for k, B in enumerate(blocks):
-            if B.shape != (d, d):
-                raise MalformedProblem(f"block {k} has shape {B.shape}, expected ({d}, {d})")
-            if not np.all(np.isfinite(B)):
-                raise MalformedProblem(f"block {k} has non-finite entries")
-            if B.size:
-                scale = max(1.0, np.abs(B).max())
-                if np.abs(B - B.T).max() > 1e-8 * scale:
-                    raise MalformedProblem(f"block {k} is not symmetric")
-        blocks = [_frozen(0.5 * (B + B.T)) for B in blocks]
-        object.__setattr__(self, "constant_block", blocks[0])
-        object.__setattr__(self, "coeff_blocks", tuple(blocks[1:]))
+        # Checked as one stack; the first block with a wrong shape, non-finite
+        # entries or asymmetry beyond 1e-8 relative is reported.
+        shaped = next((k for k, B in enumerate(blocks) if B.shape != (d, d)), len(blocks))
+        stack = np.array(blocks[:shaped])
+        if d:
+            flat = stack.reshape(shaped, -1)
+            finite = np.isfinite(flat).all(axis=1)
+            scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+            # A non-finite block is reported as such, never by its skew.
+            with np.errstate(invalid="ignore", over="ignore"):
+                skew = np.abs(stack - stack.transpose(0, 2, 1)).reshape(shaped, -1).max(axis=1)
+            bad = np.flatnonzero(~finite | (skew > 1e-8 * scale))
+            if bad.size:
+                k = int(bad[0])
+                if not finite[k]:
+                    raise MalformedProblem(f"block {k} has non-finite entries")
+                raise MalformedProblem(f"block {k} is not symmetric")
+        if shaped < len(blocks):
+            raise MalformedProblem(
+                f"block {shaped} has shape {blocks[shaped].shape}, expected ({d}, {d})"
+            )
+        stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+        stack.flags.writeable = False
+        object.__setattr__(self, "constant_block", stack[0])
+        object.__setattr__(self, "coeff_blocks", tuple(stack[1:]))
 
         E = self.eq_matrix
         e = self.eq_rhs
@@ -121,7 +145,7 @@ class AffineFeasibilityProblem:
             raise MalformedProblem(
                 f"eq_matrix {E.shape} / eq_rhs {e.shape} inconsistent with {v} variables"
             )
-        if not (np.all(np.isfinite(E)) and np.all(np.isfinite(e))):
+        if not (np.isfinite(E).all() and np.isfinite(e).all()):
             raise MalformedProblem("equalities have non-finite entries")
         object.__setattr__(self, "eq_matrix", _frozen(E))
         object.__setattr__(self, "eq_rhs", _frozen(e))
@@ -132,7 +156,7 @@ class AffineFeasibilityProblem:
         lb = np.array(lb, dtype=float).reshape(-1)
         if lb.shape != (v,):
             raise MalformedProblem(f"lower_bounds has shape {lb.shape}, expected ({v},)")
-        if np.any(np.isnan(lb)) or np.any(lb == np.inf):
+        if np.isnan(lb).any() or (lb == np.inf).any():
             raise MalformedProblem("lower_bounds must be finite or -inf")
         lb.flags.writeable = False
         object.__setattr__(self, "lower_bounds", lb)

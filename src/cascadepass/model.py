@@ -222,7 +222,7 @@ def validate_network(net: CascadeNetwork) -> ValidationReport:
             bad.append(Violation(DIMENSION_MISMATCH, (i,), f"A is {sub.A.shape}, not square"))
             continue
         for name in ("A", "B1", "B2", "B3", "C"):
-            if not np.all(np.isfinite(getattr(sub, name))):
+            if not np.isfinite(getattr(sub, name)).all():
                 bad.append(Violation(NON_FINITE, (i,), f"{name} has non-finite entries"))
         for name in ("B1", "B2", "B3"):
             rows = getattr(sub, name).shape[0]
@@ -268,7 +268,7 @@ def validate_network(net: CascadeNetwork) -> ValidationReport:
             bad.append(
                 Violation(DIMENSION_MISMATCH, (i, j), f"h is {block.h.shape}, expected ({p}, {n})")
             )
-        if not np.all(np.isfinite(block.h)):
+        if not np.isfinite(block.h).all():
             bad.append(Violation(NON_FINITE, (i, j), "h has non-finite entries"))
 
     return ValidationReport(tuple(bad))

@@ -29,14 +29,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import blockla, lmi
 from .model import (
     CascadeNetwork,
     InvalidNetwork,
     Subsystem,
-    _frozen,
     as_matrix,
     extend_network,
     validate_network,
@@ -114,7 +112,7 @@ class MessengerPacket:
         if self.prev_index < 1:
             raise DimensionMismatch("prev_index must be >= 1")
         M = blockla.symmetric_part(self.M_prev, "M_prev")
-        L = blockla.cholesky_lower(M)
+        L = blockla._factor_symmetric(M)
         G = np.array(self.G_prev, dtype=float)
         T = np.array(self.T_prev, dtype=float)
         n_prev = M.shape[0]
@@ -152,8 +150,10 @@ class DesignRecord:
             raise ValueError("index must be >= 1")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
-        object.__setattr__(self, "Q", _frozen(blockla.symmetric_part(self.Q, "Q")))
-        object.__setattr__(self, "M_cl", _frozen(blockla.symmetric_part(self.M_cl, "M_cl")))
+        for name in ("Q", "M_cl"):
+            S = blockla.symmetric_part(getattr(self, name), name)
+            S.flags.writeable = False
+            object.__setattr__(self, name, S)
         for name in ("K_self", "K_to_prev", "K_prev_to_self"):
             val = getattr(self, name)
             if val is not None:
@@ -425,8 +425,21 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     def blocks(Q, v):
         return _certificate_blocks(sub, Q, v["eps"], h_self, h_prev, G_prev, T_prev, v)
 
-    def top(S, X):
-        return S if X is None else np.block([[S, X], [X.T, packet.M_prev]])
+    def master(Q, v, storage_block):
+        # [[S, X, 0], [X', M_prev, 0], [0, 0, Q - Q_FLOOR I]], copied into
+        # place; X and M_prev are absent at step 1, the Q block in stage 2.
+        S, X = blocks(Q, v)
+        k = n if X is None else n + X.shape[1]
+        size = k + n if storage_block else k
+        M = np.zeros((size, size))
+        M[:n, :n] = S
+        if X is not None:
+            M[:n, n:k] = X
+            M[n:k, :n] = X.T
+            M[n:k, n:k] = packet.M_prev
+        if storage_block:
+            M[k:, k:] = Q - Q_FLOOR * np.eye(n)
+        return M
 
     stage1 = _Layout()
     stage1.sym("Q", n)
@@ -437,13 +450,12 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
             stage1.full("Z_prev", (n, packet.M_prev.shape[0]))
             stage1.full("K_prev_to_self", (packet.T_prev.shape[1], n))
 
-    def master1(v):
-        return block_diag(top(*blocks(v["Q"], v)), v["Q"] - Q_FLOOR * np.eye(n))
-
     def equalities(v):
         return (v["Q"] @ sub.B2 - sub.C.T).ravel()
 
-    prob = _assemble_problem(stage1, master1, equalities, {"eps": EPS_MIN})
+    prob = _assemble_problem(
+        stage1, lambda v: master(v["Q"], v, True), equalities, {"eps": EPS_MIN}
+    )
     point = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, packet, tau))
     if isinstance(point, lmi.Infeasible):
         return point
@@ -462,7 +474,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
             layout.full("K_to_prev", (p, packet.M_prev.shape[0]))
             layout.full("K_prev_to_self", (packet.T_prev.shape[1], n))
         prob = _assemble_problem(
-            layout, lambda v: top(*blocks(Q, v)), lambda v: np.zeros(0), {"eps": EPS_MIN}
+            layout, lambda v: master(Q, v, False), lambda v: np.zeros(0), {"eps": EPS_MIN}
         )
         # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
         # floor; deriving a fresh one from the stage-2 constant block would let
@@ -630,7 +642,9 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
     (i, i+-1) pairs within the chain are gains; any other key raises
     DimensionMismatch. Block i is built as design step i builds it, from the
     same packet products, so on a designed state blockla.tridiag_pd_sequence
-    reproduces each M_cl bit for bit.
+    reproduces each M_cl bit for bit. The blocks are exactly symmetric by
+    construction and are not checked again; tridiag_pd_sequence rejects a
+    non-finite one.
     """
     N = net.n_subsystems
     storages = [blockla.symmetric_part(Qi, f"storages[{k}]") for k, Qi in enumerate(storages)]
@@ -644,7 +658,14 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
             raise DimensionMismatch(
                 f"gain key {key!r} is not (i, i) or (i, i+-1) within a {N}-subsystem chain"
             )
+    return _closed_loop_blocks(net, storages, epsilons, gains)
 
+
+def _closed_loop_blocks(net, storages, epsilons, gains) -> blockla.BlockTriDiagonal:
+    """closed_loop_blocks for inputs already in stored form: one exactly
+    symmetric float Q and one float eps per subsystem, gains keyed within
+    the band."""
+    N = net.n_subsystems
     diag = []
     supers = []
     G_prev = T_prev = None
@@ -658,7 +679,7 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
         if i < N:
             G_prev = Q @ sub.B1 @ net.h_or_zero(i, i + 1)
             T_prev = Q @ sub.B3
-    return blockla.BlockTriDiagonal(tuple(diag), tuple(supers))
+    return blockla.BlockTriDiagonal._from_built(diag, supers)
 
 
 def _gain_pairs(i: int) -> dict:

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
 
 from cascadepass.blockla import (
     AsymmetricMatrix,
@@ -10,9 +14,11 @@ from cascadepass.blockla import (
     NotPositiveDefinite,
     cholesky_lower,
     min_eigen_sym,
+    schur_step,
     symmetric_part,
     tridiag_pd_sequence,
 )
+from cascadepass.lmi import AffineFeasibilityProblem, MalformedProblem
 
 
 def random_pd_tridiagonal(rng, block_sizes):
@@ -158,3 +164,202 @@ def test_schur_sequence_rejects_semidefinite():
     with pytest.raises(NotPositiveDefinite) as info:
         tridiag_pd_sequence(P)
     assert info.value.index == 2
+
+
+# Bit-for-bit properties of the kernels against the straightforward code
+# they replaced, kept here as the reference: the scipy solve_triangular
+# wrapper, per-call finiteness and symmetry passes, np.sqrt and np.outer,
+# and a per-block validation loop.
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+# Every finite double, with NaN and the infinities left to the draws that ask for them.
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+moderate = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+special = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+def generic(shape):
+    """Entries with full mantissas over six decades, which round the way
+    real data does; hypothesis's own float draws are often exact."""
+    def make(seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    return st.integers(0, 2**32 - 1).map(make)
+
+
+def matrices(shape):
+    return st.one_of(
+        generic(shape),
+        arrays(np.float64, shape, elements=moderate),
+        arrays(np.float64, shape, elements=finite),
+    )
+
+
+def reference_symmetric_part(S, name="matrix", rtol=1e-8):
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise NonFiniteMatrix(f"{name} contains non-finite entries")
+    scale = max(1.0, np.abs(S).max() if S.size else 0.0)
+    skew = np.abs(S - S.T).max() if S.size else 0.0
+    if skew > rtol * scale:
+        raise AsymmetricMatrix(
+            f"{name} is asymmetric: relative skew {skew / scale:.3e} exceeds {rtol:.1e}"
+        )
+    return 0.5 * (S + S.T)
+
+
+def reference_cholesky_lower(P):
+    A = reference_symmetric_part(P, "P").copy()
+    n = A.shape[0]
+    floor = 1e-12 * max(1.0, np.abs(A).max() if A.size else 0.0)
+    L = np.zeros_like(A)
+    for j in range(n):
+        pivot = A[j, j]
+        if pivot <= floor:
+            raise NotPositiveDefinite(j, f"pivot {pivot:.6e} <= {floor:.6e}")
+        root = np.sqrt(pivot)
+        L[j, j] = root
+        if j + 1 < n:
+            col = A[j + 1:, j] / root
+            L[j + 1:, j] = col
+            A[j + 1:, j + 1:] -= np.outer(col, col)
+    return L
+
+
+def reference_problem_blocks(constant, coeffs):
+    d = constant.shape[0]
+    blocks = [np.array(constant, dtype=float)] + [np.array(B, dtype=float) for B in coeffs]
+    for k, B in enumerate(blocks):
+        if B.shape != (d, d):
+            raise MalformedProblem(f"block {k} has shape {B.shape}, expected ({d}, {d})")
+        if not np.all(np.isfinite(B)):
+            raise MalformedProblem(f"block {k} has non-finite entries")
+        if B.size:
+            scale = max(1.0, np.abs(B).max())
+            if np.abs(B - B.T).max() > 1e-8 * scale:
+                raise MalformedProblem(f"block {k} is not symmetric")
+    return [0.5 * (B + B.T) for B in blocks]
+
+
+def outcome(fn, *args):
+    """('ok', result) or (exception type, message, pivot or block index).
+
+    Overflow to infinity is part of what is compared, so it is not warned of.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return "ok", fn(*args)
+    except (ValueError, NotPositiveDefinite) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def assert_same_outcome(got, want):
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        results = got[1] if isinstance(got[1], list) else [got[1]]
+        expected = want[1] if isinstance(want[1], list) else [want[1]]
+        assert len(results) == len(expected)
+        for a, b in zip(results, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    else:
+        assert got == want
+
+
+@st.composite
+def square_candidates(draw, max_n=5):
+    """Nearly symmetric squares: X + X' + a skew of chosen relative size,
+    sometimes shifted by a multiple of I, sometimes with a non-finite entry,
+    sometimes not square at all."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["square", "square", "square", "non-finite", "non-square"]))
+    if kind == "non-square":
+        return draw(arrays(np.float64, (n, n + draw(st.integers(1, 2))), elements=moderate))
+    X = draw(matrices((n, n)))
+    skew = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-8, 2e-8, 1e-6]))
+    shift = draw(st.sampled_from([0.0, 1.0, 1e3, -1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = X + X.T
+        if n > 1 and skew:
+            S[0, n - 1] += skew * max(1.0, float(np.abs(S).max()))
+        S = S + shift * np.eye(n)
+    if kind == "non-finite" and n:
+        S[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(special)
+    return S
+
+
+@PROPERTY
+@given(S=square_candidates())
+def test_symmetric_part_matches_the_reference_bit_for_bit(S):
+    assert_same_outcome(outcome(symmetric_part, S), outcome(reference_symmetric_part, S))
+
+
+@PROPERTY
+@given(S=square_candidates(max_n=6))
+def test_cholesky_lower_matches_the_reference_bit_for_bit(S):
+    assert_same_outcome(outcome(cholesky_lower, S), outcome(reference_cholesky_lower, S))
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 4),
+    data=st.data(),
+    fortran=st.booleans(),
+    transposed_rhs=st.booleans(),
+)
+def test_schur_step_matches_solve_triangular_bit_for_bit(n, m, data, fortran, transposed_rhs):
+    G = data.draw(generic((n, n)))
+    L = np.tril(G, -1) + np.diag(np.abs(np.diag(G)) + 0.5)
+    L = np.asfortranarray(L) if fortran else np.ascontiguousarray(L)
+    R = data.draw(generic((m, n))).T if transposed_rhs else data.draw(generic((n, m)))
+    X = data.draw(generic((m, m)))
+    D = X + X.T
+    M, W = schur_step(L, R, D)
+    W_ref = solve_triangular(L, R, lower=True)
+    M_ref = D - W_ref.T @ W_ref
+    assert W.shape == W_ref.shape and W.tobytes() == W_ref.tobytes()
+    assert M.shape == M_ref.shape and M.tobytes() == M_ref.tobytes()
+
+
+@st.composite
+def problem_blocks(draw):
+    """A constant block and v coefficient blocks, each possibly of the
+    wrong shape, non-finite or asymmetric."""
+    d = draw(st.integers(0, 3))
+    v = draw(st.integers(0, 4))
+    blocks = []
+    for _ in range(v + 1):
+        kind = draw(st.sampled_from(["good"] * 6 + ["shape", "non-finite", "asymmetric"]))
+        shape = (d, d + 1) if kind == "shape" else (d, d)
+        B = draw(st.one_of(generic(shape), arrays(np.float64, shape, elements=moderate)))
+        if kind != "shape":
+            B = B + B.T
+        if kind == "non-finite" and d:
+            B[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = draw(special)
+        if kind == "asymmetric" and d > 1:
+            B[0, 1] += draw(st.sampled_from([1e-9, 1e-7, 1.0])) * max(1.0, float(np.abs(B).max()))
+        blocks.append(B)
+    if blocks[0].shape != (d, d):
+        blocks[0] = np.zeros((d, d))
+    return blocks[0], blocks[1:]
+
+
+@PROPERTY
+@given(blocks=problem_blocks())
+def test_affine_problem_checks_blocks_as_the_reference_loop(blocks):
+    constant, coeffs = blocks
+
+    def build(constant, coeffs):
+        prob = AffineFeasibilityProblem(
+            var_count=len(coeffs), constant_block=constant, coeff_blocks=tuple(coeffs)
+        )
+        for B in (prob.constant_block, *prob.coeff_blocks):
+            assert not B.flags.writeable
+        return [prob.constant_block, *prob.coeff_blocks]
+
+    assert_same_outcome(
+        outcome(build, constant, coeffs), outcome(reference_problem_blocks, constant, coeffs)
+    )

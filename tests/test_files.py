@@ -21,7 +21,9 @@ from cascadepass.files import (
     state_from_dict,
     state_to_dict,
 )
+from cascadepass import blockla
 from cascadepass.blockla import tridiag_pd_sequence
+from cascadepass.cli import EXIT_INVALID, execute
 from cascadepass.model import CascadeNetwork, Subsystem
 from cascadepass.oracle import assemble_closed_loop, centralized_sp_check
 from cascadepass.protocol import add_subsystem, design_tridiagonal, run_cascade_design
@@ -141,6 +143,25 @@ def test_inflated_margin_in_a_state_file_cannot_unsound_a_growth(tmp_path):
     assert centralized_sp_check(assemble_closed_loop(grown)).verdict
 
 
+def test_a_load_checks_each_record_matrix_at_most_three_times(tmp_path, monkeypatch):
+    # Q where it is parsed, then DesignRecord's Q and M_cl; the closed-loop
+    # blocks and Schur complements built from them are not checked again.
+    state = run_cascade_design(four_stage_cascade())
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    calls = 0
+    original = blockla.symmetric_part
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blockla, "symmetric_part", counting)
+    load_state(path)
+    assert calls <= 3 * len(state.records)
+
+
 def _scale(where, name, factor):
     def tamper(doc):
         rec = doc["records"][where]
@@ -193,6 +214,35 @@ def test_tampered_state_either_fails_to_load_or_passes_the_oracle():
         if name.startswith("Q+ulp"):
             assert outcomes[name] == "loads", name
     assert "malformed" in {outcomes[f"coupling{k}*10.0"] for k in range(10)}
+
+
+def _uncoupled_scalar_state_doc(storages):
+    """A state of uncoupled scalar subsystems A = -1, B1 = B2 = B3 = 1,
+    C = Q, one Verified record each with epsilon 1e-8."""
+    subs = [Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=q) for q in storages]
+    records = [
+        {"index": k + 1, "Q": [[q]], "epsilon": 1e-8, "K_self": None, "K_to_prev": None,
+         "K_prev_to_self": None, "route": "Verified"}
+        for k, q in enumerate(storages)
+    ]
+    doc = {"schema": 1, "type": "state",
+           "network": network_to_dict(CascadeNetwork.from_blocks(subs, {})), "records": records}
+    return json.loads(json.dumps(doc, default=lambda a: np.asarray(a).tolist()))
+
+
+def test_storage_floor_on_load_is_the_oracles(tmp_path):
+    # The oracle factors the block-diagonal Q with the pivot floor
+    # 1e-12 * max(1, largest |Q_ij| of any record). Q = 1e-7 clears its own
+    # floor but not the one Q = 1e6 sets, so this state once loaded and then
+    # failed check with StorageNotPositiveDefinite (exit 4).
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(_uncoupled_scalar_state_doc([1e-7, 1e6])))
+    with pytest.raises(MalformedFile, match=r"records\[0\]: Q is not positive definite"):
+        load_state(path)
+    assert execute(["check", "--state", str(path)]) == EXIT_INVALID
+    for q in (1e-7, 1e6):
+        alone = state_from_dict(_uncoupled_scalar_state_doc([q]))
+        assert centralized_sp_check(assemble_closed_loop(alone)).verdict
 
 
 def test_addition_round_trip(tmp_path):

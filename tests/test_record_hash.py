@@ -1,0 +1,55 @@
+"""Design records are pinned bit for bit.
+
+The digest is the ROADMAP's record hash: one SHA-256 fed, per state in
+order and per record in order, str(index), the route, float.hex(epsilon),
+then the tobytes() of Q, M_cl, K_self, K_to_prev and K_prev_to_self, with
+b"<None>" for an absent gain. The states are the four-stage design, 8
+random_cascade(1 + k % 8) designs on one default_rng(12345), and every
+state of a 10-step growth of the four-stage design by the benchmark's
+seeded_additions(default_rng(1)), each step saved and loaded as
+`cascadepass add` does. A change that moves any record fails here; such a
+change updates PINNED and says so in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+
+from cascadepass import files, protocol
+from cascadepass.sample_cascades import four_stage_cascade, random_cascade
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PINNED = "7e70250c3f5c3c92ff617557cb63ce3363768195bb5fd6d77cf3ec834c10f61a"
+
+
+def feed(digest, state):
+    for rec in state.records:
+        digest.update(str(rec.index).encode())
+        digest.update(rec.route.encode())
+        digest.update(float.hex(rec.epsilon).encode())
+        for a in (rec.Q, rec.M_cl, rec.K_self, rec.K_to_prev, rec.K_prev_to_self):
+            digest.update(b"<None>" if a is None else a.tobytes())
+
+
+def test_records_match_the_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import seeded_additions
+
+    digest = hashlib.sha256()
+    fixed = protocol.run_cascade_design(four_stage_cascade())
+    feed(digest, fixed)
+    rng = np.random.default_rng(12345)
+    for k in range(8):
+        feed(digest, protocol.run_cascade_design(random_cascade(1 + k % 8, rng)))
+    state = fixed
+    path = tmp_path / "state.json"
+    additions = seeded_additions(
+        np.random.default_rng(1), fixed.net.subsystems[-1], fixed.net.n_subsystems + 1, 10
+    )
+    for addition in additions:
+        files.save_state(protocol.add_subsystem(state, *addition), path)
+        state = files.load_state(path)
+        feed(digest, state)
+    assert state.net.n_subsystems == 14
+    assert digest.hexdigest() == PINNED
