@@ -15,9 +15,10 @@ state loads only if its network validates, that recursion is positive
 definite, and each Q passes the oracle's storage tests (positive
 definite above its pivot floor, Q B2 - C' within its bound), so every
 state that loads certifies its own network. Each matrix read from the
-file is checked where it is parsed; the closed-loop blocks and Schur
-complements built from it are not checked again. Keys a state file does not need, such as the stored M_cl, fingerprint
-and global_epsilon of older files, are ignored. Coupling indices and
+file is checked where it is parsed; the closed-loop blocks, the Schur
+complements and the records built from it are not checked again. Keys a
+state file does not need, such as the stored M_cl, fingerprint and
+global_epsilon of older files, are ignored. Coupling indices and
 record indices must be JSON integers.
 """
 
@@ -287,7 +288,7 @@ def state_from_dict(doc) -> NetworkDesignState:
     records = []
     for k, (f, M_cl, sub) in enumerate(zip(fields, margins, subs)):
         try:
-            rec = DesignRecord(**f, M_cl=M_cl)
+            rec = DesignRecord._from_built(**f, M_cl=M_cl)
             blockla._cholesky(rec.Q, floor)
         except ValueError as exc:
             raise MalformedFile(f"records[{k}]: {exc}") from None

@@ -11,6 +11,13 @@ and maximizes a smoothed minimum eigenvalue of an internally augmented
 matrix (bounds enter as 1x1 diagonal slack blocks). The returned point is
 always re-certified from scratch; the contract is the certificate, not the
 search path. Everything is deterministic: no randomness anywhere.
+
+The search runs thousands of L-BFGS-B iterations on matrices of a few
+rows, where scipy's ``minimize`` wrapper costs more than the objective.
+``minimize`` here calls scipy's ``setulb`` directly, in the loop scipy's
+``minimize(method="L-BFGS-B", jac=True)`` runs and with the same
+memoisation of evaluated points, so every iterate is the wrapper's
+without the wrapper's cost.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from .model import _frozen
 
@@ -216,6 +223,62 @@ class _TargetReached(Exception):
     pass
 
 
+# L-BFGS-B settings of every local search; the number of stored corrections
+# and of line-search steps are scipy's defaults.
+LBFGS_CORRECTIONS = 10
+LBFGS_MAXLS = 20
+LBFGS_MAXITER = 100
+LBFGS_MAXFUN = 200
+LBFGS_FTOL = 1e-15
+LBFGS_GTOL = 1e-12
+
+
+def minimize(fun, x0):
+    """Minimize ``fun`` by unbounded L-BFGS-B from x0; return the last iterate.
+
+    ``fun(x)`` returns (value, gradient). This drives scipy's ``setulb``
+    with the loop of scipy's ``minimize(method="L-BFGS-B", jac=True)``, and
+    evaluates ``fun`` at exactly the points that would: once at a copy of
+    x0, then at each point ``setulb`` asks for that differs from the last
+    one evaluated. An exception raised by ``fun`` propagates.
+    """
+    m = LBFGS_CORRECTIONS
+    x = np.array(x0, dtype=float)
+    n = x.size
+    last = x.copy()
+    f, g = fun(last.copy())
+    nfev, nit = 1, 0
+    unbounded = np.zeros(n)
+    nbd = np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    factr = LBFGS_FTOL / np.finfo(float).eps
+    while True:
+        setulb(m, x, unbounded, unbounded, nbd, f, np.array(g, dtype=float), factr, LBFGS_GTOL,
+               wa, iwa, task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
+        # task[0] is 3 when setulb asks for f and g at x and 1 after each
+        # iteration; (5, 504) and (5, 502) stop it at the iteration and the
+        # evaluation cap.
+        if task[0] == 3:
+            if not np.array_equal(x, last):
+                last = x.copy()
+                f, g = fun(x.copy())
+                nfev += 1
+        elif task[0] == 1:
+            nit += 1
+            if nit >= LBFGS_MAXITER:
+                task[:] = 5, 504
+            elif nfev > LBFGS_MAXFUN:
+                task[:] = 5, 502
+        else:
+            return x
+
+
 def solve_feasibility(
     prob: AffineFeasibilityProblem,
     margin: float,
@@ -365,13 +428,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
             evaluate(best_u)
             if best_lam < target_n:
                 for s in levels:
-                    minimize(
-                        make_objective(s),
-                        best_u.copy(),
-                        jac=True,
-                        method="L-BFGS-B",
-                        options={"maxiter": 100, "maxfun": 200, "ftol": 1e-15, "gtol": 1e-12},
-                    )
+                    minimize(make_objective(s), best_u)
                     if best_lam >= target_n:
                         break
         except _TargetReached:

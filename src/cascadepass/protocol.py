@@ -144,6 +144,20 @@ class DesignRecord:
     route: str
 
     def __post_init__(self):
+        self._check(symmetrize=True)
+
+    @classmethod
+    def _from_built(cls, **fields) -> "DesignRecord":
+        """A record whose Q and M_cl the package has just made exactly
+        symmetric float arrays: they are frozen, not symmetrized again.
+        Every other field is checked as the constructor checks it."""
+        rec = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(rec, name, value)
+        rec._check(symmetrize=False)
+        return rec
+
+    def _check(self, symmetrize: bool):
         if self.route not in (ROUTE_VERIFIED, ROUTE_SYNTHESIZED):
             raise ValueError(f"unknown route {self.route!r}")
         if self.index < 1:
@@ -151,7 +165,9 @@ class DesignRecord:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
         for name in ("Q", "M_cl"):
-            S = blockla.symmetric_part(getattr(self, name), name)
+            S = getattr(self, name)
+            if symmetrize:
+                S = blockla.symmetric_part(S, name)
             S.flags.writeable = False
             object.__setattr__(self, name, S)
         for name in ("K_self", "K_to_prev", "K_prev_to_self"):

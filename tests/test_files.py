@@ -143,9 +143,9 @@ def test_inflated_margin_in_a_state_file_cannot_unsound_a_growth(tmp_path):
     assert centralized_sp_check(assemble_closed_loop(grown)).verdict
 
 
-def test_a_load_checks_each_record_matrix_at_most_three_times(tmp_path, monkeypatch):
-    # Q where it is parsed, then DesignRecord's Q and M_cl; the closed-loop
-    # blocks and Schur complements built from them are not checked again.
+def test_a_load_checks_each_record_matrix_once(tmp_path, monkeypatch):
+    # Q where it is parsed; the closed-loop blocks, the Schur complements
+    # and the record built from them are not checked again.
     state = run_cascade_design(four_stage_cascade())
     path = tmp_path / "state.json"
     save_state(state, path)
@@ -159,7 +159,7 @@ def test_a_load_checks_each_record_matrix_at_most_three_times(tmp_path, monkeypa
 
     monkeypatch.setattr(blockla, "symmetric_part", counting)
     load_state(path)
-    assert calls <= 3 * len(state.records)
+    assert calls <= len(state.records)
 
 
 def _scale(where, name, factor):

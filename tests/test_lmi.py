@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cascadepass import lmi
 from cascadepass.lmi import (
     AffineFeasibilityProblem,
     FeasiblePoint,
@@ -243,3 +247,110 @@ def test_certify_point_reasons():
     low = certify_point([5.0], prob, 10.0)
     assert low.reasons == ("MatrixNotPositive",)
 
+
+
+def smoothed_lambda_min(seed, d, v, level):
+    """A pure objective of the kind lmi's search minimizes: minus the
+    smoothed smallest eigenvalue of C0 + sum_k u_k D_k, with its gradient,
+    in the search's normalized units and at rung ``level`` of its ladder."""
+    rng = np.random.default_rng(seed)
+    C0 = rng.standard_normal((d, d))
+    C0 = C0 + C0.T - 2.0 * np.eye(d)
+    D = rng.standard_normal((v, d, d))
+    D = D + D.transpose(0, 2, 1)
+    C0 /= max(1.0, np.abs(C0).max())
+    Dn = (D / np.abs(D).max(axis=(1, 2))[:, None, None]).reshape(v, -1)
+    s = 0.25
+    for _ in range(level):
+        s /= 10.0
+
+    def fun(u):
+        lam, vecs = np.linalg.eigh(C0 + (u @ Dn).reshape(d, d))
+        w = np.exp(-(lam - lam[0]) / s)
+        total = w.sum()
+        value = lam[0] - s * np.log(total) - 1e-12 * float(u @ u)
+        w /= total
+        G = (vecs * w) @ vecs.T
+        return -value, -(Dn @ G.ravel() - 2e-12 * u)
+
+    return fun
+
+
+def recording(fun, points, fail_at=None):
+    def wrapped(u):
+        points.append(u.copy())
+        if len(points) == fail_at:
+            raise lmi._TargetReached
+        return fun(u)
+
+    return wrapped
+
+
+def scipy_lbfgsb(fun, x0):
+    return scipy.optimize.minimize(
+        fun,
+        x0.copy(),
+        jac=True,
+        method="L-BFGS-B",
+        options={
+            "maxcor": lmi.LBFGS_CORRECTIONS,
+            "maxls": lmi.LBFGS_MAXLS,
+            "maxiter": lmi.LBFGS_MAXITER,
+            "maxfun": lmi.LBFGS_MAXFUN,
+            "ftol": lmi.LBFGS_FTOL,
+            "gtol": lmi.LBFGS_GTOL,
+        },
+    )
+
+
+def objectives():
+    return st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(1, 12),
+        st.integers(0, 13),
+        st.sampled_from([0.0, 0.1, 1.0]),
+    )
+
+
+def start(seed, v, spread):
+    return spread * np.random.default_rng(seed + 1).standard_normal(v)
+
+
+def test_lbfgs_driver_evaluates_the_points_scipy_does():
+    stops = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(objectives())
+    def check(case):
+        seed, d, v, level, spread = case
+        fun = smoothed_lambda_min(seed, d, v, level)
+        x0 = start(seed, v, spread)
+        x0_before = x0.copy()
+        ours, theirs = [], []
+        x = lmi.minimize(recording(fun, ours), x0)
+        result = scipy_lbfgsb(recording(fun, theirs), x0)
+        assert np.array_equal(x0, x0_before)
+        assert len(ours) == len(theirs) == result.nfev
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        assert np.array_equal(x, result.x)
+        stops.add("iteration cap" if result.nit == lmi.LBFGS_MAXITER else result.success)
+
+    check()
+    assert stops >= {True, "iteration cap"}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(objectives(), st.integers(0, 2**16))
+def test_an_exception_escapes_the_lbfgs_driver_at_its_evaluation(case, draw):
+    seed, d, v, level, spread = case
+    fun = smoothed_lambda_min(seed, d, v, level)
+    x0 = start(seed, v, spread)
+    theirs = []
+    scipy_lbfgsb(recording(fun, theirs), x0)
+    k = 1 + draw % len(theirs)
+    ours = []
+    with pytest.raises(lmi._TargetReached):
+        lmi.minimize(recording(fun, ours, fail_at=k), x0)
+    assert len(ours) == k
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))

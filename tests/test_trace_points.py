@@ -28,18 +28,22 @@ def test_trace_points_resolve_and_see_both_design_drivers(monkeypatch):
         module = importlib.import_module(f"cascadepass.{layer}")
         assert callable(getattr(module, attr, None)), f"{layer}.{attr}"
 
-    counts = {"local_verify": 0, "local_synthesize": 0}
-    for name in counts:
-        original = getattr(protocol, name)
+    points = {"local_verify": protocol, "local_synthesize": protocol}
+    layer, attr = tracing.LBFGS
+    points[attr] = importlib.import_module(f"cascadepass.{layer}")
+    counts = dict.fromkeys(points, 0)
+    for name, module in points.items():
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, name, counting)
+        monkeypatch.setattr(module, name, counting)
 
     state = protocol.run_cascade_design(four_stage_cascade(3))
     assert counts["local_verify"] == 3 and counts["local_synthesize"] >= 1
+    assert counts[attr] >= 1
     before = dict(counts)
     protocol.add_subsystem(state, *addition_blocks())
     assert counts["local_verify"] == before["local_verify"] + 1
