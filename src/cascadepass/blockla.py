@@ -10,12 +10,14 @@ The blocks are 1x1 to a few rows, so a call's cost is its Python and
 numpy overhead, not its arithmetic. A matrix is therefore checked and
 symmetrized once, where it enters; a block this module or the protocol
 has just made exactly symmetric is factored without a second pass.
-schur_step calls LAPACK trtrs directly, with the arguments scipy's
+schur_step calls LAPACK dtrtrs directly, with the arguments scipy's
 solve_triangular passes for a lower factor: trtrs(L, R, lower=1) when L
 is Fortran-ordered and trtrs(L', R, lower=0, trans=1) otherwise. On
 these sizes the wrapper costs over ten times the solve, and calling
 trtrs any other way could change the last bits of every Schur
-complement, and so of every stored design record.
+complement, and so of every stored design record. dtrtrs comes from
+scipy's compiled LAPACK module, which _scipy_ext loads without
+importing scipy.linalg.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+
+from ._scipy_ext import flapack
 
 __all__ = [
     "NotPositiveDefinite",
@@ -43,6 +46,8 @@ __all__ = [
 PIVOT_RTOL = 1e-12
 # Largest tolerated relative asymmetry before input is considered a bug.
 SYMMETRY_RTOL = 1e-8
+# Below this |entry|, S + S' and S - S' cannot overflow.
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 class NotPositiveDefinite(Exception):
@@ -65,7 +70,15 @@ class AsymmetricMatrix(ValueError):
 
 
 class NonFiniteMatrix(ValueError):
-    """Input contains NaN or infinity."""
+    """Input contains NaN or infinity.
+
+    ``index`` is the 1-based failing block for the tri-diagonal recursion
+    and None elsewhere.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 def _require_finite(a: np.ndarray, name: str):
@@ -81,7 +94,9 @@ def _abs_max(a: np.ndarray):
 def symmetric_part(S, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     """Return (S + S') / 2 after checking S is symmetric within ``rtol``.
 
-    The relative measure is ||S - S'||_inf / max(1, ||S||_inf).
+    The relative measure is ||S - S'||_inf / max(1, ||S||_inf). Each entry
+    is the correctly rounded mean of S_ij and S_ji, also where their sum
+    would overflow.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -89,7 +104,20 @@ def symmetric_part(S, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.n
     scale = _abs_max(S)
     if not math.isfinite(scale):
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
-    scale = max(1.0, scale)
+    if scale > _HALF_MAX:
+        # Only here can S - S' and S + S' overflow. An infinite skew still
+        # reads as asymmetric; where S + S' overflows, both entries exceed
+        # 2**970, so halving each before adding is exact.
+        with np.errstate(over="ignore"):
+            H = _checked_half_sum(S, name, rtol, scale)
+        big = np.isinf(H)
+        H[big] = 0.5 * S[big] + 0.5 * S.T[big]
+        return H
+    return _checked_half_sum(S, name, rtol, max(1.0, scale))
+
+
+def _checked_half_sum(S, name, rtol, scale):
+    """(S + S') / 2 after the symmetry check of symmetric_part."""
     # S - S' is exactly antisymmetric, so its largest entry is its largest |entry|.
     skew = (S - S.T).max() if S.size else 0.0
     if skew > rtol * scale:
@@ -156,9 +184,9 @@ def schur_step(L, R, D):
     and R for NaN or infinity.
     """
     if L.flags.f_contiguous:
-        W, info = dtrtrs(L, R, lower=1)
+        W, info = flapack.dtrtrs(L, R, lower=1)
     else:
-        W, info = dtrtrs(L.T, R, lower=0, trans=1)
+        W, info = flapack.dtrtrs(L.T, R, lower=0, trans=1)
     if info:
         raise np.linalg.LinAlgError(f"singular triangular factor (trtrs info {info})")
     return D - W.T @ W, W
@@ -261,8 +289,8 @@ def tridiag_pd_sequence(P: BlockTriDiagonal) -> TriDiagFactor:
     Runs the Schur recursion M_1 = D_1, M_i = D_i - R_i' M_{i-1}^{-1} R_i
     (R_i the block at (i-1, i)) by schur_step and factors each M_i. Raises
     NotPositiveDefinite with the 1-based block index where it first fails,
-    and NonFiniteMatrix when some M_i is not finite, which a non-finite
-    block of P always causes.
+    and NonFiniteMatrix with the 1-based index of the first M_i that is
+    not finite, which a non-finite block of P always causes.
     """
     Ms: list[np.ndarray] = []
     Us: list[np.ndarray] = []
@@ -279,6 +307,8 @@ def tridiag_pd_sequence(P: BlockTriDiagonal) -> TriDiagFactor:
             raise NotPositiveDefinite(
                 i, f"Schur complement fails at pivot {err.index}"
             ) from err
+        except NonFiniteMatrix:
+            raise NonFiniteMatrix(f"block {i} is not finite", i) from None
         M.flags.writeable = False
         Ms.append(M)
         Us.append(U)

@@ -61,8 +61,9 @@ class MalformedFile(ValueError):
 def _dumps(doc) -> str:
     """The canonical text of a document: sorted keys, no whitespace."""
     try:
+        # Every document is a tree built here, so no reference cycle to check.
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                          default=lambda a: a.tolist())
+                          check_circular=False, default=lambda a: a.tolist())
     except ValueError:
         raise MalformedFile("non-finite value cannot be serialized") from None
 
@@ -275,12 +276,20 @@ def state_from_dict(doc) -> NetworkDesignState:
     }
     storages = [f["Q"] for f in fields]
     try:
-        blocks = _closed_loop_blocks(net, storages, [f["epsilon"] for f in fields], gains)
-        margins = blockla.tridiag_pd_sequence(blocks).M_blocks
+        # Finite entries too large to multiply overflow to a non-finite
+        # block, which the recursion names; numpy need not warn about it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = _closed_loop_blocks(net, storages, [f["epsilon"] for f in fields], gains)
+            margins = blockla.tridiag_pd_sequence(blocks).M_blocks
     except blockla.NotPositiveDefinite as exc:
         raise MalformedFile(
             f"the records do not certify the network: closed-loop block {exc.index} "
             "is not positive definite"
+        ) from None
+    except blockla.NonFiniteMatrix as exc:
+        raise MalformedFile(
+            f"the records do not certify the network: closed-loop block {exc.index} "
+            "is not finite"
         ) from None
     except ValueError as exc:
         raise MalformedFile(f"records: {exc}") from None

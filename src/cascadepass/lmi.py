@@ -17,7 +17,10 @@ rows, where scipy's ``minimize`` wrapper costs more than the objective.
 ``minimize`` here calls scipy's ``setulb`` directly, in the loop scipy's
 ``minimize(method="L-BFGS-B", jac=True)`` runs and with the same
 memoisation of evaluated points, so every iterate is the wrapper's
-without the wrapper's cost.
+without the wrapper's cost. The equalities' null space is LAPACK
+``dgesdd``, called as ``scipy.linalg.null_space`` calls it. Both kernels
+come from scipy's compiled modules, loaded by ``_scipy_ext`` without
+importing ``scipy.optimize`` or ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize._lbfgsb import setulb
 
+from ._scipy_ext import flapack, lbfgsb
 from .model import _frozen
 
 __all__ = [
@@ -219,6 +221,22 @@ class PointCertificate:
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of A, bit for bit the one
+    ``scipy.linalg.null_space(A)`` returns: the rows of LAPACK gesdd's V'
+    (full matrices, the queried work size) past the singular values above
+    max(s) * eps * max(m, n), as columns."""
+    m, n = A.shape
+    if not A.size:
+        return np.eye(n)
+    lwork, _ = flapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=1)
+    _, s, vh, info = flapack.dgesdd(A, compute_uv=1, lwork=int(lwork), full_matrices=1)
+    if info:
+        raise np.linalg.LinAlgError(f"SVD did not converge (gesdd info {info})")
+    tol = np.amax(s, initial=0.0) * (np.finfo(float).eps * max(m, n))
+    return vh[np.sum(s > tol, dtype=int):, :].T
+
+
 class _TargetReached(Exception):
     pass
 
@@ -259,8 +277,8 @@ def minimize(fun, x0):
     dsave = np.zeros(29)
     factr = LBFGS_FTOL / np.finfo(float).eps
     while True:
-        setulb(m, x, unbounded, unbounded, nbd, f, np.array(g, dtype=float), factr, LBFGS_GTOL,
-               wa, iwa, task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
+        lbfgsb.setulb(m, x, unbounded, unbounded, nbd, f, np.array(g, dtype=float), factr,
+                      LBFGS_GTOL, wa, iwa, task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
         # task[0] is 3 when setulb asks for f and g at x and 1 after each
         # iteration; (5, 504) and (5, 502) stop it at the iteration and the
         # evaluation cap.
@@ -360,7 +378,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
     for slot, k in enumerate(bounded):
         C_aug[d + slot, d + slot] = -prob.lower_bounds[k]
 
-    basis = null_space(prob.eq_matrix) if prob.eq_matrix.shape[0] else np.eye(v)
+    basis = _null_space(prob.eq_matrix) if prob.eq_matrix.shape[0] else np.eye(v)
     f = basis.shape[1]
 
     C0 = C_aug + (np.tensordot(theta_p, T, axes=1) if v else 0.0)

@@ -321,10 +321,11 @@ def extend_network(net: CascadeNetwork, sub: Subsystem, new_couplings) -> Cascad
     """Append one subsystem plus its coupling blocks, returning a new network.
 
     ``new_couplings`` maps absolute (receiver, source) index pairs to
-    matrices; None values are skipped.
+    matrices; None values are skipped. The network's frozen coupling
+    blocks are shared, not copied.
     """
-    coup = {key: block.h for key, block in net.couplings.items()}
+    coup = dict(net.couplings)
     for key, h in new_couplings.items():
         if h is not None:
-            coup[key] = h
-    return CascadeNetwork.from_blocks(net.subsystems + (sub,), coup)
+            coup[key] = CouplingBlock(h=h)
+    return CascadeNetwork(subsystems=net.subsystems + (sub,), couplings=coup)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import blockla
 from .model import _frozen, assemble_global
@@ -170,7 +169,9 @@ def assemble_closed_loop(state: NetworkDesignState) -> ClosedLoopSystem:
         K[p_starts[i - 1]:p_starts[i], n_starts[j - 1]:n_starts[j]] = gain
 
     Acl = glob.A + glob.B1 @ glob.H + glob.B3 @ K
-    Q = block_diag(*[rec.Q for rec in state.records])
+    Q = np.zeros((n_total, n_total))
+    for k, rec in enumerate(state.records):
+        Q[n_starts[k]:n_starts[k + 1], n_starts[k]:n_starts[k + 1]] = rec.Q
     return ClosedLoopSystem(
         Acl=Acl, B2=glob.B2, C=glob.C, Q=Q, epsilon=state.global_epsilon
     )

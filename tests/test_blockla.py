@@ -1,5 +1,7 @@
 """Cholesky, eigenvalue and block tri-diagonal recursion checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,34 @@ def test_schur_sequence_failure_index_matches_dense_test():
     assert seen_late_failure
 
 
+def test_schur_sequence_names_the_first_block_that_is_not_finite():
+    # Block 3 overflows only once the Schur complement of block 2 enters it.
+    P = BlockTriDiagonal._from_built(
+        [np.array([[1.0]]), np.array([[1e-10]]), np.array([[1.0]])],
+        [np.array([[0.0]]), np.array([[1e200]])],
+    )
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteMatrix) as info:
+        tridiag_pd_sequence(P)
+    assert info.value.index == 3
+    assert str(info.value) == "block 3 is not finite"
+
+
+def test_symmetric_part_of_finite_entries_near_the_float_limit_stays_finite():
+    big = np.finfo(float).max
+    # a and b differ by two units in the last place, so their mean is the
+    # float between them; S + S' overflows there and at (0, 0).
+    a = 0.75 * big
+    b = np.nextafter(np.nextafter(a, 0.0), 0.0)
+    S = np.array([[big, a, 5e-324], [b, -big, 0.0], [5e-324, 0.0, 1.0]])
+    want = S.copy()
+    want[0, 1] = want[1, 0] = np.nextafter(a, 0.0)
+    with np.errstate(all="raise"):
+        H = symmetric_part(S)
+    assert H.tobytes() == want.tobytes()
+    with pytest.raises(AsymmetricMatrix, match="relative skew inf"):
+        symmetric_part(np.array([[0.0, big], [-big, 0.0]]))
+
+
 def test_schur_sequence_rejects_semidefinite():
     P = BlockTriDiagonal(
         (np.array([[1.0]]), np.array([[1.0]])),
@@ -208,7 +238,11 @@ def reference_symmetric_part(S, name="matrix", rtol=1e-8):
         raise AsymmetricMatrix(
             f"{name} is asymmetric: relative skew {skew / scale:.3e} exceeds {rtol:.1e}"
         )
-    return 0.5 * (S + S.T)
+    # The exact mean of each pair, rounded once: 0.5 * (S + S') wherever
+    # S + S' does not overflow, and finite where it does. An exact zero
+    # takes the sign IEEE addition gives it.
+    mean = [float((Fraction(a) + Fraction(b)) / 2 or a + b) for a, b in zip(S.ravel(), S.T.ravel())]
+    return np.array(mean).reshape(S.shape)
 
 
 def reference_cholesky_lower(P):

@@ -1,6 +1,7 @@
 """Exit codes and file flows of the command-line front end."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -364,3 +365,22 @@ def test_state_whose_network_is_not_a_cascade_is_malformed(four_stage_doc, tmp_p
     err = one_stderr_line(capsys)
     assert err.startswith("malformed file: invalid network:") and "NonCascadeCoupling" in err
     assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("value", [1.7e308, -1.7e308, 9e307])
+def test_finite_entry_too_large_to_multiply_names_its_closed_loop_block(
+    four_stage_doc, tmp_path, capsys, value
+):
+    # The entry is finite, so the file parses; record 2's certificate block
+    # is where the products overflow.
+    doc = json.loads(json.dumps(four_stage_doc))
+    doc["records"][1]["Q"][0][0] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert execute(["check", "--state", str(path)]) == EXIT_INVALID
+    assert one_stderr_line(capsys) == (
+        "malformed file: the records do not certify the network: "
+        "closed-loop block 2 is not finite\n"
+    )

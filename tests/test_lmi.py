@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -354,3 +355,53 @@ def test_an_exception_escapes_the_lbfgs_driver_at_its_evaluation(case, draw):
         lmi.minimize(recording(fun, ours, fail_at=k), x0)
     assert len(ours) == k
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+@st.composite
+def equality_matrices(draw):
+    """1-12 rows by 1-40 columns: full rank, rank-deficient, with repeated
+    rows, zero, or with a singular value near the rank tolerance."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["full", "rank-deficient", "repeated-rows", "zero", "near-tol"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        return kind, np.zeros((m, n))
+    if kind == "rank-deficient":
+        r = draw(st.integers(1, min(m, n)))
+        return kind, rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    if kind == "near-tol":
+        # Unit singular values but the last, which is within a factor of
+        # max(m, n) of the tolerance max(s) * eps * max(m, n).
+        r = min(m, n)
+        s = np.ones(r)
+        s[-1] = np.finfo(float).eps * max(m, n) * 10.0 ** rng.uniform(-1.5, 0.5)
+        U = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        return kind, (U * s) @ V.T
+    A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+    if kind == "repeated-rows":
+        A = A[rng.integers(0, draw(st.integers(1, m)), size=m)]
+    return kind, A
+
+
+def test_null_space_is_scipys_bit_for_bit():
+    kinds = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(equality_matrices())
+    def check(case):
+        kind, A = case
+        ours, theirs = lmi._null_space(A), scipy.linalg.null_space(A)
+        assert ours.shape == theirs.shape and ours.strides == theirs.strides
+        assert ours.tobytes() == theirs.tobytes()
+        if ours.shape[1] > A.shape[1] - A.shape[0]:
+            kinds.add(kind)
+
+    check()
+    # Every kind but full rank drew a matrix whose null space is larger than
+    # its shape alone implies.
+    assert kinds >= {"rank-deficient", "repeated-rows", "zero", "near-tol"}
+    # A problem without variables can still carry equality rows.
+    for shape in [(2, 0), (0, 3)]:
+        ours, theirs = lmi._null_space(np.zeros(shape)), scipy.linalg.null_space(np.zeros(shape))
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()

@@ -170,3 +170,19 @@ def test_extend_network_appends_without_mutation():
     assert grown.h(2, 2) is None
     assert net.n_subsystems == 1
     assert (2, 1) not in net.couplings
+
+
+def test_extend_network_shares_the_existing_coupling_blocks():
+    net = CascadeNetwork.from_blocks(
+        [scalar_subsystem(), scalar_subsystem()], {(1, 1): [[0.2]], (2, 1): [[0.5]]}
+    )
+    new = {(1, 2): [[0.3]], (3, 2): [[1.0]], (3, 3): None}
+    grown = extend_network(net, scalar_subsystem(), new)
+    assert all(grown.couplings[key] is block for key, block in net.couplings.items())
+    rebuilt = CascadeNetwork.from_blocks(
+        grown.subsystems, {(1, 1): [[0.2]], (2, 1): [[0.5]], (1, 2): [[0.3]], (3, 2): [[1.0]]}
+    )
+    assert grown.couplings.keys() == rebuilt.couplings.keys()
+    for key, block in rebuilt.couplings.items():
+        assert grown.couplings[key].h.tobytes() == block.h.tobytes()
+        assert not grown.couplings[key].h.flags.writeable
