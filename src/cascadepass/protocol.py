@@ -249,17 +249,20 @@ class _Layout:
 def _assemble_problem(layout, master_fn, eq_fn, bounds) -> lmi.AffineFeasibilityProblem:
     # master_fn and eq_fn are affine in the variables, so probing the zero
     # point and each unit vector recovers the exact coefficient blocks.
-    zero = layout.unpack(np.zeros(layout.size))
-    M0 = master_fn(zero)
-    r0 = np.asarray(eq_fn(zero), dtype=float).reshape(-1)
-    coeffs = []
-    cols = []
-    for k in range(layout.size):
-        unit = np.zeros(layout.size)
-        unit[k] = 1.0
-        probe = layout.unpack(unit)
-        coeffs.append(master_fn(probe) - M0)
-        cols.append(np.asarray(eq_fn(probe), dtype=float).reshape(-1) - r0)
+    # Finite data too large to multiply overflows to a non-finite block,
+    # which the problem reports as MalformedProblem; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = layout.unpack(np.zeros(layout.size))
+        M0 = master_fn(zero)
+        r0 = np.asarray(eq_fn(zero), dtype=float).reshape(-1)
+        coeffs = []
+        cols = []
+        for k in range(layout.size):
+            unit = np.zeros(layout.size)
+            unit[k] = 1.0
+            probe = layout.unpack(unit)
+            coeffs.append(master_fn(probe) - M0)
+            cols.append(np.asarray(eq_fn(probe), dtype=float).reshape(-1) - r0)
     E = np.stack(cols, axis=1) if layout.size else np.zeros((r0.size, 0))
     lb = np.full(layout.size, -np.inf)
     for name, bound in bounds.items():
@@ -391,7 +394,11 @@ def _not_hurwitz(A_s) -> lmi.Infeasible | None:
     if not np.isfinite(A_s).all():
         return None
     g = float(np.linalg.eigvals(A_s).real.max())
-    if g <= HURWITZ_RTOL * max(1.0, float(np.linalg.norm(A_s))):
+    # The norm of finite entries above about 1e154 overflows to inf, which
+    # only keeps the screen from declining.
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(A_s))
+    if g <= HURWITZ_RTOL * max(1.0, scale):
         return None
     return lmi.Infeasible(
         best_lambda_min=-(2.0 * g * Q_FLOOR + EPS_MIN) / (1.0 + 2.0 * g),
@@ -600,9 +607,15 @@ def _design_next(net: CascadeNetwork, records) -> DesignRecord:
     if i > 1:
         packet = build_packet(records[-1], net.subsystems[i - 2], net.h_or_zero(i - 1, i))
     h_self, h_prev = net.h(i, i), net.h(i, i - 1)
-    rec = local_verify(sub, h_self, h_prev, packet)
-    if isinstance(rec, lmi.Infeasible):
-        rec = local_synthesize(sub, h_self, h_prev, packet)
+    try:
+        rec = local_verify(sub, h_self, h_prev, packet)
+        if isinstance(rec, lmi.Infeasible):
+            rec = local_synthesize(sub, h_self, h_prev, packet)
+    except lmi.MalformedProblem as exc:
+        # A validated network gives blocks of the right shapes, symmetric
+        # by construction, so the problem is malformed only when finite
+        # data overflowed to a non-finite block.
+        raise lmi.MalformedProblem(f"step {i} is not finite (local problem {exc})") from None
     if isinstance(rec, lmi.Infeasible):
         raise DesignFailed(i, rec)
     return rec

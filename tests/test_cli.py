@@ -367,6 +367,28 @@ def test_state_whose_network_is_not_a_cascade_is_malformed(four_stage_doc, tmp_p
     assert not (tmp_path / "never.json").exists()
 
 
+@pytest.mark.parametrize("value", [1.7e308, -1.7e308])
+def test_addition_too_large_to_multiply_names_its_step(four_stage_doc, tmp_path, capsys, value):
+    # The entry is finite, so the addition validates; the local problem of
+    # step 5 is where the products overflow.
+    state = tmp_path / "four.json"
+    state.write_text(json.dumps(four_stage_doc))
+    addition = tmp_path / "huge_add.json"
+    files.save_addition(
+        Subsystem(A=value, B1=1.0, B2=1.0, B3=1.0, C=1.0), None, [[1.0, 0.0]], [[1.0]], addition
+    )
+    out = tmp_path / "never.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = execute(["add", "--state", str(state), "--sub", str(addition), "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert one_stderr_line(capsys) == (
+        "malformed problem: step 5 is not finite "
+        "(local problem block 1 has non-finite entries)\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [1.7e308, -1.7e308, 9e307])
 def test_finite_entry_too_large_to_multiply_names_its_closed_loop_block(
     four_stage_doc, tmp_path, capsys, value

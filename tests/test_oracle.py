@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadepass import protocol
 
@@ -132,6 +134,22 @@ def test_simulate_input_validation():
         simulate(cl, lambda t: np.zeros(1), x0=[1.0, 2.0])
     with pytest.raises(ValueError):
         simulate(cl, lambda t: np.zeros(2))
+
+
+@pytest.mark.parametrize("T,dt", [
+    *[(bad, 1e-3) for bad in (np.inf, -np.inf, np.nan, 0.0, -1.0)],
+    *[(1.0, bad) for bad in (np.inf, -np.inf, np.nan, 0.0, -1.0)],
+])
+def test_simulate_rejects_non_positive_or_non_finite_horizon_and_step(T, dt):
+    calls = []
+
+    def disturbance(t):
+        calls.append(np.shape(t))
+        return np.zeros(1)
+
+    with pytest.raises(ValueError, match="positive and finite"):
+        simulate(unit_loop(), disturbance, T=T, dt=dt)
+    assert calls == []
 
 
 def test_simulate_raises_on_divergence():
@@ -265,6 +283,64 @@ def test_sine_disturbance_on_array_equals_scalar_calls():
     # The sum over the wave axis adds the waves in the same order.
     summed = np.stack([np.sin(d.freqs * float(t) + d.phases).sum(axis=1) for t in ts])
     assert np.array_equal(samples, summed)
+
+
+# Counts 1 and 2 make one-row grids, 14 and 14287 pad the last row of
+# the factored grid, 400 is a perfect square, and 40001 is the half-grid
+# of the default horizon.
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    channels=st.integers(0, 6),
+    waves=st.integers(0, 6),
+    seed=st.integers(0, 2**16),
+    count=st.sampled_from([1, 2, 14, 400, 14287, 40001]),
+    horizon=st.floats(1e-3, 20.0),
+)
+def test_sine_disturbance_on_grid_matches_calls_at_the_same_times(channels, waves, seed, count, horizon):
+    d = SineDisturbance.from_seed(channels, seed, waves)
+    step = horizon / max(1, count - 1)
+    samples = d.on_grid(step, count)
+    assert samples.shape == (count, channels)
+    assert np.abs(samples - d(np.arange(count) * step)).max(initial=0.0) <= 1e-12
+
+
+def test_sine_disturbance_on_grid_without_waves_or_channels():
+    assert np.array_equal(SineDisturbance.from_seed(3, seed=1, waves=0).on_grid(0.1, 14), np.zeros((14, 3)))
+    assert SineDisturbance.from_seed(0, seed=1).on_grid(0.1, 14).shape == (14, 0)
+
+
+@pytest.mark.parametrize("step,count", [
+    (0.1, 0), (0.1, -1), (np.inf, 10), (-np.inf, 10), (np.nan, 10),
+])
+def test_sine_disturbance_on_grid_rejects_empty_grid_or_non_finite_step(step, count):
+    with pytest.raises(ValueError):
+        SineDisturbance.from_seed(2, seed=1).on_grid(step, count)
+
+
+def test_simulate_samples_a_sine_disturbance_on_its_grid(four_stage_loop, monkeypatch):
+    # Hardware-independent guard on the angle-addition sampler: one libm
+    # sine per half-grid time, channel and wave would be 800,020 elements.
+    cl = four_stage_loop
+    d = SineDisturbance.from_seed(cl.m, seed=3)
+    calls = []
+
+    class Spy(SineDisturbance):
+        def __call__(self, t):
+            calls.append(np.shape(t))
+            return super().__call__(t)
+
+    elements = []
+    for name in ("sin", "cos"):
+        def counting(x, *args, _ufunc=getattr(np, name), **kwargs):
+            elements.append(np.size(x))
+            return _ufunc(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    traj = simulate(cl, Spy(freqs=d.freqs, phases=d.phases), T=20.0, dt=1e-3)
+    monkeypatch.undo()
+    assert sum(elements) < 20_000
+    assert calls == []
+    assert np.array_equal(traj.x, simulate(cl, d, T=20.0, dt=1e-3).x)
 
 
 def test_simulate_broadcasts_constant_disturbance():
