@@ -3,14 +3,14 @@
 A problem asks for theta in R^v with
 
     Phi(theta) = Phi_0 + sum_k theta_k Phi_k   positive definite (margin tau),
-    E theta = e,                               (optional equalities)
-    theta_k >= lb_k                            (optional lower bounds)
+    E theta = e                                (optional equalities).
 
-The solver eliminates the equalities through a null-space parametrization
-and maximizes a smoothed minimum eigenvalue of an internally augmented
-matrix (bounds enter as 1x1 diagonal slack blocks). The returned point is
-always re-certified from scratch; the contract is the certificate, not the
-search path. Everything is deterministic: no randomness anywhere.
+A bound such as theta_k >= c is stated as the 1x1 diagonal block
+theta_k - c of Phi. The solver eliminates the equalities through a
+null-space parametrization and maximizes a smoothed minimum eigenvalue of
+Phi. The returned point is always re-certified from scratch; the contract
+is the certificate, not the search path. Everything is deterministic: no
+randomness anywhere.
 
 The search runs thousands of L-BFGS-B iterations on matrices of a few
 rows, where scipy's ``minimize`` wrapper costs more than the objective.
@@ -102,7 +102,6 @@ class AffineFeasibilityProblem:
     coeff_blocks: tuple[np.ndarray, ...]
     eq_matrix: np.ndarray = None
     eq_rhs: np.ndarray = None
-    lower_bounds: np.ndarray = None
 
     def __post_init__(self):
         v = int(self.var_count)
@@ -123,11 +122,14 @@ class AffineFeasibilityProblem:
         stack = np.array(blocks[:shaped])
         if d:
             flat = stack.reshape(shaped, -1)
-            finite = np.isfinite(flat).all(axis=1)
             scale = np.maximum(1.0, np.abs(flat).max(axis=1))
-            # A non-finite block is reported as such, never by its skew.
+            # Finiteness is checked after symmetrizing, which finite entries
+            # above about 8.99e307 can overflow. A non-finite block is
+            # reported as such, never by its skew.
             with np.errstate(invalid="ignore", over="ignore"):
                 skew = np.abs(stack - stack.transpose(0, 2, 1)).reshape(shaped, -1).max(axis=1)
+                stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+            finite = np.isfinite(stack.reshape(shaped, -1)).all(axis=1)
             bad = np.flatnonzero(~finite | (skew > 1e-8 * scale))
             if bad.size:
                 k = int(bad[0])
@@ -138,7 +140,6 @@ class AffineFeasibilityProblem:
             raise MalformedProblem(
                 f"block {shaped} has shape {blocks[shaped].shape}, expected ({d}, {d})"
             )
-        stack = 0.5 * (stack + stack.transpose(0, 2, 1))
         stack.flags.writeable = False
         object.__setattr__(self, "constant_block", stack[0])
         object.__setattr__(self, "coeff_blocks", tuple(stack[1:]))
@@ -158,17 +159,6 @@ class AffineFeasibilityProblem:
             raise MalformedProblem("equalities have non-finite entries")
         object.__setattr__(self, "eq_matrix", _frozen(E))
         object.__setattr__(self, "eq_rhs", _frozen(e))
-
-        lb = self.lower_bounds
-        if lb is None:
-            lb = np.full(v, -np.inf)
-        lb = np.array(lb, dtype=float).reshape(-1)
-        if lb.shape != (v,):
-            raise MalformedProblem(f"lower_bounds has shape {lb.shape}, expected ({v},)")
-        if np.isnan(lb).any() or (lb == np.inf).any():
-            raise MalformedProblem("lower_bounds must be finite or -inf")
-        lb.flags.writeable = False
-        object.__setattr__(self, "lower_bounds", lb)
 
     @property
     def dim(self) -> int:
@@ -217,7 +207,6 @@ class PointCertificate:
     ok: bool
     lambda_min: float
     eq_residual: float
-    bound_margin: float
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -309,8 +298,8 @@ def solve_feasibility(
     ``certify_point`` accepts the point; its lambda_min and eq_residual are
     that certificate's. Otherwise returns Infeasible with the best point
     found. ``target`` stops the search early once the smallest eigenvalue of
-    the augmented matrix reaches it; larger targets buy margin for downstream
-    consumers at the cost of more iterations.
+    Phi reaches it; larger targets buy margin for downstream consumers at the
+    cost of more iterations.
     """
     v = prob.var_count
     d = prob.dim
@@ -337,17 +326,20 @@ def solve_feasibility(
     else:
         theta_p = np.zeros(v)
 
-    if d == 0 and not np.any(np.isfinite(prob.lower_bounds)):
-        # No matrix block and no bounds: only the equalities constrain theta.
+    if d == 0:
+        # No matrix block: only the equalities constrain theta.
         theta, best_lam, norm, evals = theta_p, np.inf, 1.0, 0
     else:
         theta, best_lam, norm, evals = _search(prob, theta_p, tau, target)
 
-    cert = certify_point(theta, prob, tau)
-    if best_lam >= tau / norm and cert.ok:
-        return FeasiblePoint(theta=theta, lambda_min=cert.lambda_min, eq_residual=cert.eq_residual)
+    # A point that overflowed on its way back from normalized units
+    # certifies nothing.
+    if np.isfinite(theta).all():
+        cert = certify_point(theta, prob, tau)
+        if best_lam >= tau / norm and cert.ok:
+            return FeasiblePoint(theta=theta, lambda_min=cert.lambda_min, eq_residual=cert.eq_residual)
     return Infeasible(
-        best_lambda_min=best_lam * norm if np.isfinite(best_lam) else cert.lambda_min,
+        best_lambda_min=best_lam * norm,
         best_theta=theta,
         evaluations=evals,
         reason="Stalled",
@@ -355,34 +347,24 @@ def solve_feasibility(
 
 
 def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, target: float):
-    """Maximize the smallest eigenvalue of the augmented matrix over the
-    solutions theta_p + null(E) z of the equalities.
+    """Maximize the smallest eigenvalue of Phi over the solutions
+    theta_p + null(E) z of the equalities.
 
     Returns (theta, best_lam, norm, evaluations); best_lam is in the
-    normalized units of the augmented matrix divided by norm.
+    normalized units of Phi divided by norm. Raises MalformedProblem when
+    the finite blocks overflow once combined along those solutions.
     """
     v = prob.var_count
     d = prob.dim
-    bounded = np.flatnonzero(np.isfinite(prob.lower_bounds))
-    da = d + bounded.size
-
-    # Augmented coefficient tensor: master block plus one 1x1 slack block
-    # (theta_k - lb_k) per bounded variable.
-    T = np.zeros((v, da, da))
-    for k in range(v):
-        T[k, :d, :d] = prob.coeff_blocks[k]
-    for slot, k in enumerate(bounded):
-        T[k, d + slot, d + slot] += 1.0
-    C_aug = np.zeros((da, da))
-    C_aug[:d, :d] = prob.constant_block
-    for slot, k in enumerate(bounded):
-        C_aug[d + slot, d + slot] = -prob.lower_bounds[k]
-
+    T = np.array(prob.coeff_blocks).reshape(v, d, d)
     basis = _null_space(prob.eq_matrix) if prob.eq_matrix.shape[0] else np.eye(v)
     f = basis.shape[1]
 
-    C0 = C_aug + (np.tensordot(theta_p, T, axes=1) if v else 0.0)
-    D = np.tensordot(basis.T, T.reshape(v, -1), axes=1).reshape(f, da, da) if f else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        C0 = prob.constant_block + (np.tensordot(theta_p, T, axes=1) if v else 0.0)
+        D = np.tensordot(basis.T, T.reshape(v, -1), axes=1).reshape(f, d, d) if f else None
+    if not (np.isfinite(C0).all() and (D is None or np.isfinite(D).all())):
+        raise MalformedProblem("blocks overflow when combined")
 
     # Work in normalized units: the constant block is scaled to unit size
     # and every free direction to a unit coefficient, so the line searches
@@ -391,7 +373,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
     C0n = C0 / norm
     if f:
         gamma = np.array([max(1e-30, float(np.abs(D[k]).max())) for k in range(f)])
-        # One (f, da*da) matrix: each master is a vector-matrix product.
+        # One (f, d*d) matrix: each master is a vector-matrix product.
         Dn = (D / gamma[:, None, None]).reshape(f, -1)
     tau_n = tau / norm
     target_n = target / norm
@@ -403,7 +385,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
     def evaluate(u):
         nonlocal evals, best_u, best_lam
         evals += 1
-        M = C0n if f == 0 else C0n + (u @ Dn).reshape(da, da)
+        M = C0n if f == 0 else C0n + (u @ Dn).reshape(d, d)
         lam, vecs = np.linalg.eigh(M)
         if lam[0] > best_lam:
             best_lam = float(lam[0])
@@ -412,10 +394,10 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
 
     if f > 0:
         # Smoothing ladder: -s*log(tr exp(-M/s)) is smooth and concave in
-        # theta and under-estimates lambda_min by at most s*log(da).
+        # theta and under-estimates lambda_min by at most s*log(d).
         levels = []
         s = 0.25
-        s_floor = max(tau_n / (4.0 * np.log(da + 1.0)), 1e-300)
+        s_floor = max(tau_n / (4.0 * np.log(d + 1.0)), 1e-300)
         while True:
             levels.append(s)
             if s <= s_floor or len(levels) >= 14:
@@ -466,7 +448,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
             u_end = best_u.copy()
 
             def lam_at(t):
-                M = C0n + ((t * u_end) @ Dn).reshape(da, da)
+                M = C0n + ((t * u_end) @ Dn).reshape(d, d)
                 return float(np.linalg.eigvalsh(M)[0])
 
             if lam_at(0.0) >= thr:
@@ -485,8 +467,9 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
     else:
         evaluate(np.zeros(0))
 
-    best_z = (best_u / gamma) * norm if f else np.zeros(0)
-    theta = theta_p + (basis @ best_z if f else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_z = (best_u / gamma) * norm if f else np.zeros(0)
+        theta = theta_p + (basis @ best_z if f else 0.0)
     return theta, best_lam, norm, evals
 
 
@@ -498,7 +481,7 @@ def certify_point(
     """Re-check a point against the problem from scratch.
 
     Failure reasons: MatrixNotPositive (lambda_min below the margin),
-    EqualityResidual, BoundViolation.
+    EqualityResidual.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     tau = float(margin)
@@ -513,15 +496,4 @@ def certify_point(
     if eq_residual > EQ_RTOL * max(1.0, float(np.abs(e).max()) if e.size else 0.0):
         reasons.append("EqualityResidual")
 
-    gaps = theta - prob.lower_bounds
-    bound_margin = float(np.min(gaps[np.isfinite(gaps)])) if np.any(np.isfinite(gaps)) else np.inf
-    if bound_margin < 0.0:
-        reasons.append("BoundViolation")
-
-    return PointCertificate(
-        ok=not reasons,
-        lambda_min=lam,
-        eq_residual=eq_residual,
-        bound_margin=bound_margin,
-        reasons=tuple(reasons),
-    )
+    return PointCertificate(ok=not reasons, lambda_min=lam, eq_residual=eq_residual, reasons=tuple(reasons))

@@ -279,14 +279,14 @@ def _rk4_maps(A: np.ndarray, B: np.ndarray, h: float):
 def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: float = 1e-3) -> Trajectory:
     """Integrate the closed loop under a disturbance with fixed-step RK4.
 
-    T and dt must be positive and finite (ValueError otherwise). The step
-    is nudged so the horizon lands exactly on the grid of S steps of
-    length h. The disturbance is sampled once, at the 2S+1 half-grid
-    times k h/2, where every RK4 stage time falls: by its on_grid(h/2,
-    2S+1) method when it has one, as SineDisturbance does, and otherwise
-    by one call with the 1-D array of those times. The samples come back
-    as a (2S+1, cl.m) array, or a (cl.m,) vector for a constant
-    disturbance; any other shape raises ValueError.
+    T, dt and T / dt must be positive and finite (ValueError otherwise,
+    before any sampling). The step is nudged so the horizon lands exactly
+    on the grid of S steps of length h. The disturbance is sampled once,
+    at the 2S+1 half-grid times k h/2, where every RK4 stage time falls:
+    by its on_grid(h/2, 2S+1) method when it has one, as SineDisturbance
+    does, and otherwise by one call with the 1-D array of those times. The
+    samples come back as a (2S+1, cl.m) array, or a (cl.m,) vector for a
+    constant disturbance; any other shape raises ValueError.
 
     RK4 applied to the linear system x' = A x + B w(t) is one fixed
     affine map per step. Expanding the four stages k1..k4 with M = hA
@@ -311,8 +311,9 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
 
     That is about 3 sqrt(S) Python iterations for S steps.
     """
-    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
-        raise ValueError(f"T and dt must be positive and finite, got {T} and {dt}")
+    T, dt = float(T), float(dt)
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
+        raise ValueError(f"T, dt and T / dt must be positive and finite, got {T} and {dt}")
     n, m = cl.n, cl.m
     if x0 is None:
         x0 = np.zeros(n)

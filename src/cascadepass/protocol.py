@@ -246,7 +246,7 @@ class _Layout:
         return out
 
 
-def _assemble_problem(layout, master_fn, eq_fn, bounds) -> lmi.AffineFeasibilityProblem:
+def _assemble_problem(layout, master_fn, eq_fn) -> lmi.AffineFeasibilityProblem:
     # master_fn and eq_fn are affine in the variables, so probing the zero
     # point and each unit vector recovers the exact coefficient blocks.
     # Finite data too large to multiply overflows to a non-finite block,
@@ -264,16 +264,12 @@ def _assemble_problem(layout, master_fn, eq_fn, bounds) -> lmi.AffineFeasibility
             coeffs.append(master_fn(probe) - M0)
             cols.append(np.asarray(eq_fn(probe), dtype=float).reshape(-1) - r0)
     E = np.stack(cols, axis=1) if layout.size else np.zeros((r0.size, 0))
-    lb = np.full(layout.size, -np.inf)
-    for name, bound in bounds.items():
-        lb[layout.index(name)] = bound
     return lmi.AffineFeasibilityProblem(
         var_count=layout.size,
         constant_block=M0,
         coeff_blocks=tuple(coeffs),
         eq_matrix=E,
         eq_rhs=-r0,
-        lower_bounds=lb,
     )
 
 
@@ -300,22 +296,24 @@ def _solver_target(prob, packet, tau) -> float:
 def _maximize_epsilon(prob, theta, eps_index, n, tau) -> float:
     """Half-supremum rule for the passivity rate.
 
-    eps enters the master only as -eps*I on its leading n x n block S.
-    Writing the master minus tau*I as [[S0 - eps*I, X], [X', R]] with S0
-    the block at eps = 0, a Schur complement gives the supremum of the
-    feasible rates in closed form (Boyd, El Ghaoui, Feron & Balakrishnan,
+    Apart from the rate floor, its last 1x1 block, eps enters the master
+    only as -eps*I on its leading n x n block S. Writing the master without
+    the floor block, minus tau*I, as [[S0 - eps*I, X], [X', R]] with S0 the
+    block at eps = 0, a Schur complement gives the supremum of the rates
+    that block admits in closed form (Boyd, El Ghaoui, Feron & Balakrishnan,
     LMIs in System and Control Theory, 1994, sec. 2.1):
 
         eps_sup = lambda_min(S0 - X R^-1 X').
 
     Settle on half of it: a deterministic compromise between the rate
-    itself and the margin left in M_cl. The solver's own eps is kept when
-    R is not positive definite or half the supremum is below EPS_MIN.
+    itself and the margin left in M_cl. The solver's own eps is returned
+    when R is not positive definite; the caller's re-certification keeps
+    it too when half the supremum does not clear the floor block.
     """
     work = np.array(theta, dtype=float)
     eps0 = float(work[eps_index])
     work[eps_index] = 0.0
-    M = prob.master(work) - tau * np.eye(prob.dim)
+    M = prob.master(work)[:-1, :-1] - tau * np.eye(prob.dim - 1)
     S0 = M[:n, :n]
     if M.shape[0] > n:
         try:
@@ -323,8 +321,7 @@ def _maximize_epsilon(prob, theta, eps_index, n, tau) -> float:
         except np.linalg.LinAlgError:
             return eps0
         S0, _ = blockla.schur_step(L, M[n:, :n], S0)
-    half = 0.5 * float(np.linalg.eigvalsh(S0)[0])
-    return half if half >= EPS_MIN else eps0
+    return 0.5 * float(np.linalg.eigvalsh(S0)[0])
 
 
 def _certificate_blocks(sub, Q, eps, h_self, h_prev, G_prev, T_prev, gains):
@@ -401,7 +398,7 @@ def _not_hurwitz(A_s) -> lmi.Infeasible | None:
     if g <= HURWITZ_RTOL * max(1.0, scale):
         return None
     return lmi.Infeasible(
-        best_lambda_min=-(2.0 * g * Q_FLOOR + EPS_MIN) / (1.0 + 2.0 * g),
+        best_lambda_min=-(2.0 * g * Q_FLOOR + EPS_MIN) / (2.0 + 2.0 * g),
         best_theta=np.zeros(0),
         evaluations=0,
         reason="NotHurwitz",
@@ -417,16 +414,18 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
 
     Verify is screened before any problem is assembled: its master holds
     S = -(A_s'Q + Q A_s) - eps I as a principal block, with A_s = A + B1 h(i,i),
-    Q - Q_FLOOR I as another, and eps >= EPS_MIN, so a feasible point needs a
-    Hurwitz A_s (Lyapunov; Khalil, Nonlinear Systems, Thm. 4.6). Precisely,
-    let g = max Re(lambda(A_s)) > 0 and v a unit eigenvector, A_s v = lambda v
-    with Re(lambda) = g. At any point whose master has smallest eigenvalue t,
+    Q - Q_FLOOR I as another and eps - EPS_MIN as a third, so a feasible point
+    needs a Hurwitz A_s (Lyapunov; Khalil, Nonlinear Systems, Thm. 4.6).
+    Precisely, let g = max Re(lambda(A_s)) > 0 and v a unit eigenvector,
+    A_s v = lambda v with Re(lambda) = g. At any point whose master has
+    smallest eigenvalue t,
 
-        t <= v*Sv = -2g v*Qv - eps <= -2g (Q_FLOOR + t) - EPS_MIN,
+        t <= v*Sv = -2g v*Qv - eps <= -2g (Q_FLOOR + t) - (EPS_MIN + t),
 
-    since Q - Q_FLOOR I >= tI gives v*Qv >= Q_FLOOR + t. Hence
+    since Q - Q_FLOOR I >= tI gives v*Qv >= Q_FLOOR + t and the floor block
+    gives eps >= EPS_MIN + t. Hence
 
-        t <= -(2g Q_FLOOR + EPS_MIN) / (1 + 2g) < 0 < tau,
+        t <= -(2g Q_FLOOR + EPS_MIN) / (2 + 2g) < 0 < tau,
 
     and no point of the master reaches the margin; that bound is the
     NotHurwitz diagnosis's best_lambda_min. The screen declines only when
@@ -449,11 +448,12 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         return _certificate_blocks(sub, Q, v["eps"], h_self, h_prev, G_prev, T_prev, v)
 
     def master(Q, v, storage_block):
-        # [[S, X, 0], [X', M_prev, 0], [0, 0, Q - Q_FLOOR I]], copied into
-        # place; X and M_prev are absent at step 1, the Q block in stage 2.
+        # diag([[S, X], [X', M_prev]], Q - Q_FLOOR I, eps - EPS_MIN), copied
+        # into place; X and M_prev are absent at step 1, the Q block in
+        # stage 2. The last block is the rate floor.
         S, X = blocks(Q, v)
         k = n if X is None else n + X.shape[1]
-        size = k + n if storage_block else k
+        size = (k + n if storage_block else k) + 1
         M = np.zeros((size, size))
         M[:n, :n] = S
         if X is not None:
@@ -461,7 +461,8 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
             M[n:k, :n] = X.T
             M[n:k, n:k] = packet.M_prev
         if storage_block:
-            M[k:, k:] = Q - Q_FLOOR * np.eye(n)
+            M[k:-1, k:-1] = Q - Q_FLOOR * np.eye(n)
+        M[-1, -1] = v["eps"] - EPS_MIN
         return M
 
     stage1 = _Layout()
@@ -476,9 +477,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     def equalities(v):
         return (v["Q"] @ sub.B2 - sub.C.T).ravel()
 
-    prob = _assemble_problem(
-        stage1, lambda v: master(v["Q"], v, True), equalities, {"eps": EPS_MIN}
-    )
+    prob = _assemble_problem(stage1, lambda v: master(v["Q"], v, True), equalities)
     point = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, packet, tau))
     if isinstance(point, lmi.Infeasible):
         return point
@@ -496,9 +495,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         if packet is not None:
             layout.full("K_to_prev", (p, packet.M_prev.shape[0]))
             layout.full("K_prev_to_self", (packet.T_prev.shape[1], n))
-        prob = _assemble_problem(
-            layout, lambda v: master(Q, v, False), lambda v: np.zeros(0), {"eps": EPS_MIN}
-        )
+        prob = _assemble_problem(layout, lambda v: master(Q, v, False), lambda v: np.zeros(0))
         # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
         # floor; deriving a fresh one from the stage-2 constant block would let
         # a large found Q inflate the requirement beyond reach.
@@ -584,12 +581,11 @@ def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> Messenger
     h = as_matrix(h_next, "h(i,i+1)")
     if h.shape[0] != sub.p:
         raise DimensionMismatch(f"h(i,i+1) has {h.shape[0]} rows, expected {sub.p}")
-    return MessengerPacket(
-        prev_index=record.index,
-        M_prev=record.M_cl,
-        G_prev=record.Q @ sub.B1 @ h,
-        T_prev=record.Q @ sub.B3,
-    )
+    # Finite data too large to multiply give a non-finite packet, which the
+    # successor's local problem reports as MalformedProblem.
+    with np.errstate(over="ignore", invalid="ignore"):
+        G_prev, T_prev = record.Q @ sub.B1 @ h, record.Q @ sub.B3
+    return MessengerPacket(prev_index=record.index, M_prev=record.M_cl, G_prev=G_prev, T_prev=T_prev)
 
 
 def _design_next(net: CascadeNetwork, records) -> DesignRecord:

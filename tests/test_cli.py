@@ -389,6 +389,36 @@ def test_addition_too_large_to_multiply_names_its_step(four_stage_doc, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [1e300, 1e307, 5e307, 8.99e307, 1.7e308, -1.7e308])
+@pytest.mark.parametrize("field", ["A", "B1", "B2", "B3", "C", "h_self", "h_prev", "h_to_new"])
+def test_addition_near_the_float_limit_exits_cleanly(four_stage_doc, tmp_path, capsys, field, value):
+    # One entry of a valid fifth subsystem is finite but huge. Wherever its
+    # products overflow, the addition ends as malformed, infeasible or
+    # designed, never in an exception or a numpy warning.
+    blocks = dict(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1.0)
+    couplings = dict(h_self=None, h_prev=[[1.0, 0.0]], h_to_new=[[1.0]])
+    if field in blocks:
+        blocks[field] = value
+    else:
+        couplings[field] = [[value, 0.0]] if field == "h_prev" else [[value]]
+    state = tmp_path / "four.json"
+    state.write_text(json.dumps(four_stage_doc))
+    addition = tmp_path / "huge_add.json"
+    files.save_addition(Subsystem(**blocks), *couplings.values(), addition)
+    out = tmp_path / "five.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = execute(["add", "--state", str(state), "--sub", str(addition), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID)
+        if code == EXIT_INVALID:
+            assert one_stderr_line(capsys).startswith("malformed problem: step 5 is not finite")
+        elif code == EXIT_INFEASIBLE:
+            assert one_stderr_line(capsys).startswith("design failed at step 5:")
+        else:
+            assert execute(["check", "--state", str(out)]) == EXIT_OK
+    assert out.exists() == (code == EXIT_OK)
+
+
 @pytest.mark.parametrize("value", [1.7e308, -1.7e308, 9e307])
 def test_finite_entry_too_large_to_multiply_names_its_closed_loop_block(
     four_stage_doc, tmp_path, capsys, value

@@ -1,5 +1,7 @@
 """Feasibility solver contract: certificates, determinism, completeness."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,10 +23,8 @@ from cascadepass.lmi import (
 )
 
 
-def scalar_problem(c0=-1.0, coeff=1.0, lb=None, eq=None):
+def scalar_problem(c0=-1.0, coeff=1.0, eq=None):
     kwargs = {}
-    if lb is not None:
-        kwargs["lower_bounds"] = [lb]
     if eq is not None:
         kwargs["eq_matrix"] = [[1.0]]
         kwargs["eq_rhs"] = [eq]
@@ -92,13 +92,21 @@ def test_problem_validation():
             eq_matrix=[[1.0, 2.0]],
             eq_rhs=[0.0],
         )
-    with pytest.raises(MalformedProblem):
-        AffineFeasibilityProblem(
-            var_count=1,
-            constant_block=[[1.0]],
-            coeff_blocks=([[1.0]],),
-            lower_bounds=[np.inf],
-        )
+
+
+def test_blocks_that_overflow_when_combined_are_malformed():
+    # Each block is finite; the equality fixes theta = 2, where Phi is 2.4e308.
+    prob = AffineFeasibilityProblem(
+        var_count=1,
+        constant_block=[[8e307]],
+        coeff_blocks=([[8e307]],),
+        eq_matrix=[[1.0]],
+        eq_rhs=[2.0],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedProblem, match="overflow when combined"):
+            solve_feasibility(prob, margin=1e-6)
 
 
 def test_master_evaluation():
@@ -140,10 +148,15 @@ def test_solve_unreachable_direction_is_infeasible():
 
 
 def test_solve_respects_equalities_and_bounds():
-    prob = scalar_problem(c0=-1.0, coeff=1.0, lb=4.0)
+    # The bound theta >= 4 is the block theta - 4 of diag(-1 + theta, theta - 4).
+    prob = AffineFeasibilityProblem(
+        var_count=1,
+        constant_block=np.diag([-1.0, -4.0]),
+        coeff_blocks=(np.eye(2),),
+    )
     point = solve_feasibility(prob, margin=1e-6)
     assert isinstance(point, FeasiblePoint)
-    assert point.theta[0] >= 4.0
+    assert point.theta[0] >= 4.0 + 1e-6
 
     prob = scalar_problem(c0=-1.0, coeff=1.0, eq=7.0)
     point = solve_feasibility(prob, margin=1e-6)
@@ -235,15 +248,14 @@ def test_soundness_every_returned_point_certifies():
 
 
 def test_certify_point_reasons():
-    prob = scalar_problem(c0=0.0, coeff=1.0, lb=0.0, eq=5.0)
+    prob = scalar_problem(c0=0.0, coeff=1.0, eq=5.0)
     good = certify_point([5.0], prob, 1e-6)
     assert good.ok
     assert good.lambda_min == 5.0
-    assert good.bound_margin == 5.0
 
     bad = certify_point([-1.0], prob, 1e-6)
     assert not bad.ok
-    assert set(bad.reasons) == {"MatrixNotPositive", "EqualityResidual", "BoundViolation"}
+    assert set(bad.reasons) == {"MatrixNotPositive", "EqualityResidual"}
 
     low = certify_point([5.0], prob, 10.0)
     assert low.reasons == ("MatrixNotPositive",)

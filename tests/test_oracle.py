@@ -139,6 +139,7 @@ def test_simulate_input_validation():
 @pytest.mark.parametrize("T,dt", [
     *[(bad, 1e-3) for bad in (np.inf, -np.inf, np.nan, 0.0, -1.0)],
     *[(1.0, bad) for bad in (np.inf, -np.inf, np.nan, 0.0, -1.0)],
+    (1e300, 1e-10),
 ])
 def test_simulate_rejects_non_positive_or_non_finite_horizon_and_step(T, dt):
     calls = []

@@ -134,8 +134,8 @@ def test_verify_declines_non_hurwitz_drift_without_the_solver(monkeypatch):
         assert out.reason == "NotHurwitz"
         assert out.evaluations == 0
     assert calls == []
-    # g = 3: the bound -(2g Q_FLOOR + EPS_MIN) / (1 + 2g) is the diagnosis.
-    bound = -(6.0 * protocol.Q_FLOOR + protocol.EPS_MIN) / 7.0
+    # g = 3: the bound -(2g Q_FLOOR + EPS_MIN) / (2 + 2g) is the diagnosis.
+    bound = -(6.0 * protocol.Q_FLOOR + protocol.EPS_MIN) / 8.0
     assert local_verify(scalar_subsystem(3.0)).best_lambda_min == bound
 
 
@@ -163,6 +163,31 @@ def test_non_hurwitz_bound_holds_for_the_solver(monkeypatch):
     solved = local_verify(scalar_subsystem(3.0))
     assert isinstance(solved, lmi.Infeasible) and solved.reason != "NotHurwitz"
     assert solved.best_lambda_min <= screened.best_lambda_min
+
+
+def test_rate_floor_is_a_block_of_the_verify_master(monkeypatch):
+    problems = []
+    solve = lmi.solve_feasibility
+
+    def capturing(prob, margin, **kwargs):
+        out = solve(prob, margin, **kwargs)
+        problems.append((prob, margin, out))
+        return out
+
+    monkeypatch.setattr(lmi, "solve_feasibility", capturing)
+    assert isinstance(local_verify(scalar_subsystem(-1.0)), DesignRecord)
+    [(prob, tau, point)] = problems
+    # Stage 1 holds Q, then eps; the floor is the master's last block.
+    eps_index = 1
+    assert prob.master(point.theta)[-1, -1] == point.theta[eps_index] - protocol.EPS_MIN
+    for eps in (0.5 * protocol.EPS_MIN, protocol.EPS_MIN + 0.5 * tau):
+        theta = np.array(point.theta)
+        theta[eps_index] = eps
+        cert = lmi.certify_point(theta, prob, tau)
+        assert cert.reasons == ("MatrixNotPositive",)
+        assert cert.lambda_min == eps - protocol.EPS_MIN
+    theta[eps_index] = protocol.EPS_MIN + 2.0 * tau
+    assert lmi.certify_point(theta, prob, tau).ok
 
 
 def test_four_stage_routes_and_screened_declines(monkeypatch):
@@ -278,8 +303,9 @@ def test_design_two_stage_scalar_chain_rates():
 def bisected_rate_supremum(prob, theta, eps_index, tau):
     """Reference for the closed-form rate: bisect the feasible eps interval.
 
-    The master is affine and non-increasing in eps, so the eps that keep
-    lambda_min >= tau form an interval starting at the solver's own eps.
+    The master is affine in eps, so the eps that keep lambda_min >= tau
+    form an interval containing the solver's own eps; this bisects its
+    upper end.
     """
     work = np.array(theta, dtype=float)
 
