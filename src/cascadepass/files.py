@@ -308,7 +308,7 @@ def state_from_dict(doc) -> NetworkDesignState:
             raise MalformedFile(f"records[{k}]: max |Q B2 - C'| = {residual:.3e} exceeds {bound:.3e}")
         records.append(rec)
     try:
-        return NetworkDesignState(net=net, records=tuple(records))
+        return NetworkDesignState._from_built(net, tuple(records))
     except ValueError as exc:
         raise MalformedFile(str(exc)) from None
 

@@ -40,6 +40,7 @@ __all__ = [
     "Infeasible",
     "PointCertificate",
     "solve_feasibility",
+    "particular_solution",
     "certify_point",
     "sym_vec_size",
     "sym_to_vec",
@@ -301,7 +302,6 @@ def solve_feasibility(
     Phi reaches it; larger targets buy margin for downstream consumers at the
     cost of more iterations.
     """
-    v = prob.var_count
     d = prob.dim
     scale = max(1.0, float(np.abs(prob.constant_block).max()) if d else 0.0)
     tau = float(margin)
@@ -311,20 +311,15 @@ def solve_feasibility(
         target = max(2.0 * tau, 1e-4 * scale)
     target = max(float(target), tau)
 
-    E, e = prob.eq_matrix, prob.eq_rhs
-    if E.shape[0]:
-        theta_p, *_ = np.linalg.lstsq(E, e, rcond=None)
-        resid = np.abs(E @ theta_p - e).max() if e.size else 0.0
-        if resid > EQ_RTOL * max(1.0, np.abs(e).max() if e.size else 0.0):
-            lam = float(np.linalg.eigvalsh(prob.master(theta_p))[0]) if d else -np.inf
-            return Infeasible(
-                best_lambda_min=lam,
-                best_theta=theta_p,
-                evaluations=1,
-                reason="InconsistentEqualities",
-            )
-    else:
-        theta_p = np.zeros(v)
+    theta_p, consistent = particular_solution(prob.eq_matrix, prob.eq_rhs)
+    if not consistent:
+        lam = float(np.linalg.eigvalsh(prob.master(theta_p))[0]) if d else -np.inf
+        return Infeasible(
+            best_lambda_min=lam,
+            best_theta=theta_p,
+            evaluations=1,
+            reason="InconsistentEqualities",
+        )
 
     if d == 0:
         # No matrix block: only the equalities constrain theta.
@@ -344,6 +339,24 @@ def solve_feasibility(
         evaluations=evals,
         reason="Stalled",
     )
+
+
+def particular_solution(E: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The least-squares solution theta_p of E theta = e, and whether it
+    meets the equalities within EQ_RTOL * max(1, ||e||_inf).
+
+    E and e must be finite. Every point the solver returns is theta_p plus
+    a null-space direction of E, so where E leaves a variable no freedom,
+    theta_p already holds its value. Raises MalformedProblem when theta_p
+    overflows.
+    """
+    if not E.shape[0]:
+        return np.zeros(E.shape[1]), True
+    theta_p, *_ = np.linalg.lstsq(E, e, rcond=None)
+    if not np.isfinite(theta_p).all():
+        raise MalformedProblem("equalities overflow when solved")
+    resid = np.abs(E @ theta_p - e).max()
+    return theta_p, not resid > EQ_RTOL * max(1.0, np.abs(e).max())
 
 
 def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, target: float):

@@ -28,6 +28,7 @@ __all__ = [
     "InvalidNetwork",
     "as_matrix",
     "validate_network",
+    "validate_last_subsystem",
     "assemble_global",
     "extend_network",
 ]
@@ -217,61 +218,82 @@ def validate_network(net: CascadeNetwork) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     for i, sub in enumerate(net.subsystems, start=1):
-        n = sub.A.shape[0]
-        if sub.A.shape[1] != n:
-            bad.append(Violation(DIMENSION_MISMATCH, (i,), f"A is {sub.A.shape}, not square"))
-            continue
-        for name in ("A", "B1", "B2", "B3", "C"):
-            if not np.isfinite(getattr(sub, name)).all():
-                bad.append(Violation(NON_FINITE, (i,), f"{name} has non-finite entries"))
-        for name in ("B1", "B2", "B3"):
-            rows = getattr(sub, name).shape[0]
-            if rows != n:
-                bad.append(
-                    Violation(DIMENSION_MISMATCH, (i,), f"{name} has {rows} rows, state size is {n}")
-                )
-        if sub.C.shape[1] != n:
-            bad.append(
-                Violation(DIMENSION_MISMATCH, (i,), f"C has {sub.C.shape[1]} columns, state size is {n}")
-            )
-        if sub.B2.shape[1] != sub.C.shape[0]:
-            bad.append(
-                Violation(
-                    DIMENSION_MISMATCH,
-                    (i,),
-                    f"B2 has {sub.B2.shape[1]} columns but C has {sub.C.shape[0]} rows; "
-                    "disturbance and output must share a dimension",
-                )
-            )
-        if sub.B3.shape[1] != sub.B1.shape[1]:
-            bad.append(
-                Violation(
-                    DIMENSION_MISMATCH,
-                    (i,),
-                    f"B3 has {sub.B3.shape[1]} columns but B1 has {sub.B1.shape[1]}; "
-                    "control and coupling inputs must share a dimension",
-                )
-            )
-
-    for (i, j), block in net.couplings.items():
-        if not (1 <= i <= N and 1 <= j <= N):
-            bad.append(Violation(BAD_INDEX, (i, j), "coupling index out of range"))
-            continue
-        if abs(i - j) > 1:
-            bad.append(
-                Violation(NON_CASCADE_COUPLING, (i, j), "coupling skips past a nearest neighbor")
-            )
-            continue
-        p = net.subsystems[i - 1].p
-        n = net.subsystems[j - 1].n
-        if block.h.shape != (p, n):
-            bad.append(
-                Violation(DIMENSION_MISMATCH, (i, j), f"h is {block.h.shape}, expected ({p}, {n})")
-            )
-        if not np.isfinite(block.h).all():
-            bad.append(Violation(NON_FINITE, (i, j), "h has non-finite entries"))
-
+        bad += _subsystem_violations(i, sub)
+    for key, block in net.couplings.items():
+        bad += _coupling_violations(net, key, block)
     return ValidationReport(tuple(bad))
+
+
+def validate_last_subsystem(net: CascadeNetwork) -> ValidationReport:
+    """validate_network restricted to what the last subsystem brings.
+
+    Checks subsystem N and the couplings (N, N), (N, N-1) and (N-1, N), for
+    a network whose first N-1 subsystems and the couplings among them were
+    validated before, as extend_network builds from a validated network.
+    """
+    N = net.n_subsystems
+    bad = _subsystem_violations(N, net.subsystems[-1])
+    for key in ((N, N), (N, N - 1), (N - 1, N)):
+        block = net.couplings.get(key)
+        if block is not None:
+            bad += _coupling_violations(net, key, block)
+    return ValidationReport(tuple(bad))
+
+
+def _subsystem_violations(i: int, sub: Subsystem) -> list[Violation]:
+    n = sub.A.shape[0]
+    if sub.A.shape[1] != n:
+        return [Violation(DIMENSION_MISMATCH, (i,), f"A is {sub.A.shape}, not square")]
+    bad = []
+    for name in ("A", "B1", "B2", "B3", "C"):
+        if not np.isfinite(getattr(sub, name)).all():
+            bad.append(Violation(NON_FINITE, (i,), f"{name} has non-finite entries"))
+    for name in ("B1", "B2", "B3"):
+        rows = getattr(sub, name).shape[0]
+        if rows != n:
+            bad.append(
+                Violation(DIMENSION_MISMATCH, (i,), f"{name} has {rows} rows, state size is {n}")
+            )
+    if sub.C.shape[1] != n:
+        bad.append(
+            Violation(DIMENSION_MISMATCH, (i,), f"C has {sub.C.shape[1]} columns, state size is {n}")
+        )
+    if sub.B2.shape[1] != sub.C.shape[0]:
+        bad.append(
+            Violation(
+                DIMENSION_MISMATCH,
+                (i,),
+                f"B2 has {sub.B2.shape[1]} columns but C has {sub.C.shape[0]} rows; "
+                "disturbance and output must share a dimension",
+            )
+        )
+    if sub.B3.shape[1] != sub.B1.shape[1]:
+        bad.append(
+            Violation(
+                DIMENSION_MISMATCH,
+                (i,),
+                f"B3 has {sub.B3.shape[1]} columns but B1 has {sub.B1.shape[1]}; "
+                "control and coupling inputs must share a dimension",
+            )
+        )
+    return bad
+
+
+def _coupling_violations(net: CascadeNetwork, key, block: CouplingBlock) -> list[Violation]:
+    i, j = key
+    N = net.n_subsystems
+    if not (1 <= i <= N and 1 <= j <= N):
+        return [Violation(BAD_INDEX, (i, j), "coupling index out of range")]
+    if abs(i - j) > 1:
+        return [Violation(NON_CASCADE_COUPLING, (i, j), "coupling skips past a nearest neighbor")]
+    bad = []
+    p = net.subsystems[i - 1].p
+    n = net.subsystems[j - 1].n
+    if block.h.shape != (p, n):
+        bad.append(Violation(DIMENSION_MISMATCH, (i, j), f"h is {block.h.shape}, expected ({p}, {n})"))
+    if not np.isfinite(block.h).all():
+        bad.append(Violation(NON_FINITE, (i, j), "h has non-finite entries"))
+    return bad
 
 
 def _offsets(sizes) -> np.ndarray:

@@ -11,6 +11,14 @@ that fails, with them:
   K(i-1,i), resolving the Q*K bilinearity in two stages (a substitution
   stage for Q, then an exact re-solve over the gains with Q frozen).
 
+When B2 has full row rank, the storage equality Q B2 = C' pins Q, and
+stage 1 of both routes is decided in closed form with no search: verify
+has only the rate left, whose feasible interval a Schur complement gives,
+and synthesis's stage 1 passes exactly when Q - Q_FLOOR I and M_prev clear
+the margin. A step whose incoming M_prev is below its margin is declined
+on both routes before any problem is built. Each such decline carries a
+typed reason and an upper bound on the margin any point could reach.
+
 Both routes then settle the rate in closed form, re-certify the point and
 form the step's margin block M_cl. Positivity of M_cl is imposed through a
 two-block Schur form so the local problem stays affine. One function builds
@@ -37,6 +45,7 @@ from .model import (
     Subsystem,
     as_matrix,
     extend_network,
+    validate_last_subsystem,
     validate_network,
 )
 
@@ -183,13 +192,35 @@ class DesignRecord:
 
 @dataclass(frozen=True)
 class NetworkDesignState:
-    """A fully designed cascade: the network plus one record per subsystem."""
+    """A fully designed cascade: the network plus one record per subsystem.
+
+    The network is validated on construction (InvalidNetwork), so every
+    state carries a valid one and add_subsystem need check only what an
+    addition brings.
+    """
 
     net: CascadeNetwork
     records: tuple[DesignRecord, ...]
     global_epsilon: float = field(init=False)
 
     def __post_init__(self):
+        report = validate_network(self.net)
+        if not report.ok:
+            raise InvalidNetwork(report)
+        self._check()
+
+    @classmethod
+    def _from_built(cls, net, records) -> "NetworkDesignState":
+        """A state whose network the package has just validated: it is not
+        validated again. The records are checked as the constructor checks
+        them."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "net", net)
+        object.__setattr__(state, "records", records)
+        state._check()
+        return state
+
+    def _check(self):
         records = tuple(self.records)
         if not records:
             raise ValueError("a design state needs at least one record")
@@ -246,30 +277,43 @@ class _Layout:
         return out
 
 
-def _assemble_problem(layout, master_fn, eq_fn) -> lmi.AffineFeasibilityProblem:
-    # master_fn and eq_fn are affine in the variables, so probing the zero
-    # point and each unit vector recovers the exact coefficient blocks.
-    # Finite data too large to multiply overflows to a non-finite block,
-    # which the problem reports as MalformedProblem; numpy need not warn.
+def _probes(layout) -> tuple[dict, list[dict]]:
+    """The layout's zero point and each of its unit vectors, unpacked."""
+    return layout.unpack(np.zeros(layout.size)), [layout.unpack(u) for u in np.eye(layout.size)]
+
+
+def _equalities(probes, eq_fn) -> tuple[np.ndarray, np.ndarray]:
+    """(E, e) of the affine equalities eq_fn(v) = 0, from the probes.
+
+    eq_fn is affine in the variables, so probing the zero point and each
+    unit vector recovers E exactly. Finite data too large to multiply
+    overflow to a non-finite E, reported as MalformedProblem; numpy need
+    not warn.
+    """
+    zero, units = probes
     with np.errstate(over="ignore", invalid="ignore"):
-        zero = layout.unpack(np.zeros(layout.size))
-        M0 = master_fn(zero)
         r0 = np.asarray(eq_fn(zero), dtype=float).reshape(-1)
-        coeffs = []
-        cols = []
-        for k in range(layout.size):
-            unit = np.zeros(layout.size)
-            unit[k] = 1.0
-            probe = layout.unpack(unit)
-            coeffs.append(master_fn(probe) - M0)
-            cols.append(np.asarray(eq_fn(probe), dtype=float).reshape(-1) - r0)
-    E = np.stack(cols, axis=1) if layout.size else np.zeros((r0.size, 0))
+        cols = [np.asarray(eq_fn(u), dtype=float).reshape(-1) - r0 for u in units]
+    E = np.stack(cols, axis=1) if cols else np.zeros((r0.size, 0))
+    if not (np.isfinite(E).all() and np.isfinite(r0).all()):
+        raise lmi.MalformedProblem("equalities have non-finite entries")
+    return E, -r0
+
+
+def _assemble_problem(probes, master_fn, E, e) -> lmi.AffineFeasibilityProblem:
+    # master_fn is affine in the variables, so the probes recover the exact
+    # coefficient blocks. Finite data too large to multiply overflows to a
+    # non-finite block, which the problem reports as MalformedProblem.
+    zero, units = probes
+    with np.errstate(over="ignore", invalid="ignore"):
+        M0 = master_fn(zero)
+        coeffs = [master_fn(u) - M0 for u in units]
     return lmi.AffineFeasibilityProblem(
-        var_count=layout.size,
+        var_count=len(units),
         constant_block=M0,
         coeff_blocks=tuple(coeffs),
         eq_matrix=E,
-        eq_rhs=-r0,
+        eq_rhs=e,
     )
 
 
@@ -283,18 +327,25 @@ def _step_margin(sub: Subsystem) -> float:
     return 1e-6 * max(1.0, float(np.abs(sub.A).max()), float(np.abs(sub.C).max()))
 
 
-def _solver_target(prob, packet, tau) -> float:
+def _solver_target(prob, lam_prev, tau) -> float:
     scale = max(1.0, float(np.abs(prob.constant_block).max()))
     t = TARGET_FRACTION * scale
-    if packet is not None:
+    if lam_prev is not None:
         # The packet's margin block is a principal block of the master, so
         # no point can clear more margin than it carries.
-        t = min(t, 0.9 * float(np.linalg.eigvalsh(packet.M_prev)[0]))
+        t = min(t, 0.9 * lam_prev)
     return max(t, 2.0 * tau)
 
 
-def _maximize_epsilon(prob, theta, eps_index, n, tau) -> float:
-    """Half-supremum rule for the passivity rate.
+def _rate_master(prob, theta, eps_index, tau) -> np.ndarray:
+    """The master at theta with eps = 0, without its rate-floor block, minus tau I."""
+    work = np.array(theta, dtype=float)
+    work[eps_index] = 0.0
+    return prob.master(work)[:-1, :-1] - tau * np.eye(prob.dim - 1)
+
+
+def _rate_supremum(prob, theta, eps_index, n, tau) -> float | None:
+    """Supremum of the rates the master admits at theta's other variables.
 
     Apart from the rate floor, its last 1x1 block, eps enters the master
     only as -eps*I on its leading n x n block S. Writing the master without
@@ -305,23 +356,98 @@ def _maximize_epsilon(prob, theta, eps_index, n, tau) -> float:
 
         eps_sup = lambda_min(S0 - X R^-1 X').
 
-    Settle on half of it: a deterministic compromise between the rate
-    itself and the margin left in M_cl. The solver's own eps is returned
-    when R is not positive definite; the caller's re-certification keeps
-    it too when half the supremum does not clear the floor block.
+    Returns None when R is not positive definite: then no rate clears tau.
+    The design settles on half of eps_sup, a deterministic compromise
+    between the rate itself and the margin left in M_cl. Raises
+    MalformedProblem when finite blocks overflow on the way.
     """
-    work = np.array(theta, dtype=float)
-    eps0 = float(work[eps_index])
-    work[eps_index] = 0.0
-    M = prob.master(work)[:-1, :-1] - tau * np.eye(prob.dim - 1)
-    S0 = M[:n, :n]
-    if M.shape[0] > n:
-        try:
-            L = np.linalg.cholesky(M[n:, n:])
-        except np.linalg.LinAlgError:
-            return eps0
-        S0, _ = blockla.schur_step(L, M[n:, :n], S0)
-    return 0.5 * float(np.linalg.eigvalsh(S0)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _rate_master(prob, theta, eps_index, tau)
+        S0 = M[:n, :n]
+        if np.isfinite(M).all() and M.shape[0] > n:
+            try:
+                L = np.linalg.cholesky(M[n:, n:])
+            except np.linalg.LinAlgError:
+                return None
+            S0, _ = blockla.schur_step(L, M[n:, :n], S0)
+    if not (np.isfinite(M).all() and np.isfinite(S0).all()):
+        raise lmi.MalformedProblem("blocks overflow when combined")
+    return float(np.linalg.eigvalsh(S0)[0])
+
+
+def _settle_rate(prob, theta, eps_index, n, tau) -> np.ndarray:
+    """A solver point with its rate moved to half the supremum, when that
+    point still certifies; solve_feasibility certified theta as it is."""
+    sup = _rate_supremum(prob, theta, eps_index, n, tau)
+    if sup is not None:
+        settled = np.array(theta)
+        settled[eps_index] = 0.5 * sup
+        if lmi.certify_point(settled, prob, tau).ok:
+            return settled
+    return theta
+
+
+def _pins_storage(E, q_vars) -> bool:
+    """Whether the equalities leave Q, the first q_vars variables, no freedom.
+
+    Q B2 = C' pins Q exactly when B2 has full row rank n: a symmetric Q
+    with Q B2 = 0 is 0 when B2 B2' is invertible, and u u' for u' B2 = 0
+    otherwise. The rank is E's numerical rank on Q's columns.
+    """
+    return np.linalg.matrix_rank(E[:, :q_vars]) == q_vars
+
+
+def _pinned_rate_bound(prob, theta, eps_index, n, tau) -> float:
+    """Upper bound on lambda_min of the verify master over every eps, with R > 0.
+
+    With C = S0 - X R^-1 X' as in _rate_supremum, v a unit eigenvector of
+    C for its smallest eigenvalue s and y = R^-1 X' v, the vector
+    w = [v; -y] gives w'(P - tau I)w = s - eps for the master without its
+    floor block, P. So at every eps
+
+        lambda_min <= min(tau + (s - eps) / (1 + |y|^2), eps - EPS_MIN),
+
+    the second term being the floor block. The first falls with eps and
+    the second rises; where they meet,
+
+        lambda_min <= tau + (s - EPS_MIN - tau) / (2 + |y|^2),
+
+    which is below tau exactly when s < EPS_MIN + tau.
+    """
+    M = _rate_master(prob, theta, eps_index, tau)
+    R, Xt = M[n:, n:], M[n:, :n]
+    # A y too long for floats makes the bound tau, which still holds.
+    with np.errstate(over="ignore"):
+        s, V = np.linalg.eigh(M[:n, :n] - Xt.T @ np.linalg.solve(R, Xt))
+        y = np.linalg.solve(R, Xt @ V[:, 0])
+        return tau + (float(s[0]) - EPS_MIN - tau) / (2.0 + float(y @ y))
+
+
+def _pinned_verify(prob, theta, n, tau):
+    """Verify's stage 1 when Q B2 = C' pins Q: eps is its only free variable.
+
+    theta is the least-squares point of the equalities, the point the
+    solver starts from, and holds the only Q they admit. Returns an
+    lmi.FeasiblePoint at half the rate supremum (or, when that does not
+    certify, at the middle of the feasible interval (EPS_MIN + tau,
+    eps_sup)), or lmi.Infeasible with reason PinnedStorageInfeasible; see
+    _design_step for the proofs.
+    """
+    eps_index = prob.var_count - 1
+    sup = _rate_supremum(prob, theta, eps_index, n, tau)
+    if sup is None:
+        # R + tau I holds M_prev and Q - Q_FLOOR I, principal blocks of the
+        # master at every eps.
+        R = _rate_master(prob, theta, eps_index, tau)[n:, n:]
+        return _declined(tau + np.linalg.eigvalsh(R)[0], "PinnedStorageInfeasible", theta)
+    floor = EPS_MIN + tau
+    if sup > floor:
+        for eps in (0.5 * sup, 0.5 * (floor + sup)):
+            theta[eps_index] = eps
+            cert = lmi.certify_point(theta, prob, tau)
+            if cert.ok:
+                return lmi.FeasiblePoint(theta=theta, lambda_min=cert.lambda_min, eq_residual=cert.eq_residual)
+    return _declined(_pinned_rate_bound(prob, theta, eps_index, n, tau), "PinnedStorageInfeasible", theta)
 
 
 def _certificate_blocks(sub, Q, eps, h_self, h_prev, G_prev, T_prev, gains):
@@ -373,10 +499,11 @@ def _check_prev_coupling(h_prev, sub, packet):
     return h
 
 
-def _not_pd(point, reason) -> lmi.Infeasible:
+def _declined(bound, reason, theta=()) -> lmi.Infeasible:
+    """A decline without a search: bound is its best_lambda_min."""
     return lmi.Infeasible(
-        best_lambda_min=point.lambda_min,
-        best_theta=point.theta,
+        best_lambda_min=float(bound),
+        best_theta=np.asarray(theta, dtype=float),
         evaluations=0,
         reason=reason,
     )
@@ -397,12 +524,7 @@ def _not_hurwitz(A_s) -> lmi.Infeasible | None:
         scale = float(np.linalg.norm(A_s))
     if g <= HURWITZ_RTOL * max(1.0, scale):
         return None
-    return lmi.Infeasible(
-        best_lambda_min=-(2.0 * g * Q_FLOOR + EPS_MIN) / (2.0 + 2.0 * g),
-        best_theta=np.zeros(0),
-        evaluations=0,
-        reason="NotHurwitz",
-    )
+    return _declined(-(2.0 * g * Q_FLOOR + EPS_MIN) / (2.0 + 2.0 * g), "NotHurwitz")
 
 
 def _design_step(sub, h_self, h_prev, packet, gains: bool):
@@ -410,9 +532,17 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
 
     Verification is synthesis's stage 1 without the Z and K variables; see
     local_verify and local_synthesize. Returns a DesignRecord or
-    lmi.Infeasible.
+    lmi.Infeasible. Every decline made without a search carries a
+    best_lambda_min that bounds the smallest eigenvalue of the master at
+    every point, so it is below the margin tau exactly when the decline is
+    a proof.
 
-    Verify is screened before any problem is assembled: its master holds
+    Both routes are screened first. M_prev is a principal block of every
+    master, in both stages, so when lambda_min(M_prev) < tau no point
+    reaches the margin: both routes decline with reason
+    PacketMarginTooSmall and best_lambda_min = lambda_min(M_prev).
+
+    Verify is then screened before any problem is assembled: its master holds
     S = -(A_s'Q + Q A_s) - eps I as a principal block, with A_s = A + B1 h(i,i),
     Q - Q_FLOOR I as another and eps - EPS_MIN as a third, so a feasible point
     needs a Hurwitz A_s (Lyapunov; Khalil, Nonlinear Systems, Thm. 4.6).
@@ -432,16 +562,46 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     g > HURWITZ_RTOL * max(1, ||A_s||_F), about sqrt(u) relative, which covers
     the eigenvalue error of a defective 2x2 block. A false decline can only
     send a step to synthesis, never emit a certificate.
+
+    When B2 has full row rank, Q B2 = C' pins Q (see _pins_storage), and
+    stage 1 of both routes is decided in closed form, without the solver.
+    Q is the least-squares solution of the equalities
+    (lmi.particular_solution over stage 1's own variables, as the solver
+    would start from it), and equalities it does not meet decline with
+    reason InconsistentEqualities and best_lambda_min = -inf.
+
+    * Verify has eps as its only free variable. With R as in
+      _rate_supremum (the blocks M_prev - tau I and Q - (Q_FLOOR + tau) I),
+      the master clears tau at some eps exactly when R > 0 and
+      EPS_MIN + tau <= eps <= eps_sup. The rate is half of eps_sup, or the
+      middle of that interval when half does not certify, and certify_point
+      checks the point as on the solver's route. Otherwise the step
+      declines with reason PinnedStorageInfeasible: when R is not positive
+      definite, best_lambda_min = lambda_min(R) + tau, the smallest
+      eigenvalue of two principal blocks; when eps_sup <= EPS_MIN + tau,
+      best_lambda_min is the bound of _pinned_rate_bound.
+    * Synthesis's stage 1 leaves Z_self, Z_prev and K(i-1,i) free, so S
+      and X take any value and only Q matters: choosing X = 0 and S large,
+      the master clears tau exactly when lambda_min(Q - Q_FLOOR I) >= tau
+      and lambda_min(M_prev) >= tau, and the packet screen has checked the
+      latter. Otherwise it declines with reason PinnedStorageInfeasible and
+      best_lambda_min = lambda_min(Q - Q_FLOOR I), a principal block.
+      Stage 2 runs the solver as for any other Q.
     """
     index = 1 if packet is None else packet.prev_index + 1
     h_self = _check_self_coupling(h_self, sub)
     h_prev = _check_prev_coupling(h_prev, sub, packet)
+    tau = _step_margin(sub)
+    lam_prev = None
+    if packet is not None:
+        lam_prev = float(np.linalg.eigvalsh(packet.M_prev)[0])
+        if lam_prev < tau:
+            return _declined(lam_prev, "PacketMarginTooSmall")
     if not gains:
         declined = _not_hurwitz(sub.A + sub.B1 @ h_self)
         if declined is not None:
             return declined
     n, p = sub.n, sub.p
-    tau = _step_margin(sub)
     G_prev, T_prev = (None, None) if packet is None else (packet.G_prev, packet.T_prev)
 
     def blocks(Q, v):
@@ -474,20 +634,33 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
             stage1.full("Z_prev", (n, packet.M_prev.shape[0]))
             stage1.full("K_prev_to_self", (packet.T_prev.shape[1], n))
 
-    def equalities(v):
-        return (v["Q"] @ sub.B2 - sub.C.T).ravel()
-
-    prob = _assemble_problem(stage1, lambda v: master(v["Q"], v, True), equalities)
-    point = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, packet, tau))
-    if isinstance(point, lmi.Infeasible):
-        return point
-    layout, theta = stage1, point.theta
+    probes = _probes(stage1)
+    E, e = _equalities(probes, lambda v: (v["Q"] @ sub.B2 - sub.C.T).ravel())
+    pinned = _pins_storage(E, lmi.sym_vec_size(n))
+    if pinned:
+        theta, consistent = lmi.particular_solution(E, e)
+        if not consistent:
+            return _declined(-np.inf, "InconsistentEqualities", theta)
+    if pinned and gains:
+        lam1 = float(np.linalg.eigvalsh(stage1.unpack(theta)["Q"] - Q_FLOOR * np.eye(n))[0])
+        if lam1 < tau:
+            return _declined(lam1, "PinnedStorageInfeasible", theta)
+    else:
+        prob = _assemble_problem(probes, lambda v: master(v["Q"], v, True), E, e)
+        if pinned:
+            point = _pinned_verify(prob, theta, n, tau)
+        else:
+            point = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, lam_prev, tau))
+        if isinstance(point, lmi.Infeasible):
+            return point
+        theta, lam1 = point.theta, point.lambda_min
     Q = stage1.unpack(theta)["Q"]
     try:
         blockla.cholesky_lower(Q)
     except blockla.NotPositiveDefinite:
-        return _not_pd(point, "StorageNotPositiveDefinite")
+        return _declined(lam1, "StorageNotPositiveDefinite", theta)
 
+    layout = stage1
     if gains:
         layout = _Layout()
         layout.scalar("eps")
@@ -495,22 +668,18 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         if packet is not None:
             layout.full("K_to_prev", (p, packet.M_prev.shape[0]))
             layout.full("K_prev_to_self", (packet.T_prev.shape[1], n))
-        prob = _assemble_problem(layout, lambda v: master(Q, v, False), lambda v: np.zeros(0))
+        prob = _assemble_problem(
+            _probes(layout), lambda v: master(Q, v, False), np.zeros((0, layout.size)), np.zeros(0)
+        )
         # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
         # floor; deriving a fresh one from the stage-2 constant block would let
         # a large found Q inflate the requirement beyond reach.
-        point2 = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, packet, tau))
-        if isinstance(point2, lmi.Infeasible):
-            return point2
-        theta = point2.theta
-
-    theta = np.array(theta)
-    eps_idx = layout.index("eps")
-    eps_found = float(theta[eps_idx])
-    theta[eps_idx] = _maximize_epsilon(prob, theta, eps_idx, n, tau)
-    # solve_feasibility certified eps_found with this prob and tau.
-    if not lmi.certify_point(theta, prob, tau).ok:
-        theta[eps_idx] = eps_found
+        point = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, lam_prev, tau))
+        if isinstance(point, lmi.Infeasible):
+            return point
+        theta = point.theta
+    if gains or not pinned:
+        theta = _settle_rate(prob, theta, layout.index("eps"), n, tau)
 
     v = layout.unpack(theta)
     # M_cl = S - X M_prev^-1 X', the same step tridiag_pd_sequence takes.
@@ -520,7 +689,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     try:
         blockla.cholesky_lower(M_cl)
     except blockla.NotPositiveDefinite:
-        return _not_pd(point, "MarginNotPositiveDefinite")
+        return _declined(lam1, "MarginNotPositiveDefinite", theta)
 
     return DesignRecord(
         index=index,
@@ -630,7 +799,7 @@ def run_cascade_design(net: CascadeNetwork) -> NetworkDesignState:
     records: list[DesignRecord] = []
     for _ in net.subsystems:
         records.append(_design_next(net, records))
-    return NetworkDesignState(net=net, records=tuple(records))
+    return NetworkDesignState._from_built(net, tuple(records))
 
 
 def add_subsystem(
@@ -643,8 +812,10 @@ def add_subsystem(
     """Grow a designed cascade by one subsystem without touching old records.
 
     h_self is h(N+1,N+1), h_prev is h(N+1,N), h_to_new is h(N,N+1); None
-    means absent. The grown network is validated first, so a bad shape or
-    a non-finite entry raises InvalidNetwork before any solve; then the
+    means absent. What the addition brings is validated first, so a bad
+    shape or a non-finite entry raises InvalidNetwork before any solve; the
+    rest of the network is state.net, validated when the state was built.
+    Then the
     step run_cascade_design takes designs subsystem N+1, and the result
     matches a from-scratch design of the grown network record for record.
     """
@@ -652,11 +823,11 @@ def add_subsystem(
     net = extend_network(
         state.net, new_sub, {(N + 1, N + 1): h_self, (N + 1, N): h_prev, (N, N + 1): h_to_new}
     )
-    report = validate_network(net)
+    report = validate_last_subsystem(net)
     if not report.ok:
         raise InvalidNetwork(report)
     rec = _design_next(net, state.records)
-    return NetworkDesignState(net=net, records=state.records + (rec,))
+    return NetworkDesignState._from_built(net, state.records + (rec,))
 
 
 def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> blockla.BlockTriDiagonal:

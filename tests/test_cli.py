@@ -370,12 +370,14 @@ def test_state_whose_network_is_not_a_cascade_is_malformed(four_stage_doc, tmp_p
 @pytest.mark.parametrize("value", [1.7e308, -1.7e308])
 def test_addition_too_large_to_multiply_names_its_step(four_stage_doc, tmp_path, capsys, value):
     # The entry is finite, so the addition validates; the local problem of
-    # step 5 is where the products overflow.
+    # step 5 is where the products overflow. (An A this large would instead
+    # raise step 5's margin past the packet's and decline the step before
+    # any product is formed.)
     state = tmp_path / "four.json"
     state.write_text(json.dumps(four_stage_doc))
     addition = tmp_path / "huge_add.json"
     files.save_addition(
-        Subsystem(A=value, B1=1.0, B2=1.0, B3=1.0, C=1.0), None, [[1.0, 0.0]], [[1.0]], addition
+        Subsystem(A=-1.0, B1=value, B2=1.0, B3=1.0, C=1.0), None, [[1.0, 0.0]], [[1.0]], addition
     )
     out = tmp_path / "never.json"
     with warnings.catch_warnings():

@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cascadepass import blockla, lmi, oracle, protocol
+from cascadepass import blockla, lmi, model, oracle, protocol
 from cascadepass.model import CascadeNetwork, InvalidNetwork, Subsystem
 from cascadepass.protocol import (
     ROUTE_SYNTHESIZED,
@@ -32,6 +34,12 @@ from cascadepass.sample_cascades import (
 
 def scalar_subsystem(a=-1.0):
     return Subsystem(A=a, B1=1.0, B2=1.0, B3=1.0, C=1.0)
+
+
+def free_storage_subsystem(a=-1.0):
+    # Two states and one output: Q B2 = C' fixes Q's first column only, so
+    # Q[1, 1] stays free and verify is a search.
+    return Subsystem(A=a * np.eye(2), B1=np.eye(2), B2=[[1.0], [0.0]], B3=np.eye(2), C=[[1.0, 0.0]])
 
 
 def verified_record(index=1, q=1.0, eps=1.0, m=1.0):
@@ -141,10 +149,10 @@ def test_verify_declines_non_hurwitz_drift_without_the_solver(monkeypatch):
 
 def test_verify_reaches_the_solver_on_hurwitz_drift(monkeypatch):
     calls = counting_solver(monkeypatch)
-    assert isinstance(local_verify(scalar_subsystem(-1.0)), DesignRecord)
+    assert isinstance(local_verify(free_storage_subsystem(-1.0)), DesignRecord)
     assert len(calls) == 1
     # A_s = A + B1 h(i,i) is what the screen tests, not A alone.
-    out = local_verify(scalar_subsystem(1.0), h_self=[[-2.0]])
+    out = local_verify(free_storage_subsystem(1.0), h_self=-2.0 * np.eye(2))
     assert len(calls) == 2
     assert getattr(out, "reason", None) != "NotHurwitz"
 
@@ -157,12 +165,15 @@ def test_verify_of_non_finite_drift_stays_a_malformed_problem(bad):
 
 def test_non_hurwitz_bound_holds_for_the_solver(monkeypatch):
     # With the screen off the solver's best point stays below the bound the
-    # screen reports, as the Lyapunov argument in _design_step requires.
-    screened = local_verify(scalar_subsystem(3.0))
-    monkeypatch.setattr(protocol, "_not_hurwitz", lambda A_s: None)
-    solved = local_verify(scalar_subsystem(3.0))
-    assert isinstance(solved, lmi.Infeasible) and solved.reason != "NotHurwitz"
-    assert solved.best_lambda_min <= screened.best_lambda_min
+    # screen reports, as the Lyapunov argument in _design_step requires. So
+    # does the closed form's exact bound on a pinned (scalar) step.
+    for sub in (free_storage_subsystem(3.0), scalar_subsystem(3.0)):
+        screened = local_verify(sub)
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol, "_not_hurwitz", lambda A_s: None)
+            solved = local_verify(sub)
+        assert isinstance(solved, lmi.Infeasible) and solved.reason != "NotHurwitz"
+        assert solved.best_lambda_min <= screened.best_lambda_min
 
 
 def test_rate_floor_is_a_block_of_the_verify_master(monkeypatch):
@@ -175,10 +186,11 @@ def test_rate_floor_is_a_block_of_the_verify_master(monkeypatch):
         return out
 
     monkeypatch.setattr(lmi, "solve_feasibility", capturing)
-    assert isinstance(local_verify(scalar_subsystem(-1.0)), DesignRecord)
+    assert isinstance(local_verify(free_storage_subsystem(-1.0)), DesignRecord)
     [(prob, tau, point)] = problems
-    # Stage 1 holds Q, then eps; the floor is the master's last block.
-    eps_index = 1
+    # Stage 1 holds Q's three entries, then eps; the floor is the master's
+    # last block.
+    eps_index = 3
     assert prob.master(point.theta)[-1, -1] == point.theta[eps_index] - protocol.EPS_MIN
     for eps in (0.5 * protocol.EPS_MIN, protocol.EPS_MIN + 0.5 * tau):
         theta = np.array(point.theta)
@@ -188,6 +200,160 @@ def test_rate_floor_is_a_block_of_the_verify_master(monkeypatch):
         assert cert.lambda_min == eps - protocol.EPS_MIN
     theta[eps_index] = protocol.EPS_MIN + 2.0 * tau
     assert lmi.certify_point(theta, prob, tau).ok
+
+
+def planted_step(seed, n, m, n_prev):
+    """A subsystem whose storage equality has a positive definite solution,
+    its self coupling, and (when n_prev > 0) a packet with its coupling."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(n, n))
+    B2 = rng.normal(size=(n, m))
+    C = ((G @ G.T + (0.5 + rng.uniform()) * np.eye(n)) @ B2).T
+    A = rng.normal(size=(n, n)) - rng.uniform(0.0, 2.0) * np.eye(n)
+    sub = Subsystem(A=A, B1=rng.normal(size=(n, n)), B2=B2, B3=rng.normal(size=(n, n)), C=C)
+    h_self = 0.3 * rng.normal(size=(n, n))
+    if not n_prev:
+        return sub, h_self, None, None
+    G = rng.normal(size=(n_prev, n_prev))
+    packet = MessengerPacket(
+        prev_index=1,
+        M_prev=G @ G.T / n_prev + rng.uniform(0.05, 2.0) * np.eye(n_prev),
+        G_prev=0.3 * rng.normal(size=(n_prev, n)),
+        T_prev=rng.normal(size=(n_prev, n_prev)),
+    )
+    return sub, h_self, 0.3 * rng.normal(size=(n, n_prev)), packet
+
+
+def searched(route, *args):
+    """route(*args) with pinned storage sent to the solver like any other."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_pins_storage", lambda E, q_vars: False)
+        return route(*args)
+
+
+def assert_same_record(a, b):
+    assert (a.index, a.route, a.epsilon) == (b.index, b.route, b.epsilon)
+    for name in ("Q", "M_cl", "K_self", "K_to_prev", "K_prev_to_self"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        assert x is None or np.array_equal(x, y), name
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    extra=st.integers(0, 1),
+    n_prev=st.integers(0, 3),
+)
+def test_pinned_steps_match_the_solver_whenever_it_accepts(seed, n, extra, n_prev):
+    sub, h_self, h_prev, packet = planted_step(seed, n, n + extra, n_prev)
+    for route in (local_verify, local_synthesize):
+        closed = route(sub, h_self, h_prev, packet)
+        solved = searched(route, sub, h_self, h_prev, packet)
+        if isinstance(solved, DesignRecord):
+            assert isinstance(closed, DesignRecord), closed
+            assert_same_record(closed, solved)
+        elif isinstance(closed, lmi.Infeasible) and closed.reason == "PinnedStorageInfeasible":
+            # A pinned decline bounds every point, the solver's best included.
+            assert solved.best_lambda_min <= closed.best_lambda_min
+
+
+def test_pinned_steps_make_no_solver_call_in_stage_one(monkeypatch):
+    calls = counting_solver(monkeypatch)
+    # Scalar steps are pinned: verify accepts and declines with no search.
+    assert isinstance(local_verify(scalar_subsystem(-1.0)), DesignRecord)
+    packet = MessengerPacket(prev_index=1, M_prev=[[1.0]], G_prev=[[10.0]], T_prev=[[1.0]])
+    declined = local_verify(scalar_subsystem(-1.0), h_prev=[[0.0]], packet=packet)
+    assert declined.reason == "PinnedStorageInfeasible"
+    assert calls == []
+    # Synthesis searches only its stage 2, over the gains.
+    assert isinstance(local_synthesize(scalar_subsystem(3.0)), DesignRecord)
+    assert len(calls) == 1
+    assert local_synthesize(Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1e-5)).reason == (
+        "PinnedStorageInfeasible"
+    )
+    assert len(calls) == 1
+    # No scalar Q gives Q [1, 0] = [1, 1]: both routes decline, no point exists.
+    sub = Subsystem(A=-1.0, B1=1.0, B2=[[1.0, 0.0]], B3=1.0, C=[[1.0], [1.0]])
+    for route in (local_verify, local_synthesize):
+        out = route(sub)
+        assert (out.reason, out.best_lambda_min) == ("InconsistentEqualities", -np.inf)
+    assert len(calls) == 1
+
+
+def test_pinned_declines_bound_every_rate():
+    packet = MessengerPacket(prev_index=1, M_prev=[[1.0]], G_prev=[[10.0]], T_prev=[[1.0]])
+    cases = [
+        # The coupling from the packet leaves no rate: eps_sup < 0.
+        (scalar_subsystem(-1.0), dict(h_prev=[[0.0]], packet=packet)),
+        # Q = 1e-5 is below Q_FLOOR, so R is not positive definite.
+        (Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1e-5), {}),
+    ]
+    for sub, kwargs in cases:
+        problems = []
+        solve = lmi.solve_feasibility
+
+        def capturing(prob, margin, **kw):
+            out = solve(prob, margin, **kw)
+            problems.append((prob, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lmi, "solve_feasibility", capturing)
+            mp.setattr(protocol, "_pins_storage", lambda E, q_vars: False)
+            local_verify(sub, **kwargs)
+        [(prob, solved)] = problems
+        declined = local_verify(sub, **kwargs)
+        assert declined.reason == "PinnedStorageInfeasible"
+        bound = declined.best_lambda_min
+        assert bound < protocol._step_margin(sub)
+        # The solver's best point and every rate on a wide grid stay below it.
+        assert isinstance(solved, lmi.Infeasible) and solved.best_lambda_min <= bound
+        theta = np.array(declined.best_theta)
+        for eps in np.linspace(-5.0, 5.0, 2001):
+            theta[-1] = eps
+            assert np.linalg.eigvalsh(prob.master(theta))[0] <= bound
+
+
+def test_packet_below_the_step_margin_declines_both_routes(monkeypatch):
+    calls = counting_solver(monkeypatch)
+    packet = MessengerPacket(prev_index=1, M_prev=[[1e-7]], G_prev=[[0.0]], T_prev=[[1.0]])
+    for route in (local_verify, local_synthesize):
+        out = route(scalar_subsystem(-1.0), h_prev=[[0.0]], packet=packet)
+        assert (out.reason, out.best_lambda_min, out.evaluations) == ("PacketMarginTooSmall", 1e-7, 0)
+    assert calls == []
+    # tau = 1e-6 |A| passes the four-stage design's last margin, 0.416.
+    state = run_cascade_design(four_stage_cascade())
+    calls.clear()
+    with pytest.raises(DesignFailed) as info:
+        add_subsystem(state, scalar_subsystem(-1e6), h_prev=[[1.0, 0.0]], h_to_new=[[1.0]])
+    assert info.value.index == 5
+    assert info.value.diagnosis.reason == "PacketMarginTooSmall"
+    assert info.value.diagnosis.best_lambda_min == np.linalg.eigvalsh(state.records[-1].M_cl)[0]
+    assert calls == []
+
+
+def test_add_subsystem_validates_only_the_addition(monkeypatch):
+    checked = []
+    whole = model.validate_network
+    monkeypatch.setattr(protocol, "validate_network", lambda net: checked.append(net) or whole(net))
+    state = run_cascade_design(two_stage_scalar_cascade())
+    assert len(checked) == 1
+    grown = add_subsystem(state, scalar_subsystem(), h_prev=[[1.0]])
+    assert len(checked) == 1 and grown.net.n_subsystems == 3
+    # A bad addition still raises before any solve.
+    calls = counting_solver(monkeypatch)
+    with pytest.raises(InvalidNetwork) as info:
+        add_subsystem(state, scalar_subsystem(np.nan), h_to_new=[[1.0, 2.0]])
+    assert [(v.code, v.where) for v in info.value.report.violations] == [
+        ("NonFinite", (3,)), ("DimensionMismatch", (2, 3))
+    ]
+    assert calls == []
+    # The rest of the network is checked when a state is built.
+    bad = CascadeNetwork.from_blocks(state.net.subsystems, {(2, 1): [[1.0]], (1, 2): [[1.0, 5.0]]})
+    with pytest.raises(InvalidNetwork):
+        NetworkDesignState(net=bad, records=state.records)
 
 
 def test_four_stage_routes_and_screened_declines(monkeypatch):
@@ -301,21 +467,22 @@ def test_design_two_stage_scalar_chain_rates():
 
 
 def bisected_rate_supremum(prob, theta, eps_index, tau):
-    """Reference for the closed-form rate: bisect the feasible eps interval.
+    """Reference for the closed-form rate: bisect the largest eps at which
+    the master without its rate-floor block keeps lambda_min >= tau.
 
-    The master is affine in eps, so the eps that keep lambda_min >= tau
-    form an interval containing the solver's own eps; this bisects its
-    upper end.
+    eps enters that block only as -eps*I on a principal block, so the eps
+    it admits form a half-line (-inf, sup]; this bisects its end.
     """
     work = np.array(theta, dtype=float)
 
     def feasible(eps):
         work[eps_index] = eps
-        return np.linalg.eigvalsh(prob.master(work))[0] >= tau
+        return np.linalg.eigvalsh(prob.master(work)[:-1, :-1])[0] >= tau
 
-    lo = float(theta[eps_index])
-    assert feasible(lo)
-    hi = max(1.0, 2.0 * lo)
+    lo = -1.0
+    while not feasible(lo):
+        lo *= 2.0
+    hi = 1.0
     while feasible(hi):
         lo, hi = hi, 2.0 * hi
     while True:
@@ -330,14 +497,14 @@ def bisected_rate_supremum(prob, theta, eps_index, tau):
 
 def test_rate_is_half_the_bisected_supremum(monkeypatch):
     calls = []
-    closed_form = protocol._maximize_epsilon
+    closed_form = protocol._rate_supremum
 
     def recording(prob, theta, eps_index, n, tau):
-        eps = closed_form(prob, theta, eps_index, n, tau)
-        calls.append((prob, np.array(theta), eps_index, tau, eps))
-        return eps
+        sup = closed_form(prob, theta, eps_index, n, tau)
+        calls.append((prob, np.array(theta), eps_index, tau, sup))
+        return sup
 
-    monkeypatch.setattr(protocol, "_maximize_epsilon", recording)
+    monkeypatch.setattr(protocol, "_rate_supremum", recording)
     rng = np.random.default_rng(5)
     records = []
     for _ in range(6):
@@ -347,11 +514,11 @@ def test_rate_is_half_the_bisected_supremum(monkeypatch):
             continue
         records.extend(state.records)
     assert {rec.route for rec in records} == {ROUTE_VERIFIED, ROUTE_SYNTHESIZED}
-    chosen = {eps for *_, eps in calls}
+    chosen = {0.5 * sup for *_, sup in calls}
     assert all(rec.epsilon in chosen for rec in records)
-    for prob, theta, eps_index, tau, eps in calls:
+    for prob, theta, eps_index, tau, sup in calls:
         supremum = bisected_rate_supremum(prob, theta, eps_index, tau)
-        assert abs(eps - 0.5 * supremum) <= 1e-9 * supremum
+        assert abs(sup - supremum) <= 1e-9 * abs(supremum)
 
 
 def test_build_packet_contents_and_none():

@@ -1,0 +1,66 @@
+"""Print the 761-state record hash.
+
+One SHA-256, fed by ``tests/test_record_hash.py``'s ``feed`` with every
+record of each state in order:
+
+* the four-stage design;
+* for each seed 1, 2 and 3, the 4 growth cycles the benchmark's
+  ``grow_persist`` runs in 16 s: each cycle grows the four-stage design by
+  the cycle's 60 ``seeded_additions`` (drawn in turn from one
+  ``default_rng(seed)``), and every grown state is fed;
+* 40 designs ``random_cascade(1 + k % 8, default_rng(12345))``.
+
+A change that keeps every record bit for bit leaves the hash unchanged.
+Run from the repository root (about 25 s):
+
+    python3 tools/record_hash.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for sub in ("src", "tests", "perfbench"):
+    sys.path.insert(0, str(ROOT / sub))
+
+import numpy as np  # noqa: E402
+
+from cascadepass import protocol  # noqa: E402
+from cascadepass.sample_cascades import random_cascade  # noqa: E402
+from test_record_hash import feed  # noqa: E402
+from workloads import GROWTH, fixed_design, seeded_additions  # noqa: E402
+
+SEEDS = (1, 2, 3)
+CYCLES = 4
+RANDOM_DESIGNS = 40
+
+
+def record_hash() -> tuple[str, int]:
+    """The hex digest and the number of states fed."""
+    digest = hashlib.sha256()
+    fixed = fixed_design()
+    feed(digest, fixed)
+    states = 1
+    last, first = fixed.net.subsystems[-1], fixed.net.n_subsystems + 1
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        cycles = [seeded_additions(rng, last, first, GROWTH) for _ in range(CYCLES)]
+        for additions in cycles:
+            state = fixed
+            for addition in additions:
+                state = protocol.add_subsystem(state, *addition)
+                feed(digest, state)
+                states += 1
+    rng = np.random.default_rng(12345)
+    for k in range(RANDOM_DESIGNS):
+        feed(digest, protocol.run_cascade_design(random_cascade(1 + k % 8, rng)))
+        states += 1
+    return digest.hexdigest(), states
+
+
+if __name__ == "__main__":
+    hexdigest, states = record_hash()
+    print(f"{hexdigest}  ({states} states)")
