@@ -167,6 +167,24 @@ def _cholesky(A, floor: float) -> np.ndarray:
     return L
 
 
+def _cholesky_passes(A, floor: float) -> np.ndarray:
+    """For each matrix of the stack A, whether _cholesky(A[k], floor) succeeds.
+
+    The same column-by-column elimination runs on every matrix at once, so
+    each verdict is _cholesky's; a matrix that fails keeps being reduced,
+    on values that no longer matter.
+    """
+    A = A.copy()
+    passes = np.ones(len(A), dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(A.shape[-1]):
+            pivot = A[:, j, j]
+            passes &= ~(pivot <= floor)
+            col = A[:, j + 1:, j] / np.sqrt(pivot)[:, None]
+            A[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
+    return passes
+
+
 def min_eigen_sym(S) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     A = symmetric_part(S, "S")

@@ -3,9 +3,13 @@
 Every document is written by the standard library's JSON encoder in one
 canonical form: sorted keys, no whitespace, and each float in Python's
 shortest round-trip form (repr), so save followed by load reproduces
-arrays bit for bit. A non-finite value cannot be written (MalformedFile),
-and a save that fails leaves the target file as it was. A network's
+arrays bit for bit. A non-finite value cannot be written (MalformedFile).
+A save renders the text first and writes it to a new file beside the
+target, which then replaces the target, so a save that fails leaves the
+target file as it was (a power loss is not covered). A network's
 identity is the SHA-256 of its canonical text (network_fingerprint).
+Matrix entries must be JSON numbers: a string such as "1.5" or a
+boolean is malformed, where numpy would read it as a number.
 
 A state file holds the network and each record's free data: Q, epsilon,
 the gains and the route. Everything derived from them is re-derived on
@@ -14,12 +18,31 @@ closed-loop certificate, and the global rate is the record minimum. A
 state loads only if its network validates, that recursion is positive
 definite, and each Q passes the oracle's storage tests (positive
 definite above its pivot floor, Q B2 - C' within its bound), so every
-state that loads certifies its own network. Each matrix read from the
-file is checked where it is parsed; the closed-loop blocks, the Schur
-complements and the records built from it are not checked again. Keys a
-state file does not need, such as the stored M_cl, fingerprint and
-global_epsilon of older files, are ignored. Coupling indices and
-record indices must be JSON integers.
+state that loads certifies its own network. Keys a state file does not
+need, such as the stored M_cl, fingerprint and global_epsilon of older
+files, are ignored. Coupling indices and record indices must be JSON
+integers.
+
+A load parses each matrix into its read-only array once and checks a
+state document in this order, so a document with several defects reports
+the first one met (and, within one step, the first record in file order):
+
+1. the document: an object of schema 1 and type "state";
+2. the network's structure: each matrix 2-D with JSON numbers for
+   entries, each coupling's indices integers and its pair unrepeated;
+3. validate_network: shapes, indices, the cascade pattern, finiteness;
+4. one record per subsystem, each with an integer index, Q and gains of
+   its subsystem's shapes with JSON numbers for entries, and a finite
+   epsilon;
+5. every record matrix finite (one test), then each Q symmetric;
+6. the closed-loop recursion, positive definite and finite at each block;
+7. per record: a known route, index >= 1, epsilon > 0, no gains on a
+   Verified record, then Q above its storage floor and Q B2 - C';
+8. record indices contiguous from 1.
+
+The tests on Q run once per stack of records whose subsystems share a
+shape. The closed-loop blocks, the Schur complements and the records
+built from them are not checked again.
 """
 
 from __future__ import annotations
@@ -27,13 +50,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from itertools import chain
 
 import numpy as np
 
 from . import blockla
 from .model import CascadeNetwork, Subsystem, as_matrix, validate_network
 from .oracle import storage_residual
-from .protocol import DesignRecord, NetworkDesignState, _closed_loop_blocks, _gain_pairs
+from .protocol import DesignRecord, NetworkDesignState, _closed_loop_blocks
 
 __all__ = [
     "MalformedFile",
@@ -70,13 +95,29 @@ def _dumps(doc) -> str:
 
 def _write(doc, path) -> None:
     # Rendering first means a document that cannot be written leaves the
-    # file as it was.
+    # file as it was; so does a write that fails, because the text goes to
+    # a new file beside the target, which then replaces it with its mode.
     text = _dumps(doc)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text + "\n")
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+# np.array reads the JSON string "1.5" as 1.5 and true as 1.0. (null reads
+# as NaN, which every load rejects as a non-finite entry.)
+_NOT_NUMBERS = frozenset((str, bool))
 
 
 def _matrix(value, name):
+    """value as a read-only 2-D float array; a lone number becomes 1x1."""
     if value is None:
         raise MalformedFile(f"missing matrix {name!r}")
     try:
@@ -84,9 +125,14 @@ def _matrix(value, name):
     except (TypeError, ValueError) as exc:
         raise MalformedFile(f"matrix {name!r} is not numeric: {exc}") from None
     if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.ndim != 2:
+        entries, a = (value,), a.reshape(1, 1)
+    elif a.ndim == 2:
+        entries = chain.from_iterable(value)
+    else:
         raise MalformedFile(f"matrix {name!r} must be 2-D, got ndim={a.ndim}")
+    if not _NOT_NUMBERS.isdisjoint(map(type, entries)):
+        raise MalformedFile(f"matrix {name!r} has an entry that is not a JSON number")
+    a.setflags(write=False)
     return a
 
 
@@ -199,9 +245,12 @@ def _record_to_dict(rec: DesignRecord) -> dict:
     }
 
 
+_RECORD_MATRICES = ("Q", "K_self", "K_to_prev", "K_prev_to_self")
+
+
 def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
-    """A record's free data, shaped for sub, with Q symmetrized; prev is
-    None for record 1."""
+    """A record's free data, each matrix parsed and of the shape sub gives
+    it; prev is None for record 1."""
     if not isinstance(d, dict):
         raise MalformedFile(f"{where} must be an object")
     fields = {"index": _integer(d.get("index"), f"{where}.index")}
@@ -221,16 +270,52 @@ def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
         a = _matrix(value, f"{where}.{name}")
         if a.shape != shape:
             raise MalformedFile(f"{where}: {name} is {a.shape}, expected {shape}")
-        if not np.isfinite(a).all():
-            raise MalformedFile(f"{where}: {name} has non-finite entries")
         fields[name] = a
-    try:
-        fields["Q"] = blockla.symmetric_part(fields["Q"], "Q")
-    except blockla.AsymmetricMatrix as exc:
-        raise MalformedFile(f"{where}: {exc}") from None
     fields["epsilon"] = _number(d.get("epsilon"), f"{where}.epsilon")
     fields["route"] = str(d.get("route"))
     return fields
+
+
+def _require_finite(fields) -> None:
+    """One finiteness test over every record matrix; only when it fails is
+    each matrix tested, to name the first non-finite one."""
+    matrices = [f[name] for f in fields for name in _RECORD_MATRICES if f[name] is not None]
+    if np.isfinite(np.concatenate(matrices, axis=None)).all():
+        return
+    for k, f in enumerate(fields):
+        for name in _RECORD_MATRICES:
+            if f[name] is not None and not np.isfinite(f[name]).all():
+                raise MalformedFile(f"records[{k}]: {name} has non-finite entries")
+
+
+def _symmetrize_storages(fields, groups) -> dict:
+    """Each group's stack of Q, made symmetric as blockla.symmetric_part
+    makes each Q; each record's Q becomes its view into the stack.
+
+    The symmetry test runs once per stack; symmetric_part runs only on a Q
+    that fails it, to raise its message, or whose entries are large enough
+    for Q + Q' to overflow.
+    """
+    stacks, exact = {}, []
+    for key, ks in groups.items():
+        S = np.array([fields[k]["Q"] for k in ks])
+        St = S.transpose(0, 2, 1)
+        with np.errstate(over="ignore"):
+            skew, H = (S - St).max(axis=(1, 2)), 0.5 * (S + St)
+        scale = np.abs(S).max(axis=(1, 2))
+        fails = (skew > blockla.SYMMETRY_RTOL * np.maximum(1.0, scale)) | (scale > blockla._HALF_MAX)
+        exact += [(ks[j], H, j) for j in np.flatnonzero(fails)]
+        stacks[key] = H
+    for k, H, j in sorted(exact, key=lambda e: e[0]):
+        try:
+            H[j] = blockla.symmetric_part(fields[k]["Q"], "Q")
+        except blockla.AsymmetricMatrix as exc:
+            raise MalformedFile(f"records[{k}]: {exc}") from None
+    for key, ks in groups.items():
+        stacks[key].setflags(write=False)
+        for k, Q in zip(ks, stacks[key]):
+            fields[k]["Q"] = Q
+    return stacks
 
 
 def state_to_dict(state: NetworkDesignState) -> dict:
@@ -251,7 +336,8 @@ def state_from_dict(doc) -> NetworkDesignState:
     centralized_sp_check: positive definite with the pivot floor that
     check sets from the largest |Q_ij| of any record (factoring the
     block-diagonal Q meets exactly each block's own pivots), and
-    Q B2 - C' within its bound, taken per subsystem.
+    Q B2 - C' within its bound, taken per subsystem. The tests on Q run
+    once per group of records whose subsystems share the shape of B2.
     """
     _expect(doc, "state")
     net = network_from_dict(doc.get("network"))
@@ -268,18 +354,17 @@ def state_from_dict(doc) -> NetworkDesignState:
         _record_fields(d, f"records[{k}]", subs[k], subs[k - 1] if k else None)
         for k, d in enumerate(recs_doc)
     ]
-    gains = {
-        ij: f[name]
-        for i, f in enumerate(fields, start=1)
-        for name, ij in _gain_pairs(i).items()
-        if f[name] is not None
-    }
-    storages = [f["Q"] for f in fields]
+    _require_finite(fields)
+    groups = {}
+    for k, sub in enumerate(subs):
+        groups.setdefault(sub.B2.shape, []).append(k)
+    stacks = _symmetrize_storages(fields, groups)
     try:
         # Finite entries too large to multiply overflow to a non-finite
         # block, which the recursion names; numpy need not warn about it.
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = _closed_loop_blocks(net, storages, [f["epsilon"] for f in fields], gains)
+            # A record's fields hold its gains under the names the blocks read.
+            blocks = _closed_loop_blocks(net, [f["Q"] for f in fields], [f["epsilon"] for f in fields], fields)
             margins = blockla.tridiag_pd_sequence(blocks).M_blocks
     except blockla.NotPositiveDefinite as exc:
         raise MalformedFile(
@@ -293,20 +378,24 @@ def state_from_dict(doc) -> NetworkDesignState:
         ) from None
     except ValueError as exc:
         raise MalformedFile(f"records: {exc}") from None
-    floor = blockla.PIVOT_RTOL * max(1.0, max(float(np.abs(Q).max()) for Q in storages))
+    floor = blockla.PIVOT_RTOL * max(1.0, max(float(np.abs(H).max()) for H in stacks.values()))
+    faults = {}
+    for key, ks in groups.items():
+        H = stacks[key]
+        positive = blockla._cholesky_passes(H, floor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual, bound = storage_residual(H, np.array([subs[k].B2 for k in ks]), np.array([subs[k].C for k in ks]))
+        for j in np.flatnonzero(~positive | (residual > bound)):
+            faults[ks[j]] = "Q is not positive definite" if not positive[j] else (
+                f"max |Q B2 - C'| = {residual[j]:.3e} exceeds {bound[j]:.3e}")
     records = []
-    for k, (f, M_cl, sub) in enumerate(zip(fields, margins, subs)):
+    for k, (f, M_cl) in enumerate(zip(fields, margins)):
         try:
-            rec = DesignRecord._from_built(**f, M_cl=M_cl)
-            blockla._cholesky(rec.Q, floor)
+            records.append(DesignRecord._from_built(**f, M_cl=M_cl))
         except ValueError as exc:
             raise MalformedFile(f"records[{k}]: {exc}") from None
-        except blockla.NotPositiveDefinite:
-            raise MalformedFile(f"records[{k}]: Q is not positive definite") from None
-        residual, bound = storage_residual(rec.Q, sub.B2, sub.C)
-        if residual > bound:
-            raise MalformedFile(f"records[{k}]: max |Q B2 - C'| = {residual:.3e} exceeds {bound:.3e}")
-        records.append(rec)
+        if k in faults:
+            raise MalformedFile(f"records[{k}]: {faults[k]}")
     try:
         return NetworkDesignState._from_built(net, tuple(records))
     except ValueError as exc:

@@ -38,14 +38,21 @@ DIMENSION_MISMATCH = "DimensionMismatch"
 NON_FINITE = "NonFinite"
 BAD_INDEX = "BadIndex"
 
+_SUBSYSTEM_MATRICES = ("A", "B1", "B2", "B3", "C")
+
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce ``value`` to a read-only 2-D float array.
 
     Scalars become 1x1 matrices. One-dimensional input is rejected because
     the row/column intent is ambiguous; callers must pass nested lists or
-    2-D arrays.
+    2-D arrays. A read-only float array that owns its data, such as this
+    function and the file readers return, is taken as it is; anything else
+    is copied, so the result never shares memory the caller can write.
     """
+    if (type(value) is np.ndarray and value.ndim == 2 and value.dtype == float
+            and not value.flags.writeable and value.flags.owndata):
+        return value
     a = np.array(value, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
@@ -81,7 +88,7 @@ class Subsystem:
     C: np.ndarray
 
     def __post_init__(self):
-        for f in ("A", "B1", "B2", "B3", "C"):
+        for f in _SUBSYSTEM_MATRICES:
             object.__setattr__(self, f, as_matrix(getattr(self, f), f))
 
     @property
@@ -217,10 +224,15 @@ def validate_network(net: CascadeNetwork) -> ValidationReport:
         bad.append(Violation(BAD_INDEX, (), "network has no subsystems"))
         return ValidationReport(tuple(bad))
 
+    # One finiteness test over every matrix; only when it fails are the
+    # matrices tested one by one, to name each non-finite one.
+    matrices = [getattr(sub, name) for sub in net.subsystems for name in _SUBSYSTEM_MATRICES]
+    matrices += [block.h for block in net.couplings.values()]
+    finite = bool(np.isfinite(np.concatenate(matrices, axis=None)).all())
     for i, sub in enumerate(net.subsystems, start=1):
-        bad += _subsystem_violations(i, sub)
+        bad += _subsystem_violations(i, sub, finite)
     for key, block in net.couplings.items():
-        bad += _coupling_violations(net, key, block)
+        bad += _coupling_violations(net, key, block, finite)
     return ValidationReport(tuple(bad))
 
 
@@ -232,20 +244,21 @@ def validate_last_subsystem(net: CascadeNetwork) -> ValidationReport:
     validated before, as extend_network builds from a validated network.
     """
     N = net.n_subsystems
-    bad = _subsystem_violations(N, net.subsystems[-1])
+    bad = _subsystem_violations(N, net.subsystems[-1], finite=False)
     for key in ((N, N), (N, N - 1), (N - 1, N)):
         block = net.couplings.get(key)
         if block is not None:
-            bad += _coupling_violations(net, key, block)
+            bad += _coupling_violations(net, key, block, finite=False)
     return ValidationReport(tuple(bad))
 
 
-def _subsystem_violations(i: int, sub: Subsystem) -> list[Violation]:
+def _subsystem_violations(i: int, sub: Subsystem, finite: bool) -> list[Violation]:
+    """Subsystem i's violations; finite says every matrix is known finite."""
     n = sub.A.shape[0]
     if sub.A.shape[1] != n:
         return [Violation(DIMENSION_MISMATCH, (i,), f"A is {sub.A.shape}, not square")]
     bad = []
-    for name in ("A", "B1", "B2", "B3", "C"):
+    for name in () if finite else _SUBSYSTEM_MATRICES:
         if not np.isfinite(getattr(sub, name)).all():
             bad.append(Violation(NON_FINITE, (i,), f"{name} has non-finite entries"))
     for name in ("B1", "B2", "B3"):
@@ -279,7 +292,7 @@ def _subsystem_violations(i: int, sub: Subsystem) -> list[Violation]:
     return bad
 
 
-def _coupling_violations(net: CascadeNetwork, key, block: CouplingBlock) -> list[Violation]:
+def _coupling_violations(net: CascadeNetwork, key, block: CouplingBlock, finite: bool) -> list[Violation]:
     i, j = key
     N = net.n_subsystems
     if not (1 <= i <= N and 1 <= j <= N):
@@ -291,7 +304,7 @@ def _coupling_violations(net: CascadeNetwork, key, block: CouplingBlock) -> list
     n = net.subsystems[j - 1].n
     if block.h.shape != (p, n):
         bad.append(Violation(DIMENSION_MISMATCH, (i, j), f"h is {block.h.shape}, expected ({p}, {n})"))
-    if not np.isfinite(block.h).all():
+    if not (finite or np.isfinite(block.h).all()):
         bad.append(Violation(NON_FINITE, (i, j), "h has non-finite entries"))
     return bad
 

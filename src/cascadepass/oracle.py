@@ -224,9 +224,13 @@ def sp_matrix(cl: ClosedLoopSystem) -> np.ndarray:
     return -(cl.Acl.T @ cl.Q + cl.Q @ cl.Acl) - cl.epsilon * np.eye(cl.n)
 
 
-def storage_residual(Q, B2, C) -> tuple[float, float]:
-    """max |Q B2 - C'| and its pass bound, 1e-8 * max(1, max |C_ij|)."""
-    return float(np.abs(Q @ B2 - C.T).max()), 1e-8 * max(1.0, float(np.abs(C).max()))
+def storage_residual(Q, B2, C):
+    """max |Q B2 - C'| and its pass bound, 1e-8 * max(1, max |C_ij|).
+
+    For stacks of matrices, an array of each, one entry per matrix.
+    """
+    residual = np.abs(Q @ B2 - np.swapaxes(C, -1, -2)).max(axis=(-2, -1))
+    return residual, 1e-8 * np.maximum(1.0, np.abs(C).max(axis=(-2, -1)))
 
 
 def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
@@ -240,7 +244,7 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     W = sp_matrix(cl)
     w_min = blockla.min_eigen_sym(W)
     margin = 1e-8 * max(1.0, float(np.abs(W).max()))
-    eq_residual, eq_tol = storage_residual(cl.Q, cl.B2, cl.C)
+    eq_residual, eq_tol = map(float, storage_residual(cl.Q, cl.B2, cl.C))
 
     reasons = []
     if w_min < -margin:

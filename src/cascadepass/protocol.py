@@ -21,8 +21,9 @@ typed reason and an upper bound on the margin any point could reach.
 
 Both routes then settle the rate in closed form, re-certify the point and
 form the step's margin block M_cl. Positivity of M_cl is imposed through a
-two-block Schur form so the local problem stays affine. One function builds
-the local and global certificate blocks and one Schur step clears them, so
+two-block Schur form so the local problem stays affine. The same two
+functions build the local and global certificate blocks (a diagonal block
+and a coupling block) and one Schur step clears them, so
 each record's M_cl is bit for bit the Schur recursion of the global matrix,
 which makes the one-pass design sound; the oracle checks it independently.
 
@@ -153,41 +154,42 @@ class DesignRecord:
     route: str
 
     def __post_init__(self):
-        self._check(symmetrize=True)
+        self._check()
+        for name in ("Q", "M_cl"):
+            S = blockla.symmetric_part(getattr(self, name), name)
+            S.flags.writeable = False
+            object.__setattr__(self, name, S)
+        for name in ("K_self", "K_to_prev", "K_prev_to_self"):
+            val = getattr(self, name)
+            if val is not None:
+                K = as_matrix(val, name)
+                if not np.isfinite(K).all():
+                    raise ValueError(f"{name} contains non-finite entries")
+                object.__setattr__(self, name, K)
 
     @classmethod
     def _from_built(cls, **fields) -> "DesignRecord":
-        """A record whose Q and M_cl the package has just made exactly
-        symmetric float arrays: they are frozen, not symmetrized again.
-        Every other field is checked as the constructor checks it."""
+        """A record whose matrices the package has just built: read-only
+        finite float arrays, Q and M_cl exactly symmetric. They are taken
+        as they are; the scalar fields are checked as the constructor
+        checks them."""
         rec = object.__new__(cls)
         for name, value in fields.items():
             object.__setattr__(rec, name, value)
-        rec._check(symmetrize=False)
+        rec._check()
         return rec
 
-    def _check(self, symmetrize: bool):
+    def _check(self):
         if self.route not in (ROUTE_VERIFIED, ROUTE_SYNTHESIZED):
             raise ValueError(f"unknown route {self.route!r}")
         if self.index < 1:
             raise ValueError("index must be >= 1")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
-        for name in ("Q", "M_cl"):
-            S = getattr(self, name)
-            if symmetrize:
-                S = blockla.symmetric_part(S, name)
-            S.flags.writeable = False
-            object.__setattr__(self, name, S)
-        for name in ("K_self", "K_to_prev", "K_prev_to_self"):
-            val = getattr(self, name)
-            if val is not None:
-                if self.route == ROUTE_VERIFIED:
-                    raise ValueError("a Verified record carries no gains")
-                K = as_matrix(val, name)
-                if not np.isfinite(K).all():
-                    raise ValueError(f"{name} contains non-finite entries")
-                object.__setattr__(self, name, K)
+        if self.route == ROUTE_VERIFIED and not (
+            self.K_self is None and self.K_to_prev is None and self.K_prev_to_self is None
+        ):
+            raise ValueError("a Verified record carries no gains")
 
 
 @dataclass(frozen=True)
@@ -450,26 +452,32 @@ def _pinned_verify(prob, theta, n, tau):
     return _declined(_pinned_rate_bound(prob, theta, eps_index, n, tau), "PinnedStorageInfeasible", theta)
 
 
-def _certificate_blocks(sub, Q, eps, h_self, h_prev, G_prev, T_prev, gains):
-    """Step i's diagonal block S and its coupling X to step i-1 (None at step 1).
+def _diagonal_block(A, Q, QB1, QB3, eps, h_self, gains):
+    """Step i's diagonal block S = -(Y + Y') - eps I, Y = A'Q + Q B1 h(i,i) + Q B3 K(i,i).
 
-    A local master is [[S, X], [X', M_prev]]; the global certificate holds S
-    at block (i, i) and -X' at (i-1, i). gains may hold K_self, K_to_prev and
-    K_prev_to_self, or, in synthesis's first stage, free matrices Z_self and
-    Z_prev standing in for Q B3 K_self and Q B3 K_to_prev; absent ones are 0.
+    A local master is [[S, X], [X', M_prev]], with X from _coupling_block;
+    the global certificate holds S at block (i, i) and -X' at (i-1, i).
+    QB1 and QB3 are the products Q B1 and Q B3, formed once by the caller.
+    gains may hold K_self, or, in synthesis's first stage, a free matrix
+    Z_self standing in for Q B3 K_self; an absent one is 0. Every operand
+    may instead be a stack of steps of one shape, eps of shape (k, 1, 1).
     """
+    K = gains.get("K_self")
+    Y = A.swapaxes(-1, -2) @ Q + QB1 @ h_self + (gains.get("Z_self", 0.0) if K is None else QB3 @ K)
+    return -(Y + Y.swapaxes(-1, -2)) - eps * np.eye(A.shape[-1])
 
-    def product(z_name, k_name):
-        K = gains.get(k_name)
-        return gains.get(z_name, 0.0) if K is None else Q @ sub.B3 @ K
 
-    Y = sub.A.T @ Q + Q @ sub.B1 @ h_self + product("Z_self", "K_self")
-    S = -(Y + Y.T) - eps * np.eye(sub.n)
-    if G_prev is None:
-        return S, None
+def _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, gains):
+    """Step i's coupling X to step i-1 in its local master (see _diagonal_block).
+
+    gains may hold K_to_prev and K_prev_to_self, or, in synthesis's first
+    stage, a free matrix Z_prev standing in for Q B3 K_to_prev and the gain
+    K_prev_to_self; absent ones are 0.
+    """
     K_up = gains.get("K_prev_to_self")
     upstream = G_prev if K_up is None else G_prev + T_prev @ K_up
-    return S, upstream.T + Q @ sub.B1 @ h_prev + product("Z_prev", "K_to_prev")
+    K = gains.get("K_to_prev")
+    return upstream.T + QB1 @ h_prev + (gains.get("Z_prev", 0.0) if K is None else QB3 @ K)
 
 
 def _check_self_coupling(h_self, sub):
@@ -605,7 +613,9 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     G_prev, T_prev = (None, None) if packet is None else (packet.G_prev, packet.T_prev)
 
     def blocks(Q, v):
-        return _certificate_blocks(sub, Q, v["eps"], h_self, h_prev, G_prev, T_prev, v)
+        QB1, QB3 = Q @ sub.B1, Q @ sub.B3
+        S = _diagonal_block(sub.A, Q, QB1, QB3, v["eps"], h_self, v)
+        return S, None if packet is None else _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, v)
 
     def master(Q, v, storage_block):
         # diag([[S, X], [X', M_prev]], Q - Q_FLOOR I, eps - EPS_MIN), copied
@@ -854,27 +864,48 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
             raise DimensionMismatch(
                 f"gain key {key!r} is not (i, i) or (i, i+-1) within a {N}-subsystem chain"
             )
-    return _closed_loop_blocks(net, storages, epsilons, gains)
+    step_gains = [
+        {name: as_matrix(gains[ij], name) for name, ij in _gain_pairs(i).items() if ij in gains}
+        for i in range(1, N + 1)
+    ]
+    return _closed_loop_blocks(net, storages, epsilons, step_gains)
 
 
-def _closed_loop_blocks(net, storages, epsilons, gains) -> blockla.BlockTriDiagonal:
+def _closed_loop_blocks(net, storages, epsilons, step_gains) -> blockla.BlockTriDiagonal:
     """closed_loop_blocks for inputs already in stored form: one exactly
-    symmetric float Q and one float eps per subsystem, gains keyed within
-    the band."""
-    N = net.n_subsystems
-    diag = []
-    supers = []
-    G_prev = T_prev = None
-    for i, (sub, Q, eps) in enumerate(zip(net.subsystems, storages, epsilons), start=1):
-        step_gains = {name: np.asarray(gains[ij], dtype=float) for name, ij in _gain_pairs(i).items() if ij in gains}
-        h_prev = None if G_prev is None else net.h_or_zero(i, i - 1)
-        S, X = _certificate_blocks(sub, Q, eps, net.h_or_zero(i, i), h_prev, G_prev, T_prev, step_gains)
-        diag.append(S)
-        if X is not None:
-            supers.append(-X.T)
-        if i < N:
-            G_prev = Q @ sub.B1 @ net.h_or_zero(i, i + 1)
-            T_prev = Q @ sub.B3
+    symmetric float Q, one float eps and one mapping per subsystem, which
+    holds the record's float gains under their DesignRecord names (an
+    absent or None one is zero).
+
+    A diagonal block depends on its own step alone, so the diagonal blocks
+    are evaluated once per stack of steps with the same shapes and the same
+    gains present; Q B1 and Q B3 are formed there, once per step. The
+    coupling blocks follow step by step. Stacked products equal the
+    per-step ones bit for bit.
+    """
+    subs = net.subsystems
+    N = len(subs)
+    groups = {}
+    for k, (sub, gains) in enumerate(zip(subs, step_gains)):
+        groups.setdefault((sub.n, sub.p, gains.get("K_self") is not None), []).append(k)
+    diag, QB1, QB3 = [None] * N, [None] * N, [None] * N
+    for (_, _, has_gain), ks in groups.items():
+        Q = np.array([storages[k] for k in ks])
+        qb1 = Q @ np.array([subs[k].B1 for k in ks])
+        qb3 = Q @ np.array([subs[k].B3 for k in ks])
+        gains = {"K_self": np.array([step_gains[k]["K_self"] for k in ks])} if has_gain else {}
+        eps = np.array([epsilons[k] for k in ks])[:, None, None]
+        h_self = np.array([net.h_or_zero(k + 1, k + 1) for k in ks])
+        S = _diagonal_block(np.array([subs[k].A for k in ks]), Q, qb1, qb3, eps, h_self, gains)
+        for k, S_k, qb1_k, qb3_k in zip(ks, S, qb1, qb3):
+            diag[k], QB1[k], QB3[k] = S_k, qb1_k, qb3_k
+    supers = [
+        -_coupling_block(
+            QB1[k], QB3[k], net.h_or_zero(k + 1, k),
+            QB1[k - 1] @ net.h_or_zero(k, k + 1), QB3[k - 1], step_gains[k],
+        ).T
+        for k in range(1, N)
+    ]
     return blockla.BlockTriDiagonal._from_built(diag, supers)
 
 

@@ -232,6 +232,14 @@ def test_simulate_non_finite_trajectory_fails_check(state_file, capsys):
     assert "finite range" in one_stderr_line(capsys)
 
 
+def test_simulate_four_stage_state_with_too_long_a_step_exits_4(four_stage_doc, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(four_stage_doc))
+    code = execute(["simulate", "--state", str(path), "--T", "2000", "--dt", "0.5"])
+    assert code == EXIT_CHECK_FAILED
+    assert one_stderr_line(capsys) == "simulation failed: state trajectory left the finite range\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--T", "0"), ("--T", "nan"), ("--dt", "-1e-3")])
 def test_simulate_rejects_bad_horizon_or_step(state_file, capsys, flag, value):
     assert execute(["simulate", "--state", state_file, f"{flag}={value}"]) == EXIT_INVALID

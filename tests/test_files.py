@@ -1,5 +1,6 @@
 """Canonical JSON round trips, fingerprints, schema rejection and re-certified state loads."""
 
+import errno
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from cascadepass.files import (
     state_from_dict,
     state_to_dict,
 )
-from cascadepass import blockla
+from cascadepass import blockla, files
 from cascadepass.blockla import tridiag_pd_sequence
 from cascadepass.cli import EXIT_INVALID, execute
 from cascadepass.model import CascadeNetwork, Subsystem
@@ -419,3 +420,162 @@ def test_failed_save_leaves_the_file_unchanged(tmp_path):
     with pytest.raises(ValueError):
         save_addition(good, [0.5], None, None, add_path)
     assert {path: path.read_bytes() for path in before} == before
+
+
+def test_failed_in_place_add_leaves_the_state_intact(tmp_path, monkeypatch):
+    # `add` may write over its own --state; a write that fails partway must
+    # leave the old state, not a truncated one.
+    state_path, add_path = tmp_path / "state.json", tmp_path / "add.json"
+    save_state(run_cascade_design(four_stage_cascade(3)), state_path)
+    save_addition(Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=0.0, C=1.0), None, [[1.0]], [[1.0]], add_path)
+    before = state_path.read_bytes()
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return fh if mode == "r" else HalfWritten(fh)
+
+    monkeypatch.setattr(files, "open", failing_open, raising=False)
+    argv = ["add", "--state", str(state_path), "--sub", str(add_path), "--out", str(state_path)]
+    assert execute(argv) == EXIT_INVALID
+    assert state_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["add.json", "state.json"]
+
+
+def _set_first_entry(part, value):
+    """A tamper applying value to entry [0][0] of one matrix of a four-stage state document."""
+    def tamper(doc):
+        owner, name = {"A": (doc["network"]["subsystems"][0], "A"), "Q": (doc["records"][0], "Q"),
+                       "h": (doc["network"]["couplings"][0], "h")}[part]
+        owner[name][0][0] = value(owner[name][0][0])
+    return tamper
+
+
+@pytest.mark.parametrize("part,value,label", [
+    pytest.param("A", repr, r"subsystems\[0\]: matrix 'A'", id="string-in-A"),
+    pytest.param("Q", repr, r"matrix 'records\[0\]\.Q'", id="string-in-Q"),
+    pytest.param("h", lambda x: True, r"matrix 'couplings\[0\]\.h'", id="true-in-coupling"),
+    pytest.param("h", lambda x: False, r"matrix 'couplings\[0\]\.h'", id="false-in-coupling"),
+    # numpy reads [true, 0.5] as floats: the mix must still be caught.
+    pytest.param("A", lambda x: x > 0, r"subsystems\[0\]: matrix 'A'", id="bool-among-floats-in-A"),
+])
+def test_state_matrix_entries_must_be_json_numbers(part, value, label):
+    doc = _state_doc(run_cascade_design(four_stage_cascade()))
+    _set_first_entry(part, value)(doc)
+    with pytest.raises(MalformedFile, match=label + " has an entry that is not a JSON number"):
+        state_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", ["1.5", True, [["1.5"]], [[True, 0.5]], [[0.5], [False]]],
+                         ids=["lone-string", "lone-true", "string", "true-among-floats", "false-among-floats"])
+def test_network_and_addition_entries_must_be_json_numbers(tmp_path, bad):
+    sub = {"A": [[-1]], "B1": [[1]], "B2": [[1]], "B3": [[1]], "C": [[1]]}
+    doc = {"schema": 1, "type": "network", "subsystems": [sub, sub], "couplings": [{"i": 2, "j": 1, "h": [[1]]}]}
+    # Integer entries, as a network written by hand has them, load.
+    assert network_from_dict(doc).subsystems[0].A.dtype == float
+    doc["couplings"][0]["h"] = bad
+    with pytest.raises(MalformedFile, match=r"matrix 'couplings\[0\]\.h' has an entry that is not a JSON number"):
+        network_from_dict(doc)
+    path = tmp_path / "add.json"
+    path.write_text(json.dumps({"schema": 1, "type": "addition", "subsystem": {**sub, "C": bad},
+                                "h_self": None, "h_prev": None, "h_to_new": None}))
+    with pytest.raises(MalformedFile, match=r"subsystem: matrix 'C' has an entry that is not a JSON number"):
+        load_addition(path)
+    path.write_text(json.dumps({"schema": 1, "type": "addition", "subsystem": sub,
+                                "h_self": None, "h_prev": bad, "h_to_new": [[1]]}))
+    with pytest.raises(MalformedFile, match=r"matrix 'h_prev' has an entry that is not a JSON number"):
+        load_addition(path)
+
+
+# The SHA-256 of every outcome of the _tampers sweep, pinned while the load
+# still ran each check record by record. A change to the load that moves any
+# single-defect outcome, an error message or a loaded bit, fails here.
+OUTCOMES_PINNED = "b914a530d348596503c00e81bf5c1db71c9385b787b6f4a6213703abf6e8f67c"
+TAMPER_VALUES = (0.0, -1.0, 1e300, 1.7e308, math.nan, math.inf, -math.inf)
+
+
+def _matrix_sites(doc):
+    """(label, container, key) of every matrix a state document holds."""
+    net = doc["network"]
+    for s, sub in enumerate(net["subsystems"]):
+        for name in ("A", "B1", "B2", "B3", "C"):
+            yield f"sub{s}.{name}", sub, name
+    for c, coupling in enumerate(net["couplings"]):
+        yield f"coupling{c}", coupling, "h"
+    for k, rec in enumerate(doc["records"]):
+        for name in ("Q", "K_self", "K_to_prev", "K_prev_to_self"):
+            if rec[name] is not None:
+                yield f"rec{k}.{name}", rec, name
+
+
+def _edited(container, key, value):
+    """Run the sweep's next load with container[key] = value, then restore it."""
+    old = container[key]
+    container[key] = value
+    yield
+    container[key] = old
+
+
+def _dropped(items, k):
+    item = items.pop(k)
+    yield
+    items.insert(k, item)
+
+
+def _tampers(doc):
+    """Edit doc in place, one defect at a time: each yield is one document."""
+    for label, container, key in list(_matrix_sites(doc)):
+        m = container[key]
+        for row in m:
+            for c in range(len(row)):
+                for value in TAMPER_VALUES:
+                    yield from _edited(row, c, value)
+        for factor in (-1.0, 1e-8, 1e8):
+            yield from _edited(container, key, (factor * np.asarray(m)).tolist())
+        if label.endswith(".Q") and len(m) > 1:
+            for skewed in (np.nextafter(m[0][1], np.inf), m[0][1] * (1 + 1e-6) + 1e-6):
+                yield from _edited(m[0], 1, skewed)
+        if label.startswith("rec") and not label.endswith(".Q"):
+            yield from _edited(container, key, None)
+    records = doc["records"]
+    for k, rec in enumerate(records):
+        eps = rec["epsilon"]
+        for value in (0.5 * eps, 2.0 * eps, 1e3 * eps, 0.0, -1.0, 1e300, -1e300, math.nan, math.inf, None, "0.1", True):
+            yield from _edited(rec, "epsilon", value)
+        for value in ("Verified", "Synthesized", "Bogus", None):
+            yield from _edited(rec, "route", value)
+        for value in (0, -1, k, k + 2, len(records) + 1, 1.0 + k, True, None, str(k + 1)):
+            yield from _edited(rec, "index", value)
+    for k in range(len(records)):
+        yield from _dropped(records, k)
+    for c in range(len(doc["network"]["couplings"])):
+        yield from _dropped(doc["network"]["couplings"], c)
+
+
+def test_load_outcomes_match_the_pinned_digest():
+    from test_record_hash import feed
+
+    digest = hashlib.sha256()
+    for net in (four_stage_cascade(), random_cascade(5, np.random.default_rng(7))):
+        doc = _state_doc(run_cascade_design(net))
+        for _ in _tampers(doc):
+            try:
+                state = state_from_dict(doc)
+            except Exception as exc:  # the type and message are the outcome
+                digest.update(f"{type(exc).__name__}: {exc}".encode())
+            else:
+                feed(digest, state)
+    assert digest.hexdigest() == OUTCOMES_PINNED

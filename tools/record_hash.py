@@ -7,11 +7,12 @@ record of each state in order:
 * for each seed 1, 2 and 3, the 4 growth cycles the benchmark's
   ``grow_persist`` runs in 16 s: each cycle grows the four-stage design by
   the cycle's 60 ``seeded_additions`` (drawn in turn from one
-  ``default_rng(seed)``), and every grown state is fed;
+  ``default_rng(seed)``), and every grown state is saved and loaded, as
+  ``cascadepass add`` does, then fed and grown further;
 * 40 designs ``random_cascade(1 + k % 8, default_rng(12345))``.
 
-A change that keeps every record bit for bit leaves the hash unchanged.
-Run from the repository root (about 25 s):
+A change that keeps every record bit for bit, in a design and in a load,
+leaves the hash unchanged. Run from the repository root (about 15 s):
 
     python3 tools/record_hash.py
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,7 +30,7 @@ for sub in ("src", "tests", "perfbench"):
 
 import numpy as np  # noqa: E402
 
-from cascadepass import protocol  # noqa: E402
+from cascadepass import files, protocol  # noqa: E402
 from cascadepass.sample_cascades import random_cascade  # noqa: E402
 from test_record_hash import feed  # noqa: E402
 from workloads import GROWTH, fixed_design, seeded_additions  # noqa: E402
@@ -45,15 +47,18 @@ def record_hash() -> tuple[str, int]:
     feed(digest, fixed)
     states = 1
     last, first = fixed.net.subsystems[-1], fixed.net.n_subsystems + 1
-    for seed in SEEDS:
-        rng = np.random.default_rng(seed)
-        cycles = [seeded_additions(rng, last, first, GROWTH) for _ in range(CYCLES)]
-        for additions in cycles:
-            state = fixed
-            for addition in additions:
-                state = protocol.add_subsystem(state, *addition)
-                feed(digest, state)
-                states += 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            cycles = [seeded_additions(rng, last, first, GROWTH) for _ in range(CYCLES)]
+            for additions in cycles:
+                state = fixed
+                for addition in additions:
+                    files.save_state(protocol.add_subsystem(state, *addition), path)
+                    state = files.load_state(path)
+                    feed(digest, state)
+                    states += 1
     rng = np.random.default_rng(12345)
     for k in range(RANDOM_DESIGNS):
         feed(digest, protocol.run_cascade_design(random_cascade(1 + k % 8, rng)))
