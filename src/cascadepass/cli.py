@@ -136,8 +136,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if not (0.0 < args.T < math.inf and 0.0 < args.dt < math.inf):
-        print("--T and --dt must be positive and finite", file=sys.stderr)
+    if not (0.0 < args.T < math.inf and 0.0 < args.dt < math.inf and args.T / args.dt < math.inf):
+        print("--T, --dt and --T / --dt must be positive and finite", file=sys.stderr)
         return EXIT_INVALID
     if args.seed < 0:
         print("--seed must be non-negative", file=sys.stderr)

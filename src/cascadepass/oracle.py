@@ -111,6 +111,16 @@ class Trajectory:
         for name in ("t", "x", "y", "w", "V"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
+    @classmethod
+    def _from_built(cls, **arrays) -> "Trajectory":
+        """A trajectory of float arrays that simulate has just made and
+        shares with no one: they are made read-only in place, not copied."""
+        traj = object.__new__(cls)
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(traj, name, a)
+        return traj
+
 
 @dataclass(frozen=True)
 class SineDisturbance:
@@ -303,17 +313,24 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
         G2   = (h/6) B
 
     (_rk4_maps). The forcing f is three matmuls over the samples, written
-    into rows 1..S of x. The recurrence is then solved in place by a
-    blocked scan over nb blocks of L = isqrt(S) steps, zero-padded to
-    nb L rows:
+    into rows 1..S of x; of the samples only the grid values w(t_k) are
+    kept, as a copy. The recurrence is then solved in place by a blocked
+    scan over nb blocks of L = isqrt(S) steps, zero-padded to nb L rows:
 
-    1. the zero-state response of every block at once (L - 1 matmuls);
-    2. the state entering each block, one block at a time with Phi^L
-       (nb matvecs), which completes the last row of every block;
-    3. the free response of those states, added to the other rows with
-       Phi^1 .. Phi^(L-1) (L - 1 matmuls).
+    1. the zero-state end of every block, as one product: the blocks'
+       forcing rows, flattened to (nb, L n), times the powers
+       (Phi^(L-1))' .. (Phi^0)' stacked to (L n, n), which about
+       log2(L) batched matmuls build by doubling;
+    2. the state entering each block, from x0 by the recurrence
+       e[b+1] = Phi^L e[b] + end[b] (nb - 1 matvecs);
+    3. one forward sweep, x[k+1] = Phi x[k] + f[k] row by row in every
+       block at once, the first row of a block from its entering state
+       (L matmuls over nb rows).
 
-    That is about 3 sqrt(S) Python iterations for S steps.
+    That is about 2 sqrt(S) Python iterations and one pass over x. The
+    returned Trajectory holds the arrays built here, made read-only
+    rather than copied; none shares memory with x0 or with what the
+    disturbance returned.
     """
     T, dt = float(T), float(dt)
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
@@ -348,10 +365,8 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
     x = np.empty((1 + nb * L, n))
     x[0] = x0
     x[steps + 1:] = 0.0
-    # Views of x: blocks[b, i] is x[1 + bL + i], and starts[b] is x[bL],
-    # the state entering block b, final once pass 2 has done block b - 1.
+    # blocks[b, i] is x[1 + bL + i], a view of x.
     blocks = x[1:].reshape(nb, L, n)
-    starts = x[0:nb * L:L]
     # An unstable step size overflows; that is reported once, below, as
     # NonFiniteTrajectory rather than as a warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,25 +374,44 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
         np.matmul(w_half[0:-1:2], G0.T, out=forcing)
         forcing += w_half[1::2] @ G1.T
         forcing += w_half[2::2] @ G2.T
+        # Only the grid samples are kept, as a copy, so the trajectory
+        # shares no memory with what the disturbance returned, and the
+        # half-grid samples are freed before y and V are formed.
+        w = w_half[::2].copy()
+        del w_half
 
+        # powers_T[j] is (Phi^j)' for j < L, filled by doubling: each pass
+        # multiplies the k powers so far by (Phi^k)'.
+        powers_T = np.empty((L, n, n))
+        powers_T[0] = np.eye(n)
+        step_T, k = Phi.T, 1
+        while k < L:
+            j = min(k, L - k)
+            np.matmul(powers_T[:j], step_T, out=powers_T[k:k + j])
+            step_T, k = step_T @ step_T, k + j
+        PhiL_T = powers_T[L - 1] @ Phi.T
+
+        # entering[b] is x[bL], the state entering block b: Phi^L times
+        # the state entering block b - 1, plus that block's zero-state end.
+        entering = np.empty((nb, n))
+        entering[0] = x0
+        np.matmul(blocks[:-1].reshape(nb - 1, L * n), powers_T[::-1].reshape(L * n, n), out=entering[1:])
+        for b in range(1, nb):
+            entering[b] += entering[b - 1] @ PhiL_T
+
+        row = entering @ Phi.T
+        blocks[:, 0] += row
         for i in range(1, L):
-            blocks[:, i] += blocks[:, i - 1] @ Phi.T
-        PhiL_T = np.linalg.matrix_power(Phi, L).T
-        for b in range(nb):
-            blocks[b, L - 1] += starts[b] @ PhiL_T
-        power_T = Phi.T
-        for i in range(L - 1):
-            blocks[:, i] += starts @ power_T
-            power_T = power_T @ Phi.T
+            np.matmul(blocks[:, i - 1], Phi.T, out=row)
+            blocks[:, i] += row
 
     x = x[:steps + 1]
     if not np.all(np.isfinite(x)):
         raise NonFiniteTrajectory("state trajectory left the finite range")
 
-    w = w_half[::2]
     y = x @ cl.C.T
     V = 0.5 * np.einsum("ki,ki->k", x @ cl.Q, x)
-    return Trajectory(t=t, x=x, y=y, w=w, V=V)
+    return Trajectory._from_built(t=t, x=x, y=y, w=w, V=V)
 
 
 # Quadrature tolerance on the dissipation slack: a trajectory whose
@@ -393,13 +427,18 @@ def dissipation_margin(traj: Trajectory, epsilon: float) -> float:
     subtracted. The minimum over the grid (zero at the start, so never
     positive) certifies the trajectory when it stays above -SLACK_TOL.
     """
-    supply = np.einsum("km,km->k", traj.w, traj.y) - epsilon * np.einsum(
-        "kn,kn->k", traj.x, traj.x
-    )
-    dt = np.diff(traj.t)
-    integral = np.concatenate(([0.0], np.cumsum(0.5 * dt * (supply[1:] + supply[:-1]))))
-    slack = integral - (traj.V - traj.V[0])
-    return float(slack.min())
+    slack = np.einsum("kn,kn->k", traj.x, traj.x)
+    slack *= -epsilon
+    slack += np.einsum("km,km->k", traj.w, traj.y)
+    # The supply becomes the trapezoid increments in place; numpy reads
+    # the overlapping slack[:-1] as it was before the sum.
+    slack[1:] += slack[:-1]
+    slack[1:] *= np.diff(traj.t)
+    slack[1:] *= 0.5
+    slack[0] = 0.0
+    np.cumsum(slack, out=slack)
+    slack -= traj.V
+    return float(slack.min() + traj.V[0])
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:

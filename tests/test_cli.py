@@ -240,6 +240,16 @@ def test_simulate_four_stage_state_with_too_long_a_step_exits_4(four_stage_doc, 
     assert one_stderr_line(capsys) == "simulation failed: state trajectory left the finite range\n"
 
 
+def test_simulate_rejects_a_step_count_that_overflows(four_stage_doc, tmp_path, capsys):
+    # T / dt = 1e616 is no float. A large finite step count is not tried:
+    # simulate would allocate its whole grid.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(four_stage_doc))
+    code = execute(["simulate", "--state", str(path), "--T", "1e308", "--dt", "1e-308"])
+    assert code == EXIT_INVALID
+    assert one_stderr_line(capsys) == "--T, --dt and --T / --dt must be positive and finite\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--T", "0"), ("--T", "nan"), ("--dt", "-1e-3")])
 def test_simulate_rejects_bad_horizon_or_step(state_file, capsys, flag, value):
     assert execute(["simulate", "--state", state_file, f"{flag}={value}"]) == EXIT_INVALID

@@ -1,5 +1,7 @@
 """Centralized certificate and trajectory checks on assembled closed loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from cascadepass.protocol import (
     DesignRecord,
     NetworkDesignState,
 )
-from cascadepass.sample_cascades import four_stage_cascade, two_stage_scalar_cascade
+from cascadepass.sample_cascades import four_stage_cascade, random_cascade, two_stage_scalar_cascade
 
 
 def record(index, q=1.0, eps=0.5, route=ROUTE_VERIFIED, **gains):
@@ -273,6 +275,49 @@ def test_simulate_matches_step_by_step_rk4(four_stage_loop, T, dt, steps):
     traj = simulate(cl, disturbance, x0=x0, T=T, dt=dt)
     assert traj.t.shape == (steps + 1,)
     assert_matches_reference(traj, cl, disturbance, x0, T, dt)
+
+
+# The 34-state loop checks the block-end product with powers of a larger
+# Phi than the four-stage loop's 6 x 6.
+@pytest.mark.parametrize("T,dt", [(2.0, 1e-3), (5.0, 7e-4)])
+def test_simulate_matches_step_by_step_rk4_on_a_34_state_loop(T, dt):
+    cl = assemble_closed_loop(protocol.run_cascade_design(random_cascade(16, np.random.default_rng(2))))
+    assert cl.n == 34
+    x0 = np.linspace(-1.0, 1.0, cl.n)
+    disturbance = SineDisturbance.from_seed(cl.m, seed=3)
+    traj = simulate(cl, disturbance, x0=x0, T=T, dt=dt)
+    assert_matches_reference(traj, cl, disturbance, x0, T, dt)
+
+
+def test_simulate_peak_memory_is_at_most_twice_what_it_returns(four_stage_loop):
+    # Hardware-independent guard against full-length copies: numpy
+    # reports its array buffers to tracemalloc.
+    cl = four_stage_loop
+    disturbance = SineDisturbance.from_seed(cl.m, seed=0)
+    tracemalloc.start()
+    try:
+        traj = simulate(cl, disturbance, T=20.0, dt=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (traj.t, traj.x, traj.y, traj.w, traj.V))
+    assert peak <= 2 * returned
+
+
+def test_simulate_leaves_its_inputs_alone_and_returns_read_only_arrays():
+    cl = assemble_closed_loop(two_scalar_state())
+    x0 = np.array([1.0, -2.0])
+    samples = SineDisturbance.from_seed(cl.m, seed=5)(np.arange(1001) * 5e-4)
+    constant = np.array([0.5, -1.0])
+    for returned in (samples, constant):
+        kept_x0, kept_returned = x0.copy(), returned.copy()
+        traj = simulate(cl, lambda t: returned, x0=x0, T=0.5, dt=1e-3)
+        assert x0.flags.writeable and np.array_equal(x0, kept_x0)
+        assert returned.flags.writeable and np.array_equal(returned, kept_returned)
+        for name in ("t", "x", "y", "w", "V"):
+            a = getattr(traj, name)
+            assert not a.flags.writeable, name
+            assert not np.shares_memory(a, x0) and not np.shares_memory(a, returned), name
 
 
 def test_sine_disturbance_on_array_equals_scalar_calls():
