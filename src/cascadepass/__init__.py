@@ -67,6 +67,7 @@ from .protocol import (
 from .oracle import (
     IncompleteState,
     NonFiniteTrajectory,
+    TrajectoryTooLarge,
     ClosedLoopSystem,
     Certificate,
     Trajectory,
@@ -125,6 +126,7 @@ __all__ = [
     "design_tridiagonal",
     "IncompleteState",
     "NonFiniteTrajectory",
+    "TrajectoryTooLarge",
     "ClosedLoopSystem",
     "Certificate",
     "Trajectory",

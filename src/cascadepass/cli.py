@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 design infeasible at some step, 3 invalid or
 malformed input (a usage error, network structure, file schema, a state
 that does not certify its network, a non-positive or non-finite --T or
---dt, a negative --seed), 4 certificate or trajectory check failed
-(including a simulation that leaves the finite range).
+--dt, a --T / --dt whose trajectory would exceed
+oracle.MAX_TRAJECTORY_BYTES, a negative --seed), 4 certificate or
+trajectory check failed (including a simulation that leaves the finite
+range).
 """
 
 from __future__ import annotations
@@ -205,6 +207,9 @@ def execute(argv=None) -> int:
         return EXIT_INFEASIBLE
     except lmi.MalformedProblem as exc:
         print(f"malformed problem: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except oracle.TrajectoryTooLarge as exc:
+        print(f"simulation refused: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except oracle.NonFiniteTrajectory as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)

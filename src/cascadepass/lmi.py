@@ -240,6 +240,10 @@ LBFGS_MAXFUN = 200
 LBFGS_FTOL = 1e-15
 LBFGS_GTOL = 1e-12
 
+# Share of the achieved margin the search gives up: the pull-back may shed
+# it, and a finer smoothing level that could add no more is not run.
+SHED = 0.05
+
 
 def minimize(fun, x0):
     """Minimize ``fun`` by unbounded L-BFGS-B from x0; return the last iterate.
@@ -363,6 +367,21 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
     """Maximize the smallest eigenvalue of Phi over the solutions
     theta_p + null(E) z of the equalities.
 
+    L-BFGS maximizes the log-sum-exp smoothing f_s of lambda_min on a
+    ladder of levels s, each finer than the last, from the best point so
+    far. With d the size of Phi, lambda_min - s*ln(d) <= f_s <= lambda_min
+    (Nesterov's bound), so once a level has maximized f_s no point has a
+    lambda_min above best_lam + s*ln(d). The search stops as soon as the
+    target is met, and after a level when no finer level can change the
+    outcome or raise the margin by more than the pull-back gives up:
+
+    * best_lam + s*ln(d) < tau: a decline, reported as Stalled;
+    * best_lam >= tau and s*ln(d) <= SHED * best_lam: an accept, since a
+      finer level adds at most the slice the pull-back may shed.
+
+    The point is then pulled back along its ray from theta_p by 20
+    halvings of a bisection whose upper end always clears the threshold.
+
     Returns (theta, best_lam, norm, evaluations); best_lam is in the
     normalized units of Phi divided by norm. Raises MalformedProblem when
     the finite blocks overflow once combined along those solutions.
@@ -406,8 +425,11 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
         return lam, vecs
 
     if f > 0:
-        # Smoothing ladder: -s*log(tr exp(-M/s)) is smooth and concave in
-        # theta and under-estimates lambda_min by at most s*log(d).
+        # Smoothing ladder: f_s = -s*log(tr exp(-M/s)) is smooth and concave
+        # in theta, and under-estimates lambda_min by at most the gap
+        # s*ln(d) (Nesterov, Math. Program. 103, 2005). The ladder ends at
+        # the first level whose gap is at most a quarter of tau_n; s*ln(d + 1)
+        # bounds the gap and keeps the floor finite at d = 1.
         levels = []
         s = 0.25
         s_floor = max(tau_n / (4.0 * np.log(d + 1.0)), 1e-300)
@@ -442,7 +464,9 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
             if best_lam < target_n:
                 for s in levels:
                     minimize(make_objective(s), best_u)
-                    if best_lam >= target_n:
+                    # The docstring's two stop rules.
+                    gap = s * np.log(d)
+                    if best_lam + gap < tau_n or tau_n <= best_lam and gap <= SHED * best_lam:
                         break
         except _TargetReached:
             pass
@@ -450,14 +474,16 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
         # Pull the point back along the ray from the particular solution:
         # the smallest eigenvalue is concave on the segment, so bisecting
         # for the shortest prefix that still clears a threshold sheds the
-        # norm overshoot of the line searches. Below target a thin slice
-        # of the achieved margin is traded for the same norm relief.
+        # norm overshoot of the line searches. Below target the SHED slice
+        # of the achieved margin is traded for the same norm relief. The
+        # kept end hi clears the threshold, so 20 halvings leave at most
+        # 2^-20 of the ray's length unshed.
         if np.isfinite(best_lam) and best_lam > tau_n and np.any(best_u):
             shed = max(target_n, 2.0 * tau_n)
             if best_lam >= shed:
                 thr = shed
             else:
-                thr = max(0.95 * best_lam, min(best_lam, 1.05 * tau_n))
+                thr = max((1.0 - SHED) * best_lam, min(best_lam, 1.05 * tau_n))
             u_end = best_u.copy()
 
             def lam_at(t):
@@ -469,7 +495,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
                 best_lam = lam_at(0.0)
             else:
                 lo, hi = 0.0, 1.0
-                for _ in range(50):
+                for _ in range(20):
                     mid = 0.5 * (lo + hi)
                     if lam_at(mid) >= thr:
                         hi = mid

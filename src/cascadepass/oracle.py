@@ -22,6 +22,7 @@ from .protocol import NetworkDesignState, _state_gains
 __all__ = [
     "IncompleteState",
     "NonFiniteTrajectory",
+    "TrajectoryTooLarge",
     "ClosedLoopSystem",
     "Certificate",
     "Trajectory",
@@ -42,6 +43,14 @@ class IncompleteState(ValueError):
 
 class NonFiniteTrajectory(ArithmeticError):
     """Numerical integration produced an overflow or NaN."""
+
+
+class TrajectoryTooLarge(ValueError):
+    """A horizon whose trajectory would exceed MAX_TRAJECTORY_BYTES."""
+
+
+# Largest trajectory simulate returns: (S + 1) rows of t, x, y, w and V.
+MAX_TRAJECTORY_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -294,13 +303,16 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
     """Integrate the closed loop under a disturbance with fixed-step RK4.
 
     T, dt and T / dt must be positive and finite (ValueError otherwise,
-    before any sampling). The step is nudged so the horizon lands exactly
-    on the grid of S steps of length h. The disturbance is sampled once,
-    at the 2S+1 half-grid times k h/2, where every RK4 stage time falls:
-    by its on_grid(h/2, 2S+1) method when it has one, as SineDisturbance
-    does, and otherwise by one call with the 1-D array of those times. The
-    samples come back as a (2S+1, cl.m) array, or a (cl.m,) vector for a
-    constant disturbance; any other shape raises ValueError.
+    before any sampling), and the returned trajectory, (S + 1)(2 + n + 2m)
+    float64 entries, at most MAX_TRAJECTORY_BYTES (TrajectoryTooLarge
+    otherwise, before any allocation). The step is nudged so the horizon
+    lands exactly on the grid of S steps of length h. The disturbance is
+    sampled once, at the 2S+1 half-grid times k h/2, where every RK4 stage
+    time falls: by its on_grid(h/2, 2S+1) method when it has one, as
+    SineDisturbance does, and otherwise by one call with the 1-D array of
+    those times. The samples come back as a (2S+1, cl.m) array, or a
+    (cl.m,) vector for a constant disturbance; any other shape raises
+    ValueError.
 
     RK4 applied to the linear system x' = A x + B w(t) is one fixed
     affine map per step. Expanding the four stages k1..k4 with M = hA
@@ -343,6 +355,12 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
         raise ValueError(f"x0 must have {n} entries, got {x0.shape}")
 
     steps = max(1, int(round(T / dt)))
+    max_steps = MAX_TRAJECTORY_BYTES // ((2 + n + 2 * m) * 8) - 1
+    if steps > max_steps:
+        raise TrajectoryTooLarge(
+            f"T / dt = {T / dt:.15g} steps exceed the {max_steps} that a "
+            f"{MAX_TRAJECTORY_BYTES}-byte trajectory allows"
+        )
     h = T / steps
     t = np.arange(steps + 1) * h
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cascadepass import files, lmi, protocol
+from cascadepass import files, lmi, oracle, protocol
 from cascadepass.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INFEASIBLE,
@@ -238,6 +238,20 @@ def test_simulate_four_stage_state_with_too_long_a_step_exits_4(four_stage_doc, 
     code = execute(["simulate", "--state", str(path), "--T", "2000", "--dt", "0.5"])
     assert code == EXIT_CHECK_FAILED
     assert one_stderr_line(capsys) == "simulation failed: state trajectory left the finite range\n"
+
+
+def test_simulate_refuses_a_trajectory_over_the_cap(four_stage_doc, tmp_path, capsys):
+    # The four-stage loop has n = 6 states and m = 4 outputs: 16 floats a
+    # row, so one step over the cap is 2**30 // 128 steps.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(four_stage_doc))
+    cl = oracle.assemble_closed_loop(files.load_state(path))
+    row_bytes = (2 + cl.n + 2 * cl.m) * 8
+    over = oracle.MAX_TRAJECTORY_BYTES // row_bytes
+    for T in ("1e300", "1e18", str(over)):
+        code = execute(["simulate", "--state", str(path), "--T", T, "--dt", "1"])
+        assert code == EXIT_INVALID
+        assert one_stderr_line(capsys).startswith("simulation refused: ")
 
 
 def test_simulate_rejects_a_step_count_that_overflows(four_stage_doc, tmp_path, capsys):

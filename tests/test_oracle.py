@@ -14,8 +14,10 @@ from cascadepass.oracle import (
     Certificate,
     ClosedLoopSystem,
     IncompleteState,
+    MAX_TRAJECTORY_BYTES,
     NonFiniteTrajectory,
     SineDisturbance,
+    TrajectoryTooLarge,
     assemble_closed_loop,
     centralized_sp_check,
     dissipation_margin,
@@ -304,6 +306,26 @@ def test_simulate_peak_memory_is_at_most_twice_what_it_returns(four_stage_loop):
     assert peak <= 2 * returned
 
 
+def test_simulate_refuses_a_trajectory_over_the_cap_before_allocating_it(four_stage_loop):
+    # Each of the S + 1 rows holds t, x, y, w and V, so rows - 1 steps is
+    # the last allowed count. It is not run: it would allocate the whole GiB.
+    cl = four_stage_loop
+    rows = MAX_TRAJECTORY_BYTES // ((2 + cl.n + 2 * cl.m) * 8)
+
+    def unsampled(t):
+        raise AssertionError("sampled before the size check")
+
+    for T in (float(rows), 1e18, 1e300):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrajectoryTooLarge, match=f"exceed the {rows - 1} that a"):
+                simulate(cl, unsampled, T=T, dt=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
 def test_simulate_leaves_its_inputs_alone_and_returns_read_only_arrays():
     cl = assemble_closed_loop(two_scalar_state())
     x0 = np.array([1.0, -2.0])
@@ -414,16 +436,16 @@ def test_simulate_rejects_disturbance_of_wrong_shape(shape):
 # T = 20, dt = 1e-3) from _rk4_reference: at the design rate, and at the
 # overclaimed rate 10, where the margin is negative.
 REFERENCE_MARGINS = [
-    (0.0, -231.65037711473812),
-    (0.0, -39.721152458878024),
-    (0.0, -59.94595381569137),
-    (0.0, -26.846674105750537),
-    (0.0, -21.57247063619379),
-    (0.0, -63.39312012356837),
-    (0.0, -198.93762274544093),
-    (0.0, -35.74178831069863),
-    (0.0, -64.57700041998567),
-    (0.0, -196.00652836286898),
+    (0.0, -231.65088509918186),
+    (0.0, -39.72068644486686),
+    (0.0, -59.94521957986559),
+    (0.0, -26.846088210195855),
+    (0.0, -21.572125166016605),
+    (0.0, -63.3918610205064),
+    (0.0, -198.93785375439404),
+    (0.0, -35.741234535586045),
+    (0.0, -64.57640500007265),
+    (0.0, -196.00666086684708),
 ]
 
 

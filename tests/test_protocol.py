@@ -147,6 +147,54 @@ def test_verify_declines_non_hurwitz_drift_without_the_solver(monkeypatch):
     assert local_verify(scalar_subsystem(3.0)).best_lambda_min == bound
 
 
+def counting_searches(monkeypatch):
+    runs = []
+    minimize = lmi.minimize
+
+    def counting(*args):
+        runs.append(1)
+        return minimize(*args)
+
+    monkeypatch.setattr(lmi, "minimize", counting)
+    return runs
+
+
+def test_local_search_stops_once_a_finer_level_cannot_change_its_outcome(monkeypatch):
+    # L-BFGS runs of the search, one per smoothing level. The full ladder
+    # took 20 for the four-stage design and 8 for this declining verify.
+    runs = counting_searches(monkeypatch)
+    state = run_cascade_design(four_stage_cascade())
+    assert [rec.route for rec in state.records] == ["Synthesized", "Synthesized", "Verified", "Synthesized"]
+    assert len(runs) == 11
+
+    runs.clear()
+    net = random_cascade(1, np.random.default_rng(39))
+    out = local_verify(net.subsystems[0], net.h(1, 1))
+    assert isinstance(out, lmi.Infeasible) and out.reason == "Stalled"
+    assert len(runs) == 3
+
+
+def test_rank_deficient_b3_designs_the_same_chains():
+    # Every B3 column but the first zeroed: the chains that design pass the
+    # oracle, and every other one is a typed decline.
+    rng = np.random.default_rng(3)
+    designed = []
+    for k in range(30):
+        net = random_cascade(1 + k % 5, rng)
+        subs = []
+        for sub in net.subsystems:
+            B3 = sub.B3.copy()
+            B3[:, 1:] = 0.0
+            subs.append(Subsystem(A=sub.A, B1=sub.B1, B2=sub.B2, B3=B3, C=sub.C))
+        try:
+            state = run_cascade_design(CascadeNetwork(subs, net.couplings))
+        except DesignFailed:
+            continue
+        assert oracle.centralized_sp_check(oracle.assemble_closed_loop(state)).verdict
+        designed.append(k)
+    assert designed == [0, 1, 2, 5, 8, 10, 12, 15, 18, 20, 21, 24, 25]
+
+
 def test_verify_reaches_the_solver_on_hurwitz_drift(monkeypatch):
     calls = counting_solver(monkeypatch)
     assert isinstance(local_verify(free_storage_subsystem(-1.0)), DesignRecord)

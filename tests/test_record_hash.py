@@ -20,7 +20,7 @@ from cascadepass import files, protocol
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PINNED = "7e70250c3f5c3c92ff617557cb63ce3363768195bb5fd6d77cf3ec834c10f61a"
+PINNED = "6c3693bcc38b7ad7ca188845941c9e97efdf7e719d7022961e48f4130a1a7f54"
 
 
 def feed(digest, state):

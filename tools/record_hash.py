@@ -1,4 +1,4 @@
-"""Print the 761-state record hash.
+"""Print the 761-state record hash and the L-BFGS runs it took.
 
 One SHA-256, fed by ``tests/test_record_hash.py``'s ``feed`` with every
 record of each state in order:
@@ -12,7 +12,9 @@ record of each state in order:
 * 40 designs ``random_cascade(1 + k % 8, default_rng(12345))``.
 
 A change that keeps every record bit for bit, in a design and in a load,
-leaves the hash unchanged. Run from the repository root (about 15 s):
+leaves the hash unchanged. The script also prints how many times the
+local search ran ``lmi.minimize`` over those states, a count that does
+not depend on the hardware. Run from the repository root (about 15 s):
 
     python3 tools/record_hash.py
 """
@@ -30,7 +32,7 @@ for sub in ("src", "tests", "perfbench"):
 
 import numpy as np  # noqa: E402
 
-from cascadepass import files, protocol  # noqa: E402
+from cascadepass import files, lmi, protocol  # noqa: E402
 from cascadepass.sample_cascades import random_cascade  # noqa: E402
 from test_record_hash import feed  # noqa: E402
 from workloads import GROWTH, fixed_design, seeded_additions  # noqa: E402
@@ -40,9 +42,26 @@ CYCLES = 4
 RANDOM_DESIGNS = 40
 
 
-def record_hash() -> tuple[str, int]:
-    """The hex digest and the number of states fed."""
-    digest = hashlib.sha256()
+def record_hash() -> tuple[str, int, int]:
+    """The hex digest, the number of states fed and the lmi.minimize runs."""
+    runs = 0
+    minimize = lmi.minimize
+
+    def counting(*args):
+        nonlocal runs
+        runs += 1
+        return minimize(*args)
+
+    lmi.minimize = counting
+    try:
+        hexdigest, states = _fed(hashlib.sha256())
+    finally:
+        lmi.minimize = minimize
+    return hexdigest, states, runs
+
+
+def _fed(digest) -> tuple[str, int]:
+    """Feed every state to digest; the hex digest and the states fed."""
     fixed = fixed_design()
     feed(digest, fixed)
     states = 1
@@ -67,5 +86,5 @@ def record_hash() -> tuple[str, int]:
 
 
 if __name__ == "__main__":
-    hexdigest, states = record_hash()
-    print(f"{hexdigest}  ({states} states)")
+    hexdigest, states, runs = record_hash()
+    print(f"{hexdigest}  ({states} states, {runs} lmi.minimize runs)")
