@@ -1,8 +1,8 @@
 """scipy's compiled L-BFGS-B and LAPACK modules, without their packages.
 
-The package calls three compiled scipy kernels: ``setulb`` from
-``scipy.optimize._lbfgsb``, and ``dtrtrs`` and ``dgesdd`` from
-``scipy.linalg._flapack``. Importing those modules the usual way first
+The package calls two compiled scipy kernels: ``setulb`` from
+``scipy.optimize._lbfgsb`` (in ``lmi``) and ``dtrtrs`` from
+``scipy.linalg._flapack`` (in ``blockla``). Importing those modules the usual way first
 runs ``scipy/optimize/__init__.py`` and ``scipy/linalg/__init__.py``,
 which take about half a second, more than a whole ``cascadepass add``
 design step. ``_load`` reads each extension module straight from scipy's

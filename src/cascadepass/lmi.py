@@ -2,25 +2,22 @@
 
 A problem asks for theta in R^v with
 
-    Phi(theta) = Phi_0 + sum_k theta_k Phi_k   positive definite (margin tau),
-    E theta = e                                (optional equalities).
+    Phi(theta) = Phi_0 + sum_k theta_k Phi_k   positive definite (margin tau).
 
 A bound such as theta_k >= c is stated as the 1x1 diagonal block
-theta_k - c of Phi. The solver eliminates the equalities through a
-null-space parametrization and maximizes a smoothed minimum eigenvalue of
-Phi. The returned point is always re-certified from scratch; the contract
-is the certificate, not the search path. Everything is deterministic: no
-randomness anywhere.
+theta_k - c of Phi. There are no equality constraints: a caller with one
+parametrizes its solutions and poses the problem over the parameters. The
+solver maximizes a smoothed minimum eigenvalue of Phi. The returned point
+is always re-certified from scratch; the contract is the certificate, not
+the search path. Everything is deterministic: no randomness anywhere.
 
 The search runs thousands of L-BFGS-B iterations on matrices of a few
 rows, where scipy's ``minimize`` wrapper costs more than the objective.
 ``minimize`` here calls scipy's ``setulb`` directly, in the loop scipy's
 ``minimize(method="L-BFGS-B", jac=True)`` runs and with the same
 memoisation of evaluated points, so every iterate is the wrapper's
-without the wrapper's cost. The equalities' null space is LAPACK
-``dgesdd``, called as ``scipy.linalg.null_space`` calls it. Both kernels
-come from scipy's compiled modules, loaded by ``_scipy_ext`` without
-importing ``scipy.optimize`` or ``scipy.linalg``.
+without the wrapper's cost. ``setulb`` comes from scipy's compiled module,
+loaded by ``_scipy_ext`` without importing ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy_ext import flapack, lbfgsb
+from ._scipy_ext import lbfgsb
 from .model import _frozen
 
 __all__ = [
@@ -40,20 +37,17 @@ __all__ = [
     "Infeasible",
     "PointCertificate",
     "solve_feasibility",
-    "particular_solution",
     "certify_point",
     "sym_vec_size",
     "sym_to_vec",
     "vec_to_sym",
 ]
 
-# Equality residual acceptance, relative to max(1, ||e||_inf).
-EQ_RTOL = 1e-9
 _SQRT2 = np.sqrt(2.0)
 
 
 class MalformedProblem(ValueError):
-    """Problem data with inconsistent shapes or asymmetric blocks."""
+    """Problem data with inconsistent shapes, asymmetric blocks or no block."""
 
 
 def sym_vec_size(n: int) -> int:
@@ -96,13 +90,11 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffineFeasibilityProblem:
-    """Affine feasibility data; all blocks are d x d symmetric."""
+    """Affine feasibility data; all blocks are d x d symmetric, d >= 1."""
 
     var_count: int
     constant_block: np.ndarray
     coeff_blocks: tuple[np.ndarray, ...]
-    eq_matrix: np.ndarray = None
-    eq_rhs: np.ndarray = None
 
     def __post_init__(self):
         v = int(self.var_count)
@@ -114,6 +106,8 @@ class AffineFeasibilityProblem:
         if Phi0.ndim != 2 or Phi0.shape[0] != Phi0.shape[1]:
             raise MalformedProblem(f"constant_block must be square, got {Phi0.shape}")
         d = Phi0.shape[0]
+        if not d:
+            raise MalformedProblem("a problem without a matrix block constrains nothing")
         blocks = [Phi0] + [np.asarray(B, dtype=float) for B in self.coeff_blocks]
         if len(blocks) - 1 != v:
             raise MalformedProblem(f"expected {v} coefficient blocks, got {len(blocks) - 1}")
@@ -121,22 +115,21 @@ class AffineFeasibilityProblem:
         # entries or asymmetry beyond 1e-8 relative is reported.
         shaped = next((k for k, B in enumerate(blocks) if B.shape != (d, d)), len(blocks))
         stack = np.array(blocks[:shaped])
-        if d:
-            flat = stack.reshape(shaped, -1)
-            scale = np.maximum(1.0, np.abs(flat).max(axis=1))
-            # Finiteness is checked after symmetrizing, which finite entries
-            # above about 8.99e307 can overflow. A non-finite block is
-            # reported as such, never by its skew.
-            with np.errstate(invalid="ignore", over="ignore"):
-                skew = np.abs(stack - stack.transpose(0, 2, 1)).reshape(shaped, -1).max(axis=1)
-                stack = 0.5 * (stack + stack.transpose(0, 2, 1))
-            finite = np.isfinite(stack.reshape(shaped, -1)).all(axis=1)
-            bad = np.flatnonzero(~finite | (skew > 1e-8 * scale))
-            if bad.size:
-                k = int(bad[0])
-                if not finite[k]:
-                    raise MalformedProblem(f"block {k} has non-finite entries")
-                raise MalformedProblem(f"block {k} is not symmetric")
+        flat = stack.reshape(shaped, -1)
+        scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+        # Finiteness is checked after symmetrizing, which finite entries
+        # above about 8.99e307 can overflow. A non-finite block is reported
+        # as such, never by its skew.
+        with np.errstate(invalid="ignore", over="ignore"):
+            skew = np.abs(stack - stack.transpose(0, 2, 1)).reshape(shaped, -1).max(axis=1)
+            stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+        finite = np.isfinite(stack.reshape(shaped, -1)).all(axis=1)
+        bad = np.flatnonzero(~finite | (skew > 1e-8 * scale))
+        if bad.size:
+            k = int(bad[0])
+            if not finite[k]:
+                raise MalformedProblem(f"block {k} has non-finite entries")
+            raise MalformedProblem(f"block {k} is not symmetric")
         if shaped < len(blocks):
             raise MalformedProblem(
                 f"block {shaped} has shape {blocks[shaped].shape}, expected ({d}, {d})"
@@ -144,22 +137,6 @@ class AffineFeasibilityProblem:
         stack.flags.writeable = False
         object.__setattr__(self, "constant_block", stack[0])
         object.__setattr__(self, "coeff_blocks", tuple(stack[1:]))
-
-        E = self.eq_matrix
-        e = self.eq_rhs
-        if E is None:
-            E = np.zeros((0, v))
-            e = np.zeros(0)
-        E = np.array(E, dtype=float)
-        e = np.array(e, dtype=float).reshape(-1)
-        if E.ndim != 2 or E.shape != (e.shape[0], v):
-            raise MalformedProblem(
-                f"eq_matrix {E.shape} / eq_rhs {e.shape} inconsistent with {v} variables"
-            )
-        if not (np.isfinite(E).all() and np.isfinite(e).all()):
-            raise MalformedProblem("equalities have non-finite entries")
-        object.__setattr__(self, "eq_matrix", _frozen(E))
-        object.__setattr__(self, "eq_rhs", _frozen(e))
 
     @property
     def dim(self) -> int:
@@ -179,12 +156,11 @@ class AffineFeasibilityProblem:
 
 @dataclass(frozen=True)
 class FeasiblePoint:
-    """Certified solution: lambda_min and eq_residual are recomputed from
-    theta, never copied out of the search."""
+    """Certified solution: lambda_min is recomputed from theta, never
+    copied out of the search."""
 
     theta: np.ndarray
     lambda_min: float
-    eq_residual: float
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _frozen(self.theta))
@@ -207,24 +183,7 @@ class Infeasible:
 class PointCertificate:
     ok: bool
     lambda_min: float
-    eq_residual: float
     reasons: tuple[str, ...] = field(default_factory=tuple)
-
-
-def _null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of A, bit for bit the one
-    ``scipy.linalg.null_space(A)`` returns: the rows of LAPACK gesdd's V'
-    (full matrices, the queried work size) past the singular values above
-    max(s) * eps * max(m, n), as columns."""
-    m, n = A.shape
-    if not A.size:
-        return np.eye(n)
-    lwork, _ = flapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=1)
-    _, s, vh, info = flapack.dgesdd(A, compute_uv=1, lwork=int(lwork), full_matrices=1)
-    if info:
-        raise np.linalg.LinAlgError(f"SVD did not converge (gesdd info {info})")
-    tol = np.amax(s, initial=0.0) * (np.finfo(float).eps * max(m, n))
-    return vh[np.sum(s > tol, dtype=int):, :].T
 
 
 class _TargetReached(Exception):
@@ -300,14 +259,13 @@ def solve_feasibility(
     """Search for a certified feasible point.
 
     Returns FeasiblePoint exactly when the search reaches the margin and
-    ``certify_point`` accepts the point; its lambda_min and eq_residual are
-    that certificate's. Otherwise returns Infeasible with the best point
+    ``certify_point`` accepts the point; its lambda_min is that
+    certificate's. Otherwise returns Infeasible with the best point
     found. ``target`` stops the search early once the smallest eigenvalue of
     Phi reaches it; larger targets buy margin for downstream consumers at the
     cost of more iterations.
     """
-    d = prob.dim
-    scale = max(1.0, float(np.abs(prob.constant_block).max()) if d else 0.0)
+    scale = max(1.0, float(np.abs(prob.constant_block).max()))
     tau = float(margin)
     if not (tau > 0.0 and np.isfinite(tau)):
         raise MalformedProblem("margin must be positive and finite")
@@ -315,28 +273,14 @@ def solve_feasibility(
         target = max(2.0 * tau, 1e-4 * scale)
     target = max(float(target), tau)
 
-    theta_p, consistent = particular_solution(prob.eq_matrix, prob.eq_rhs)
-    if not consistent:
-        lam = float(np.linalg.eigvalsh(prob.master(theta_p))[0]) if d else -np.inf
-        return Infeasible(
-            best_lambda_min=lam,
-            best_theta=theta_p,
-            evaluations=1,
-            reason="InconsistentEqualities",
-        )
-
-    if d == 0:
-        # No matrix block: only the equalities constrain theta.
-        theta, best_lam, norm, evals = theta_p, np.inf, 1.0, 0
-    else:
-        theta, best_lam, norm, evals = _search(prob, theta_p, tau, target)
+    theta, best_lam, norm, evals = _search(prob, tau, target)
 
     # A point that overflowed on its way back from normalized units
     # certifies nothing.
     if np.isfinite(theta).all():
         cert = certify_point(theta, prob, tau)
         if best_lam >= tau / norm and cert.ok:
-            return FeasiblePoint(theta=theta, lambda_min=cert.lambda_min, eq_residual=cert.eq_residual)
+            return FeasiblePoint(theta=theta, lambda_min=cert.lambda_min)
     return Infeasible(
         best_lambda_min=best_lam * norm,
         best_theta=theta,
@@ -345,27 +289,8 @@ def solve_feasibility(
     )
 
 
-def particular_solution(E: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The least-squares solution theta_p of E theta = e, and whether it
-    meets the equalities within EQ_RTOL * max(1, ||e||_inf).
-
-    E and e must be finite. Every point the solver returns is theta_p plus
-    a null-space direction of E, so where E leaves a variable no freedom,
-    theta_p already holds its value. Raises MalformedProblem when theta_p
-    overflows.
-    """
-    if not E.shape[0]:
-        return np.zeros(E.shape[1]), True
-    theta_p, *_ = np.linalg.lstsq(E, e, rcond=None)
-    if not np.isfinite(theta_p).all():
-        raise MalformedProblem("equalities overflow when solved")
-    resid = np.abs(E @ theta_p - e).max()
-    return theta_p, not resid > EQ_RTOL * max(1.0, np.abs(e).max())
-
-
-def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, target: float):
-    """Maximize the smallest eigenvalue of Phi over the solutions
-    theta_p + null(E) z of the equalities.
+def _search(prob: AffineFeasibilityProblem, tau: float, target: float):
+    """Maximize the smallest eigenvalue of Phi from theta = 0.
 
     L-BFGS maximizes the log-sum-exp smoothing f_s of lambda_min on a
     ladder of levels s, each finer than the last, from the best point so
@@ -379,52 +304,42 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
     * best_lam >= tau and s*ln(d) <= SHED * best_lam: an accept, since a
       finer level adds at most the slice the pull-back may shed.
 
-    The point is then pulled back along its ray from theta_p by 20
-    halvings of a bisection whose upper end always clears the threshold.
+    The point is then pulled back along its ray from 0 by 20 halvings of
+    a bisection whose upper end always clears the threshold.
 
     Returns (theta, best_lam, norm, evaluations); best_lam is in the
-    normalized units of Phi divided by norm. Raises MalformedProblem when
-    the finite blocks overflow once combined along those solutions.
+    normalized units of Phi divided by norm.
     """
     v = prob.var_count
     d = prob.dim
-    T = np.array(prob.coeff_blocks).reshape(v, d, d)
-    basis = _null_space(prob.eq_matrix) if prob.eq_matrix.shape[0] else np.eye(v)
-    f = basis.shape[1]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        C0 = prob.constant_block + (np.tensordot(theta_p, T, axes=1) if v else 0.0)
-        D = np.tensordot(basis.T, T.reshape(v, -1), axes=1).reshape(f, d, d) if f else None
-    if not (np.isfinite(C0).all() and (D is None or np.isfinite(D).all())):
-        raise MalformedProblem("blocks overflow when combined")
 
     # Work in normalized units: the constant block is scaled to unit size
-    # and every free direction to a unit coefficient, so the line searches
-    # behave the same regardless of the data's magnitude.
-    norm = max(1.0, float(np.abs(C0).max()))
-    C0n = C0 / norm
-    if f:
-        gamma = np.array([max(1e-30, float(np.abs(D[k]).max())) for k in range(f)])
-        # One (f, d*d) matrix: each master is a vector-matrix product.
-        Dn = (D / gamma[:, None, None]).reshape(f, -1)
+    # and every variable to a unit coefficient, so the line searches behave
+    # the same regardless of the data's magnitude.
+    norm = max(1.0, float(np.abs(prob.constant_block).max()))
+    C0n = prob.constant_block / norm
+    if v:
+        gamma = np.array([max(1e-30, float(np.abs(B).max())) for B in prob.coeff_blocks])
+        # One (v, d*d) matrix: each master is a vector-matrix product.
+        Dn = (np.array(prob.coeff_blocks) / gamma[:, None, None]).reshape(v, -1)
     tau_n = tau / norm
     target_n = target / norm
 
-    best_u = np.zeros(f)
+    best_u = np.zeros(v)
     best_lam = -np.inf
     evals = 0
 
     def evaluate(u):
         nonlocal evals, best_u, best_lam
         evals += 1
-        M = C0n if f == 0 else C0n + (u @ Dn).reshape(d, d)
+        M = C0n if v == 0 else C0n + (u @ Dn).reshape(d, d)
         lam, vecs = np.linalg.eigh(M)
         if lam[0] > best_lam:
             best_lam = float(lam[0])
             best_u = np.array(u, dtype=float)
         return lam, vecs
 
-    if f > 0:
+    if v > 0:
         # Smoothing ladder: f_s = -s*log(tr exp(-M/s)) is smooth and concave
         # in theta, and under-estimates lambda_min by at most the gap
         # s*ln(d) (Nesterov, Math. Program. 103, 2005). The ladder ends at
@@ -441,7 +356,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
 
         # The tiny quadratic penalty keeps the objective coercive: without
         # it the optimizer can chase an asymptotic eigenvalue cap forever,
-        # inflating the point until roundoff swamps the equalities.
+        # inflating the point until roundoff swamps it.
         reg = 1e-12
 
         def make_objective(s):
@@ -471,8 +386,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
         except _TargetReached:
             pass
 
-        # Pull the point back along the ray from the particular solution:
-        # the smallest eigenvalue is concave on the segment, so bisecting
+        # Pull the point back along the ray from 0: the smallest eigenvalue is concave on the segment, so bisecting
         # for the shortest prefix that still clears a threshold sheds the
         # norm overshoot of the line searches. Below target the SHED slice
         # of the achieved margin is traded for the same norm relief. The
@@ -491,7 +405,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
                 return float(np.linalg.eigvalsh(M)[0])
 
             if lam_at(0.0) >= thr:
-                best_u = np.zeros(f)
+                best_u = np.zeros(v)
                 best_lam = lam_at(0.0)
             else:
                 lo, hi = 0.0, 1.0
@@ -507,8 +421,7 @@ def _search(prob: AffineFeasibilityProblem, theta_p: np.ndarray, tau: float, tar
         evaluate(np.zeros(0))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        best_z = (best_u / gamma) * norm if f else np.zeros(0)
-        theta = theta_p + (basis @ best_z if f else 0.0)
+        theta = (best_u / gamma) * norm if v else np.zeros(0)
     return theta, best_lam, norm, evals
 
 
@@ -519,20 +432,8 @@ def certify_point(
 ) -> PointCertificate:
     """Re-check a point against the problem from scratch.
 
-    Failure reasons: MatrixNotPositive (lambda_min below the margin),
-    EqualityResidual.
+    Failure reason: MatrixNotPositive (lambda_min below the margin).
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    tau = float(margin)
-    reasons = []
-
-    lam = float(np.linalg.eigvalsh(prob.master(theta))[0]) if prob.dim else np.inf
-    if not (lam >= tau):
-        reasons.append("MatrixNotPositive")
-
-    E, e = prob.eq_matrix, prob.eq_rhs
-    eq_residual = float(np.abs(E @ theta - e).max()) if E.shape[0] else 0.0
-    if eq_residual > EQ_RTOL * max(1.0, float(np.abs(e).max()) if e.size else 0.0):
-        reasons.append("EqualityResidual")
-
-    return PointCertificate(ok=not reasons, lambda_min=lam, eq_residual=eq_residual, reasons=tuple(reasons))
+    lam = float(np.linalg.eigvalsh(prob.master(theta))[0])
+    ok = lam >= float(margin)
+    return PointCertificate(ok=ok, lambda_min=lam, reasons=() if ok else ("MatrixNotPositive",))

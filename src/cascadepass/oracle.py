@@ -38,7 +38,7 @@ __all__ = [
 
 
 class IncompleteState(ValueError):
-    """A design state whose records do not cover the network."""
+    """A design state whose records do not match the network's subsystems."""
 
 
 class NonFiniteTrajectory(ArithmeticError):
@@ -208,12 +208,13 @@ class SineDisturbance:
 
 
 def assemble_closed_loop(state: NetworkDesignState) -> ClosedLoopSystem:
-    """Fold the designed gains into the global system."""
+    """Fold the designed gains into the global system.
+
+    A state holds one record per subsystem (NetworkDesignState checks it);
+    a record whose storage does not match its subsystem's size raises
+    IncompleteState.
+    """
     net = state.net
-    if len(state.records) != net.n_subsystems:
-        raise IncompleteState(
-            f"{net.n_subsystems} subsystems but {len(state.records)} records"
-        )
     for rec, sub in zip(state.records, net.subsystems):
         if rec.Q.shape != (sub.n, sub.n):
             raise IncompleteState(

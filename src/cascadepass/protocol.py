@@ -11,13 +11,19 @@ that fails, with them:
   K(i-1,i), resolving the Q*K bilinearity in two stages (a substitution
   stage for Q, then an exact re-solve over the gains with Q frozen).
 
-When B2 has full row rank, the storage equality Q B2 = C' pins Q, and
-stage 1 of both routes is decided in closed form with no search: verify
-has only the rate left, whose feasible interval a Schur complement gives,
-and synthesis's stage 1 passes exactly when Q - Q_FLOOR I and M_prev clear
-the margin. A step whose incoming M_prev is below its margin is declined
-on both routes before any problem is built. Each such decline carries a
-typed reason and an upper bound on the margin any point could reach.
+The storage equality Q B2 = C' involves nothing but the subsystem's own
+data, so it is solved once, before any problem is built: every Q the
+step considers is a least-squares solution Q_p plus a combination of a
+basis N of the symmetric matrices with N B2 = 0, and the local problems
+are posed over those coefficients, with no equality left. When B2 has full
+row rank, N is empty and the equality pins Q, and stage 1 of both routes
+is decided in closed form with no search: verify has only the rate left,
+whose feasible interval a Schur complement gives, and synthesis's stage 1
+passes exactly when Q - Q_FLOOR I and M_prev clear the margin. A step
+whose equality has no solution, or whose incoming M_prev is below its
+margin, is declined on both routes before any problem is built. Each such
+decline carries a typed reason and an upper bound on the margin any point
+could reach.
 
 Both routes then settle the rate in closed form, re-certify the point and
 form the step's margin block M_cl. Positivity of M_cl is imposed through a
@@ -80,6 +86,8 @@ TARGET_FRACTION = 0.2
 # Relative spectral-abscissa threshold above which verify is declined
 # without the solver; see _design_step.
 HURWITZ_RTOL = 1e-8
+# Storage equality acceptance: max|Q B2 - C'| <= EQ_RTOL * max(1, max|C|).
+EQ_RTOL = 1e-9
 
 ROUTE_VERIFIED = "Verified"
 ROUTE_SYNTHESIZED = "Synthesized"
@@ -251,9 +259,6 @@ class _Layout:
     def scalar(self, name):
         self._add(name, "scalar", (), 1)
 
-    def sym(self, name, n):
-        self._add(name, "sym", (n,), lmi.sym_vec_size(n))
-
     def full(self, name, shape):
         self._add(name, "full", tuple(shape), int(np.prod(shape)))
 
@@ -272,8 +277,6 @@ class _Layout:
             seg = theta[start:start + width]
             if kind == "scalar":
                 out[name] = float(seg[0])
-            elif kind == "sym":
-                out[name] = lmi.vec_to_sym(seg, meta[0])
             else:
                 out[name] = seg.reshape(meta)
         return out
@@ -284,25 +287,7 @@ def _probes(layout) -> tuple[dict, list[dict]]:
     return layout.unpack(np.zeros(layout.size)), [layout.unpack(u) for u in np.eye(layout.size)]
 
 
-def _equalities(probes, eq_fn) -> tuple[np.ndarray, np.ndarray]:
-    """(E, e) of the affine equalities eq_fn(v) = 0, from the probes.
-
-    eq_fn is affine in the variables, so probing the zero point and each
-    unit vector recovers E exactly. Finite data too large to multiply
-    overflow to a non-finite E, reported as MalformedProblem; numpy need
-    not warn.
-    """
-    zero, units = probes
-    with np.errstate(over="ignore", invalid="ignore"):
-        r0 = np.asarray(eq_fn(zero), dtype=float).reshape(-1)
-        cols = [np.asarray(eq_fn(u), dtype=float).reshape(-1) - r0 for u in units]
-    E = np.stack(cols, axis=1) if cols else np.zeros((r0.size, 0))
-    if not (np.isfinite(E).all() and np.isfinite(r0).all()):
-        raise lmi.MalformedProblem("equalities have non-finite entries")
-    return E, -r0
-
-
-def _assemble_problem(probes, master_fn, E, e) -> lmi.AffineFeasibilityProblem:
+def _assemble_problem(probes, master_fn) -> lmi.AffineFeasibilityProblem:
     # master_fn is affine in the variables, so the probes recover the exact
     # coefficient blocks. Finite data too large to multiply overflows to a
     # non-finite block, which the problem reports as MalformedProblem.
@@ -314,8 +299,6 @@ def _assemble_problem(probes, master_fn, E, e) -> lmi.AffineFeasibilityProblem:
         var_count=len(units),
         constant_block=M0,
         coeff_blocks=tuple(coeffs),
-        eq_matrix=E,
-        eq_rhs=e,
     )
 
 
@@ -329,8 +312,47 @@ def _step_margin(sub: Subsystem) -> float:
     return 1e-6 * max(1.0, float(np.abs(sub.A).max()), float(np.abs(sub.C).max()))
 
 
-def _solver_target(prob, lam_prev, tau) -> float:
-    scale = max(1.0, float(np.abs(prob.constant_block).max()))
+def _storage_space(sub: Subsystem):
+    """The symmetric solutions of the storage equality Q B2 = C'.
+
+    Returns (Q_p, N, consistent). Q_p is the least-squares solution, N a
+    stack of symmetric matrices with N_k B2 = 0, orthonormal in lmi's packed
+    coordinates, whose combinations are every symmetric Q with Q B2 = 0, and
+    consistent says whether Q_p meets the equality (_meets_storage). So the
+    solutions are exactly Q_p + sum_k z_k N_k (Boyd & Vandenberghe, Convex
+    Optimization, 2004, sec. 4.2.4). One SVD of the map from Q's packed
+    coordinates to Q B2 gives all three; its rank counts the singular values
+    above max(s) * eps * max(shape), numpy's matrix_rank rule.
+
+    N is empty exactly when B2 has full row rank n: a symmetric Q with
+    Q B2 = 0 is 0 when B2 B2' is invertible, and u u' for u' B2 = 0
+    otherwise. Raises MalformedProblem when Q_p overflows.
+    """
+    n = sub.n
+    units = [lmi.vec_to_sym(e, n) @ sub.B2 for e in np.eye(lmi.sym_vec_size(n))]
+    A = np.array(units).reshape(len(units), -1).T
+    U, s, Vt = np.linalg.svd(A)
+    rank = int(np.sum(s > np.amax(s, initial=0.0) * np.finfo(float).eps * max(A.shape)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q_p = lmi.vec_to_sym(Vt[:rank].T @ ((U[:, :rank].T @ sub.C.T.ravel()) / s[:rank]), n)
+    if not np.isfinite(Q_p).all():
+        raise lmi.MalformedProblem("storage equality overflows when solved")
+    N = np.array([lmi.vec_to_sym(v, n) for v in Vt[rank:]]).reshape(-1, n, n)
+    return Q_p, N, _meets_storage(Q_p, sub)
+
+
+def _meets_storage(Q, sub: Subsystem) -> bool:
+    """Whether max|Q B2 - C'| <= EQ_RTOL * max(1, max|C|)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(Q @ sub.B2 - sub.C.T).max()
+    return bool(residual <= EQ_RTOL * max(1.0, float(np.abs(sub.C).max())))
+
+
+def _solver_target(scale, lam_prev, tau) -> float:
+    """The margin the solver chases: TARGET_FRACTION of scale, capped
+    below the packet's margin. scale is the largest entry, at least 1, of
+    the master with rate and gains at 0 and Q at 0 in stage 1, at the
+    found Q in stage 2."""
     t = TARGET_FRACTION * scale
     if lam_prev is not None:
         # The packet's margin block is a principal block of the master, so
@@ -389,16 +411,6 @@ def _settle_rate(prob, theta, eps_index, n, tau) -> np.ndarray:
     return theta
 
 
-def _pins_storage(E, q_vars) -> bool:
-    """Whether the equalities leave Q, the first q_vars variables, no freedom.
-
-    Q B2 = C' pins Q exactly when B2 has full row rank n: a symmetric Q
-    with Q B2 = 0 is 0 when B2 B2' is invertible, and u u' for u' B2 = 0
-    otherwise. The rank is E's numerical rank on Q's columns.
-    """
-    return np.linalg.matrix_rank(E[:, :q_vars]) == q_vars
-
-
 def _pinned_rate_bound(prob, theta, eps_index, n, tau) -> float:
     """Upper bound on lambda_min of the verify master over every eps, with R > 0.
 
@@ -426,10 +438,10 @@ def _pinned_rate_bound(prob, theta, eps_index, n, tau) -> float:
 
 
 def _pinned_verify(prob, theta, n, tau):
-    """Verify's stage 1 when Q B2 = C' pins Q: eps is its only free variable.
+    """Verify's stage 1 when Q B2 = C' pins Q: eps is its only variable.
 
-    theta is the least-squares point of the equalities, the point the
-    solver starts from, and holds the only Q they admit. Returns an
+    prob is posed at Q = Q_p, the only Q the equality admits, and theta is
+    its zero point. Returns an
     lmi.FeasiblePoint at half the rate supremum (or, when that does not
     certify, at the middle of the feasible interval (EPS_MIN + tau,
     eps_sup)), or lmi.Infeasible with reason PinnedStorageInfeasible; see
@@ -448,7 +460,7 @@ def _pinned_verify(prob, theta, n, tau):
             theta[eps_index] = eps
             cert = lmi.certify_point(theta, prob, tau)
             if cert.ok:
-                return lmi.FeasiblePoint(theta=theta, lambda_min=cert.lambda_min, eq_residual=cert.eq_residual)
+                return lmi.FeasiblePoint(theta=theta, lambda_min=cert.lambda_min)
     return _declined(_pinned_rate_bound(prob, theta, eps_index, n, tau), "PinnedStorageInfeasible", theta)
 
 
@@ -571,12 +583,19 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     the eigenvalue error of a defective 2x2 block. A false decline can only
     send a step to synthesis, never emit a certificate.
 
-    When B2 has full row rank, Q B2 = C' pins Q (see _pins_storage), and
+    The storage equality Q B2 = C' is then solved once (_storage_space).
+    When its least-squares solution Q_p misses it, no Q exists, and both
+    routes decline with reason InconsistentEqualities and
+    best_lambda_min = -inf. Otherwise stage 1 is posed over the
+    coefficients z of Q = Q_p + sum_k z_k N_k, then eps and, in synthesis,
+    Z_self, Z_prev and K(i-1,i). The Q that stage 1 finds is checked
+    against the equality with the same tolerance, and a miss declines with
+    reason EqualityResidual. The solver chases a target scaled from the
+    master at Q = 0 (_solver_target), not at Q_p, whose storage block
+    would only inflate it.
+
+    When B2 has full row rank, N is empty: Q B2 = C' pins Q to Q_p, and
     stage 1 of both routes is decided in closed form, without the solver.
-    Q is the least-squares solution of the equalities
-    (lmi.particular_solution over stage 1's own variables, as the solver
-    would start from it), and equalities it does not meet decline with
-    reason InconsistentEqualities and best_lambda_min = -inf.
 
     * Verify has eps as its only free variable. With R as in
       _rate_supremum (the blocks M_prev - tau I and Q - (Q_FLOOR + tau) I),
@@ -635,8 +654,16 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         M[-1, -1] = v["eps"] - EPS_MIN
         return M
 
+    Q_p, N, consistent = _storage_space(sub)
+    if not consistent:
+        return _declined(-np.inf, "InconsistentEqualities")
+    pinned = not len(N)
+
+    def storage(v):
+        return Q_p + np.tensordot(v["z"], N, axes=1)
+
     stage1 = _Layout()
-    stage1.sym("Q", n)
+    stage1.full("z", (len(N),))
     stage1.scalar("eps")
     if gains:
         stage1.full("Z_self", (n, n))
@@ -644,27 +671,28 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
             stage1.full("Z_prev", (n, packet.M_prev.shape[0]))
             stage1.full("K_prev_to_self", (packet.T_prev.shape[1], n))
 
-    probes = _probes(stage1)
-    E, e = _equalities(probes, lambda v: (v["Q"] @ sub.B2 - sub.C.T).ravel())
-    pinned = _pins_storage(E, lmi.sym_vec_size(n))
-    if pinned:
-        theta, consistent = lmi.particular_solution(E, e)
-        if not consistent:
-            return _declined(-np.inf, "InconsistentEqualities", theta)
+    theta = np.zeros(stage1.size)
     if pinned and gains:
-        lam1 = float(np.linalg.eigvalsh(stage1.unpack(theta)["Q"] - Q_FLOOR * np.eye(n))[0])
+        lam1 = float(np.linalg.eigvalsh(Q_p - Q_FLOOR * np.eye(n))[0])
         if lam1 < tau:
             return _declined(lam1, "PinnedStorageInfeasible", theta)
     else:
-        prob = _assemble_problem(probes, lambda v: master(v["Q"], v, True), E, e)
+        prob = _assemble_problem(_probes(stage1), lambda v: master(storage(v), v, True))
         if pinned:
             point = _pinned_verify(prob, theta, n, tau)
         else:
-            point = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, lam_prev, tau))
+            # Besides M_prev and X = G_prev', the master at Q = 0 holds
+            # no entry larger than Q_FLOOR.
+            scale = 1.0
+            if packet is not None:
+                scale = max(1.0, float(np.abs(packet.M_prev).max()), float(np.abs(G_prev).max()))
+            point = lmi.solve_feasibility(prob, tau, target=_solver_target(scale, lam_prev, tau))
         if isinstance(point, lmi.Infeasible):
             return point
         theta, lam1 = point.theta, point.lambda_min
-    Q = stage1.unpack(theta)["Q"]
+    Q = storage(stage1.unpack(theta))
+    if not _meets_storage(Q, sub):
+        return _declined(lam1, "EqualityResidual", theta)
     try:
         blockla.cholesky_lower(Q)
     except blockla.NotPositiveDefinite:
@@ -678,13 +706,12 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         if packet is not None:
             layout.full("K_to_prev", (p, packet.M_prev.shape[0]))
             layout.full("K_prev_to_self", (packet.T_prev.shape[1], n))
-        prob = _assemble_problem(
-            _probes(layout), lambda v: master(Q, v, False), np.zeros((0, layout.size)), np.zeros(0)
-        )
+        prob = _assemble_problem(_probes(layout), lambda v: master(Q, v, False))
         # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
         # floor; deriving a fresh one from the stage-2 constant block would let
         # a large found Q inflate the requirement beyond reach.
-        point = lmi.solve_feasibility(prob, tau, target=_solver_target(prob, lam_prev, tau))
+        scale = max(1.0, float(np.abs(prob.constant_block).max()))
+        point = lmi.solve_feasibility(prob, tau, target=_solver_target(scale, lam_prev, tau))
         if isinstance(point, lmi.Infeasible):
             return point
         theta = point.theta

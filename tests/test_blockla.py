@@ -265,6 +265,8 @@ def reference_cholesky_lower(P):
 
 def reference_problem_blocks(constant, coeffs):
     d = constant.shape[0]
+    if not d:
+        raise MalformedProblem("a problem without a matrix block constrains nothing")
     blocks = [np.array(constant, dtype=float)] + [np.array(B, dtype=float) for B in coeffs]
     for k, B in enumerate(blocks):
         if B.shape != (d, d):

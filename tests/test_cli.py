@@ -418,7 +418,7 @@ def test_addition_too_large_to_multiply_names_its_step(four_stage_doc, tmp_path,
     assert code == EXIT_INVALID
     assert one_stderr_line(capsys) == (
         "malformed problem: step 5 is not finite "
-        "(local problem block 1 has non-finite entries)\n"
+        "(local problem block 0 has non-finite entries)\n"
     )
     assert not out.exists()
 

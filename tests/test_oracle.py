@@ -436,16 +436,16 @@ def test_simulate_rejects_disturbance_of_wrong_shape(shape):
 # T = 20, dt = 1e-3) from _rk4_reference: at the design rate, and at the
 # overclaimed rate 10, where the margin is negative.
 REFERENCE_MARGINS = [
-    (0.0, -231.65088509918186),
-    (0.0, -39.72068644486686),
-    (0.0, -59.94521957986559),
-    (0.0, -26.846088210195855),
-    (0.0, -21.572125166016605),
-    (0.0, -63.3918610205064),
-    (0.0, -198.93785375439404),
-    (0.0, -35.741234535586045),
-    (0.0, -64.57640500007265),
-    (0.0, -196.00666086684708),
+    (0.0, -231.65146962827149),
+    (0.0, -39.72072112212857),
+    (0.0, -59.94525390177513),
+    (0.0, -26.84610316849598),
+    (0.0, -21.572133300994246),
+    (0.0, -63.39192750795892),
+    (0.0, -198.93839451417688),
+    (0.0, -35.74124452717539),
+    (0.0, -64.57641101277989),
+    (0.0, -196.00712772889136),
 ]
 
 

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,9 +237,9 @@ def test_rate_floor_is_a_block_of_the_verify_master(monkeypatch):
     monkeypatch.setattr(lmi, "solve_feasibility", capturing)
     assert isinstance(local_verify(free_storage_subsystem(-1.0)), DesignRecord)
     [(prob, tau, point)] = problems
-    # Stage 1 holds Q's three entries, then eps; the floor is the master's
-    # last block.
-    eps_index = 3
+    # Stage 1 holds the one free storage coefficient, Q[1, 1]'s, then eps;
+    # the floor is the master's last block.
+    eps_index = 1
     assert prob.master(point.theta)[-1, -1] == point.theta[eps_index] - protocol.EPS_MIN
     for eps in (0.5 * protocol.EPS_MIN, protocol.EPS_MIN + 0.5 * tau):
         theta = np.array(point.theta)
@@ -272,10 +273,20 @@ def planted_step(seed, n, m, n_prev):
     return sub, h_self, 0.3 * rng.normal(size=(n, n_prev)), packet
 
 
+storage_space = protocol._storage_space
+
+
+def unpinned(sub):
+    """_storage_space with a zero storage direction added to a pinned step,
+    which sends it to the solver like any other while Q stays Q_p."""
+    Q_p, N, consistent = storage_space(sub)
+    return Q_p, N if len(N) else np.zeros((1, sub.n, sub.n)), consistent
+
+
 def searched(route, *args):
     """route(*args) with pinned storage sent to the solver like any other."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_pins_storage", lambda E, q_vars: False)
+        mp.setattr(protocol, "_storage_space", unpinned)
         return route(*args)
 
 
@@ -330,6 +341,19 @@ def test_pinned_steps_make_no_solver_call_in_stage_one(monkeypatch):
     assert len(calls) == 1
 
 
+def test_inconsistent_storage_declines_both_routes_before_any_problem(monkeypatch):
+    calls = counting_solver(monkeypatch)
+    # B2 has rank 1, so Q is not pinned, but Q B2 has two equal columns and
+    # C' does not.
+    sub = Subsystem(A=-np.eye(2), B1=np.eye(2), B2=[[1.0, 1.0], [0.0, 0.0]], B3=np.eye(2),
+                    C=[[1.0, 0.0], [2.0, 0.0]])
+    assert len(protocol._storage_space(sub)[1]) == 1
+    for route in (local_verify, local_synthesize):
+        out = route(sub)
+        assert (out.reason, out.best_lambda_min, out.evaluations) == ("InconsistentEqualities", -np.inf, 0)
+    assert calls == []
+
+
 def test_pinned_declines_bound_every_rate():
     packet = MessengerPacket(prev_index=1, M_prev=[[1.0]], G_prev=[[10.0]], T_prev=[[1.0]])
     cases = [
@@ -349,7 +373,7 @@ def test_pinned_declines_bound_every_rate():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lmi, "solve_feasibility", capturing)
-            mp.setattr(protocol, "_pins_storage", lambda E, q_vars: False)
+            mp.setattr(protocol, "_storage_space", unpinned)
             local_verify(sub, **kwargs)
         [(prob, solved)] = problems
         declined = local_verify(sub, **kwargs)
@@ -357,11 +381,94 @@ def test_pinned_declines_bound_every_rate():
         bound = declined.best_lambda_min
         assert bound < protocol._step_margin(sub)
         # The solver's best point and every rate on a wide grid stay below it.
+        # The solver's problem leads with the zero storage direction.
         assert isinstance(solved, lmi.Infeasible) and solved.best_lambda_min <= bound
-        theta = np.array(declined.best_theta)
+        theta = np.concatenate([[0.0], declined.best_theta])
         for eps in np.linspace(-5.0, 5.0, 2001):
             theta[-1] = eps
             assert np.linalg.eigvalsh(prob.master(theta))[0] <= bound
+
+
+@st.composite
+def storage_equalities(draw):
+    """(B2, Q0, R) with n, m <= 4: B2 generic, rank-deficient or zero, Q0
+    symmetric and R a direction that no symmetric Q reaches as Q B2, or
+    None when every n x m matrix is reached."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["generic", "rank-deficient", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        B2 = np.zeros((n, m))
+    elif kind == "rank-deficient":
+        r = draw(st.integers(0, min(n, m) - 1)) if min(n, m) > 1 else 0
+        B2 = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+    else:
+        B2 = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    G = rng.standard_normal((n, n))
+    # The range of Q -> Q B2 over symmetric Q, from a basis of its own.
+    images = []
+    for i in range(n):
+        for j in range(i, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0
+            images.append((E @ B2).ravel())
+    span = scipy.linalg.orth(np.array(images).T)
+    R = rng.standard_normal(n * m)
+    R -= span @ (span.T @ R)
+    R = None if np.abs(R).max() < 1e-6 else (R / np.abs(R).max()).reshape(n, m)
+    return B2, G + G.T, R
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(storage_equalities())
+def test_storage_space_parametrizes_the_storage_equality(case):
+    B2, Q0, R = case
+    n, m = B2.shape
+
+    def sub(C):
+        return Subsystem(A=-np.eye(n), B1=np.eye(n), B2=B2, B3=np.eye(n), C=C)
+
+    Q_p, N, consistent = protocol._storage_space(sub((Q0 @ B2).T))
+    size = lmi.sym_vec_size(n)
+    units = np.array([(lmi.vec_to_sym(e, n) @ B2).ravel() for e in np.eye(size)])
+    assert len(N) == size - np.linalg.matrix_rank(units.T)
+    assert (len(N) == 0) == (np.linalg.matrix_rank(B2) == n)
+    for N_k in N:
+        assert np.array_equal(N_k, N_k.T)
+        assert np.abs(N_k @ B2).max() <= 1e-12 * max(1.0, np.abs(B2).max())
+    packed = np.array([lmi.sym_to_vec(N_k) for N_k in N]).reshape(len(N), size)
+    assert np.abs(packed @ packed.T - np.eye(len(N))).max(initial=0.0) <= 1e-12
+    C = (Q0 @ B2).T
+    assert consistent
+    assert np.array_equal(Q_p, Q_p.T)
+    assert np.abs(Q_p @ B2 - C.T).max() <= protocol.EQ_RTOL * max(1.0, np.abs(C).max())
+    if R is not None:
+        assert not protocol._storage_space(sub((Q0 @ B2 + R).T))[2]
+
+
+def test_stage_one_target_is_scaled_from_the_master_at_zero_storage(monkeypatch):
+    targets = []
+    solve = lmi.solve_feasibility
+
+    def capturing(prob, margin, *, target=None):
+        targets.append(target)
+        return solve(prob, margin, target=target)
+
+    monkeypatch.setattr(lmi, "solve_feasibility", capturing)
+    # Q B2 = C' fixes Q's first column to (30, 0), so the master at Q_p
+    # holds entries of 60; the target keeps the scale of the master at Q = 0.
+    sub = Subsystem(A=-np.eye(2), B1=np.eye(2), B2=[[1.0], [0.0]], B3=np.eye(2), C=[[30.0, 0.0]])
+    packet = MessengerPacket(
+        prev_index=1, M_prev=[[3.0, 0.5], [0.5, 2.0]], G_prev=[[7.0, 0.0], [0.0, -1.0]], T_prev=np.eye(2)
+    )
+    tau = protocol._step_margin(sub)
+    s = max(1.0, np.abs(packet.M_prev).max(), np.abs(packet.G_prev).max())
+    expected = max(min(0.2 * s, 0.9 * np.linalg.eigvalsh(packet.M_prev)[0]), 2.0 * tau)
+    for args, target in (((sub,), max(0.2, 2.0 * tau)), ((sub, None, np.zeros((2, 2)), packet), expected)):
+        for route in (local_verify, local_synthesize):
+            targets.clear()
+            route(*args)
+            assert targets and targets[0] == target
 
 
 def test_packet_below_the_step_margin_declines_both_routes(monkeypatch):

@@ -20,7 +20,7 @@ from cascadepass import files, protocol
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PINNED = "6c3693bcc38b7ad7ca188845941c9e97efdf7e719d7022961e48f4130a1a7f54"
+PINNED = "54174820b24489139749723551e93fe3f5bd6d355be0c050595151adf020672f"
 
 
 def feed(digest, state):

@@ -1,0 +1,208 @@
+"""Print the design verdicts a change to the protocol or the solver must keep.
+
+One deterministic run (about 20 s for seeds 1-10) prints:
+
+* ``DesignFailed`` counts over the ``grow_persist`` growth cycles: for
+  each seed, the 4 cycles the benchmark draws from ``default_rng(seed)``,
+  each growing the four-stage design by 60 ``seeded_additions`` with
+  ``add_subsystem`` in process (a cycle ends at its first failure), with
+  the largest designed gain entry, as ``log10``;
+* ``DesignFailed`` counts over the 80 random designs
+  ``random_cascade(1 + k % 6, default_rng(0))`` and
+  ``random_cascade(1 + k % 8, default_rng(12345))``, 40 each;
+* which of the 30 chains with every B3 column but the first zeroed
+  (``random_cascade(1 + k % 5, default_rng(3))``) design;
+* which of the 24 power-of-two changes of units design: time (A and
+  B1..B3 times s) and state (B1..B3 times d, C and every h divided by d),
+  s, d = 2^k for k in +-3, +-6, +-10, on the four-stage design and on
+  ``random_cascade(8, default_rng(5))``;
+* how many designs the centralized oracle accepts: every design above and
+  every 10th grown state of each cycle;
+* the four-stage routes and global rate;
+* the global rate of ``random_cascade(128, default_rng(12345))`` and the
+  step that sets it.
+
+``--json PATH`` also writes every design's routes and per-step rates, so
+two trees can be compared design by design. Run from the repository root:
+
+    python3 tools/verdicts.py [--seeds FIRST LAST] [--json PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+# The package's matrices are small, and OpenBLAS threads only add
+# synchronization: with one thread the run takes about half the time on
+# two cores, with the same output.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+ROOT = Path(__file__).resolve().parent.parent
+for sub in ("src", "perfbench"):
+    sys.path.insert(0, str(ROOT / sub))
+
+import numpy as np  # noqa: E402
+
+from cascadepass import oracle, protocol  # noqa: E402
+from cascadepass.model import CascadeNetwork, Subsystem  # noqa: E402
+from cascadepass.sample_cascades import four_stage_cascade, random_cascade  # noqa: E402
+from workloads import GROWTH, seeded_additions  # noqa: E402
+
+CYCLES = 4
+ORACLE_EVERY = 10
+UNIT_POWERS = (-10, -6, -3, 3, 6, 10)
+
+
+def summary(state) -> dict:
+    """Routes (V or S) and rates of a design, step by step."""
+    return {
+        "routes": "".join(rec.route[0] for rec in state.records),
+        "eps": [rec.epsilon for rec in state.records],
+    }
+
+
+def gain_max(state) -> float:
+    gains = [float(np.abs(K).max()) for rec in state.records
+             for K in (rec.K_self, rec.K_to_prev, rec.K_prev_to_self) if K is not None and K.size]
+    return max(gains, default=0.0)
+
+
+class Tally:
+    """Designs, failures and oracle verdicts of one group of designs."""
+
+    def __init__(self):
+        self.designs, self.failures, self.checked, self.accepted = [], [], 0, 0
+
+    def check(self, state) -> None:
+        self.checked += 1
+        self.accepted += bool(oracle.centralized_sp_check(oracle.assemble_closed_loop(state)).verdict)
+
+    def design(self, name, net) -> protocol.NetworkDesignState | None:
+        try:
+            state = protocol.run_cascade_design(net)
+        except protocol.DesignFailed as exc:
+            self.failures.append(f"{name}: {exc}")
+            self.designs.append(None)
+            return None
+        self.check(state)
+        self.designs.append(summary(state))
+        return state
+
+
+def growth(seeds) -> tuple[Tally, float]:
+    """The growth cycles of each seed; the tally and the largest gain."""
+    tally, largest = Tally(), 0.0
+    fixed = protocol.run_cascade_design(four_stage_cascade())
+    last, first = fixed.net.subsystems[-1], fixed.net.n_subsystems + 1
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for cycle in range(CYCLES):
+            state, failed = fixed, False
+            for k, addition in enumerate(seeded_additions(rng, last, first, GROWTH), start=1):
+                try:
+                    state = protocol.add_subsystem(state, *addition)
+                except protocol.DesignFailed as exc:
+                    tally.failures.append(f"seed {seed} cycle {cycle + 1}: {exc}")
+                    failed = True
+                    break
+                if k % ORACLE_EVERY == 0:
+                    tally.check(state)
+            tally.designs.append(summary(state) | {"seed": seed, "cycle": cycle + 1, "failed": failed})
+            largest = max(largest, gain_max(state))
+    return tally, largest
+
+
+def rescaled(net: CascadeNetwork, kind: str, f: float) -> CascadeNetwork:
+    """net in new units of time (kind "time") or of state ("state")."""
+    if kind == "time":
+        subs = [Subsystem(A=f * s.A, B1=f * s.B1, B2=f * s.B2, B3=f * s.B3, C=s.C) for s in net.subsystems]
+        return CascadeNetwork(subs, net.couplings)
+    subs = [Subsystem(A=s.A, B1=f * s.B1, B2=f * s.B2, B3=f * s.B3, C=s.C / f) for s in net.subsystems]
+    return CascadeNetwork.from_blocks(subs, {key: b.h / f for key, b in net.couplings.items()})
+
+
+def run(seeds) -> dict:
+    out = {}
+    tally, largest = growth(seeds)
+    out["growth"] = tally
+    print(f"growth, seeds {seeds[0]}-{seeds[-1]}, {CYCLES} cycles of {GROWTH} additions each: "
+          f"{len(tally.failures)} DesignFailed; gain_max_log10 {math.log10(largest):.2f}")
+    for line in tally.failures:
+        print(f"  {line}")
+
+    random = Tally()
+    for seed, period in ((0, 6), (12345, 8)):
+        rng = np.random.default_rng(seed)
+        for k in range(40):
+            random.design(f"random_cascade(1 + {k} % {period}, default_rng({seed}))",
+                          random_cascade(1 + k % period, rng))
+    out["random"] = random
+    print(f"random designs: {len(random.failures)} DesignFailed of 80")
+    for line in random.failures:
+        print(f"  {line}")
+
+    deficient = Tally()
+    rng = np.random.default_rng(3)
+    for k in range(30):
+        net = random_cascade(1 + k % 5, rng)
+        subs = []
+        for s in net.subsystems:
+            B3 = s.B3.copy()
+            B3[:, 1:] = 0.0
+            subs.append(Subsystem(A=s.A, B1=s.B1, B2=s.B2, B3=B3, C=s.C))
+        deficient.design(f"chain {k}", CascadeNetwork(subs, net.couplings))
+    out["rank_deficient"] = deficient
+    designed = [k for k, d in enumerate(deficient.designs) if d is not None]
+    print(f"rank-deficient B3 chains designed ({len(designed)} of 30): {' '.join(map(str, designed))}")
+
+    units = Tally()
+    names = []
+    for base_name, base in (("four-stage", four_stage_cascade()),
+                            ("random_cascade(8, default_rng(5))", random_cascade(8, np.random.default_rng(5)))):
+        for kind, symbol in (("time", "s"), ("state", "d")):
+            for k in UNIT_POWERS:
+                names.append(f"{base_name} {symbol}=2^{k}")
+                units.design(names[-1], rescaled(base, kind, 2.0 ** k))
+    out["units"] = units
+    failed = [name for name, d in zip(names, units.designs) if d is None]
+    print(f"unit changes designed: {24 - len(failed)} of 24; failing: {', '.join(failed) or 'none'}")
+
+    four = Tally()
+    state = four.design("four-stage", four_stage_cascade())
+    out["four_stage"] = four
+    print(f"four-stage routes {','.join(four.designs[0]['routes'])}, "
+          f"global eps {state.global_epsilon:.6f}")
+
+    long = Tally()
+    state = long.design("random_cascade(128, default_rng(12345))", random_cascade(128, np.random.default_rng(12345)))
+    out["n128"] = long
+    if state is None:
+        print(f"N = 128: {long.failures[0]}")
+    else:
+        step = 1 + int(np.argmin([rec.epsilon for rec in state.records]))
+        print(f"N = 128 global eps {state.global_epsilon:.6f} at step {step}")
+
+    checked = sum(t.checked for t in out.values())
+    accepted = sum(t.accepted for t in out.values())
+    print(f"oracle accepts {accepted} of {checked} designs checked")
+    return {name: t.designs for name, t in out.items()} | {"gain_max": largest}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", nargs=2, type=int, default=(1, 10), metavar=("FIRST", "LAST"),
+                        help="growth seeds, inclusive (default 1 10)")
+    parser.add_argument("--json", type=Path, help="write every design's routes and rates here")
+    args = parser.parse_args(argv)
+    designs = run(list(range(args.seeds[0], args.seeds[1] + 1)))
+    if args.json:
+        args.json.write_text(json.dumps(designs))
+
+
+if __name__ == "__main__":
+    main()
