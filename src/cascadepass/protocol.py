@@ -271,33 +271,29 @@ class _Layout:
         raise KeyError(name)
 
     def unpack(self, theta) -> dict:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
+        """The named variables of theta, or of a stack of points theta[..., :]:
+        a scalar has the stack's shape, a matrix the stack's shape first."""
+        theta = np.asarray(theta, dtype=float)
+        lead = theta.shape[:-1]
         out = {}
         for name, kind, meta, start, width in self._slots:
-            seg = theta[start:start + width]
-            if kind == "scalar":
-                out[name] = float(seg[0])
-            else:
-                out[name] = seg.reshape(meta)
+            seg = theta[..., start:start + width]
+            out[name] = seg[..., 0] if kind == "scalar" else seg.reshape(lead + meta)
         return out
 
 
-def _probes(layout) -> tuple[dict, list[dict]]:
-    """The layout's zero point and each of its unit vectors, unpacked."""
-    return layout.unpack(np.zeros(layout.size)), [layout.unpack(u) for u in np.eye(layout.size)]
-
-
-def _assemble_problem(probes, master_fn) -> lmi.AffineFeasibilityProblem:
-    # master_fn is affine in the variables, so the probes recover the exact
-    # coefficient blocks. Finite data too large to multiply overflows to a
-    # non-finite block, which the problem reports as MalformedProblem.
-    zero, units = probes
+def _assemble_problem(layout, master_fn) -> lmi.AffineFeasibilityProblem:
+    # master_fn is affine in the variables, so one evaluation on the stacked
+    # zero point and unit vectors recovers the exact coefficient blocks.
+    # Finite data too large to multiply overflows to a non-finite block,
+    # which the problem reports as MalformedProblem.
+    probes = np.vstack((np.zeros(layout.size), np.eye(layout.size)))
     with np.errstate(over="ignore", invalid="ignore"):
-        M0 = master_fn(zero)
-        coeffs = [master_fn(u) - M0 for u in units]
+        M = master_fn(layout.unpack(probes))
+        coeffs = M[1:] - M[0]
     return lmi.AffineFeasibilityProblem(
-        var_count=len(units),
-        constant_block=M0,
+        var_count=layout.size,
+        constant_block=M[0],
         coeff_blocks=tuple(coeffs),
     )
 
@@ -489,7 +485,7 @@ def _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, gains):
     K_up = gains.get("K_prev_to_self")
     upstream = G_prev if K_up is None else G_prev + T_prev @ K_up
     K = gains.get("K_to_prev")
-    return upstream.T + QB1 @ h_prev + (gains.get("Z_prev", 0.0) if K is None else QB3 @ K)
+    return upstream.swapaxes(-1, -2) + QB1 @ h_prev + (gains.get("Z_prev", 0.0) if K is None else QB3 @ K)
 
 
 def _check_self_coupling(h_self, sub):
@@ -633,25 +629,28 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
 
     def blocks(Q, v):
         QB1, QB3 = Q @ sub.B1, Q @ sub.B3
-        S = _diagonal_block(sub.A, Q, QB1, QB3, v["eps"], h_self, v)
+        eps = np.asarray(v.get("eps", 0.0))[..., None, None]
+        S = _diagonal_block(sub.A, Q, QB1, QB3, eps, h_self, v)
         return S, None if packet is None else _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, v)
 
-    def master(Q, v, storage_block):
+    def master(Q, v):
         # diag([[S, X], [X', M_prev]], Q - Q_FLOOR I, eps - EPS_MIN), copied
-        # into place; X and M_prev are absent at step 1, the Q block in
-        # stage 2. The last block is the rate floor.
+        # into place, for one point v or a stack of them. X and M_prev are
+        # absent at step 1, the storage block when Q is not a variable (no z
+        # slot), the rate floor when the rate is not (no eps slot).
         S, X = blocks(Q, v)
-        k = n if X is None else n + X.shape[1]
-        size = (k + n if storage_block else k) + 1
-        M = np.zeros((size, size))
-        M[:n, :n] = S
+        k = n if X is None else n + X.shape[-1]
+        size = k + n * ("z" in v) + ("eps" in v)
+        M = np.zeros(S.shape[:-2] + (size, size))
+        M[..., :n, :n] = S
         if X is not None:
-            M[:n, n:k] = X
-            M[n:k, :n] = X.T
-            M[n:k, n:k] = packet.M_prev
-        if storage_block:
-            M[k:-1, k:-1] = Q - Q_FLOOR * np.eye(n)
-        M[-1, -1] = v["eps"] - EPS_MIN
+            M[..., :n, n:k] = X
+            M[..., n:k, :n] = X.swapaxes(-1, -2)
+            M[..., n:k, n:k] = packet.M_prev
+        if "z" in v:
+            M[..., k:k + n, k:k + n] = Q - Q_FLOOR * np.eye(n)
+        if "eps" in v:
+            M[..., -1, -1] = v["eps"] - EPS_MIN
         return M
 
     Q_p, N, consistent = _storage_space(sub)
@@ -677,7 +676,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         if lam1 < tau:
             return _declined(lam1, "PinnedStorageInfeasible", theta)
     else:
-        prob = _assemble_problem(_probes(stage1), lambda v: master(storage(v), v, True))
+        prob = _assemble_problem(stage1, lambda v: master(storage(v), v))
         if pinned:
             point = _pinned_verify(prob, theta, n, tau)
         else:
@@ -706,7 +705,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         if packet is not None:
             layout.full("K_to_prev", (p, packet.M_prev.shape[0]))
             layout.full("K_prev_to_self", (packet.T_prev.shape[1], n))
-        prob = _assemble_problem(_probes(layout), lambda v: master(Q, v, False))
+        prob = _assemble_problem(layout, lambda v: master(Q, v))
         # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
         # floor; deriving a fresh one from the stage-2 constant block would let
         # a large found Q inflate the requirement beyond reach.
@@ -731,7 +730,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     return DesignRecord(
         index=index,
         Q=Q,
-        epsilon=v["eps"],
+        epsilon=float(v["eps"]),
         K_self=v.get("K_self"),
         K_to_prev=v.get("K_to_prev"),
         K_prev_to_self=v.get("K_prev_to_self"),

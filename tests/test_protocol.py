@@ -318,6 +318,35 @@ def test_pinned_steps_match_the_solver_whenever_it_accepts(seed, n, extra, n_pre
             assert solved.best_lambda_min <= closed.best_lambda_min
 
 
+def assembled_problems(monkeypatch):
+    """(layout, master_fn, problem) of every local problem assembled."""
+    problems = []
+    assemble = protocol._assemble_problem
+
+    def capturing(layout, master_fn):
+        prob = assemble(layout, master_fn)
+        problems.append((layout, master_fn, prob))
+        return prob
+
+    monkeypatch.setattr(protocol, "_assemble_problem", capturing)
+    return problems
+
+
+def test_stacked_assembly_matches_one_probe_at_a_time(monkeypatch):
+    problems = assembled_problems(monkeypatch)
+    # Verify stalls in its search, then synthesis assembles both stages.
+    step = planted_step(1, 2, 1, 2)
+    assert local_verify(*step).reason == "Stalled"
+    assert isinstance(local_synthesize(*step), DesignRecord)
+    assert len(problems) == 3
+    for layout, master_fn, prob in problems:
+        zero = master_fn(layout.unpack(np.zeros(layout.size)))
+        assert np.array_equal(prob.constant_block, zero)
+        assert len(prob.coeff_blocks) == layout.size
+        for unit, block in zip(np.eye(layout.size), prob.coeff_blocks):
+            assert np.array_equal(block, master_fn(layout.unpack(unit)) - zero)
+
+
 def test_pinned_steps_make_no_solver_call_in_stage_one(monkeypatch):
     calls = counting_solver(monkeypatch)
     # Scalar steps are pinned: verify accepts and declines with no search.
