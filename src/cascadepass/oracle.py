@@ -240,8 +240,11 @@ def assemble_closed_loop(state: NetworkDesignState) -> ClosedLoopSystem:
 
 
 def sp_matrix(cl: ClosedLoopSystem) -> np.ndarray:
-    """The matrix whose positive semidefiniteness certifies the supply rate."""
-    return -(cl.Acl.T @ cl.Q + cl.Q @ cl.Acl) - cl.epsilon * np.eye(cl.n)
+    """-(Acl'Q + Q Acl) - 2 eps I, whose positive semidefiniteness certifies
+    the supply rate: with Q B2 = C' and V = x'Qx / 2, dV/dt = w'y minus half
+    the quadratic form of -(Acl'Q + Q Acl), so the matrix is PSD exactly when
+    dV/dt <= w'y - eps x'x for every x and w."""
+    return -(cl.Acl.T @ cl.Q + cl.Q @ cl.Acl) - 2.0 * cl.epsilon * np.eye(cl.n)
 
 
 def storage_residual(Q, B2, C):

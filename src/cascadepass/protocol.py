@@ -149,7 +149,9 @@ class DesignRecord:
 
     Gain fields are None when not designed; a Verified route carries no
     gains at all. K_prev_to_self is the gain K(i-1,i) designed at this step
-    for the previous subsystem's input.
+    for the previous subsystem's input. epsilon is the rate in the supply
+    w'y - epsilon x'x of V = x'Qx / 2: the step's certificate block holds
+    -2 epsilon I, the local master's eps (see _diagonal_block).
     """
 
     index: int
@@ -730,7 +732,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     return DesignRecord(
         index=index,
         Q=Q,
-        epsilon=float(v["eps"]),
+        epsilon=0.5 * float(v["eps"]),
         K_self=v.get("K_self"),
         K_to_prev=v.get("K_to_prev"),
         K_prev_to_self=v.get("K_prev_to_self"),
@@ -869,7 +871,8 @@ def add_subsystem(
 def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> blockla.BlockTriDiagonal:
     """Blocks of the closed-loop certificate matrix for given (Q_i, eps_i, K).
 
-    storages and epsilons are per-subsystem; gains maps (i, j) index pairs
+    storages and epsilons are per-subsystem, each epsilon a record's rate,
+    so block i holds -2 eps_i I; gains maps (i, j) index pairs
     to gain matrices K(i,j), absent pairs meaning zero. Only (i, i) and
     (i, i+-1) pairs within the chain are gains; any other key raises
     DimensionMismatch. Block i is built as design step i builds it, from the
@@ -920,7 +923,7 @@ def _closed_loop_blocks(net, storages, epsilons, step_gains) -> blockla.BlockTri
         qb1 = Q @ np.array([subs[k].B1 for k in ks])
         qb3 = Q @ np.array([subs[k].B3 for k in ks])
         gains = {"K_self": np.array([step_gains[k]["K_self"] for k in ks])} if has_gain else {}
-        eps = np.array([epsilons[k] for k in ks])[:, None, None]
+        eps = 2.0 * np.array([epsilons[k] for k in ks])[:, None, None]
         h_self = np.array([net.h_or_zero(k + 1, k + 1) for k in ks])
         S = _diagonal_block(np.array([subs[k].A for k in ks]), Q, qb1, qb3, eps, h_self, gains)
         for k, S_k, qb1_k, qb3_k in zip(ks, S, qb1, qb3):

@@ -118,7 +118,7 @@ def test_3_block_tridiagonal_factorization_accuracy():
 
 def test_4_two_stage_chain_rates_and_margins():
     net = two_stage_scalar_cascade()
-    blocks = protocol.closed_loop_blocks(net, [[[1.0]], [[1.0]]], [1.0, 0.5])
+    blocks = protocol.closed_loop_blocks(net, [[[1.0]], [[1.0]]], [0.5, 0.25])
     factor = blockla.tridiag_pd_sequence(blocks)
     m1 = factor.M_blocks[0][0, 0]
     m2 = factor.M_blocks[1][0, 0]
@@ -126,10 +126,10 @@ def test_4_two_stage_chain_rates_and_margins():
     pinned = NetworkDesignState(
         net=net,
         records=(
-            DesignRecord(index=1, Q=[[1.0]], epsilon=1.0, K_self=None,
+            DesignRecord(index=1, Q=[[1.0]], epsilon=0.5, K_self=None,
                          K_to_prev=None, K_prev_to_self=None, M_cl=[[1.0]],
                          route=ROUTE_VERIFIED),
-            DesignRecord(index=2, Q=[[1.0]], epsilon=0.5, K_self=None,
+            DesignRecord(index=2, Q=[[1.0]], epsilon=0.25, K_self=None,
                          K_to_prev=None, K_prev_to_self=None, M_cl=[[0.5]],
                          route=ROUTE_VERIFIED),
         ),
@@ -143,8 +143,8 @@ def test_4_two_stage_chain_rates_and_margins():
         abs(m1 - 1.0) <= 1e-9
         and abs(m2 - 0.5) <= 1e-9
         and np.abs(eigs - np.array([0.5, 2.5])).max() <= 1e-9
-        and abs(eps[0] - 1.0) <= 1e-3
-        and abs(eps[1] - 0.5) <= 1e-3
+        and abs(eps[0] - 0.5) <= 1e-3
+        and abs(eps[1] - 0.25) <= 1e-3
     )
     verdict(
         f"acceptance 4, pinned-rate margins ({m1:.10f}, {m2:.10f}), "

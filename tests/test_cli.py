@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ def test_simulate_detects_overclaimed_rate(overclaimed_file, capsys):
     assert code == EXIT_INVALID
     err = one_stderr_line(capsys)
     assert err.startswith("malformed file:") and "do not certify the network" in err
+
+
+# A four-stage state written while records stored the local problem's rate,
+# twice the rate of the documented supply: its chain does not certify at
+# twice the stored rates, so the load rejects it rather than claim them.
+FULL_RATE_STATE = Path(__file__).resolve().parent / "data" / "four_stage_state_full_rate.json"
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_state_storing_the_full_local_rate_exits_3(command, capsys):
+    assert execute([command, "--state", str(FULL_RATE_STATE)]) == EXIT_INVALID
+    assert one_stderr_line(capsys) == (
+        "malformed file: the records do not certify the network: "
+        "closed-loop block 2 is not positive definite\n"
+    )
 
 
 def test_simulate_seed_changes_disturbance(state_file, capsys):

@@ -98,10 +98,11 @@ def test_verify_stable_scalar_exact_outcome():
     assert isinstance(rec, DesignRecord)
     assert rec.route == ROUTE_VERIFIED
     assert rec.index == 1
-    # The storage equality pins Q to 1; the rate settles on half the
-    # supremum of the feasible interval (0, 2 - tau).
+    # The storage equality pins Q to 1; the master's rate settles on half
+    # the supremum of the feasible interval (0, 2 - tau), and the record
+    # keeps half of that.
     assert rec.Q[0, 0] == 1.0
-    assert abs(rec.epsilon - (1.0 - 5e-7)) <= 1e-9
+    assert abs(rec.epsilon - 0.5 * (1.0 - 5e-7)) <= 1e-9
     assert abs(rec.M_cl[0, 0] - (1.0 + 5e-7)) <= 1e-9
     assert rec.K_self is None and rec.K_to_prev is None and rec.K_prev_to_self is None
 
@@ -120,7 +121,7 @@ def test_synthesize_stabilizes_unstable_scalar():
     assert rec.Q[0, 0] == 1.0
     k = rec.K_self[0, 0]
     assert 3.0 + k < 0.0
-    assert np.isclose(rec.M_cl[0, 0], -2.0 * (3.0 + k) - rec.epsilon, atol=1e-12)
+    assert np.isclose(rec.M_cl[0, 0], -2.0 * (3.0 + k) - 2.0 * rec.epsilon, atol=1e-12)
 
 
 def counting_solver(monkeypatch):
@@ -643,8 +644,8 @@ def test_design_decoupled_stable_chain_verifies_everywhere():
 def test_design_two_stage_scalar_chain_rates():
     state = run_cascade_design(two_stage_scalar_cascade())
     assert [rec.route for rec in state.records] == [ROUTE_VERIFIED, ROUTE_VERIFIED]
-    assert abs(state.records[0].epsilon - 1.0) <= 1e-3
-    assert abs(state.records[1].epsilon - 0.5) <= 1e-3
+    assert abs(state.records[0].epsilon - 0.5) <= 1e-3
+    assert abs(state.records[1].epsilon - 0.25) <= 1e-3
     assert abs(state.records[0].M_cl[0, 0] - 1.0) <= 1e-3
     assert abs(state.records[1].M_cl[0, 0] - 0.5) <= 1e-3
     assert state.global_epsilon == state.records[1].epsilon
@@ -698,7 +699,7 @@ def test_rate_is_half_the_bisected_supremum(monkeypatch):
             continue
         records.extend(state.records)
     assert {rec.route for rec in records} == {ROUTE_VERIFIED, ROUTE_SYNTHESIZED}
-    chosen = {0.5 * sup for *_, sup in calls}
+    chosen = {0.25 * sup for *_, sup in calls}
     assert all(rec.epsilon in chosen for rec in records)
     for prob, theta, eps_index, tau, sup in calls:
         supremum = bisected_rate_supremum(prob, theta, eps_index, tau)
@@ -749,7 +750,7 @@ def test_add_subsystem_rejects_bad_column_shape():
 
 def test_closed_loop_blocks_pinned_rates_recursion():
     net = two_stage_scalar_cascade()
-    blocks = closed_loop_blocks(net, [[[1.0]], [[1.0]]], [1.0, 0.5])
+    blocks = closed_loop_blocks(net, [[[1.0]], [[1.0]]], [0.5, 0.25])
     factor = blockla.tridiag_pd_sequence(blocks)
     assert factor.M_blocks[0][0, 0] == 1.0
     assert factor.M_blocks[1][0, 0] == 0.5
@@ -819,7 +820,7 @@ def test_tridiagonal_blocks_match_dense_certificate():
     W0 = -(cl.Acl.T @ cl.Q + cl.Q @ cl.Acl)
     rates = []
     for rec, sub in zip(state.records, state.net.subsystems):
-        rates.append(rec.epsilon * np.eye(sub.n))
+        rates.append(2.0 * rec.epsilon * np.eye(sub.n))
     from scipy.linalg import block_diag
     dense = W0 - block_diag(*rates)
     assembled = design_tridiagonal(state).assemble()

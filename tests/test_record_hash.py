@@ -20,7 +20,7 @@ from cascadepass import files, protocol
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PINNED = "54174820b24489139749723551e93fe3f5bd6d355be0c050595151adf020672f"
+PINNED = "d1e25d15afab2e45b1bd06e7bd340102810dae4fa496476521a123db9888ca10"
 
 
 def feed(digest, state):
