@@ -8,8 +8,9 @@ that fails, with them:
 
 * local_verify tries the problem with all feedback gains pinned to zero;
 * local_synthesize adds state-feedback gains K(i,i), K(i,i-1) and
-  K(i-1,i), resolving the Q*K bilinearity in two stages (a substitution
-  stage for Q, then an exact re-solve over the gains with Q frozen).
+  K(i-1,i), resolving the Q*K bilinearity in two stages: stage 1 finds Q
+  alone, with free matrices in place of the terms the gains contribute,
+  and stage 2 freezes Q and solves exactly for the rate and the gains.
 
 The storage equality Q B2 = C' involves nothing but the subsystem's own
 data, so it is solved once, before any problem is built: every Q the
@@ -469,7 +470,8 @@ def _diagonal_block(A, Q, QB1, QB3, eps, h_self, gains):
     the global certificate holds S at block (i, i) and -X' at (i-1, i).
     QB1 and QB3 are the products Q B1 and Q B3, formed once by the caller.
     gains may hold K_self, or, in synthesis's first stage, a free matrix
-    Z_self standing in for Q B3 K_self; an absent one is 0. Every operand
+    Z_self standing in for Q B3 K_self (with eps = 0); an absent one is 0.
+    eps is the local problem's rate, twice a record's. Every operand
     may instead be a stack of steps of one shape, eps of shape (k, 1, 1).
     """
     K = gains.get("K_self")
@@ -481,8 +483,9 @@ def _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, gains):
     """Step i's coupling X to step i-1 in its local master (see _diagonal_block).
 
     gains may hold K_to_prev and K_prev_to_self, or, in synthesis's first
-    stage, a free matrix Z_prev standing in for Q B3 K_to_prev and the gain
-    K_prev_to_self; absent ones are 0.
+    stage, a free matrix Z_prev standing in for Q B3 K_to_prev plus
+    K_prev_to_self' T_prev'; absent ones are 0. Every operand may instead
+    be a stack of points of one shape.
     """
     K_up = gains.get("K_prev_to_self")
     upstream = G_prev if K_up is None else G_prev + T_prev @ K_up
@@ -548,8 +551,10 @@ def _not_hurwitz(A_s) -> lmi.Infeasible | None:
 def _design_step(sub, h_self, h_prev, packet, gains: bool):
     """One local design problem, without (verify) or with (synthesize) gains.
 
-    Verification is synthesis's stage 1 without the Z and K variables; see
-    local_verify and local_synthesize. Returns a DesignRecord or
+    Verification's problem is synthesis's stage 1 with the rate eps in
+    place of the free products Z; see local_verify and local_synthesize.
+    eps is the local problem's rate, and the record keeps half of it, the
+    rate of the documented supply (DesignRecord). Returns a DesignRecord or
     lmi.Infeasible. Every decline made without a search carries a
     best_lambda_min that bounds the smallest eigenvalue of the master at
     every point, so it is below the margin tau exactly when the decline is
@@ -585,8 +590,21 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     When its least-squares solution Q_p misses it, no Q exists, and both
     routes decline with reason InconsistentEqualities and
     best_lambda_min = -inf. Otherwise stage 1 is posed over the
-    coefficients z of Q = Q_p + sum_k z_k N_k, then eps and, in synthesis,
-    Z_self, Z_prev and K(i-1,i). The Q that stage 1 finds is checked
+    coefficients z of Q = Q_p + sum_k z_k N_k, then eps in verify, or
+    Z_self and Z_prev in synthesis. Synthesis's stage 1 searches
+
+        diag([[S, X], [X', M_prev]], Q - Q_FLOOR I),
+        S = -(Y + Y'), Y = A'Q + Q B1 h(i,i) + Z_self,
+        X = G_prev' + Q B1 h(i,i-1) + Z_prev,
+
+    and its only output is Q: stage 2 solves for eps and all three gains
+    afresh. Adding the rate and K(i-1,i) would not change which Q it
+    accepts: Z_self + Z_self' absorbs -eps I, the free n x n_prev Z_prev
+    spans the term K(i-1,i)' T_prev' of X, and the rate floor eps - EPS_MIN
+    is a diagonal block decoupled from the rest, so a point of either
+    problem maps to a point of the other at the same smallest eigenvalue,
+    at least tau (Boyd, El Ghaoui, Feron & Balakrishnan, LMIs in System
+    and Control Theory, 1994, sec. 2.1). The Q that stage 1 finds is checked
     against the equality with the same tolerance, and a miss declines with
     reason EqualityResidual. The solver chases a target scaled from the
     master at Q = 0 (_solver_target), not at Q_p, whose storage block
@@ -605,8 +623,8 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
       definite, best_lambda_min = lambda_min(R) + tau, the smallest
       eigenvalue of two principal blocks; when eps_sup <= EPS_MIN + tau,
       best_lambda_min is the bound of _pinned_rate_bound.
-    * Synthesis's stage 1 leaves Z_self, Z_prev and K(i-1,i) free, so S
-      and X take any value and only Q matters: choosing X = 0 and S large,
+    * Synthesis's stage 1 leaves Z_self and Z_prev free, so S and X take
+      any value and only Q matters: choosing X = 0 and S large,
       the master clears tau exactly when lambda_min(Q - Q_FLOOR I) >= tau
       and lambda_min(M_prev) >= tau, and the packet screen has checked the
       latter. Otherwise it declines with reason PinnedStorageInfeasible and
@@ -665,12 +683,12 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
 
     stage1 = _Layout()
     stage1.full("z", (len(N),))
-    stage1.scalar("eps")
     if gains:
         stage1.full("Z_self", (n, n))
         if packet is not None:
             stage1.full("Z_prev", (n, packet.M_prev.shape[0]))
-            stage1.full("K_prev_to_self", (packet.T_prev.shape[1], n))
+    else:
+        stage1.scalar("eps")
 
     theta = np.zeros(stage1.size)
     if pinned and gains:
@@ -764,10 +782,11 @@ def local_synthesize(
 ):
     """Design local feedback gains that passivate the step.
 
-    Stage 1 searches (Q, eps) with the gain products substituted by free
-    matrices Z = Q B3 K, keeping the problem affine. Stage 2 freezes Q and
-    re-solves directly over the gains, so the returned gains are exactly
-    realizable. Returns a DesignRecord with route Synthesized, or
+    Stage 1 searches Q alone, keeping the problem affine: free matrices
+    Z_self and Z_prev stand in for the products Q B3 K(i,i) and
+    Q B3 K(i,i-1), Z_prev also for the upstream term K(i-1,i)' T_prev',
+    and Z_self for the rate. Stage 2 freezes Q and re-solves directly over
+    the rate and the gains, so the returned gains are exactly realizable. Returns a DesignRecord with route Synthesized, or
     lmi.Infeasible.
     """
     return _design_step(sub, h_self, h_prev, packet, gains=True)

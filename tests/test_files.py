@@ -505,7 +505,7 @@ def test_network_and_addition_entries_must_be_json_numbers(tmp_path, bad):
 # the same when records came to store half their local problem's rate. A
 # change to the load that moves any single-defect outcome, an error message
 # or a loaded bit, fails here.
-OUTCOMES_PINNED = "2afb1c0cf5cf8e6517ea46065a0645cd92ee88fe05c7f15b6774f5ee28c866f4"
+OUTCOMES_PINNED = "243b72abc5157e1628414762bb1d6be8664bce9a1d96ae5cd298610fddf374a7"
 TAMPER_VALUES = (0.0, -1.0, 1e300, 1.7e308, math.nan, math.inf, -math.inf)
 
 

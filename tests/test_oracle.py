@@ -437,16 +437,16 @@ def test_simulate_rejects_disturbance_of_wrong_shape(shape):
 # T = 20, dt = 1e-3) from _rk4_reference: at the design rate, and at the
 # overclaimed rate 10, where the margin is negative.
 REFERENCE_MARGINS = [
-    (0.0, -231.65146962827149),
-    (0.0, -39.72072112212857),
-    (0.0, -59.94525390177513),
-    (0.0, -26.84610316849598),
-    (0.0, -21.572133300994246),
-    (0.0, -63.39192750795892),
-    (0.0, -198.93839451417688),
-    (0.0, -35.74124452717539),
-    (0.0, -64.57641101277989),
-    (0.0, -196.00712772889136),
+    (0.0, -80.99823147519855),
+    (0.0, -35.79590503795739),
+    (0.0, -43.97453898283404),
+    (0.0, -19.86695594209886),
+    (0.0, -18.01566446326694),
+    (0.0, -34.948496887283284),
+    (0.0, -66.50231144883607),
+    (0.0, -32.87537047883061),
+    (0.0, -76.31409695343578),
+    (0.0, -70.80431429365609),
 ]
 
 

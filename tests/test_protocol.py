@@ -167,7 +167,7 @@ def test_local_search_stops_once_a_finer_level_cannot_change_its_outcome(monkeyp
     runs = counting_searches(monkeypatch)
     state = run_cascade_design(four_stage_cascade())
     assert [rec.route for rec in state.records] == ["Synthesized", "Synthesized", "Verified", "Synthesized"]
-    assert len(runs) == 11
+    assert len(runs) == 7
 
     runs.clear()
     net = random_cascade(1, np.random.default_rng(39))
@@ -348,6 +348,22 @@ def test_stacked_assembly_matches_one_probe_at_a_time(monkeypatch):
             assert np.array_equal(block, master_fn(layout.unpack(unit)) - zero)
 
 
+def test_synthesis_stage_one_searches_storage_and_free_products_only(monkeypatch):
+    problems = assembled_problems(monkeypatch)
+    n, n_prev = 2, 2
+    step = planted_step(1, n, 1, n_prev)
+    assert isinstance(local_synthesize(*step), DesignRecord)
+    [(layout, _, prob)] = [p for p in problems if "Z_self" in p[0].unpack(np.zeros(p[0].size))]
+    Q_p, N, _ = protocol._storage_space(step[0])
+    assert len(N) == 1
+    # Variables z, Z_self and Z_prev; no rate, no K(i-1,i).
+    assert sorted(layout.unpack(np.zeros(layout.size))) == ["Z_prev", "Z_self", "z"]
+    assert prob.var_count == len(N) + n * n + n * n_prev
+    # diag([[S, X], [X', M_prev]], Q - Q_FLOOR I), with no rate-floor block.
+    assert prob.dim == 2 * n + n_prev
+    assert np.array_equal(prob.constant_block[-n:, -n:], Q_p - protocol.Q_FLOOR * np.eye(n))
+
+
 def test_pinned_steps_make_no_solver_call_in_stage_one(monkeypatch):
     calls = counting_solver(monkeypatch)
     # Scalar steps are pinned: verify accepts and declines with no search.
@@ -508,14 +524,17 @@ def test_packet_below_the_step_margin_declines_both_routes(monkeypatch):
         out = route(scalar_subsystem(-1.0), h_prev=[[0.0]], packet=packet)
         assert (out.reason, out.best_lambda_min, out.evaluations) == ("PacketMarginTooSmall", 1e-7, 0)
     assert calls == []
-    # tau = 1e-6 |A| passes the four-stage design's last margin, 0.416.
+    # tau = 1e-6 |A| = 1 clears the four-stage design's last margin, 1.494,
+    # but not the storage Q = 1 that Q B2 = C' pins: lambda_min(Q - Q_FLOOR I)
+    # = 0.9999 < tau, so synthesis declines without a search.
     state = run_cascade_design(four_stage_cascade())
+    assert np.linalg.eigvalsh(state.records[-1].M_cl)[0] > 1.0
     calls.clear()
     with pytest.raises(DesignFailed) as info:
         add_subsystem(state, scalar_subsystem(-1e6), h_prev=[[1.0, 0.0]], h_to_new=[[1.0]])
     assert info.value.index == 5
-    assert info.value.diagnosis.reason == "PacketMarginTooSmall"
-    assert info.value.diagnosis.best_lambda_min == np.linalg.eigvalsh(state.records[-1].M_cl)[0]
+    assert info.value.diagnosis.reason == "PinnedStorageInfeasible"
+    assert info.value.diagnosis.best_lambda_min == 1.0 - protocol.Q_FLOOR
     assert calls == []
 
 

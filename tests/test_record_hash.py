@@ -20,7 +20,7 @@ from cascadepass import files, protocol
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PINNED = "d1e25d15afab2e45b1bd06e7bd340102810dae4fa496476521a123db9888ca10"
+PINNED = "685462d03d91e13486662b5a2ce8d275c4ff130eb899363697fac0214aa3b516"
 
 
 def feed(digest, state):
