@@ -18,12 +18,19 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   ``random_cascade(8, default_rng(5))``;
 * how many designs the centralized oracle accepts: every design above and
   every 10th grown state of each cycle;
+* the worst-start check on those same designs: started at the unit
+  eigenvector of lambda_min(-(Acl'Q + Q Acl)), with no disturbance, over
+  500 steps of dt = 1e-4 (or of 0.1 / rho(Acl) when that is shorter, so
+  that RK4 resolves a stiff loop), how many keep the dissipation margin at
+  the design rate eps above -SLACK_TOL, and how many fall below 0 at
+  1.01 r, r = lambda_min(-(Acl'Q + Q Acl)) / 2 being the storage's true
+  rate;
 * the four-stage routes and global rate;
 * the global rate of ``random_cascade(128, default_rng(12345))`` and the
   step that sets it.
 
-``--json PATH`` also writes every design's routes and per-step rates, so
-two trees can be compared design by design. Run from the repository root:
+``--json PATH`` also writes every design's routes, per-step rates and
+r / eps, so two trees can be compared design by design. Run from the repository root:
 
     python3 tools/verdicts.py [--seeds FIRST LAST] [--json PATH]
 """
@@ -58,11 +65,19 @@ ORACLE_EVERY = 10
 UNIT_POWERS = (-10, -6, -3, 3, 6, 10)
 
 
+def true_rate(cl) -> tuple[float, np.ndarray]:
+    """r = lambda_min(-(Acl'Q + Q Acl)) / 2 and its unit eigenvector."""
+    lam, vecs = np.linalg.eigh(-0.5 * (cl.Acl.T @ cl.Q + cl.Q @ cl.Acl))
+    return lam[0], vecs[:, 0]
+
+
 def summary(state) -> dict:
-    """Routes (V or S) and rates of a design, step by step."""
+    """Routes (V or S) and rates of a design, step by step, and r / eps."""
+    cl = oracle.assemble_closed_loop(state)
     return {
         "routes": "".join(rec.route[0] for rec in state.records),
         "eps": [rec.epsilon for rec in state.records],
+        "rate_ratio": true_rate(cl)[0] / cl.epsilon,
     }
 
 
@@ -77,10 +92,17 @@ class Tally:
 
     def __init__(self):
         self.designs, self.failures, self.checked, self.accepted = [], [], 0, 0
+        self.holds, self.separates = 0, 0
 
     def check(self, state) -> None:
+        cl = oracle.assemble_closed_loop(state)
         self.checked += 1
-        self.accepted += bool(oracle.centralized_sp_check(oracle.assemble_closed_loop(state)).verdict)
+        self.accepted += bool(oracle.centralized_sp_check(cl).verdict)
+        r, x0 = true_rate(cl)
+        dt = min(1e-4, 0.1 / np.abs(np.linalg.eigvals(cl.Acl)).max())
+        traj = oracle.simulate(cl, lambda t: np.zeros(cl.m), x0=x0, T=500 * dt, dt=dt)
+        self.holds += oracle.dissipation_margin(traj, cl.epsilon) >= -oracle.SLACK_TOL
+        self.separates += oracle.dissipation_margin(traj, 1.01 * r) < 0.0
 
     def design(self, name, net) -> protocol.NetworkDesignState | None:
         try:
@@ -190,6 +212,9 @@ def run(seeds) -> dict:
     checked = sum(t.checked for t in out.values())
     accepted = sum(t.accepted for t in out.values())
     print(f"oracle accepts {accepted} of {checked} designs checked")
+    for name, t in out.items():
+        print(f"worst start, {name}: holds eps on {t.holds} and separates 1.01 r on "
+              f"{t.separates} of {t.checked}")
     return {name: t.designs for name, t in out.items()} | {"gain_max": largest}
 
 
