@@ -257,6 +257,8 @@ def _subsystem_violations(i: int, sub: Subsystem, finite: bool) -> list[Violatio
     n = sub.A.shape[0]
     if sub.A.shape[1] != n:
         return [Violation(DIMENSION_MISMATCH, (i,), f"A is {sub.A.shape}, not square")]
+    if n == 0:
+        return [Violation(DIMENSION_MISMATCH, (i,), "A is (0, 0): a subsystem needs a state")]
     bad = []
     for name in () if finite else _SUBSYSTEM_MATRICES:
         if not np.isfinite(getattr(sub, name)).all():
@@ -271,6 +273,8 @@ def _subsystem_violations(i: int, sub: Subsystem, finite: bool) -> list[Violatio
         bad.append(
             Violation(DIMENSION_MISMATCH, (i,), f"C has {sub.C.shape[1]} columns, state size is {n}")
         )
+    if sub.C.shape[0] == 0:
+        bad.append(Violation(DIMENSION_MISMATCH, (i,), "C has 0 rows: a subsystem needs an output"))
     if sub.B2.shape[1] != sub.C.shape[0]:
         bad.append(
             Violation(

@@ -538,6 +538,27 @@ def test_packet_below_the_step_margin_declines_both_routes(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("empty, message", [
+    (Subsystem(A=np.zeros((0, 0)), B1=np.zeros((0, 1)), B2=np.zeros((0, 1)),
+               B3=np.zeros((0, 1)), C=np.zeros((1, 0))), "A is (0, 0): a subsystem needs a state"),
+    (Subsystem(A=-1.0, B1=1.0, B2=np.zeros((1, 0)), B3=1.0, C=np.zeros((0, 1))),
+     "C has 0 rows: a subsystem needs an output"),
+])
+def test_empty_subsystem_is_an_invalid_network_before_any_solve(empty, message, monkeypatch):
+    calls = counting_solver(monkeypatch)
+    with pytest.raises(InvalidNetwork) as info:
+        run_cascade_design(CascadeNetwork.from_blocks([scalar_subsystem(), empty], {}))
+    assert [(v.code, v.where, v.message) for v in info.value.report.violations] == [
+        ("DimensionMismatch", (2,), message)
+    ]
+    with pytest.raises(InvalidNetwork) as info:
+        add_subsystem(run_cascade_design(two_stage_scalar_cascade()), empty)
+    assert [(v.code, v.where, v.message) for v in info.value.report.violations] == [
+        ("DimensionMismatch", (3,), message)
+    ]
+    assert calls == []
+
+
 def test_add_subsystem_validates_only_the_addition(monkeypatch):
     checked = []
     whole = model.validate_network
