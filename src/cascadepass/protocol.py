@@ -786,8 +786,8 @@ def local_synthesize(
     Z_self and Z_prev stand in for the products Q B3 K(i,i) and
     Q B3 K(i,i-1), Z_prev also for the upstream term K(i-1,i)' T_prev',
     and Z_self for the rate. Stage 2 freezes Q and re-solves directly over
-    the rate and the gains, so the returned gains are exactly realizable. Returns a DesignRecord with route Synthesized, or
-    lmi.Infeasible.
+    the rate and the gains, so the returned gains are exactly realizable.
+    Returns a DesignRecord with route Synthesized, or lmi.Infeasible.
     """
     return _design_step(sub, h_self, h_prev, packet, gains=True)
 

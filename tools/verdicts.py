@@ -30,7 +30,8 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   step that sets it.
 
 ``--json PATH`` also writes every design's routes, per-step rates and
-r / eps, so two trees can be compared design by design. Run from the repository root:
+r / eps, so two trees can be compared design by design. Run from the
+repository root:
 
     python3 tools/verdicts.py [--seeds FIRST LAST] [--json PATH]
 """
