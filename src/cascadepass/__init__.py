@@ -65,7 +65,6 @@ from .protocol import (
     design_tridiagonal,
 )
 from .oracle import (
-    IncompleteState,
     NonFiniteTrajectory,
     TrajectoryTooLarge,
     ClosedLoopSystem,
@@ -124,7 +123,6 @@ __all__ = [
     "add_subsystem",
     "closed_loop_blocks",
     "design_tridiagonal",
-    "IncompleteState",
     "NonFiniteTrajectory",
     "TrajectoryTooLarge",
     "ClosedLoopSystem",

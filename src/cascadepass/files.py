@@ -58,7 +58,7 @@ import numpy as np
 from . import blockla
 from .model import CascadeNetwork, Subsystem, as_matrix, validate_network
 from .oracle import storage_residual
-from .protocol import DesignRecord, NetworkDesignState, _closed_loop_blocks
+from .protocol import DesignRecord, NetworkDesignState, _closed_loop_blocks, _record_shapes
 
 __all__ = [
     "MalformedFile",
@@ -249,18 +249,14 @@ _RECORD_MATRICES = ("Q", "K_self", "K_to_prev", "K_prev_to_self")
 
 
 def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
-    """A record's free data, each matrix parsed and of the shape sub gives
-    it; prev is None for record 1."""
+    """A record's free data, each matrix parsed and of the shape
+    protocol._record_shapes gives it; prev is None for record 1."""
     if not isinstance(d, dict):
         raise MalformedFile(f"{where} must be an object")
     fields = {"index": _integer(d.get("index"), f"{where}.index")}
-    shapes = {
-        "Q": (sub.n, sub.n),
-        "K_self": (sub.p, sub.n),
-        "K_to_prev": None if prev is None else (sub.p, prev.n),
-        "K_prev_to_self": None if prev is None else (prev.p, sub.n),
-    }
-    for name, shape in shapes.items():
+    shapes = _record_shapes(sub, prev)
+    for name in _RECORD_MATRICES:
+        shape = shapes[name]
         value = d.get(name)
         if value is None and name.startswith("K_"):
             fields[name] = None

@@ -20,7 +20,6 @@ from .model import _frozen, assemble_global
 from .protocol import NetworkDesignState, _state_gains
 
 __all__ = [
-    "IncompleteState",
     "NonFiniteTrajectory",
     "TrajectoryTooLarge",
     "ClosedLoopSystem",
@@ -35,10 +34,6 @@ __all__ = [
     "dissipation_margin",
     "export_trajectory_csv",
 ]
-
-
-class IncompleteState(ValueError):
-    """A design state whose records do not match the network's subsystems."""
 
 
 class NonFiniteTrajectory(ArithmeticError):
@@ -210,17 +205,11 @@ class SineDisturbance:
 def assemble_closed_loop(state: NetworkDesignState) -> ClosedLoopSystem:
     """Fold the designed gains into the global system.
 
-    A state holds one record per subsystem (NetworkDesignState checks it);
-    a record whose storage does not match its subsystem's size raises
-    IncompleteState.
+    A state holds one record per subsystem, each storage and gain of the
+    shape its subsystems give it (NetworkDesignState checks both), so
+    every block lands in place.
     """
-    net = state.net
-    for rec, sub in zip(state.records, net.subsystems):
-        if rec.Q.shape != (sub.n, sub.n):
-            raise IncompleteState(
-                f"record {rec.index} has storage shape {rec.Q.shape}, subsystem has {sub.n} states"
-            )
-    glob = assemble_global(net)
+    glob = assemble_global(state.net)
     n_total = glob.A.shape[0]
     p_total = glob.B1.shape[1]
     n_starts = np.concatenate(([0], np.cumsum(glob.state_sizes)))

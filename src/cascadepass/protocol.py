@@ -19,20 +19,24 @@ basis N of the symmetric matrices with N B2 = 0, and the local problems
 are posed over those coefficients, with no equality left. When B2 has full
 row rank, N is empty and the equality pins Q, and stage 1 of both routes
 is decided in closed form with no search: verify has only the rate left,
-whose feasible interval a Schur complement gives, and synthesis's stage 1
-passes exactly when Q - Q_FLOOR I and M_prev clear the margin. A step
-whose equality has no solution, or whose incoming M_prev is below its
-margin, is declined on both routes before any problem is built. Each such
-decline carries a typed reason and an upper bound on the margin any point
-could reach.
+and synthesis's stage 1 passes exactly when Q - Q_FLOOR I and M_prev clear
+the margin. A step whose equality has no solution, or whose incoming
+M_prev is below its margin, is declined on both routes before any problem
+is built. Each such decline carries a typed reason and an upper bound on
+the margin any point could reach.
 
-Both routes then settle the rate in closed form, re-certify the point and
-form the step's margin block M_cl. Positivity of M_cl is imposed through a
-two-block Schur form so the local problem stays affine. The same two
-functions build the local and global certificate blocks (a diagonal block
-and a coupling block) and one Schur step clears them, so
-each record's M_cl is bit for bit the Schur recursion of the global matrix,
-which makes the one-pass design sound; the oracle checks it independently.
+Every route settles the rate with one rule, _settle_rate: a Schur
+complement gives the interval of rates the master admits at the point's
+other variables, and the first of half its supremum, its middle and the
+point's own rate that re-certifies is kept. The step then forms its margin
+block M_cl. Positivity of M_cl is imposed through a two-block Schur form
+so the local problem stays affine. The same two functions build the local
+and global certificate blocks (a diagonal block and a coupling block) and
+one Schur step clears them, so each record's M_cl is bit for bit the Schur
+recursion of the global matrix, which makes the one-pass design sound; the
+oracle checks it independently. One table, _record_shapes, gives the
+shape of every record matrix; a state and closed_loop_blocks check their
+matrices against it, and so does a load.
 
 One private step function designs step i from record i-1 alone:
 run_cascade_design loops over it and add_subsystem takes it once on the
@@ -51,6 +55,7 @@ from .model import (
     CascadeNetwork,
     InvalidNetwork,
     Subsystem,
+    _subsystem_violations,
     as_matrix,
     extend_network,
     validate_last_subsystem,
@@ -203,13 +208,40 @@ class DesignRecord:
             raise ValueError("a Verified record carries no gains")
 
 
+def _record_shapes(sub: Subsystem, prev: Subsystem | None) -> dict:
+    """The shape of each matrix of a record on sub, prev being the previous
+    step's subsystem; None for a gain that record 1 (prev None) cannot carry."""
+    return {
+        "Q": (sub.n, sub.n),
+        "M_cl": (sub.n, sub.n),
+        "K_self": (sub.p, sub.n),
+        "K_to_prev": None if prev is None else (sub.p, prev.n),
+        "K_prev_to_self": None if prev is None else (prev.p, sub.n),
+    }
+
+
+def _check_shapes(where, matrices, sub, prev) -> None:
+    """Raise DimensionMismatch, worded as a load words it, at the first
+    matrix in matrices (a mapping by record field name; an absent or None
+    one is skipped) whose shape is not the one _record_shapes gives it."""
+    for name, shape in _record_shapes(sub, prev).items():
+        a = matrices.get(name)
+        if a is None:
+            continue
+        if shape is None:
+            raise DimensionMismatch(f"{where}: record 1 cannot carry {name}")
+        if a.shape != shape:
+            raise DimensionMismatch(f"{where}: {name} is {a.shape}, expected {shape}")
+
+
 @dataclass(frozen=True)
 class NetworkDesignState:
     """A fully designed cascade: the network plus one record per subsystem.
 
     The network is validated on construction (InvalidNetwork), so every
     state carries a valid one and add_subsystem need check only what an
-    addition brings.
+    addition brings. Each record's Q, M_cl and gains must have the shapes
+    its subsystem gives them (DimensionMismatch).
     """
 
     net: CascadeNetwork
@@ -221,12 +253,16 @@ class NetworkDesignState:
         if not report.ok:
             raise InvalidNetwork(report)
         self._check()
+        subs = self.net.subsystems
+        for k, rec in enumerate(self.records):
+            _check_shapes(f"records[{k}]", vars(rec), subs[k], subs[k - 1] if k else None)
 
     @classmethod
     def _from_built(cls, net, records) -> "NetworkDesignState":
-        """A state whose network the package has just validated: it is not
-        validated again. The records are checked as the constructor checks
-        them."""
+        """A state whose network the package has just validated and whose
+        record shapes it has just built or checked: neither is checked
+        again. The records are counted and indexed as the constructor
+        checks them."""
         state = object.__new__(cls)
         object.__setattr__(state, "net", net)
         object.__setattr__(state, "records", records)
@@ -249,40 +285,26 @@ class NetworkDesignState:
 
 
 class _Layout:
-    """Maps named matrix/scalar variables onto one flat theta vector."""
+    """Maps named variables onto one flat theta vector, in the order of the
+    (name, shape) slots it is given; a scalar is a slot of shape ()."""
 
-    def __init__(self):
-        self._slots: list[tuple[str, str, tuple, int, int]] = []
+    def __init__(self, *slots):
+        self._slots = []
         self.size = 0
-
-    def _add(self, name, kind, meta, width):
-        self._slots.append((name, kind, meta, self.size, width))
-        self.size += width
-
-    def scalar(self, name):
-        self._add(name, "scalar", (), 1)
-
-    def full(self, name, shape):
-        self._add(name, "full", tuple(shape), int(np.prod(shape)))
-
-    def index(self, name) -> int:
-        for slot_name, kind, _, start, width in self._slots:
-            if slot_name == name:
-                if width != 1:
-                    raise KeyError(f"{name} is not a scalar slot")
-                return start
-        raise KeyError(name)
+        for name, shape in slots:
+            width = math.prod(shape)
+            self._slots.append((name, tuple(shape), self.size, width))
+            self.size += width
 
     def unpack(self, theta) -> dict:
-        """The named variables of theta, or of a stack of points theta[..., :]:
-        a scalar has the stack's shape, a matrix the stack's shape first."""
+        """The named variables of theta, or of a stack of points theta[..., :],
+        each of its slot's shape with the stack's shape first."""
         theta = np.asarray(theta, dtype=float)
         lead = theta.shape[:-1]
-        out = {}
-        for name, kind, meta, start, width in self._slots:
-            seg = theta[..., start:start + width]
-            out[name] = seg[..., 0] if kind == "scalar" else seg.reshape(lead + meta)
-        return out
+        return {
+            name: theta[..., start:start + width].reshape(lead + shape)
+            for name, shape, start, width in self._slots
+        }
 
 
 def _assemble_problem(layout, master_fn) -> lmi.AffineFeasibilityProblem:
@@ -380,9 +402,7 @@ def _rate_supremum(prob, theta, eps_index, n, tau) -> float | None:
         eps_sup = lambda_min(S0 - X R^-1 X').
 
     Returns None when R is not positive definite: then no rate clears tau.
-    The design settles on half of eps_sup, a deterministic compromise
-    between the rate itself and the margin left in M_cl. Raises
-    MalformedProblem when finite blocks overflow on the way.
+    Raises MalformedProblem when finite blocks overflow on the way.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         M = _rate_master(prob, theta, eps_index, tau)
@@ -398,69 +418,58 @@ def _rate_supremum(prob, theta, eps_index, n, tau) -> float | None:
     return float(np.linalg.eigvalsh(S0)[0])
 
 
-def _settle_rate(prob, theta, eps_index, n, tau) -> np.ndarray:
-    """A solver point with its rate moved to half the supremum, when that
-    point still certifies; solve_feasibility certified theta as it is."""
-    sup = _rate_supremum(prob, theta, eps_index, n, tau)
-    if sup is not None:
-        settled = np.array(theta)
-        settled[eps_index] = 0.5 * sup
-        if lmi.certify_point(settled, prob, tau).ok:
-            return settled
-    return theta
+def _settle_rate(prob, theta, eps_index, n, tau):
+    """theta with its rate settled in closed form, as an lmi.FeasiblePoint,
+    or lmi.Infeasible with reason PinnedStorageInfeasible.
 
+    With R and eps_sup as in _rate_supremum, the master clears tau at
+    theta's other variables exactly when R > 0 and
+    EPS_MIN + tau <= eps <= eps_sup: the floor block eps - EPS_MIN gives the
+    lower end, the Schur complement the upper. The rates tried, in order,
+    are half of eps_sup, a deterministic compromise between the rate itself
+    and the margin left in M_cl; the middle of (EPS_MIN + tau, eps_sup),
+    when half is below the interval; and theta's own rate. The first that
+    certify_point accepts is returned. A solver point's own rate certifies,
+    so only a pinned verify, posed at its zero point, can reach the
+    decline, and its best_lambda_min bounds lambda_min of the master at
+    every eps:
 
-def _pinned_rate_bound(prob, theta, eps_index, n, tau) -> float:
-    """Upper bound on lambda_min of the verify master over every eps, with R > 0.
+    * when R is not positive definite, lambda_min(R) + tau, the smallest
+      eigenvalue of principal blocks of the master at every eps (in
+      verify's stage 1, M_prev and Q - Q_FLOOR I);
+    * otherwise, with C = S0 - X R^-1 X', v a unit eigenvector of C for
+      its smallest eigenvalue s and y = R^-1 X' v, the vector w = [v; -y]
+      gives w'(P - tau I)w = s - eps for the master without its floor
+      block, P. So at every eps
 
-    With C = S0 - X R^-1 X' as in _rate_supremum, v a unit eigenvector of
-    C for its smallest eigenvalue s and y = R^-1 X' v, the vector
-    w = [v; -y] gives w'(P - tau I)w = s - eps for the master without its
-    floor block, P. So at every eps
+          lambda_min <= min(tau + (s - eps) / (1 + |y|^2), eps - EPS_MIN),
 
-        lambda_min <= min(tau + (s - eps) / (1 + |y|^2), eps - EPS_MIN),
+      the second term being the floor block. The first falls with eps and
+      the second rises; where they meet,
 
-    the second term being the floor block. The first falls with eps and
-    the second rises; where they meet,
+          lambda_min <= tau + (s - EPS_MIN - tau) / (2 + |y|^2),
 
-        lambda_min <= tau + (s - EPS_MIN - tau) / (2 + |y|^2),
-
-    which is below tau exactly when s < EPS_MIN + tau.
+      which is below tau exactly when s < EPS_MIN + tau.
     """
+    sup = _rate_supremum(prob, theta, eps_index, n, tau)
+    floor = EPS_MIN + tau
+    rates = (0.5 * sup, 0.5 * (floor + sup)) if sup is not None and sup > floor else ()
+    for eps in rates + (theta[eps_index],):
+        point = np.array(theta)
+        point[eps_index] = eps
+        cert = lmi.certify_point(point, prob, tau)
+        if cert.ok:
+            return lmi.FeasiblePoint(theta=point, lambda_min=cert.lambda_min)
     M = _rate_master(prob, theta, eps_index, tau)
     R, Xt = M[n:, n:], M[n:, :n]
+    if sup is None:
+        return _declined(tau + np.linalg.eigvalsh(R)[0], "PinnedStorageInfeasible", theta)
     # A y too long for floats makes the bound tau, which still holds.
     with np.errstate(over="ignore"):
         s, V = np.linalg.eigh(M[:n, :n] - Xt.T @ np.linalg.solve(R, Xt))
         y = np.linalg.solve(R, Xt @ V[:, 0])
-        return tau + (float(s[0]) - EPS_MIN - tau) / (2.0 + float(y @ y))
-
-
-def _pinned_verify(prob, theta, n, tau):
-    """Verify's stage 1 when Q B2 = C' pins Q: eps is its only variable.
-
-    prob is posed at Q = Q_p, the only Q the equality admits, and theta is
-    its zero point. Returns an
-    lmi.FeasiblePoint at half the rate supremum (or, when that does not
-    certify, at the middle of the feasible interval (EPS_MIN + tau,
-    eps_sup)), or lmi.Infeasible with reason PinnedStorageInfeasible; see
-    _design_step for the proofs.
-    """
-    eps_index = prob.var_count - 1
-    sup = _rate_supremum(prob, theta, eps_index, n, tau)
-    if sup is None:
-        # R + tau I holds M_prev and Q - Q_FLOOR I, principal blocks of the
-        # master at every eps.
-        R = _rate_master(prob, theta, eps_index, tau)[n:, n:]
-        return _declined(tau + np.linalg.eigvalsh(R)[0], "PinnedStorageInfeasible", theta)
-    floor = EPS_MIN + tau
-    if sup > floor:
-        for eps in (0.5 * sup, 0.5 * (floor + sup)):
-            theta[eps_index] = eps
-            cert = lmi.certify_point(theta, prob, tau)
-            if cert.ok:
-                return lmi.FeasiblePoint(theta=theta, lambda_min=cert.lambda_min)
-    return _declined(_pinned_rate_bound(prob, theta, eps_index, n, tau), "PinnedStorageInfeasible", theta)
+        bound = tau + (float(s[0]) - EPS_MIN - tau) / (2.0 + float(y @ y))
+    return _declined(bound, "PinnedStorageInfeasible", theta)
 
 
 def _diagonal_block(A, Q, QB1, QB3, eps, h_self, gains):
@@ -558,7 +567,9 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     lmi.Infeasible. Every decline made without a search carries a
     best_lambda_min that bounds the smallest eigenvalue of the master at
     every point, so it is below the margin tau exactly when the decline is
-    a proof.
+    a proof. A subsystem whose shapes validate_network rejects raises
+    DimensionMismatch; non-finite data is left to the local problem, which
+    reports it as MalformedProblem.
 
     Both routes are screened first. M_prev is a principal block of every
     master, in both stages, so when lambda_min(M_prev) < tau no point
@@ -613,16 +624,11 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     When B2 has full row rank, N is empty: Q B2 = C' pins Q to Q_p, and
     stage 1 of both routes is decided in closed form, without the solver.
 
-    * Verify has eps as its only free variable. With R as in
-      _rate_supremum (the blocks M_prev - tau I and Q - (Q_FLOOR + tau) I),
-      the master clears tau at some eps exactly when R > 0 and
-      EPS_MIN + tau <= eps <= eps_sup. The rate is half of eps_sup, or the
-      middle of that interval when half does not certify, and certify_point
-      checks the point as on the solver's route. Otherwise the step
-      declines with reason PinnedStorageInfeasible: when R is not positive
-      definite, best_lambda_min = lambda_min(R) + tau, the smallest
-      eigenvalue of two principal blocks; when eps_sup <= EPS_MIN + tau,
-      best_lambda_min is the bound of _pinned_rate_bound.
+    * Verify has eps as its only free variable, so stage 1 is
+      _settle_rate at the zero point, the rate step every other route
+      takes after its search: it settles the rate in closed form, or
+      declines with reason PinnedStorageInfeasible and a best_lambda_min
+      that bounds every rate.
     * Synthesis's stage 1 leaves Z_self and Z_prev free, so S and X take
       any value and only Q matters: choosing X = 0 and S large,
       the master clears tau exactly when lambda_min(Q - Q_FLOOR I) >= tau
@@ -632,6 +638,9 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
       Stage 2 runs the solver as for any other Q.
     """
     index = 1 if packet is None else packet.prev_index + 1
+    bad = _subsystem_violations(index, sub, finite=True)
+    if bad:
+        raise DimensionMismatch("; ".join(v.message for v in bad))
     h_self = _check_self_coupling(h_self, sub)
     h_prev = _check_prev_coupling(h_prev, sub, packet)
     tau = _step_margin(sub)
@@ -681,14 +690,14 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     def storage(v):
         return Q_p + np.tensordot(v["z"], N, axes=1)
 
-    stage1 = _Layout()
-    stage1.full("z", (len(N),))
-    if gains:
-        stage1.full("Z_self", (n, n))
-        if packet is not None:
-            stage1.full("Z_prev", (n, packet.M_prev.shape[0]))
+    slots = [("z", (len(N),))]
+    if not gains:
+        slots.append(("eps", ()))
     else:
-        stage1.scalar("eps")
+        slots.append(("Z_self", (n, n)))
+        if packet is not None:
+            slots.append(("Z_prev", (n, packet.M_prev.shape[0])))
+    stage1 = _Layout(*slots)
 
     theta = np.zeros(stage1.size)
     if pinned and gains:
@@ -698,7 +707,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     else:
         prob = _assemble_problem(stage1, lambda v: master(storage(v), v))
         if pinned:
-            point = _pinned_verify(prob, theta, n, tau)
+            point = _settle_rate(prob, theta, stage1.size - 1, n, tau)
         else:
             # Besides M_prev and X = G_prev', the master at Q = 0 holds
             # no entry larger than Q_FLOOR.
@@ -719,12 +728,11 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
 
     layout = stage1
     if gains:
-        layout = _Layout()
-        layout.scalar("eps")
-        layout.full("K_self", (p, n))
+        slots = [("eps", ()), ("K_self", (p, n))]
         if packet is not None:
-            layout.full("K_to_prev", (p, packet.M_prev.shape[0]))
-            layout.full("K_prev_to_self", (packet.T_prev.shape[1], n))
+            slots.append(("K_to_prev", (p, packet.M_prev.shape[0])))
+            slots.append(("K_prev_to_self", (packet.T_prev.shape[1], n)))
+        layout = _Layout(*slots)
         prob = _assemble_problem(layout, lambda v: master(Q, v))
         # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
         # floor; deriving a fresh one from the stage-2 constant block would let
@@ -735,7 +743,9 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
             return point
         theta = point.theta
     if gains or not pinned:
-        theta = _settle_rate(prob, theta, layout.index("eps"), n, tau)
+        # The rate is slot 0 in stage 2 and last in verify's stage 1; the
+        # solver's own point certifies, so this settles on a FeasiblePoint.
+        theta = _settle_rate(prob, theta, 0 if gains else layout.size - 1, n, tau).theta
 
     v = layout.unpack(theta)
     # M_cl = S - X M_prev^-1 X', the same step tridiag_pd_sequence takes.
@@ -893,9 +903,10 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
     storages and epsilons are per-subsystem, each epsilon a record's rate,
     so block i holds -2 eps_i I; gains maps (i, j) index pairs
     to gain matrices K(i,j), absent pairs meaning zero. Only (i, i) and
-    (i, i+-1) pairs within the chain are gains; any other key raises
-    DimensionMismatch. Block i is built as design step i builds it, from the
-    same packet products, so on a designed state blockla.tridiag_pd_sequence
+    (i, i+-1) pairs within the chain are gains; any other key, or a storage
+    or gain whose shape is not _record_shapes's, raises DimensionMismatch.
+    Block i is built as design step i builds it, from the same packet
+    products, so on a designed state blockla.tridiag_pd_sequence
     reproduces each M_cl bit for bit. The blocks are exactly symmetric by
     construction and are not checked again; tridiag_pd_sequence rejects a
     non-finite one.
@@ -916,6 +927,9 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
         {name: as_matrix(gains[ij], name) for name, ij in _gain_pairs(i).items() if ij in gains}
         for i in range(1, N + 1)
     ]
+    subs = net.subsystems
+    for k, Q in enumerate(storages):
+        _check_shapes(f"step {k + 1}", {"Q": Q} | step_gains[k], subs[k], subs[k - 1] if k else None)
     return _closed_loop_blocks(net, storages, epsilons, step_gains)
 
 

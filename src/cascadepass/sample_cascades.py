@@ -18,6 +18,11 @@ __all__ = [
     "random_cascade",
 ]
 
+# random_cascade draws each state size from 1..MAX_STATE and scales each
+# standard normal coupling block by COUPLING_SCALE.
+MAX_STATE = 3
+COUPLING_SCALE = 0.3
+
 
 def _stage_one() -> Subsystem:
     return Subsystem(
@@ -95,12 +100,7 @@ def addition_blocks():
     )
 
 
-def random_cascade(
-    count: int,
-    rng: np.random.Generator,
-    max_state: int = 3,
-    coupling_scale: float = 0.3,
-) -> CascadeNetwork:
+def random_cascade(count: int, rng: np.random.Generator) -> CascadeNetwork:
     """Draw a random cascade on which synthesis is almost surely feasible.
 
     Each subsystem gets a planted positive definite storage candidate Q0
@@ -112,7 +112,7 @@ def random_cascade(
     subs = []
     sizes = []
     for _ in range(count):
-        n = int(rng.integers(1, max_state + 1))
+        n = int(rng.integers(1, MAX_STATE + 1))
         m = int(rng.integers(1, 3))
         G = rng.normal(size=(n, n))
         Q0 = G @ G.T + (0.5 + rng.uniform()) * np.eye(n)
@@ -129,5 +129,5 @@ def random_cascade(
         for j in (i - 1, i, i + 1):
             if 1 <= j <= count and rng.uniform() < 0.8:
                 p_i = subs[i - 1].p
-                couplings[(i, j)] = coupling_scale * rng.normal(size=(p_i, sizes[j - 1]))
+                couplings[(i, j)] = COUPLING_SCALE * rng.normal(size=(p_i, sizes[j - 1]))
     return CascadeNetwork.from_blocks(subs, couplings)

@@ -13,7 +13,6 @@ from cascadepass.model import Subsystem
 from cascadepass.oracle import (
     Certificate,
     ClosedLoopSystem,
-    IncompleteState,
     MAX_TRAJECTORY_BYTES,
     SLACK_TOL,
     NonFiniteTrajectory,
@@ -30,6 +29,7 @@ from cascadepass.protocol import (
     ROUTE_SYNTHESIZED,
     ROUTE_VERIFIED,
     DesignRecord,
+    DimensionMismatch,
     NetworkDesignState,
 )
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade, two_stage_scalar_cascade
@@ -79,9 +79,9 @@ def test_assemble_closed_loop_rejects_storage_shape_mismatch():
         index=2, Q=np.eye(2), epsilon=0.5, K_self=None, K_to_prev=None,
         K_prev_to_self=None, M_cl=np.eye(2), route=ROUTE_VERIFIED,
     )
-    state = NetworkDesignState(net=net, records=(record(1), wide))
-    with pytest.raises(IncompleteState):
-        assemble_closed_loop(state)
+    # The state itself rejects the storage, so no such state reaches the oracle.
+    with pytest.raises(DimensionMismatch, match=r"records\[1\]: Q is \(2, 2\), expected \(1, 1\)"):
+        NetworkDesignState(net=net, records=(record(1), wide))
 
 
 def test_sp_matrix_known_values():

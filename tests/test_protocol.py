@@ -1,5 +1,6 @@
 """Step-by-step design protocol: packets, records, routes and recursion."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -211,6 +212,37 @@ def test_verify_reaches_the_solver_on_hurwitz_drift(monkeypatch):
 def test_verify_of_non_finite_drift_stays_a_malformed_problem(bad):
     with pytest.raises(lmi.MalformedProblem), np.errstate(invalid="ignore"):
         local_verify(scalar_subsystem(bad))
+
+
+def reshaped(**matrices):
+    """free_storage_subsystem() with some of its matrices replaced."""
+    sub = free_storage_subsystem()
+    return Subsystem(**{name: getattr(sub, name) for name in ("A", "B1", "B2", "B3", "C")} | matrices)
+
+
+@pytest.mark.parametrize("sub, message", [
+    (reshaped(B3=[[1.0], [1.0]]), "B3 has 1 columns but B1 has 2"),
+    (reshaped(B1=np.ones((3, 2))), "B1 has 3 rows, state size is 2"),
+    (reshaped(B2=[[1.0]]), "B2 has 1 rows, state size is 2"),
+    (reshaped(B3=np.ones((3, 2))), "B3 has 3 rows, state size is 2"),
+    (reshaped(C=[[1.0]]), "C has 1 columns, state size is 2"),
+    (reshaped(B2=np.eye(2)), "B2 has 2 columns but C has 1 rows"),
+    (reshaped(A=np.ones((2, 3))), "A is (2, 3), not square"),
+], ids=["B3-columns", "B1-rows", "B2-rows", "B3-rows", "C-columns", "B2-columns", "A-not-square"])
+def test_malformed_subsystem_is_a_dimension_mismatch_on_both_routes(sub, message, monkeypatch):
+    calls = counting_solver(monkeypatch)
+    assert not model.validate_network(CascadeNetwork.from_blocks([sub], {})).ok
+    for route in (local_verify, local_synthesize):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            route(sub)
+    assert calls == []
+
+
+def test_non_finite_subsystem_stays_a_malformed_problem_on_both_routes():
+    sub = reshaped(A=[[np.nan, 0.0], [0.0, -1.0]])
+    for route in (local_verify, local_synthesize):
+        with pytest.raises(lmi.MalformedProblem), np.errstate(invalid="ignore"):
+            route(sub)
 
 
 def test_non_hurwitz_bound_holds_for_the_solver(monkeypatch):
@@ -746,6 +778,53 @@ def test_rate_is_half_the_bisected_supremum(monkeypatch):
         assert abs(sup - supremum) <= 1e-9 * abs(supremum)
 
 
+def rate_problem(s, tau, r=3.0, x=0.5):
+    """An n = 1 verify-like problem in eps alone: [[s - eps, x], [x, r]]
+    beside the floor block eps - EPS_MIN, so eps_sup = s - tau - x^2 / (r - tau)
+    when r > tau."""
+    return lmi.AffineFeasibilityProblem(
+        var_count=1,
+        constant_block=np.array([[s, x, 0.0], [x, r, 0.0], [0.0, 0.0, -protocol.EPS_MIN]]),
+        coeff_blocks=(np.diag([-1.0, 0.0, 1.0]),),
+    )
+
+
+def test_settle_rate_takes_half_then_middle_then_the_own_rate():
+    tau = 1.0
+    floor = protocol.EPS_MIN + tau
+    # sup = 4 >= 2 floor: half the supremum.
+    prob = rate_problem(4.0 + tau + 0.125, tau)
+    sup = protocol._rate_supremum(prob, np.zeros(1), 0, 1, tau)
+    assert abs(sup - 4.0) <= 1e-12
+    point = protocol._settle_rate(prob, np.array([3.0]), 0, 1, tau)
+    assert isinstance(point, lmi.FeasiblePoint)
+    assert point.theta[0] == 0.5 * sup
+    assert point.lambda_min >= tau
+    # floor < sup = 1.5 < 2 floor: half is below the floor block, so the
+    # middle of (floor, sup), even though the own rate 1.2 certifies.
+    prob = rate_problem(1.5 + tau + 0.125, tau)
+    sup = protocol._rate_supremum(prob, np.zeros(1), 0, 1, tau)
+    assert floor < sup < 2.0 * floor
+    assert lmi.certify_point(np.array([1.2]), prob, tau).ok
+    point = protocol._settle_rate(prob, np.array([1.2]), 0, 1, tau)
+    assert point.theta[0] == 0.5 * (floor + sup)
+    assert point.lambda_min >= tau
+
+
+@pytest.mark.parametrize("s, r", [(0.5 + 1.0 + 0.125, 3.0), (3.0, 0.5)], ids=["sup-below-floor", "R-not-positive"])
+def test_settle_rate_declines_with_a_bound_on_every_rate(s, r):
+    tau = 1.0
+    prob = rate_problem(s, tau, r=r)
+    out = protocol._settle_rate(prob, np.zeros(1), 0, 1, tau)
+    assert isinstance(out, lmi.Infeasible)
+    assert out.reason == "PinnedStorageInfeasible"
+    assert out.best_lambda_min < tau
+    if r < tau:
+        assert out.best_lambda_min == r
+    for eps in np.linspace(-5.0, 5.0, 2001):
+        assert np.linalg.eigvalsh(prob.master(np.array([eps])))[0] <= out.best_lambda_min
+
+
 def test_build_packet_contents_and_none():
     rec = verified_record(q=2.0, m=1.5)
     sub = Subsystem(A=-1.0, B1=3.0, B2=0.5, B3=4.0, C=1.0)
@@ -803,6 +882,32 @@ def test_closed_loop_blocks_rejects_gains_outside_the_band():
     for key in ((1, 3), (0, 1), (4, 5)):
         with pytest.raises(DimensionMismatch, match=re.escape(repr(key))):
             closed_loop_blocks(state.net, storages, epsilons, {key: 100 * np.ones((1, 1))})
+
+
+def test_closed_loop_blocks_rejects_a_misshapen_gain_or_storage():
+    state = run_cascade_design(four_stage_cascade())
+    storages = [rec.Q for rec in state.records]
+    epsilons = [rec.epsilon for rec in state.records]
+    # K(2,1) maps subsystem 1's two states to subsystem 2's one input.
+    with pytest.raises(DimensionMismatch, match=re.escape("step 2: K_to_prev is (1, 1), expected (1, 2)")):
+        closed_loop_blocks(state.net, storages, epsilons, {(2, 1): [[1.0]]})
+    with pytest.raises(DimensionMismatch, match=re.escape("step 1: Q is (1, 1), expected (2, 2)")):
+        closed_loop_blocks(state.net, [[[1.0]]] + storages[1:], epsilons)
+
+
+def test_state_rejects_a_misshapen_gain():
+    state = run_cascade_design(four_stage_cascade())
+    first = state.records[0]
+    assert first.K_self.shape == (1, 2)
+    narrow = dataclasses.replace(first, K_self=[[first.K_self[0, 0]]])
+    with pytest.raises(DimensionMismatch, match=re.escape("records[0]: K_self is (1, 1), expected (1, 2)")):
+        NetworkDesignState(net=state.net, records=(narrow,) + state.records[1:])
+    wide = dataclasses.replace(first, M_cl=np.eye(3))
+    with pytest.raises(DimensionMismatch, match=re.escape("records[0]: M_cl is (3, 3), expected (2, 2)")):
+        NetworkDesignState(net=state.net, records=(wide,) + state.records[1:])
+    stray = dataclasses.replace(first, K_to_prev=[[1.0]])
+    with pytest.raises(DimensionMismatch, match=re.escape("records[0]: record 1 cannot carry K_to_prev")):
+        NetworkDesignState(net=state.net, records=(stray,) + state.records[1:])
 
 
 def test_closed_loop_blocks_requires_matching_lengths():

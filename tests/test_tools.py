@@ -1,0 +1,39 @@
+"""The design-verdict comparison of tools/verdicts.py, on hand-written files."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+VERDICTS = Path(__file__).resolve().parents[1] / "tools" / "verdicts.py"
+
+
+def design(routes, eps, **extra):
+    return {"routes": routes, "eps": eps, "rate_ratio": 1.5} | extra
+
+
+def test_compare_counts_identical_designs_one_sided_failures_and_rate_ratios(tmp_path):
+    old = {
+        "growth": [design("SV", [0.5, 0.25], failed=False), design("S", [1.0], failed=True)],
+        "random": [design("V", [0.5]), design("S", [0.2]), None, None, design("V", [1.0])],
+        "gain_max": 10.0,
+    }
+    new = {
+        "growth": [design("SV", [0.5, 0.25], failed=False), design("S", [1.0], failed=False)],
+        "random": [design("V", [0.5]), design("S", [0.4]), None, design("V", [1.0]), None],
+        "gain_max": 12.0,
+    }
+    paths = []
+    for name, doc in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    out = subprocess.run(
+        [sys.executable, str(VERDICTS), "--compare", *map(str, paths)],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == [
+        "growth: 1 of 2 identical; fail only in OLD 1, only in NEW 0; "
+        "global eps NEW/OLD over 1: median 1, quartiles 1 1, range 1 1",
+        "random: 2 of 5 identical; fail only in OLD 1, only in NEW 1; "
+        "global eps NEW/OLD over 2: median 1.5, quartiles 1.25 1.75, range 1 2",
+    ]

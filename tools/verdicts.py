@@ -30,10 +30,15 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   step that sets it.
 
 ``--json PATH`` also writes every design's routes, per-step rates and
-r / eps, so two trees can be compared design by design. Run from the
+r / eps, so two trees can be compared design by design: ``--compare OLD
+NEW`` reads two such files, runs no design, and prints per group how many
+designs are identical (the same outcome, routes and every rate), how
+many fail in only one file, and the median, quartiles and range of the
+NEW / OLD global rate over the designs that succeed in both. Run from the
 repository root:
 
     python3 tools/verdicts.py [--seeds FIRST LAST] [--json PATH]
+    python3 tools/verdicts.py --compare OLD.json NEW.json
 """
 
 from __future__ import annotations
@@ -219,12 +224,48 @@ def run(seeds) -> dict:
     return {name: t.designs for name, t in out.items()} | {"gain_max": largest}
 
 
+def failed(design) -> bool:
+    """Whether a --json design ended in DesignFailed: null, or a growth
+    cycle flagged failed."""
+    return design is None or design.get("failed", False)
+
+
+def compare(old_path: Path, new_path: Path) -> None:
+    """Print, per group of two --json files, how the designs moved."""
+    old, new = (json.loads(path.read_text()) for path in (old_path, new_path))
+    for group, designs in old.items():
+        if group == "gain_max":
+            continue
+        others = new.get(group, [])
+        if len(others) != len(designs):
+            print(f"{group}: {len(designs)} designs in OLD but {len(others)} in NEW")
+            continue
+        pairs = list(zip(designs, others))
+        same = sum(failed(a) == failed(b) and (a is None or (a["routes"], a["eps"]) == (b["routes"], b["eps"]))
+                   for a, b in pairs)
+        only_old = sum(failed(a) and not failed(b) for a, b in pairs)
+        only_new = sum(failed(b) and not failed(a) for a, b in pairs)
+        line = (f"{group}: {same} of {len(pairs)} identical; fail only in OLD {only_old}, "
+                f"only in NEW {only_new}")
+        ratios = [min(b["eps"]) / min(a["eps"]) for a, b in pairs if not (failed(a) or failed(b))]
+        if ratios:
+            q = np.quantile(ratios, [0.0, 0.25, 0.5, 0.75, 1.0])
+            line += (f"; global eps NEW/OLD over {len(ratios)}: median {q[2]:.6g}, "
+                     f"quartiles {q[1]:.6g} {q[3]:.6g}, range {q[0]:.6g} {q[4]:.6g}")
+        print(line)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", nargs=2, type=int, default=(1, 10), metavar=("FIRST", "LAST"),
                         help="growth seeds, inclusive (default 1 10)")
     parser.add_argument("--json", type=Path, help="write every design's routes and rates here")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                        help="compare two --json files design by design, running no design")
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return
     designs = run(list(range(args.seeds[0], args.seeds[1] + 1)))
     if args.json:
         args.json.write_text(json.dumps(designs))
