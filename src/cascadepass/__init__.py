@@ -53,6 +53,7 @@ from .protocol import (
     ROUTE_SYNTHESIZED,
     DimensionMismatch,
     DesignFailed,
+    MissingMargin,
     MessengerPacket,
     DesignRecord,
     NetworkDesignState,
@@ -113,6 +114,7 @@ __all__ = [
     "ROUTE_SYNTHESIZED",
     "DimensionMismatch",
     "DesignFailed",
+    "MissingMargin",
     "MessengerPacket",
     "DesignRecord",
     "NetworkDesignState",

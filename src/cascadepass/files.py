@@ -12,16 +12,15 @@ Matrix entries must be JSON numbers: a string such as "1.5" or a
 boolean is malformed, where numpy would read it as a number.
 
 A state file holds the network and each record's free data: Q, epsilon,
-the gains and the route. Everything derived from them is re-derived on
-load rather than trusted: each M_cl is the Schur recursion of the
-closed-loop certificate, and the global rate is the record minimum. A
-state loads only if its network validates, that recursion is positive
-definite, and each Q passes the oracle's storage tests (positive
-definite above its pivot floor, Q B2 - C' within its bound), so every
-state that loads certifies its own network. Keys a state file does not
-need, such as the stored M_cl, fingerprint and global_epsilon of older
-files, are ignored. Coupling indices and record indices must be JSON
-integers.
+the gains and the route. What a state derives from them, each M_cl and
+the global rate, it derives on load as NetworkDesignState does, by the
+same function. A state loads only if its network validates, its
+closed-loop recursion is positive definite, and each Q passes the
+oracle's storage tests (positive definite above its pivot floor,
+Q B2 - C' within its bound), so every state that loads certifies its own
+network and can be grown. Keys a state file does not need, such as the
+stored M_cl, fingerprint and global_epsilon of older files, are ignored.
+Coupling indices and record indices must be JSON integers.
 
 A load parses each matrix into its read-only array once and checks a
 state document in this order, so a document with several defects reports
@@ -35,14 +34,15 @@ the first one met (and, within one step, the first record in file order):
    its subsystem's shapes with JSON numbers for entries, and a finite
    epsilon;
 5. every record matrix finite (one test), then each Q symmetric;
-6. the closed-loop recursion, positive definite and finite at each block;
+6. the closed-loop recursion that derives each M_cl, positive definite
+   and finite at each block;
 7. per record: a known route, index >= 1, epsilon > 0, no gains on a
    Verified record, then Q above its storage floor and Q B2 - C';
-8. record indices contiguous from 1.
+8. record indices contiguous from 1; the state then takes the margins
+   of step 6 as they are, with no second recursion.
 
 The tests on Q run once per stack of records whose subsystems share a
-shape. The closed-loop blocks, the Schur complements and the records
-built from them are not checked again.
+shape.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 from . import blockla
 from .model import CascadeNetwork, Subsystem, as_matrix, validate_network
 from .oracle import storage_residual
-from .protocol import DesignRecord, NetworkDesignState, _closed_loop_blocks, _record_shapes
+from .protocol import DesignRecord, NetworkDesignState, _derive_margins, _record_shapes
 
 __all__ = [
     "MalformedFile",
@@ -233,19 +233,12 @@ def load_network(path) -> CascadeNetwork:
     return network_from_dict(_load_json(path))
 
 
-def _record_to_dict(rec: DesignRecord) -> dict:
-    return {
-        "index": rec.index,
-        "Q": rec.Q,
-        "epsilon": rec.epsilon,
-        "K_self": rec.K_self,
-        "K_to_prev": rec.K_to_prev,
-        "K_prev_to_self": rec.K_prev_to_self,
-        "route": rec.route,
-    }
-
-
 _RECORD_MATRICES = ("Q", "K_self", "K_to_prev", "K_prev_to_self")
+
+
+def _record_to_dict(rec: DesignRecord) -> dict:
+    """A record's free data; its M_cl is derived on load, so not written."""
+    return {name: getattr(rec, name) for name in ("index", "epsilon", "route") + _RECORD_MATRICES}
 
 
 def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
@@ -324,16 +317,12 @@ def state_to_dict(state: NetworkDesignState) -> dict:
 
 
 def state_from_dict(doc) -> NetworkDesignState:
-    """A state whose records certify its network, each M_cl re-derived.
+    """A state whose records certify its network, each M_cl derived.
 
-    The network must validate; every M_cl is the Schur recursion of the
-    closed-loop certificate the records and the network define, which must
-    be positive definite; and each Q must pass the storage tests of
-    centralized_sp_check: positive definite with the pivot floor that
-    check sets from the largest |Q_ij| of any record (factoring the
-    block-diagonal Q meets exactly each block's own pivots), and
-    Q B2 - C' within its bound, taken per subsystem. The tests on Q run
-    once per group of records whose subsystems share the shape of B2.
+    Each Q must pass the storage tests of centralized_sp_check: positive
+    definite with the pivot floor that check sets from the largest |Q_ij|
+    of any record (factoring the block-diagonal Q meets exactly each
+    block's own pivots), and Q B2 - C' within its bound, per subsystem.
     """
     _expect(doc, "state")
     net = network_from_dict(doc.get("network"))
@@ -355,25 +344,10 @@ def state_from_dict(doc) -> NetworkDesignState:
     for k, sub in enumerate(subs):
         groups.setdefault(sub.B2.shape, []).append(k)
     stacks = _symmetrize_storages(fields, groups)
-    try:
-        # Finite entries too large to multiply overflow to a non-finite
-        # block, which the recursion names; numpy need not warn about it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # A record's fields hold its gains under the names the blocks read.
-            blocks = _closed_loop_blocks(net, [f["Q"] for f in fields], [f["epsilon"] for f in fields], fields)
-            margins = blockla.tridiag_pd_sequence(blocks).M_blocks
-    except blockla.NotPositiveDefinite as exc:
-        raise MalformedFile(
-            f"the records do not certify the network: closed-loop block {exc.index} "
-            "is not positive definite"
-        ) from None
-    except blockla.NonFiniteMatrix as exc:
-        raise MalformedFile(
-            f"the records do not certify the network: closed-loop block {exc.index} "
-            "is not finite"
-        ) from None
-    except ValueError as exc:
-        raise MalformedFile(f"records: {exc}") from None
+    margins, failure = _derive_margins(net, fields)
+    if failure is not None:
+        what = "not finite" if isinstance(failure, blockla.NonFiniteMatrix) else "not positive definite"
+        raise MalformedFile(f"the records do not certify the network: closed-loop block {failure.index} is {what}")
     floor = blockla.PIVOT_RTOL * max(1.0, max(float(np.abs(H).max()) for H in stacks.values()))
     faults = {}
     for key, ks in groups.items():
@@ -385,15 +359,15 @@ def state_from_dict(doc) -> NetworkDesignState:
             faults[ks[j]] = "Q is not positive definite" if not positive[j] else (
                 f"max |Q B2 - C'| = {residual[j]:.3e} exceeds {bound[j]:.3e}")
     records = []
-    for k, (f, M_cl) in enumerate(zip(fields, margins)):
+    for k, f in enumerate(fields):
         try:
-            records.append(DesignRecord._from_built(**f, M_cl=M_cl))
+            records.append(DesignRecord._from_built(**f))
         except ValueError as exc:
             raise MalformedFile(f"records[{k}]: {exc}") from None
         if k in faults:
             raise MalformedFile(f"records[{k}]: {faults[k]}")
     try:
-        return NetworkDesignState._from_built(net, tuple(records))
+        return NetworkDesignState._from_built(net, records, margins)
     except ValueError as exc:
         raise MalformedFile(str(exc)) from None
 

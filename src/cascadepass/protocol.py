@@ -34,9 +34,10 @@ so the local problem stays affine. The same two functions build the local
 and global certificate blocks (a diagonal block and a coupling block) and
 one Schur step clears them, so each record's M_cl is bit for bit the Schur
 recursion of the global matrix, which makes the one-pass design sound; the
-oracle checks it independently. One table, _record_shapes, gives the
-shape of every record matrix; a state and closed_loop_blocks check their
-matrices against it, and so does a load.
+oracle checks it independently. A state derives every M_cl by that
+recursion, never taking one from a record. One table, _record_shapes,
+gives the shape of every record matrix; a state and closed_loop_blocks
+check their matrices against it, and so does a load.
 
 One private step function designs step i from record i-1 alone:
 run_cascade_design loops over it and add_subsystem takes it once on the
@@ -45,6 +46,7 @@ validated grown network, so growth reproduces a from-scratch design.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -68,6 +70,7 @@ __all__ = [
     "ROUTE_SYNTHESIZED",
     "DimensionMismatch",
     "DesignFailed",
+    "MissingMargin",
     "MessengerPacket",
     "DesignRecord",
     "NetworkDesignState",
@@ -115,6 +118,10 @@ class DesignFailed(Exception):
         )
 
 
+class MissingMargin(ValueError):
+    """A record with no margin M_cl to send (see NetworkDesignState)."""
+
+
 @dataclass(frozen=True)
 class MessengerPacket:
     """What subsystem i-1 sends forward to subsystem i.
@@ -158,6 +165,10 @@ class DesignRecord:
     for the previous subsystem's input. epsilon is the rate in the supply
     w'y - epsilon x'x of V = x'Qx / 2: the step's certificate block holds
     -2 epsilon I, the local master's eps (see _diagonal_block).
+
+    M_cl, the margin block the record sends forward, is derived data: the
+    design step sets it on the record it returns and a state on each of
+    its records (NetworkDesignState); a record built here carries None.
     """
 
     index: int
@@ -166,15 +177,14 @@ class DesignRecord:
     K_self: np.ndarray | None
     K_to_prev: np.ndarray | None
     K_prev_to_self: np.ndarray | None
-    M_cl: np.ndarray
     route: str
+    M_cl: np.ndarray | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         self._check()
-        for name in ("Q", "M_cl"):
-            S = blockla.symmetric_part(getattr(self, name), name)
-            S.flags.writeable = False
-            object.__setattr__(self, name, S)
+        Q = blockla.symmetric_part(self.Q, "Q")
+        Q.flags.writeable = False
+        object.__setattr__(self, "Q", Q)
         for name in ("K_self", "K_to_prev", "K_prev_to_self"):
             val = getattr(self, name)
             if val is not None:
@@ -186,9 +196,8 @@ class DesignRecord:
     @classmethod
     def _from_built(cls, **fields) -> "DesignRecord":
         """A record whose matrices the package has just built: read-only
-        finite float arrays, Q and M_cl exactly symmetric. They are taken
-        as they are; the scalar fields are checked as the constructor
-        checks them."""
+        finite float arrays, Q exactly symmetric. They are taken as they
+        are; the scalar fields are checked as the constructor checks them."""
         rec = object.__new__(cls)
         for name, value in fields.items():
             object.__setattr__(rec, name, value)
@@ -213,7 +222,6 @@ def _record_shapes(sub: Subsystem, prev: Subsystem | None) -> dict:
     step's subsystem; None for a gain that record 1 (prev None) cannot carry."""
     return {
         "Q": (sub.n, sub.n),
-        "M_cl": (sub.n, sub.n),
         "K_self": (sub.p, sub.n),
         "K_to_prev": None if prev is None else (sub.p, prev.n),
         "K_prev_to_self": None if prev is None else (prev.p, sub.n),
@@ -240,8 +248,13 @@ class NetworkDesignState:
 
     The network is validated on construction (InvalidNetwork), so every
     state carries a valid one and add_subsystem need check only what an
-    addition brings. Each record's Q, M_cl and gains must have the shapes
-    its subsystem gives them (DimensionMismatch).
+    addition brings. Each record's Q and gains must have the shapes its
+    subsystem gives them (DimensionMismatch).
+
+    The state holds copies of the records, each carrying the margin M_cl
+    that _derive_margins gives it. Records that do not certify the network
+    still make a state, which the oracle rejects: they carry no margin from
+    the failing block on, and add_subsystem raises MissingMargin.
     """
 
     net: CascadeNetwork
@@ -252,34 +265,35 @@ class NetworkDesignState:
         report = validate_network(self.net)
         if not report.ok:
             raise InvalidNetwork(report)
-        self._check()
+        self._check(map(copy.copy, self.records))
         subs = self.net.subsystems
         for k, rec in enumerate(self.records):
             _check_shapes(f"records[{k}]", vars(rec), subs[k], subs[k - 1] if k else None)
+        for rec, M in zip(self.records, _derive_margins(self.net, [vars(r) for r in self.records])[0]):
+            object.__setattr__(rec, "M_cl", M)
 
     @classmethod
-    def _from_built(cls, net, records) -> "NetworkDesignState":
-        """A state whose network the package has just validated and whose
-        record shapes it has just built or checked: neither is checked
-        again. The records are counted and indexed as the constructor
-        checks them."""
+    def _from_built(cls, net, records, margins) -> "NetworkDesignState":
+        """A state of records the package has just built or checked, on a
+        network it has just validated, with the margins just made for them,
+        set in place (the records are fresh or already carry them). Only the
+        records' count and indices are checked."""
         state = object.__new__(cls)
         object.__setattr__(state, "net", net)
-        object.__setattr__(state, "records", records)
-        state._check()
+        state._check(records)
+        for rec, M in zip(state.records, margins, strict=True):
+            object.__setattr__(rec, "M_cl", M)
         return state
 
-    def _check(self):
-        records = tuple(self.records)
+    def _check(self, records):
+        records = tuple(records)
         if not records:
             raise ValueError("a design state needs at least one record")
         for pos, rec in enumerate(records, start=1):
             if rec.index != pos:
                 raise ValueError(f"records must be contiguous from 1, found index {rec.index} at position {pos}")
         if len(records) != self.net.n_subsystems:
-            raise ValueError(
-                f"{self.net.n_subsystems} subsystems but {len(records)} records"
-            )
+            raise ValueError(f"{self.net.n_subsystems} subsystems but {len(records)} records")
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "global_epsilon", min(r.epsilon for r in records))
 
@@ -626,9 +640,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
 
     * Verify has eps as its only free variable, so stage 1 is
       _settle_rate at the zero point, the rate step every other route
-      takes after its search: it settles the rate in closed form, or
-      declines with reason PinnedStorageInfeasible and a best_lambda_min
-      that bounds every rate.
+      takes after its search.
     * Synthesis's stage 1 leaves Z_self and Z_prev free, so S and X take
       any value and only Q matters: choosing X = 0 and S large,
       the master clears tau exactly when lambda_min(Q - Q_FLOOR I) >= tau
@@ -752,21 +764,18 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     M_cl, X = blocks(Q, v)
     if X is not None:
         M_cl, _ = blockla.schur_step(packet.L_prev, X.T, M_cl)
+    M_cl = blockla.symmetric_part(M_cl, "M_cl")
     try:
-        blockla.cholesky_lower(M_cl)
+        blockla._factor_symmetric(M_cl)
     except blockla.NotPositiveDefinite:
         return _declined(lam1, "MarginNotPositiveDefinite", theta)
-
-    return DesignRecord(
-        index=index,
-        Q=Q,
-        epsilon=0.5 * float(v["eps"]),
-        K_self=v.get("K_self"),
-        K_to_prev=v.get("K_to_prev"),
-        K_prev_to_self=v.get("K_prev_to_self"),
-        M_cl=M_cl,
-        route=ROUTE_SYNTHESIZED if gains else ROUTE_VERIFIED,
+    M_cl.flags.writeable = False
+    rec = DesignRecord(
+        index=index, Q=Q, epsilon=0.5 * float(v["eps"]), route=ROUTE_SYNTHESIZED if gains else ROUTE_VERIFIED,
+        K_self=v.get("K_self"), K_to_prev=v.get("K_to_prev"), K_prev_to_self=v.get("K_prev_to_self"),
     )
+    object.__setattr__(rec, "M_cl", M_cl)
+    return rec
 
 
 def local_verify(
@@ -806,7 +815,8 @@ def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> Messenger
     """Packet for the successor, or None when no successor is declared.
 
     A zero coupling matrix still yields a packet (with G_prev = 0); only
-    h_next=None means the cascade ends here.
+    h_next=None means the cascade ends here. A record without a margin
+    sends none (MissingMargin).
     """
     if h_next is None:
         return None
@@ -817,6 +827,8 @@ def build_packet(record: DesignRecord, sub: Subsystem, h_next=None) -> Messenger
     h = as_matrix(h_next, "h(i,i+1)")
     if h.shape[0] != sub.p:
         raise DimensionMismatch(f"h(i,i+1) has {h.shape[0]} rows, expected {sub.p}")
+    if record.M_cl is None:
+        raise MissingMargin(f"record {record.index} has no margin M_cl to send")
     # Finite data too large to multiply give a non-finite packet, which the
     # successor's local problem reports as MalformedProblem.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -866,7 +878,7 @@ def run_cascade_design(net: CascadeNetwork) -> NetworkDesignState:
     records: list[DesignRecord] = []
     for _ in net.subsystems:
         records.append(_design_next(net, records))
-    return NetworkDesignState._from_built(net, tuple(records))
+    return NetworkDesignState._from_built(net, records, [rec.M_cl for rec in records])
 
 
 def add_subsystem(
@@ -885,6 +897,7 @@ def add_subsystem(
     Then the
     step run_cascade_design takes designs subsystem N+1, and the result
     matches a from-scratch design of the grown network record for record.
+    A state that does not certify its network raises MissingMargin.
     """
     N = state.net.n_subsystems
     net = extend_network(
@@ -893,8 +906,8 @@ def add_subsystem(
     report = validate_last_subsystem(net)
     if not report.ok:
         raise InvalidNetwork(report)
-    rec = _design_next(net, state.records)
-    return NetworkDesignState._from_built(net, state.records + (rec,))
+    records = state.records + (_design_next(net, state.records),)
+    return NetworkDesignState._from_built(net, records, [rec.M_cl for rec in records])
 
 
 def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> blockla.BlockTriDiagonal:
@@ -923,21 +936,21 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
             raise DimensionMismatch(
                 f"gain key {key!r} is not (i, i) or (i, i+-1) within a {N}-subsystem chain"
             )
-    step_gains = [
-        {name: as_matrix(gains[ij], name) for name, ij in _gain_pairs(i).items() if ij in gains}
-        for i in range(1, N + 1)
+    fields = [
+        {"Q": Q, "epsilon": e}
+        | {name: as_matrix(gains[ij], name) for name, ij in _gain_pairs(i).items() if ij in gains}
+        for i, (Q, e) in enumerate(zip(storages, epsilons), start=1)
     ]
     subs = net.subsystems
-    for k, Q in enumerate(storages):
-        _check_shapes(f"step {k + 1}", {"Q": Q} | step_gains[k], subs[k], subs[k - 1] if k else None)
-    return _closed_loop_blocks(net, storages, epsilons, step_gains)
+    for k, f in enumerate(fields):
+        _check_shapes(f"step {k + 1}", f, subs[k], subs[k - 1] if k else None)
+    return _closed_loop_blocks(net, fields)
 
 
-def _closed_loop_blocks(net, storages, epsilons, step_gains) -> blockla.BlockTriDiagonal:
-    """closed_loop_blocks for inputs already in stored form: one exactly
-    symmetric float Q, one float eps and one mapping per subsystem, which
-    holds the record's float gains under their DesignRecord names (an
-    absent or None one is zero).
+def _closed_loop_blocks(net, fields) -> blockla.BlockTriDiagonal:
+    """closed_loop_blocks for records in stored form: one mapping per
+    subsystem, by DesignRecord field name, of an exactly symmetric float Q,
+    a float epsilon and float gains (an absent or None one is zero).
 
     A diagonal block depends on its own step alone, so the diagonal blocks
     are evaluated once per stack of steps with the same shapes and the same
@@ -948,15 +961,15 @@ def _closed_loop_blocks(net, storages, epsilons, step_gains) -> blockla.BlockTri
     subs = net.subsystems
     N = len(subs)
     groups = {}
-    for k, (sub, gains) in enumerate(zip(subs, step_gains)):
-        groups.setdefault((sub.n, sub.p, gains.get("K_self") is not None), []).append(k)
+    for k, (sub, f) in enumerate(zip(subs, fields)):
+        groups.setdefault((sub.n, sub.p, f.get("K_self") is not None), []).append(k)
     diag, QB1, QB3 = [None] * N, [None] * N, [None] * N
     for (_, _, has_gain), ks in groups.items():
-        Q = np.array([storages[k] for k in ks])
+        Q = np.array([fields[k]["Q"] for k in ks])
         qb1 = Q @ np.array([subs[k].B1 for k in ks])
         qb3 = Q @ np.array([subs[k].B3 for k in ks])
-        gains = {"K_self": np.array([step_gains[k]["K_self"] for k in ks])} if has_gain else {}
-        eps = 2.0 * np.array([epsilons[k] for k in ks])[:, None, None]
+        gains = {"K_self": np.array([fields[k]["K_self"] for k in ks])} if has_gain else {}
+        eps = 2.0 * np.array([fields[k]["epsilon"] for k in ks])[:, None, None]
         h_self = np.array([net.h_or_zero(k + 1, k + 1) for k in ks])
         S = _diagonal_block(np.array([subs[k].A for k in ks]), Q, qb1, qb3, eps, h_self, gains)
         for k, S_k, qb1_k, qb3_k in zip(ks, S, qb1, qb3):
@@ -964,11 +977,26 @@ def _closed_loop_blocks(net, storages, epsilons, step_gains) -> blockla.BlockTri
     supers = [
         -_coupling_block(
             QB1[k], QB3[k], net.h_or_zero(k + 1, k),
-            QB1[k - 1] @ net.h_or_zero(k, k + 1), QB3[k - 1], step_gains[k],
+            QB1[k - 1] @ net.h_or_zero(k, k + 1), QB3[k - 1], fields[k],
         ).T
         for k in range(1, N)
     ]
     return blockla.BlockTriDiagonal._from_built(diag, supers)
+
+
+def _derive_margins(net, fields):
+    """(margins, None): the M_cl of each record of fields, in the stored form
+    of _closed_loop_blocks. When block i is not positive definite or not
+    finite: the margins with None from record i on, and the recursion's
+    error, which names i. Blocks that overflow are left for it to name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _closed_loop_blocks(net, fields)
+        try:
+            return blockla.tridiag_pd_sequence(blocks).M_blocks, None
+        except (blockla.NotPositiveDefinite, blockla.NonFiniteMatrix) as exc:
+            k = exc.index - 1
+            head = blockla.BlockTriDiagonal._from_built(blocks.diag_blocks[:k], blocks.super_blocks[:max(k - 1, 0)])
+            return blockla.tridiag_pd_sequence(head).M_blocks + (None,) * (len(fields) - k), exc
 
 
 def _gain_pairs(i: int) -> dict:
@@ -986,10 +1014,6 @@ def _state_gains(state: NetworkDesignState) -> dict:
 
 
 def design_tridiagonal(state: NetworkDesignState) -> blockla.BlockTriDiagonal:
-    """Closed-loop certificate blocks of a designed state (per-block eps_i)."""
-    return closed_loop_blocks(
-        state.net,
-        [rec.Q for rec in state.records],
-        [rec.epsilon for rec in state.records],
-        _state_gains(state),
-    )
+    """Closed-loop certificate blocks of a designed state (per-block eps_i),
+    whose records the state has checked and holds in stored form."""
+    return _closed_loop_blocks(state.net, [vars(rec) for rec in state.records])

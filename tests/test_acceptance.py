@@ -127,11 +127,9 @@ def test_4_two_stage_chain_rates_and_margins():
         net=net,
         records=(
             DesignRecord(index=1, Q=[[1.0]], epsilon=0.5, K_self=None,
-                         K_to_prev=None, K_prev_to_self=None, M_cl=[[1.0]],
-                         route=ROUTE_VERIFIED),
+                         K_to_prev=None, K_prev_to_self=None, route=ROUTE_VERIFIED),
             DesignRecord(index=2, Q=[[1.0]], epsilon=0.25, K_self=None,
-                         K_to_prev=None, K_prev_to_self=None, M_cl=[[0.5]],
-                         route=ROUTE_VERIFIED),
+                         K_to_prev=None, K_prev_to_self=None, route=ROUTE_VERIFIED),
         ),
     )
     eigs = np.linalg.eigvalsh(oracle.sp_matrix(oracle.assemble_closed_loop(pinned)))

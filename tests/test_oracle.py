@@ -39,8 +39,7 @@ def record(index, q=1.0, eps=0.25, route=ROUTE_VERIFIED, **gains):
     return DesignRecord(
         index=index, Q=[[q]], epsilon=eps,
         K_self=gains.get("K_self"), K_to_prev=gains.get("K_to_prev"),
-        K_prev_to_self=gains.get("K_prev_to_self"),
-        M_cl=[[1.0]], route=route,
+        K_prev_to_self=gains.get("K_prev_to_self"), route=route,
     )
 
 
@@ -77,7 +76,7 @@ def test_assemble_closed_loop_rejects_storage_shape_mismatch():
     net = two_stage_scalar_cascade()
     wide = DesignRecord(
         index=2, Q=np.eye(2), epsilon=0.5, K_self=None, K_to_prev=None,
-        K_prev_to_self=None, M_cl=np.eye(2), route=ROUTE_VERIFIED,
+        K_prev_to_self=None, route=ROUTE_VERIFIED,
     )
     # The state itself rejects the storage, so no such state reaches the oracle.
     with pytest.raises(DimensionMismatch, match=r"records\[1\]: Q is \(2, 2\), expected \(1, 1\)"):

@@ -44,11 +44,10 @@ def free_storage_subsystem(a=-1.0):
     return Subsystem(A=a * np.eye(2), B1=np.eye(2), B2=[[1.0], [0.0]], B3=np.eye(2), C=[[1.0, 0.0]])
 
 
-def verified_record(index=1, q=1.0, eps=1.0, m=1.0):
+def verified_record(index=1, q=1.0, eps=1.0):
     return DesignRecord(
         index=index, Q=[[q]], epsilon=eps,
-        K_self=None, K_to_prev=None, K_prev_to_self=None,
-        M_cl=[[m]], route=ROUTE_VERIFIED,
+        K_self=None, K_to_prev=None, K_prev_to_self=None, route=ROUTE_VERIFIED,
     )
 
 
@@ -68,15 +67,15 @@ def test_record_validation():
     assert rec.K_self is None
     with pytest.raises(ValueError):
         DesignRecord(index=1, Q=[[1.0]], epsilon=1.0, K_self=[[1.0]],
-                     K_to_prev=None, K_prev_to_self=None, M_cl=[[1.0]],
+                     K_to_prev=None, K_prev_to_self=None,
                      route=ROUTE_VERIFIED)
     with pytest.raises(ValueError):
         DesignRecord(index=1, Q=[[1.0]], epsilon=1.0, K_self=None,
-                     K_to_prev=None, K_prev_to_self=None, M_cl=[[1.0]],
+                     K_to_prev=None, K_prev_to_self=None,
                      route="Guessed")
     with pytest.raises(ValueError):
         DesignRecord(index=1, Q=[[1.0]], epsilon=0.0, K_self=None,
-                     K_to_prev=None, K_prev_to_self=None, M_cl=[[1.0]],
+                     K_to_prev=None, K_prev_to_self=None,
                      route=ROUTE_VERIFIED)
 
 
@@ -826,8 +825,10 @@ def test_settle_rate_declines_with_a_bound_on_every_rate(s, r):
 
 
 def test_build_packet_contents_and_none():
-    rec = verified_record(q=2.0, m=1.5)
     sub = Subsystem(A=-1.0, B1=3.0, B2=0.5, B3=4.0, C=1.0)
+    # The state derives M_cl = -2 A Q - 2 epsilon = 4 - 2.5.
+    state = NetworkDesignState(net=CascadeNetwork.from_blocks([sub], {}), records=(verified_record(q=2.0, eps=1.25),))
+    rec = state.records[0]
     assert build_packet(rec, sub, None) is None
     packet = build_packet(rec, sub, [[0.1]])
     assert packet.prev_index == 1
@@ -902,12 +903,64 @@ def test_state_rejects_a_misshapen_gain():
     narrow = dataclasses.replace(first, K_self=[[first.K_self[0, 0]]])
     with pytest.raises(DimensionMismatch, match=re.escape("records[0]: K_self is (1, 1), expected (1, 2)")):
         NetworkDesignState(net=state.net, records=(narrow,) + state.records[1:])
-    wide = dataclasses.replace(first, M_cl=np.eye(3))
-    with pytest.raises(DimensionMismatch, match=re.escape("records[0]: M_cl is (3, 3), expected (2, 2)")):
+    wide = dataclasses.replace(first, Q=np.eye(3))
+    with pytest.raises(DimensionMismatch, match=re.escape("records[0]: Q is (3, 3), expected (2, 2)")):
         NetworkDesignState(net=state.net, records=(wide,) + state.records[1:])
     stray = dataclasses.replace(first, K_to_prev=[[1.0]])
     with pytest.raises(DimensionMismatch, match=re.escape("records[0]: record 1 cannot carry K_to_prev")):
         NetworkDesignState(net=state.net, records=(stray,) + state.records[1:])
+
+
+def test_a_margin_is_derived_never_given():
+    first = run_cascade_design(four_stage_cascade()).records[0]
+    with pytest.raises(ValueError, match="M_cl"):
+        dataclasses.replace(first, M_cl=1e4 * first.M_cl)
+    with pytest.raises(TypeError, match="M_cl"):
+        DesignRecord(index=1, Q=[[1.0]], epsilon=1.0, K_self=None, K_to_prev=None,
+                     K_prev_to_self=None, M_cl=[[1.0]], route=ROUTE_VERIFIED)
+    # A record that belongs to no state has no margin to send.
+    assert verified_record().M_cl is None
+    with pytest.raises(protocol.MissingMargin, match="record 1"):
+        build_packet(verified_record(), scalar_subsystem(), [[1.0]])
+
+
+# A scalar addition to the four-stage design: h(5,4) = [[1, 0]], h(4,5) = [[1]].
+FOUR_STAGE_ADDITION = (scalar_subsystem(), None, [[1.0, 0.0]], [[1.0]])
+
+
+def test_a_rebuilt_state_sends_the_margin_its_records_certify(monkeypatch):
+    state = run_cascade_design(four_stage_cascade())
+    first, margins = state.records[0], [rec.M_cl for rec in state.records]
+    nudged = NetworkDesignState(
+        net=state.net,
+        records=(dataclasses.replace(first, Q=first.Q * (1.0 + 2.0 ** -52)),) + state.records[1:],
+    )
+    derived = blockla.tridiag_pd_sequence(design_tridiagonal(nudged)).M_blocks
+    assert not np.array_equal(derived[0], first.M_cl)
+    for rec, M in zip(nudged.records, derived, strict=True):
+        assert np.array_equal(rec.M_cl, M), rec.index
+    # The state sets margins on its own copies; the design's records keep theirs.
+    assert all(rec.M_cl is M for rec, M in zip(state.records, margins))
+    assert all(a is not b for a, b in zip(nudged.records, state.records))
+    packets = []
+    send = protocol.build_packet
+    monkeypatch.setattr(protocol, "build_packet", lambda *args: packets.append(send(*args)) or packets[-1])
+    grown = add_subsystem(nudged, *FOUR_STAGE_ADDITION)
+    assert len(packets) == 1 and np.array_equal(packets[0].M_prev, derived[-1])
+    assert oracle.centralized_sp_check(oracle.assemble_closed_loop(grown)).verdict
+
+
+def test_a_state_that_does_not_certify_builds_but_does_not_grow():
+    state = run_cascade_design(four_stage_cascade())
+    last = state.records[3]
+    tampered = NetworkDesignState(
+        net=state.net, records=state.records[:3] + (dataclasses.replace(last, K_self=-last.K_self),)
+    )
+    # The recursion fails at block 4, so record 4 carries no margin.
+    assert [rec.M_cl is None for rec in tampered.records] == [False, False, False, True]
+    assert not oracle.centralized_sp_check(oracle.assemble_closed_loop(tampered)).verdict
+    with pytest.raises(protocol.MissingMargin, match="record 4"):
+        add_subsystem(tampered, *FOUR_STAGE_ADDITION)
 
 
 def test_closed_loop_blocks_requires_matching_lengths():

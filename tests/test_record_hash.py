@@ -3,12 +3,14 @@
 The digest is the ROADMAP's record hash: one SHA-256 fed, per state in
 order and per record in order, str(index), the route, float.hex(epsilon),
 then the tobytes() of Q, M_cl, K_self, K_to_prev and K_prev_to_self, with
-b"<None>" for an absent gain. The states are the four-stage design, 8
-random_cascade(1 + k % 8) designs on one default_rng(12345), and every
-state of a 10-step growth of the four-stage design by the benchmark's
-seeded_additions(default_rng(1)), each step saved and loaded as
-`cascadepass add` does. A change that moves any record fails here; such a
-change updates PINNED and says so in CHANGES.md.
+b"<None>" for an absent gain. Each state is also rebuilt through the
+public constructor, which must give every record bit for bit. The states
+are the four-stage design, 8 random_cascade(1 + k % 8) designs on one
+default_rng(12345), and every state of a 10-step growth of the four-stage
+design by the benchmark's seeded_additions(default_rng(1)), each step
+saved and loaded as `cascadepass add` does. A change that moves any
+record fails here; such a change updates PINNED and says so in
+CHANGES.md.
 """
 
 import hashlib
@@ -23,13 +25,25 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PINNED = "685462d03d91e13486662b5a2ce8d275c4ff130eb899363697fac0214aa3b516"
 
 
-def feed(digest, state):
+def record_bytes(state):
+    """The bytes the digest is fed for the records of state, in order."""
     for rec in state.records:
-        digest.update(str(rec.index).encode())
-        digest.update(rec.route.encode())
-        digest.update(float.hex(rec.epsilon).encode())
+        yield str(rec.index).encode()
+        yield rec.route.encode()
+        yield float.hex(rec.epsilon).encode()
         for a in (rec.Q, rec.M_cl, rec.K_self, rec.K_to_prev, rec.K_prev_to_self):
-            digest.update(b"<None>" if a is None else a.tobytes())
+            yield b"<None>" if a is None else a.tobytes()
+
+
+def feed(digest, state):
+    """Feed the records of state to digest, once rebuilding state through
+    the public constructor, which derives each M_cl afresh, has given every
+    record bit for bit."""
+    chunks = list(record_bytes(state))
+    rebuilt = protocol.NetworkDesignState(net=state.net, records=state.records)
+    assert list(record_bytes(rebuilt)) == chunks, "a rebuilt state's records differ"
+    for chunk in chunks:
+        digest.update(chunk)
 
 
 def test_records_match_the_pinned_digest(tmp_path, monkeypatch):

@@ -11,8 +11,10 @@ record of each state in order:
   ``cascadepass add`` does, then fed and grown further;
 * 40 designs ``random_cascade(1 + k % 8, default_rng(12345))``.
 
-A change that keeps every record bit for bit, in a design and in a load,
-leaves the hash unchanged. The script also prints how many times the
+``feed`` also rebuilds each state through the public constructor, which
+derives every M_cl afresh, and fails unless every record comes back bit
+for bit. A change that keeps every record bit for bit, in a design and in
+a load, leaves the hash unchanged. The script also prints how many times the
 local search ran ``lmi.minimize`` over those states, a count that does
 not depend on the hardware. Run from the repository root (about 15 s):
 
