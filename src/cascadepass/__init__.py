@@ -75,6 +75,7 @@ from .oracle import (
     assemble_closed_loop,
     sp_matrix,
     centralized_sp_check,
+    worst_start,
     simulate,
     dissipation_margin,
     export_trajectory_csv,
@@ -134,6 +135,7 @@ __all__ = [
     "assemble_closed_loop",
     "sp_matrix",
     "centralized_sp_check",
+    "worst_start",
     "simulate",
     "dissipation_margin",
     "export_trajectory_csv",

@@ -1,10 +1,12 @@
 """Block linear algebra for symmetric tri-diagonal certificate matrices.
 
-Provides a Cholesky factorization with an explicit pivot tolerance, a
-smallest-eigenvalue helper, one Schur complement step, and the sequential
-positive-definiteness test for symmetric block tri-diagonal matrices, which
-mirrors the physics of the chain: block i can be cleared knowing only the
-Schur complement left behind by block i-1.
+Provides a Cholesky factorization with an explicit pivot tolerance, the
+rounding shift that turns a floating-point Cholesky factorization of a
+certificate matrix into a proof, a smallest-eigenvalue helper, one Schur
+complement step, and the sequential positive-definiteness test for
+symmetric block tri-diagonal matrices, which mirrors the physics of the
+chain: block i can be cleared knowing only the Schur complement left
+behind by block i-1.
 
 The blocks are 1x1 to a few rows, so a call's cost is its Python and
 numpy overhead, not its arithmetic. A matrix is therefore checked and
@@ -37,6 +39,7 @@ __all__ = [
     "TriDiagFactor",
     "symmetric_part",
     "cholesky_lower",
+    "rounding_shift",
     "min_eigen_sym",
     "schur_step",
     "tridiag_pd_sequence",
@@ -183,6 +186,37 @@ def _cholesky_passes(A, floor: float) -> np.ndarray:
             col = A[:, j + 1:, j] / np.sqrt(pivot)[:, None]
             A[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
     return passes
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u), u = 2^-53: the relative error bound of k roundings."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def rounding_shift(A, Q, epsilon: float, W) -> float:
+    """The shift c for which a floating-point Cholesky factorization of
+    W - cI, W the symmetrized float value of -(A'Q + QA) - 2 eps I, proves
+    the exact -(A'Q + QA) - 2 eps I positive semidefinite (Q symmetric;
+    barring underflow):
+
+        c = g(n+2) || |A'||Q| + |Q||A| + 2 eps I + |W| ||_inf
+            + a sum_i max(W_ii, 0),
+
+    g(k) = k u / (1 - k u), u = 2^-53 and a = g(n+1) / (1 - 2 g(n+1)).
+    The first term bounds the rounding error of forming W, entry by entry
+    (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 3.5), and so its spectral norm; the second covers the
+    Cholesky factorization's own error (S. M. Rump, "Verification of
+    positive definiteness", BIT 46, 2006). The products need only g(n), so
+    the slack of g(n+2) covers c's own rounding.
+    """
+    A, Q, W = (np.asarray(a, dtype=float) for a in (A, Q, W))
+    n = W.shape[0]
+    alpha = _gamma(n + 1) / (1.0 - 2.0 * _gamma(n + 1))
+    bound = np.abs(A).T @ np.abs(Q) + np.abs(Q) @ np.abs(A) + np.abs(W)
+    bound[np.diag_indices(n)] += 2.0 * epsilon
+    cholesky_error = np.maximum(np.diagonal(W), 0.0).sum()
+    return float(_gamma(n + 2) * bound.sum(axis=1).max(initial=0.0) + alpha * cholesky_error)
 
 
 def min_eigen_sym(S) -> float:

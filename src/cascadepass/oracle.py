@@ -30,6 +30,7 @@ __all__ = [
     "sp_matrix",
     "storage_residual",
     "centralized_sp_check",
+    "worst_start",
     "simulate",
     "dissipation_margin",
     "export_trajectory_csv",
@@ -248,18 +249,24 @@ def storage_residual(Q, B2, C):
 def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     """Algebraic pass/fail for state-strict passivity of the closed loop.
 
-    Pass requires the certificate matrix's smallest eigenvalue to clear
-    -1e-8 * max(1, max |W_ij|), a margin scaled from the matrix itself,
-    the storage output matching Q B2 = C' to relative precision, and a
-    positive definite storage.
+    Pass requires a proof that the exact certificate matrix of the stored
+    Acl, Q and epsilon is positive semidefinite: a floating-point Cholesky
+    factorization of its symmetrized float value W, shifted down by
+    blockla.rounding_shift, must meet only positive pivots. Pass also
+    requires the storage output to match Q B2 = C' to relative precision,
+    and a positive definite storage. The certificate is then exact for the
+    output map (Q B2)', which eq_residual, max |Q B2 - C'|, compares with
+    C. w_min_eig, W's smallest eigenvalue, is reported, not tested.
     """
-    W = sp_matrix(cl)
+    W = blockla.symmetric_part(sp_matrix(cl), "W")
     w_min = blockla.min_eigen_sym(W)
-    margin = 1e-8 * max(1.0, float(np.abs(W).max()))
+    shift = blockla.rounding_shift(cl.Acl, cl.Q, cl.epsilon, W)
     eq_residual, eq_tol = map(float, storage_residual(cl.Q, cl.B2, cl.C))
 
     reasons = []
-    if w_min < -margin:
+    try:
+        blockla._cholesky(W - shift * np.eye(cl.n), 0.0)
+    except blockla.NotPositiveDefinite:
         reasons.append("MatrixNotPositive")
     if eq_residual > eq_tol:
         reasons.append("EqualityResidual")
@@ -273,6 +280,17 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
         verdict=not reasons,
         reasons=tuple(reasons),
     )
+
+
+def worst_start(cl: ClosedLoopSystem) -> tuple[float, np.ndarray]:
+    """The storage's true rate r = lambda_min(-(Acl'Q + Q Acl)) / 2 and its
+    unit eigenvector, the start where the storage decays slowest.
+
+    Started there with no disturbance, the dissipation slack grows at rate
+    (r - rate) |x0|^2 at t = 0, so any claimed rate above r shows at once.
+    """
+    lam, vecs = np.linalg.eigh(-0.5 * (cl.Acl.T @ cl.Q + cl.Q @ cl.Acl))
+    return float(lam[0]), vecs[:, 0]
 
 
 def _rk4_maps(A: np.ndarray, B: np.ndarray, h: float):
@@ -290,6 +308,91 @@ def _rk4_maps(A: np.ndarray, B: np.ndarray, h: float):
     G1 = (h / 6.0) * (4.0 * I + 2.0 * M + M2 / 2.0) @ B
     G2 = (h / 6.0) * B
     return Phi, G0, G1, G2
+
+
+# _affine_scan runs at most this many rows by a direct loop.
+_DIRECT_ROWS = 16
+
+
+def _block_length(rows: int) -> int:
+    """Steps per block when _affine_scan splits rows: the nearest integer
+    to the cube root, the length that measured fastest."""
+    return round(rows ** (1.0 / 3.0))
+
+
+def _scan_rows(steps: int) -> int:
+    """The fewest rows, at least steps, that _affine_scan can take: steps
+    itself up to _DIRECT_ROWS, else the first count its block length
+    divides (at most a block more)."""
+    rows = steps
+    while rows > _DIRECT_ROWS and rows % _block_length(rows):
+        rows += 1
+    return rows
+
+
+def _affine_scan(Phi: np.ndarray, x0: np.ndarray, f: np.ndarray) -> None:
+    """Overwrite each row f[k] with x[k+1] of x[k+1] = Phi x[k] + f[k],
+    x[0] = x0.
+
+    f is a C-contiguous (rows, n) array with rows = _scan_rows(S) for S
+    steps, its rows past S zero. Up to _DIRECT_ROWS rows a direct loop
+    runs them. Otherwise the rows are cut into nb blocks of L =
+    _block_length(rows) steps:
+
+    1. the zero-state end of every block but the last, as one product:
+       the blocks' forcing rows, flattened to (nb - 1, L n), times the
+       powers (Phi^(L-1))' .. (Phi^0)' stacked to (L n, n), which about
+       log2(L) batched matmuls build by doubling;
+    2. the states entering the blocks, which follow the same recurrence
+       with Phi^L over those nb - 1 ends: this function, called on them;
+    3. one sweep, x[k+1] = Phi x[k] + f[k] row by row in every block at
+       once, the first row of a block from its entering state (L matmuls
+       over nb rows).
+
+    A level sweeps about the cube root of its rows and leaves about
+    rows^(2/3) to the next, so S steps take fewer than 3 S^(1/3) Python
+    iterations: about 60 at S = 20000, where one level of sqrt(S) blocks
+    takes 2 sqrt(S) = 283.
+    """
+    rows, n = f.shape
+    # matmul takes a C-ordered right factor about twice as fast as the
+    # transposed view.
+    Phi_T = np.ascontiguousarray(Phi.T)
+    if rows <= _DIRECT_ROWS:
+        prev = x0
+        for k in range(rows):
+            f[k] += prev @ Phi_T
+            prev = f[k]
+        return
+    L = _block_length(rows)
+    nb = rows // L
+    # blocks[b, i] is f[bL + i], a view of f.
+    blocks = f.reshape((nb, L, n), copy=False)
+
+    # powers_T[j] is (Phi^j)' for j < L, filled by doubling: each pass
+    # multiplies the k powers so far by (Phi^k)'.
+    powers_T = np.empty((L, n, n))
+    powers_T[0] = np.eye(n)
+    step_T, k = Phi_T, 1
+    while k < L:
+        j = min(k, L - k)
+        np.matmul(powers_T[:j], step_T, out=powers_T[k:k + j])
+        step_T, k = step_T @ step_T, k + j
+    PhiL_T = powers_T[L - 1] @ Phi_T
+
+    # entering[b] is x[bL], the state entering block b: x0, then the
+    # scan of the first nb - 1 blocks' zero-state ends under Phi^L.
+    entering = np.empty((1 + _scan_rows(nb - 1), n))
+    entering[0] = x0
+    entering[nb:] = 0.0
+    np.matmul(blocks[:-1].reshape(nb - 1, L * n), powers_T[::-1].reshape(L * n, n), out=entering[1:nb])
+    _affine_scan(PhiL_T.T, x0, entering[1:])
+
+    row = entering[:nb] @ Phi_T
+    blocks[:, 0] += row
+    for i in range(1, L):
+        np.matmul(blocks[:, i - 1], Phi_T, out=row)
+        blocks[:, i] += row
 
 
 def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: float = 1e-3) -> Trajectory:
@@ -319,23 +422,14 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
 
     (_rk4_maps). The forcing f is three matmuls over the samples, written
     into rows 1..S of x; of the samples only the grid values w(t_k) are
-    kept, as a copy. The recurrence is then solved in place by a blocked
-    scan over nb blocks of L = isqrt(S) steps, zero-padded to nb L rows:
-
-    1. the zero-state end of every block, as one product: the blocks'
-       forcing rows, flattened to (nb, L n), times the powers
-       (Phi^(L-1))' .. (Phi^0)' stacked to (L n, n), which about
-       log2(L) batched matmuls build by doubling;
-    2. the state entering each block, from x0 by the recurrence
-       e[b+1] = Phi^L e[b] + end[b] (nb - 1 matvecs);
-    3. one forward sweep, x[k+1] = Phi x[k] + f[k] row by row in every
-       block at once, the first row of a block from its entering state
-       (L matmuls over nb rows).
-
-    That is about 2 sqrt(S) Python iterations and one pass over x. The
-    returned Trajectory holds the arrays built here, made read-only
-    rather than copied; none shares memory with x0 or with what the
-    disturbance returned.
+    kept, as a copy. x is allocated once, with the zero rows _scan_rows
+    pads it by, and _affine_scan solves the recurrence in place, in fewer
+    than 3 S^(1/3) Python iterations, by a recursive blocked scan (the
+    prefix-scan decomposition of G. E. Blelloch, "Prefix sums and their
+    applications", CMU-CS-90-190, 1990). The scan knows nothing of RK4:
+    it takes Phi, x0 and the forcing rows. The returned Trajectory holds
+    the arrays built here, made read-only rather than copied; none shares
+    memory with x0 or with what the disturbance returned.
     """
     T, dt = float(T), float(dt)
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
@@ -371,13 +465,9 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
         )
 
     Phi, G0, G1, G2 = _rk4_maps(cl.Acl, cl.B2, h)
-    L = math.isqrt(steps)
-    nb = -(-steps // L)
-    x = np.empty((1 + nb * L, n))
+    x = np.empty((1 + _scan_rows(steps), n))
     x[0] = x0
     x[steps + 1:] = 0.0
-    # blocks[b, i] is x[1 + bL + i], a view of x.
-    blocks = x[1:].reshape(nb, L, n)
     # An unstable step size overflows; that is reported once, below, as
     # NonFiniteTrajectory rather than as a warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,31 +480,7 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
         # half-grid samples are freed before y and V are formed.
         w = w_half[::2].copy()
         del w_half
-
-        # powers_T[j] is (Phi^j)' for j < L, filled by doubling: each pass
-        # multiplies the k powers so far by (Phi^k)'.
-        powers_T = np.empty((L, n, n))
-        powers_T[0] = np.eye(n)
-        step_T, k = Phi.T, 1
-        while k < L:
-            j = min(k, L - k)
-            np.matmul(powers_T[:j], step_T, out=powers_T[k:k + j])
-            step_T, k = step_T @ step_T, k + j
-        PhiL_T = powers_T[L - 1] @ Phi.T
-
-        # entering[b] is x[bL], the state entering block b: Phi^L times
-        # the state entering block b - 1, plus that block's zero-state end.
-        entering = np.empty((nb, n))
-        entering[0] = x0
-        np.matmul(blocks[:-1].reshape(nb - 1, L * n), powers_T[::-1].reshape(L * n, n), out=entering[1:])
-        for b in range(1, nb):
-            entering[b] += entering[b - 1] @ PhiL_T
-
-        row = entering @ Phi.T
-        blocks[:, 0] += row
-        for i in range(1, L):
-            np.matmul(blocks[:, i - 1], Phi.T, out=row)
-            blocks[:, i] += row
+        _affine_scan(Phi, x0, x[1:])
 
     x = x[:steps + 1]
     if not np.all(np.isfinite(x)):

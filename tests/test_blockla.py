@@ -16,6 +16,7 @@ from cascadepass.blockla import (
     NotPositiveDefinite,
     cholesky_lower,
     min_eigen_sym,
+    rounding_shift,
     schur_step,
     symmetric_part,
     tridiag_pd_sequence,
@@ -82,6 +83,26 @@ def test_symmetric_part_checks():
 
 def test_min_eigen_sym_matches_diagonal():
     assert min_eigen_sym(np.diag([3.0, -2.0, 7.0])) == -2.0
+
+
+def test_rounding_shift_bounds_the_error_of_forming_the_certificate_matrix():
+    # The float W = -(A'Q + QA) - 2 eps I, symmetrized, against the exact
+    # matrix of the same float A, Q and eps, in rational arithmetic.
+    rng = np.random.default_rng(7)
+    for k in range(60):
+        n = 1 + k % 6
+        A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+        R = rng.normal(size=(n, n))
+        Q = symmetric_part(R @ R.T + 10.0 ** rng.uniform(-3, 3) * np.eye(n))
+        eps = 10.0 ** rng.uniform(-3, 3)
+        W = symmetric_part(-(A.T @ Q + Q @ A) - 2.0 * eps * np.eye(n))
+        Af, Qf = [[Fraction(v) for v in row] for row in A], [[Fraction(v) for v in row] for row in Q]
+        error = max(
+            sum(abs(-sum(Af[s][i] * Qf[s][j] + Qf[i][s] * Af[s][j] for s in range(n))
+                    - 2 * Fraction(eps) * (i == j) - Fraction(W[i, j])) for j in range(n))
+            for i in range(n)
+        )
+        assert error <= rounding_shift(A, Q, eps, W), k
 
 
 def test_blocktridiagonal_shape_validation():

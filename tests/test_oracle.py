@@ -1,6 +1,8 @@
 """Centralized certificate and trajectory checks on assembled closed loops."""
 
+import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from cascadepass.oracle import (
     export_trajectory_csv,
     simulate,
     sp_matrix,
+    worst_start,
 )
 from cascadepass.protocol import (
     ROUTE_SYNTHESIZED,
@@ -33,6 +36,8 @@ from cascadepass.protocol import (
     NetworkDesignState,
 )
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade, two_stage_scalar_cascade
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def record(index, q=1.0, eps=0.25, route=ROUTE_VERIFIED, **gains):
@@ -104,6 +109,17 @@ def test_centralized_check_flags_equality_residual():
     assert not cert.verdict
     assert "EqualityResidual" in cert.reasons
     assert cert.eq_residual == 1.0
+
+
+def test_centralized_check_proves_a_long_chain_and_rejects_a_one_percent_overclaim():
+    # max |W_ij| = 1.85e5 here, so a margin scaled from the matrix's
+    # largest entry (1.8e-3) would pass 1.01 r, whose w_min is -6.2e-4.
+    cl = assemble_closed_loop(protocol.run_cascade_design(random_cascade(128, np.random.default_rng(12345))))
+    assert centralized_sp_check(cl).verdict
+    r = worst_start(cl)[0]
+    cert = centralized_sp_check(dataclasses.replace(cl, epsilon=1.01 * r))
+    assert cert.reasons == ("MatrixNotPositive",)
+    assert -1e-3 < cert.w_min_eig < 0.0
 
 
 def test_centralized_check_flags_indefinite_certificate():
@@ -260,15 +276,21 @@ def four_stage_loop():
     return assemble_closed_loop(protocol.run_cascade_design(four_stage_cascade()))
 
 
-# Step counts 1 and 2 make one-row blocks, 14 and 7143 pad the last
-# block, 400 is a perfect square, and 20000 is the default horizon.
+# Step counts 1, 2, 14 and 16 run the direct loop, and 17 is the first
+# count split into blocks. 7143, 20001 and the default horizon 20000 pad
+# blocks at several levels, 400 is a perfect square, and 19683 = 27^3
+# fills 27^2 whole blocks.
 @pytest.mark.parametrize("T,dt,steps", [
     (20.0, 1e-3, 20000),
     (1e-3, 1e-3, 1),
     (2e-3, 1e-3, 2),
     (0.0137, 1e-3, 14),
+    (0.016, 1e-3, 16),
+    (0.017, 1e-3, 17),
     (5.0, 7e-4, 7143),
     (0.4, 1e-3, 400),
+    (19.683, 1e-3, 19683),
+    (20.001, 1e-3, 20001),
 ])
 def test_simulate_matches_step_by_step_rk4(four_stage_loop, T, dt, steps):
     cl = four_stage_loop
@@ -289,6 +311,27 @@ def test_simulate_matches_step_by_step_rk4_on_a_34_state_loop(T, dt):
     disturbance = SineDisturbance.from_seed(cl.m, seed=3)
     traj = simulate(cl, disturbance, x0=x0, T=T, dt=dt)
     assert_matches_reference(traj, cl, disturbance, x0, T, dt)
+
+
+def test_simulate_matches_step_by_step_rk4_on_a_stiff_grown_loop(monkeypatch):
+    # Ten grow_persist additions to the four-stage design, at a step of
+    # 2.5 / rho(Acl), near the edge of RK4's stability interval.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import fixed_design, seeded_additions
+
+    state = fixed_design()
+    additions = seeded_additions(
+        np.random.default_rng(1), state.net.subsystems[-1], state.net.n_subsystems + 1, 10
+    )
+    for addition in additions:
+        state = protocol.add_subsystem(state, *addition)
+    cl = assemble_closed_loop(state)
+    dt = 2.5 / np.abs(np.linalg.eigvals(cl.Acl)).max()
+    x0 = np.linspace(-1.0, 1.0, cl.n)
+    disturbance = SineDisturbance.from_seed(cl.m, seed=3)
+    traj = simulate(cl, disturbance, x0=x0, T=2000 * dt, dt=dt)
+    assert traj.t.shape == (2001,)
+    assert_matches_reference(traj, cl, disturbance, x0, 2000 * dt, dt)
 
 
 def test_simulate_peak_memory_is_at_most_twice_what_it_returns(four_stage_loop):
@@ -470,15 +513,9 @@ def test_export_trajectory_csv_bytes(tmp_path):
 
 
 def worst_start_margins(cl):
-    """Margins at the design rate and at 1.01 r, started on the direction
-    where the storage decays slowest, with no disturbance.
-
-    r = lambda_min(-(Acl'Q + Q Acl)) / 2 is the true rate of the storage:
-    the slack grows at rate (r - rate)|x0|^2 at t = 0, so the margin goes
-    negative at once for any claimed rate above r.
-    """
-    lam, vecs = np.linalg.eigh(-0.5 * (cl.Acl.T @ cl.Q + cl.Q @ cl.Acl))
-    r, x0 = lam[0], vecs[:, 0]
+    """Margins at the design rate and at 1.01 r, r the storage's true
+    rate, started at oracle.worst_start with no disturbance."""
+    r, x0 = worst_start(cl)
     traj = simulate(cl, lambda t: np.zeros(cl.m), x0=x0, T=0.05, dt=1e-4)
     return dissipation_margin(traj, cl.epsilon), dissipation_margin(traj, 1.01 * r)
 

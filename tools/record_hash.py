@@ -24,9 +24,15 @@ not depend on the hardware. Run from the repository root (about 15 s):
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+# The package's matrices are small, and OpenBLAS threads only add
+# synchronization: one thread runs faster on few cores, with the same
+# hash.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 for sub in ("src", "tests", "perfbench"):

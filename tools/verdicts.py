@@ -71,19 +71,13 @@ ORACLE_EVERY = 10
 UNIT_POWERS = (-10, -6, -3, 3, 6, 10)
 
 
-def true_rate(cl) -> tuple[float, np.ndarray]:
-    """r = lambda_min(-(Acl'Q + Q Acl)) / 2 and its unit eigenvector."""
-    lam, vecs = np.linalg.eigh(-0.5 * (cl.Acl.T @ cl.Q + cl.Q @ cl.Acl))
-    return lam[0], vecs[:, 0]
-
-
 def summary(state) -> dict:
     """Routes (V or S) and rates of a design, step by step, and r / eps."""
     cl = oracle.assemble_closed_loop(state)
     return {
         "routes": "".join(rec.route[0] for rec in state.records),
         "eps": [rec.epsilon for rec in state.records],
-        "rate_ratio": true_rate(cl)[0] / cl.epsilon,
+        "rate_ratio": oracle.worst_start(cl)[0] / cl.epsilon,
     }
 
 
@@ -104,7 +98,7 @@ class Tally:
         cl = oracle.assemble_closed_loop(state)
         self.checked += 1
         self.accepted += bool(oracle.centralized_sp_check(cl).verdict)
-        r, x0 = true_rate(cl)
+        r, x0 = oracle.worst_start(cl)
         dt = min(1e-4, 0.1 / np.abs(np.linalg.eigvals(cl.Acl)).max())
         traj = oracle.simulate(cl, lambda t: np.zeros(cl.m), x0=x0, T=500 * dt, dt=dt)
         self.holds += oracle.dissipation_margin(traj, cl.epsilon) >= -oracle.SLACK_TOL
