@@ -3,7 +3,8 @@
 Provides a Cholesky factorization with an explicit pivot tolerance, the
 rounding shift that turns a floating-point Cholesky factorization of a
 certificate matrix into a proof, a smallest-eigenvalue helper, one Schur
-complement step, and the sequential positive-definiteness test for
+complement step, a matrix exponential for the oracle's exact time step,
+and the sequential positive-definiteness test for
 symmetric block tri-diagonal matrices, which mirrors the physics of the
 chain: block i can be cleared knowing only the Schur complement left
 behind by block i-1.
@@ -41,6 +42,7 @@ __all__ = [
     "cholesky_lower",
     "rounding_shift",
     "min_eigen_sym",
+    "expm",
     "schur_step",
     "tridiag_pd_sequence",
 ]
@@ -225,6 +227,58 @@ def min_eigen_sym(S) -> float:
     if A.size == 0:
         raise ValueError("empty matrix has no eigenvalues")
     return float(np.linalg.eigvalsh(A)[0])
+
+
+# Numerator coefficients b_0 .. b_13 of the [13/13] Pade approximant to
+# exp, and the largest 1-norm at which it is accurate to unit roundoff
+# (N. J. Higham, "The scaling and squaring method for the matrix
+# exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193).
+_PADE13_B = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+# The coefficients of I, A^2, A^4 and A^6 in the four parts of
+# U = A (A^6 U_hi + U_lo) and V = A^6 V_hi + V_lo, the odd and even terms.
+_PADE13_PARTS = np.array([
+    [_PADE13_B[1], _PADE13_B[3], _PADE13_B[5], _PADE13_B[7]],  # U_lo
+    [0.0, _PADE13_B[9], _PADE13_B[11], _PADE13_B[13]],  # U_hi
+    [_PADE13_B[0], _PADE13_B[2], _PADE13_B[4], _PADE13_B[6]],  # V_lo
+    [0.0, _PADE13_B[8], _PADE13_B[10], _PADE13_B[12]],  # V_hi
+])
+_THETA13 = 5.371920351148152
+
+
+def expm(M) -> np.ndarray:
+    """The matrix exponential of a square matrix, by scaling and squaring.
+
+    M is scaled by 2^-s, the fewest halvings that bring its 1-norm to at
+    most _THETA13; the [13/13] Pade approximant (V - U)^-1 (V + U) of the
+    scaled matrix A is squared s times (Higham 2005, Algorithm 2.3, at
+    degree 13 only). The four parts of U and V are formed from the powers
+    I, A^2, A^4, A^6 by one product with _PADE13_PARTS. Raises
+    NonFiniteMatrix for a matrix with NaN or infinity.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got shape {M.shape}")
+    _require_finite(M, "M")
+    norm = np.abs(M).sum(axis=0).max(initial=0.0)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    A = M * 2.0**-s
+    k = A.shape[0]
+    powers = np.empty((4, k, k))
+    powers[0] = np.eye(k)
+    np.matmul(A, A, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    u_lo, u_hi, v_lo, v_hi = (_PADE13_PARTS @ powers.reshape(4, k * k)).reshape(4, k, k)
+    U = A @ (powers[3] @ u_hi + u_lo)
+    V = powers[3] @ v_hi + v_lo
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def schur_step(L, R, D):

@@ -5,6 +5,11 @@ sidestepping the per-step recursion: the protocol claims state-strict
 passivity of the closed loop, and this module re-derives that claim from
 the global matrices (algebraically via centralized_sp_check) and from
 time-domain trajectories (via simulate and dissipation_margin).
+simulate steps the linear loop exactly for a disturbance held linear
+between its grid samples, from one matrix exponential per call, so a
+trajectory carries no integration error and no step size makes a
+certified loop diverge; only the trapezoid supply in dissipation_margin
+depends on the step.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ __all__ = [
 
 
 class NonFiniteTrajectory(ArithmeticError):
-    """Numerical integration produced an overflow or NaN."""
+    """A trajectory or its step map left the finite range."""
 
 
 class TrajectoryTooLarge(ValueError):
@@ -259,7 +264,7 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     C. w_min_eig, W's smallest eigenvalue, is reported, not tested.
     """
     W = blockla.symmetric_part(sp_matrix(cl), "W")
-    w_min = blockla.min_eigen_sym(W)
+    w_min = np.linalg.eigvalsh(W)[0]
     shift = blockla.rounding_shift(cl.Acl, cl.Q, cl.epsilon, W)
     eq_residual, eq_tol = map(float, storage_residual(cl.Q, cl.B2, cl.C))
 
@@ -293,21 +298,35 @@ def worst_start(cl: ClosedLoopSystem) -> tuple[float, np.ndarray]:
     return float(lam[0]), vecs[:, 0]
 
 
-def _rk4_maps(A: np.ndarray, B: np.ndarray, h: float):
-    """The maps of one RK4 step of x' = A x + B w(t).
+def _hold_maps(A: np.ndarray, B: np.ndarray, h: float):
+    """Phi and the C-ordered transposes G0' and G1' of the maps of one
+    exact step of x' = A x + B w(t) with w linear over the step:
+    x(t+h) = Phi x(t) + G0 w(t) + G1 w(t+h).
 
-    With M = hA the step is exactly
-    x(t+h) = Phi x(t) + G0 w(t) + G1 w(t+h/2) + G2 w(t+h).
+    They are blocks of one matrix exponential (C. Van Loan, "Computing
+    integrals involving the matrix exponential", IEEE TAC 23 (1978)):
+
+        expm([[Ah, Bh, 0], [0, 0, I], [0, 0, 0]])
+            = [[Phi, Gamma1, Gamma2], [0, I, I], [0, 0, I]],
+
+    where Gamma1 is the response to a constant w and Gamma2 to one that
+    rises from 0 to 1 over the step, so G0 = Gamma1 - Gamma2 and G1 =
+    Gamma2. Raises NonFiniteTrajectory if h A or h B overflows.
     """
-    I = np.eye(A.shape[0])
-    M = h * A
-    M2 = M @ M
-    M3 = M2 @ M
-    Phi = I + M + M2 / 2.0 + M3 / 6.0 + (M3 @ M) / 24.0
-    G0 = (h / 6.0) * (I + M + M2 / 2.0 + M3 / 4.0) @ B
-    G1 = (h / 6.0) * (4.0 * I + 2.0 * M + M2 / 2.0) @ B
-    G2 = (h / 6.0) * B
-    return Phi, G0, G1, G2
+    n, m = B.shape
+    block = np.zeros((n + 2 * m, n + 2 * m))
+    with np.errstate(over="ignore"):
+        block[:n, :n] = h * A
+        block[:n, n:n + m] = h * B
+    block[n:n + m, n + m:] = np.eye(m)
+    try:
+        E = blockla.expm(block)
+    except blockla.NonFiniteMatrix:
+        raise NonFiniteTrajectory(f"the step map of h = {h:.6g} left the finite range") from None
+    Gamma2 = E[:n, n + m:]
+    # matmul takes a C-ordered right factor about twice as fast as the
+    # transposed view.
+    return E[:n, :n], np.ascontiguousarray((E[:n, n:n + m] - Gamma2).T), np.ascontiguousarray(Gamma2.T)
 
 
 # _affine_scan runs at most this many rows by a direct loop.
@@ -330,7 +349,13 @@ def _scan_rows(steps: int) -> int:
     return rows
 
 
-def _affine_scan(Phi: np.ndarray, x0: np.ndarray, f: np.ndarray) -> None:
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """a (..., n) with contiguous rows, viewed with each row as one
+    n-float element, so that a copy moves whole rows at a time."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
+
+
+def _affine_scan(Phi: np.ndarray, x0: np.ndarray, f: np.ndarray, work: np.ndarray | None = None) -> None:
     """Overwrite each row f[k] with x[k+1] of x[k+1] = Phi x[k] + f[k],
     x[0] = x0.
 
@@ -347,7 +372,11 @@ def _affine_scan(Phi: np.ndarray, x0: np.ndarray, f: np.ndarray) -> None:
        with Phi^L over those nb - 1 ends: this function, called on them;
     3. one sweep, x[k+1] = Phi x[k] + f[k] row by row in every block at
        once, the first row of a block from its entering state (L matmuls
-       over nb rows).
+       over nb rows). It runs on a copy of the rows in (L, nb, n) order,
+       in work (C-contiguous, at least rows rows) when given, so that
+       each step reads and adds contiguous rows: in place, a step's
+       (nb, n) add over rows a block apart runs numpy's inner loop only
+       n entries at a time. Both copies move whole rows (_as_rows).
 
     A level sweeps about the cube root of its rows and leaves about
     rows^(2/3) to the next, so S steps take fewer than 3 S^(1/3) Python
@@ -358,7 +387,8 @@ def _affine_scan(Phi: np.ndarray, x0: np.ndarray, f: np.ndarray) -> None:
     # matmul takes a C-ordered right factor about twice as fast as the
     # transposed view.
     Phi_T = np.ascontiguousarray(Phi.T)
-    if rows <= _DIRECT_ROWS:
+    # A state of no entries has no row view for the sweep's copies.
+    if rows <= _DIRECT_ROWS or n == 0:
         prev = x0
         for k in range(rows):
             f[k] += prev @ Phi_T
@@ -388,48 +418,52 @@ def _affine_scan(Phi: np.ndarray, x0: np.ndarray, f: np.ndarray) -> None:
     np.matmul(blocks[:-1].reshape(nb - 1, L * n), powers_T[::-1].reshape(L * n, n), out=entering[1:nb])
     _affine_scan(PhiL_T.T, x0, entering[1:])
 
+    # sweep[i, b] is x[bL + i + 1] once step i is done.
+    sweep = np.empty((L, nb, n)) if work is None else work[:rows].reshape(L, nb, n)
+    np.copyto(_as_rows(sweep), _as_rows(blocks).T)
     row = entering[:nb] @ Phi_T
-    blocks[:, 0] += row
+    sweep[0] += row
     for i in range(1, L):
-        np.matmul(blocks[:, i - 1], Phi_T, out=row)
-        blocks[:, i] += row
+        np.matmul(sweep[i - 1], Phi_T, out=row)
+        sweep[i] += row
+    np.copyto(_as_rows(blocks), _as_rows(sweep).T)
 
 
 def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: float = 1e-3) -> Trajectory:
-    """Integrate the closed loop under a disturbance with fixed-step RK4.
+    """Step the closed loop exactly under a disturbance held linear
+    between grid samples.
 
     T, dt and T / dt must be positive and finite (ValueError otherwise,
     before any sampling), and the returned trajectory, (S + 1)(2 + n + 2m)
     float64 entries, at most MAX_TRAJECTORY_BYTES (TrajectoryTooLarge
     otherwise, before any allocation). The step is nudged so the horizon
     lands exactly on the grid of S steps of length h. The disturbance is
-    sampled once, at the 2S+1 half-grid times k h/2, where every RK4 stage
-    time falls: by its on_grid(h/2, 2S+1) method when it has one, as
-    SineDisturbance does, and otherwise by one call with the 1-D array of
-    those times. The samples come back as a (2S+1, cl.m) array, or a
-    (cl.m,) vector for a constant disturbance; any other shape raises
-    ValueError.
+    sampled once, at the S+1 grid times t_k = k h: by its on_grid(h, S+1)
+    method when it has one, as SineDisturbance does, and otherwise by one
+    call with the read-only 1-D array of those times. The samples come
+    back as an (S+1, cl.m) array, or a (cl.m,) vector for a constant
+    disturbance; any other shape raises ValueError.
 
-    RK4 applied to the linear system x' = A x + B w(t) is one fixed
-    affine map per step. Expanding the four stages k1..k4 with M = hA
-    gives x[k+1] = Phi x[k] + f[k], where
+    Between samples w is taken as linear (a first-order hold), and the
+    linear loop x' = Acl x + B2 w is then solved exactly over each step:
+    x[k+1] = Phi x[k] + f[k] with
 
-        Phi  = I + M + M^2/2 + M^3/6 + M^4/24
-        f[k] = G0 w(t_k) + G1 w(t_k + h/2) + G2 w(t_k + h)
-        G0   = (h/6) (I + M + M^2/2 + M^3/4) B
-        G1   = (h/6) (4I + 2M + M^2/2) B
-        G2   = (h/6) B
+        Phi  = e^{Acl h}
+        f[k] = G0 w(t_k) + G1 w(t_{k+1})
 
-    (_rk4_maps). The forcing f is three matmuls over the samples, written
-    into rows 1..S of x; of the samples only the grid values w(t_k) are
-    kept, as a copy. x is allocated once, with the zero rows _scan_rows
-    pads it by, and _affine_scan solves the recurrence in place, in fewer
-    than 3 S^(1/3) Python iterations, by a recursive blocked scan (the
+    from one matrix exponential (_hold_maps). So no step size makes a
+    Hurwitz loop diverge, and NonFiniteTrajectory means a loop that is
+    not Hurwitz, a non-finite disturbance, or a step map that overflows.
+    The forcing f is two matmuls over the samples, written into rows
+    1..S of x. x is allocated once, with the zero rows _scan_rows pads it
+    by, and _affine_scan solves the recurrence in place, in fewer than
+    3 S^(1/3) Python iterations, by a recursive blocked scan (the
     prefix-scan decomposition of G. E. Blelloch, "Prefix sums and their
-    applications", CMU-CS-90-190, 1990). The scan knows nothing of RK4:
-    it takes Phi, x0 and the forcing rows. The returned Trajectory holds
-    the arrays built here, made read-only rather than copied; none shares
-    memory with x0 or with what the disturbance returned.
+    applications", CMU-CS-90-190, 1990). One scratch array of x's size
+    serves the second forcing product, the scan's sweep and x Q in turn.
+    The returned Trajectory holds the arrays built here, made read-only
+    rather than copied; none shares memory with x0 or with what the
+    disturbance returned.
     """
     T, dt = float(T), float(dt)
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
@@ -449,45 +483,50 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
             f"{MAX_TRAJECTORY_BYTES}-byte trajectory allows"
         )
     h = T / steps
-    t = np.arange(steps + 1) * h
+    t = np.arange(steps + 1, dtype=float)
+    t *= h
+    t.flags.writeable = False
 
-    half = 2 * steps + 1
     if hasattr(disturbance, "on_grid"):
-        w_half = disturbance.on_grid(0.5 * h, half)
+        w = disturbance.on_grid(h, steps + 1)
     else:
-        w_half = disturbance(np.arange(half) * (0.5 * h))
-    w_half = np.asarray(w_half, dtype=float)
-    if w_half.shape == (m,):
-        w_half = np.broadcast_to(w_half, (half, m))
-    elif w_half.shape != (half, m):
+        w = disturbance(t)
+    # A copy, so the trajectory shares no memory with what the disturbance
+    # returned, in the memory order it came in: copying on_grid's
+    # transposed samples into C order would take five times as long.
+    w = np.array(w, dtype=float, order="K")
+    if w.shape == (m,):
+        w = np.broadcast_to(w, (steps + 1, m)).copy()
+    elif w.shape != (steps + 1, m):
         raise ValueError(
-            f"disturbance must return shape ({half}, {m}) or ({m},), got {w_half.shape}"
+            f"disturbance must return shape ({steps + 1}, {m}) or ({m},), got {w.shape}"
         )
 
-    Phi, G0, G1, G2 = _rk4_maps(cl.Acl, cl.B2, h)
+    Phi, G0_T, G1_T = _hold_maps(cl.Acl, cl.B2, h)
     x = np.empty((1 + _scan_rows(steps), n))
     x[0] = x0
     x[steps + 1:] = 0.0
-    # An unstable step size overflows; that is reported once, below, as
-    # NonFiniteTrajectory rather than as a warning per operation.
+    # One scratch array holds the second forcing product, the scan's
+    # sweep, then x Q.
+    scratch = np.empty_like(x)
+    # A loop that is not Hurwitz overflows; that is reported once, below,
+    # as NonFiniteTrajectory rather than as a warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = x[1:steps + 1]
-        np.matmul(w_half[0:-1:2], G0.T, out=forcing)
-        forcing += w_half[1::2] @ G1.T
-        forcing += w_half[2::2] @ G2.T
-        # Only the grid samples are kept, as a copy, so the trajectory
-        # shares no memory with what the disturbance returned, and the
-        # half-grid samples are freed before y and V are formed.
-        w = w_half[::2].copy()
-        del w_half
-        _affine_scan(Phi, x0, x[1:])
+        np.matmul(w[:-1], G0_T, out=forcing)
+        forcing += np.matmul(w[1:], G1_T, out=scratch[:steps])
+        _affine_scan(Phi, x0, x[1:], scratch)
 
     x = x[:steps + 1]
-    if not np.all(np.isfinite(x)):
+    # min and max propagate NaN, so the two test finiteness without a
+    # mask the size of x.
+    if not (math.isfinite(x.min(initial=0.0)) and math.isfinite(x.max(initial=0.0))):
         raise NonFiniteTrajectory("state trajectory left the finite range")
 
-    y = x @ cl.C.T
-    V = 0.5 * np.einsum("ki,ki->k", x @ cl.Q, x)
+    V = np.einsum("ki,ki->k", np.matmul(x, cl.Q, out=scratch[:steps + 1]), x)
+    V *= 0.5
+    del scratch  # so that y can take its memory
+    y = x @ np.ascontiguousarray(cl.C.T)
     return Trajectory._from_built(t=t, x=x, y=y, w=w, V=V)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.linalg
 from scipy.linalg import solve_triangular
 
 from cascadepass.blockla import (
@@ -15,6 +16,7 @@ from cascadepass.blockla import (
     NonFiniteMatrix,
     NotPositiveDefinite,
     cholesky_lower,
+    expm,
     min_eigen_sym,
     rounding_shift,
     schur_step,
@@ -83,6 +85,37 @@ def test_symmetric_part_checks():
 
 def test_min_eigen_sym_matches_diagonal():
     assert min_eigen_sym(np.diag([3.0, -2.0, 7.0])) == -2.0
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 5.0, 10.0, 50.0, 100.0])
+def test_expm_matches_scipy_on_random_matrices(norm):
+    # Beyond a 1-norm of 5.37 expm scales and squares, and two correct
+    # exponentials part by about the condition number times the roundoff.
+    rng = np.random.default_rng(int(norm * 1000))
+    for n in (1, 2, 5, 8, 14):
+        M = rng.normal(size=(n, n))
+        M *= norm / np.abs(M).sum(axis=0).max()
+        want = scipy.linalg.expm(M)
+        assert np.abs(expm(M) - want).max() <= 1e-14 * max(1.0, norm) * np.abs(want).max(), n
+
+
+def test_expm_of_a_nilpotent_matrix_is_its_finite_taylor_sum():
+    N = np.triu(np.random.default_rng(1).normal(size=(6, 6)), 1) * 3.0
+    taylor, term = np.eye(6), np.eye(6)
+    for k in range(1, 6):
+        term = term @ N / k
+        taylor += term
+    assert np.abs(expm(N) - taylor).max() <= 1e-13 * np.abs(taylor).max()
+    assert np.abs(expm(N) - scipy.linalg.expm(N)).max() <= 1e-13 * np.abs(taylor).max()
+
+
+def test_expm_of_zero_and_empty_matrices_and_bad_input():
+    assert np.abs(expm(np.zeros((3, 3))) - np.eye(3)).max() <= 2.0**-52
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
+    with pytest.raises(ValueError):
+        expm(np.zeros((2, 3)))
+    with pytest.raises(NonFiniteMatrix):
+        expm([[0.0, np.inf], [0.0, 0.0]])
 
 
 def test_rounding_shift_bounds_the_error_of_forming_the_certificate_matrix():

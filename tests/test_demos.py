@@ -25,7 +25,9 @@ def run_demo(name, *args):
 def test_dissipation_trial_demo_writes_csv(tmp_path):
     csv = tmp_path / "last.csv"
     proc = run_demo("dissipation_trial.py", "--trials", "2", "--T", "2", "--csv", str(csv))
-    assert "(ok)" in proc.stdout
+    assert re.search(r"^worst margin over 2 trials: .* \(ok\)$", proc.stdout, re.M)
+    assert re.search(r"^  margin at eps: .* \(ok\)$", proc.stdout, re.M)
+    assert re.search(r"^  margin at 1\.01 r: -.* \(violated\)$", proc.stdout, re.M)
     header = csv.read_text().splitlines()[0]
     assert header == ",".join(
         ["t"] + [f"x{i}" for i in range(1, 7)] + [f"y{j}" for j in range(1, 5)]

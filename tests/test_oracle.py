@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadepass import protocol
+from cascadepass import blockla, protocol
 
 from cascadepass.model import Subsystem
 from cascadepass.oracle import (
@@ -244,28 +245,41 @@ def test_export_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(data[:, 7], traj.V)
 
 
-def _rk4_reference(cl, disturbance, x0, T, dt):
-    """Step-by-step RK4 with one scalar disturbance call per half-grid time."""
+def hold_block(cl, h):
+    """[[Acl h, B2 h, 0], [0, 0, I], [0, 0, 0]], whose exponential holds
+    the maps of one exact step."""
+    n, m = cl.n, cl.m
+    block = np.zeros((n + 2 * m, n + 2 * m))
+    block[:n, :n] = h * cl.Acl
+    block[:n, n:n + m] = h * cl.B2
+    block[n:n + m, n + m:] = np.eye(m)
+    return block
+
+
+def _hold_reference(cl, disturbance, x0, T, dt):
+    """Step-by-step exact steps under a first-order hold, the maps from
+    scipy's expm of [[Ah, Bh, 0], [0, 0, I], [0, 0, 0]], with one scalar
+    disturbance call per grid time.
+
+    The tests named ..._step_by_step_rk4 kept their names when simulate
+    moved from RK4 to the exact step; they now compare with this.
+    """
     steps = max(1, int(round(T / dt)))
     h = T / steps
-    A, B = cl.Acl, cl.B2
-    w = [np.asarray(disturbance(k * (0.5 * h)), dtype=float) for k in range(2 * steps + 1)]
-    x = np.empty((steps + 1, cl.n))
+    n, m = cl.n, cl.m
+    E = scipy.linalg.expm(hold_block(cl, h))
+    Phi, Gamma1, Gamma2 = E[:n, :n], E[:n, n:n + m], E[:n, n + m:]
+    w = [np.asarray(disturbance(k * h), dtype=float) for k in range(steps + 1)]
+    x = np.empty((steps + 1, n))
     x[0] = x0
     for k in range(steps):
-        xk = x[k]
-        w0, w1, w2 = w[2 * k], w[2 * k + 1], w[2 * k + 2]
-        k1 = A @ xk + B @ w0
-        k2 = A @ (xk + 0.5 * h * k1) + B @ w1
-        k3 = A @ (xk + 0.5 * h * k2) + B @ w1
-        k4 = A @ (xk + h * k3) + B @ w2
-        x[k + 1] = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x[k + 1] = Phi @ x[k] + Gamma1 @ w[k] + Gamma2 @ (w[k + 1] - w[k])
     V = 0.5 * np.einsum("ki,ij,kj->k", x, cl.Q, x)
     return x, V
 
 
 def assert_matches_reference(traj, cl, disturbance, x0, T, dt):
-    x_ref, V_ref = _rk4_reference(cl, disturbance, x0, T, dt)
+    x_ref, V_ref = _hold_reference(cl, disturbance, x0, T, dt)
     assert traj.x.shape == x_ref.shape
     assert np.abs(traj.x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     assert np.abs(traj.V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
@@ -315,7 +329,8 @@ def test_simulate_matches_step_by_step_rk4_on_a_34_state_loop(T, dt):
 
 def test_simulate_matches_step_by_step_rk4_on_a_stiff_grown_loop(monkeypatch):
     # Ten grow_persist additions to the four-stage design, at a step of
-    # 2.5 / rho(Acl), near the edge of RK4's stability interval.
+    # 2.5 / rho(Acl), where RK4 was near the edge of its stability
+    # interval; the exact step has no such edge.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import fixed_design, seeded_additions
 
@@ -332,6 +347,16 @@ def test_simulate_matches_step_by_step_rk4_on_a_stiff_grown_loop(monkeypatch):
     traj = simulate(cl, disturbance, x0=x0, T=2000 * dt, dt=dt)
     assert traj.t.shape == (2001,)
     assert_matches_reference(traj, cl, disturbance, x0, 2000 * dt, dt)
+
+
+def test_expm_matches_scipy_on_the_hold_blocks_of_the_benchmark_loops():
+    # The oracle_trials loops: the four prefixes of the four-stage design.
+    records = protocol.run_cascade_design(four_stage_cascade()).records
+    for k in range(1, 5):
+        cl = assemble_closed_loop(NetworkDesignState(net=four_stage_cascade(k), records=records[:k]))
+        for h in (1e-3, 0.1, 2.0):
+            want = scipy.linalg.expm(hold_block(cl, h))
+            assert np.abs(blockla.expm(hold_block(cl, h)) - want).max() <= 1e-13 * np.abs(want).max(), (k, h)
 
 
 def test_simulate_peak_memory_is_at_most_twice_what_it_returns(four_stage_loop):
@@ -372,7 +397,7 @@ def test_simulate_refuses_a_trajectory_over_the_cap_before_allocating_it(four_st
 def test_simulate_leaves_its_inputs_alone_and_returns_read_only_arrays():
     cl = assemble_closed_loop(two_scalar_state())
     x0 = np.array([1.0, -2.0])
-    samples = SineDisturbance.from_seed(cl.m, seed=5)(np.arange(1001) * 5e-4)
+    samples = SineDisturbance.from_seed(cl.m, seed=5)(np.arange(501) * 1e-3)
     constant = np.array([0.5, -1.0])
     for returned in (samples, constant):
         kept_x0, kept_returned = x0.copy(), returned.copy()
@@ -397,14 +422,14 @@ def test_sine_disturbance_on_array_equals_scalar_calls():
 
 
 # Counts 1 and 2 make one-row grids, 14 and 14287 pad the last row of
-# the factored grid, 400 is a perfect square, and 40001 is the half-grid
-# of the default horizon.
+# the factored grid, 400 is a perfect square, 20001 is the grid of the
+# default horizon and 40001 its grid at half the step.
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(
     channels=st.integers(0, 6),
     waves=st.integers(0, 6),
     seed=st.integers(0, 2**16),
-    count=st.sampled_from([1, 2, 14, 400, 14287, 40001]),
+    count=st.sampled_from([1, 2, 14, 400, 14287, 20001, 40001]),
     horizon=st.floats(1e-3, 20.0),
 )
 def test_sine_disturbance_on_grid_matches_calls_at_the_same_times(channels, waves, seed, count, horizon):
@@ -430,7 +455,7 @@ def test_sine_disturbance_on_grid_rejects_empty_grid_or_non_finite_step(step, co
 
 def test_simulate_samples_a_sine_disturbance_on_its_grid(four_stage_loop, monkeypatch):
     # Hardware-independent guard on the angle-addition sampler: one libm
-    # sine per half-grid time, channel and wave would be 800,020 elements.
+    # sine per grid time, channel and wave would be 400,020 elements.
     cl = four_stage_loop
     d = SineDisturbance.from_seed(cl.m, seed=3)
     calls = []
@@ -463,12 +488,12 @@ def test_simulate_broadcasts_constant_disturbance():
         return np.array([0.5, -1.0])
 
     traj = simulate(cl, constant, x0=[1.0, -2.0], T=0.5, dt=1e-3)
-    assert calls == [(1001,)]
+    assert calls == [(501,)]
     assert np.array_equal(traj.w, np.tile([0.5, -1.0], (501, 1)))
     assert_matches_reference(traj, cl, constant, [1.0, -2.0], 0.5, 1e-3)
 
 
-@pytest.mark.parametrize("shape", [(1001, 3), (1000, 2), (1001,), (1, 2)])
+@pytest.mark.parametrize("shape", [(1001, 3), (1000, 2), (1001,), (1, 2), (1001, 2), (500, 2)])
 def test_simulate_rejects_disturbance_of_wrong_shape(shape):
     cl = assemble_closed_loop(two_scalar_state())
     with pytest.raises(ValueError):
@@ -476,19 +501,19 @@ def test_simulate_rejects_disturbance_of_wrong_shape(shape):
 
 
 # Dissipation margins of acceptance test 2 (four-stage design, seeds 0-9,
-# T = 20, dt = 1e-3) from _rk4_reference: at the design rate, and at the
+# T = 20, dt = 1e-3) from _hold_reference: at the design rate, and at the
 # overclaimed rate 10, where the margin is negative.
 REFERENCE_MARGINS = [
-    (0.0, -80.99823147519855),
-    (0.0, -35.79590503795739),
-    (0.0, -43.97453898283404),
-    (0.0, -19.86695594209886),
-    (0.0, -18.01566446326694),
-    (0.0, -34.948496887283284),
-    (0.0, -66.50231144883607),
-    (0.0, -32.87537047883061),
-    (0.0, -76.31409695343578),
-    (0.0, -70.80431429365609),
+    (0.0, -80.99816533026528),
+    (0.0, -35.79580668979512),
+    (0.0, -43.97443318799298),
+    (0.0, -19.86684484899868),
+    (0.0, -18.01555625694355),
+    (0.0, -34.94840728312331),
+    (0.0, -66.5022454138343),
+    (0.0, -32.87528049159155),
+    (0.0, -76.3139994215111),
+    (0.0, -70.80425285193543),
 ]
 
 
@@ -533,3 +558,52 @@ def test_worst_start_holds_the_design_rate_of_random_designs():
         at_rate, above = worst_start_margins(cl)
         assert at_rate >= -SLACK_TOL, k
         assert above < 0.0, k
+
+
+def grown_state(seed, cycle, additions, monkeypatch):
+    """The grow_persist state after the given number of additions in the
+    given 1-based cycle of a seed, as tools/verdicts.py grows it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import GROWTH, fixed_design, seeded_additions
+
+    state = fixed_design()
+    last, first = state.net.subsystems[-1], state.net.n_subsystems + 1
+    rng = np.random.default_rng(seed)
+    for _ in range(cycle):
+        drawn = seeded_additions(rng, last, first, GROWTH)
+    for addition in drawn[:additions]:
+        state = protocol.add_subsystem(state, *addition)
+    return state
+
+
+# Grown states where RK4 at dt = 1e-3 overflowed from the worst start
+# (rho(Acl) dt = 8.66, 3.68 and 18.4) and so flagged the design rate as
+# violated.
+@pytest.mark.parametrize("seed,cycle,additions", [(2, 1, 20), (3, 2, 20), (5, 3, 30)])
+def test_worst_start_holds_and_separates_stiff_grown_states_at_the_default_step(
+        seed, cycle, additions, monkeypatch):
+    cl = assemble_closed_loop(grown_state(seed, cycle, additions, monkeypatch))
+    r, x0 = worst_start(cl)
+    traj = simulate(cl, lambda t: np.zeros(cl.m), x0=x0, T=0.05, dt=1e-3)
+    assert dissipation_margin(traj, cl.epsilon) >= -SLACK_TOL
+    assert dissipation_margin(traj, 1.01 * r) < 0.0
+
+
+def test_simulate_is_exact_for_a_disturbance_linear_in_time(four_stage_loop):
+    # The hold is exact for w linear in t, so the step size changes
+    # nothing but rounding.
+    cl = four_stage_loop
+    x0 = np.linspace(-1.0, 1.0, cl.n)
+    slope, offset = np.linspace(-2.0, 1.0, cl.m), np.linspace(0.5, -0.5, cl.m)
+
+    def ramp(t):
+        return np.multiply.outer(t, slope) + offset
+
+    coarse = simulate(cl, ramp, x0=x0, T=2.0, dt=0.1)
+    fine = simulate(cl, ramp, x0=x0, T=2.0, dt=1e-3)
+    assert np.abs(fine.x[::100] - coarse.x).max() <= 1e-12 * np.abs(coarse.x).max()
+
+
+def test_simulate_reports_a_step_map_that_overflows():
+    with pytest.raises(NonFiniteTrajectory, match="step map"):
+        simulate(unit_loop(a=-1e300), lambda t: np.zeros(1), x0=[1.0], T=1e10, dt=1e10)

@@ -20,8 +20,9 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   every 10th grown state of each cycle;
 * the worst-start check on those same designs: started at the unit
   eigenvector of lambda_min(-(Acl'Q + Q Acl)), with no disturbance, over
-  500 steps of dt = 1e-4 (or of 0.1 / rho(Acl) when that is shorter, so
-  that RK4 resolves a stiff loop), how many keep the dissipation margin at
+  500 steps of dt = 1e-4 (or of 0.1 / rho(Acl) when that is shorter: the
+  step is exact, but dissipation_margin's trapezoid supply needs a step
+  short for the loop), how many keep the dissipation margin at
   the design rate eps above -SLACK_TOL, and how many fall below 0 at
   1.01 r, r = lambda_min(-(Acl'Q + Q Acl)) / 2 being the storage's true
   rate;
