@@ -35,7 +35,6 @@ from .blockla import (
     TriDiagFactor,
     symmetric_part,
     cholesky_lower,
-    min_eigen_sym,
     tridiag_pd_sequence,
 )
 from .lmi import (
@@ -101,7 +100,6 @@ __all__ = [
     "TriDiagFactor",
     "symmetric_part",
     "cholesky_lower",
-    "min_eigen_sym",
     "tridiag_pd_sequence",
     "AffineFeasibilityProblem",
     "FeasiblePoint",

@@ -41,7 +41,6 @@ __all__ = [
     "symmetric_part",
     "cholesky_lower",
     "rounding_shift",
-    "min_eigen_sym",
     "expm",
     "schur_step",
     "tridiag_pd_sequence",
@@ -173,21 +172,21 @@ def _cholesky(A, floor: float) -> np.ndarray:
 
 
 def _cholesky_passes(A, floor: float) -> np.ndarray:
-    """For each matrix of the stack A, whether _cholesky(A[k], floor) succeeds.
+    """For one matrix A or each matrix of a stack, whether _cholesky(A[k],
+    floor) succeeds.
 
     The same column-by-column elimination runs on every matrix at once, so
     each verdict is _cholesky's; a matrix that fails keeps being reduced,
     on values that no longer matter.
     """
     A = A.copy()
-    passes = np.ones(len(A), dtype=bool)
     with np.errstate(all="ignore"):
         for j in range(A.shape[-1]):
-            pivot = A[:, j, j]
-            passes &= ~(pivot <= floor)
-            col = A[:, j + 1:, j] / np.sqrt(pivot)[:, None]
-            A[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
-    return passes
+            col = A[..., j + 1:, j] / np.sqrt(A[..., j, j:j + 1])
+            A[..., j + 1:, j + 1:] -= col[..., :, None] * col[..., None, :]
+    # Step j leaves pivot j on the diagonal and changes only later rows
+    # and columns, so the diagonal ends holding every pivot.
+    return ~(np.diagonal(A, axis1=-2, axis2=-1) <= floor).any(axis=-1)
 
 
 def _gamma(k: int) -> float:
@@ -219,14 +218,6 @@ def rounding_shift(A, Q, epsilon: float, W) -> float:
     bound[np.diag_indices(n)] += 2.0 * epsilon
     cholesky_error = np.maximum(np.diagonal(W), 0.0).sum()
     return float(_gamma(n + 2) * bound.sum(axis=1).max(initial=0.0) + alpha * cholesky_error)
-
-
-def min_eigen_sym(S) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    A = symmetric_part(S, "S")
-    if A.size == 0:
-        raise ValueError("empty matrix has no eigenvalues")
-    return float(np.linalg.eigvalsh(A)[0])
 
 
 # Numerator coefficients b_0 .. b_13 of the [13/13] Pade approximant to

@@ -16,10 +16,11 @@ the gains and the route. What a state derives from them, each M_cl and
 the global rate, it derives on load as NetworkDesignState does, by the
 same function. A state loads only if its network validates, its
 closed-loop recursion is positive definite, and each Q passes the
-oracle's storage tests (positive definite above its pivot floor,
-Q B2 - C' within its bound), so every state that loads certifies its own
-network and can be grown. Keys a state file does not need, such as the
-stored M_cl, fingerprint and global_epsilon of older files, are ignored.
+storage tests the oracle also applies (protocol._storage_test: positive
+definite above its pivot floor, and Q B2 = C' per output channel), so
+every state that loads certifies its own network and can be grown. Keys a
+state file does not need, such as the stored M_cl, fingerprint and
+global_epsilon of older files, are ignored.
 Coupling indices and record indices must be JSON integers.
 
 A load parses each matrix into its read-only array once and checks a
@@ -37,7 +38,8 @@ the first one met (and, within one step, the first record in file order):
 6. the closed-loop recursion that derives each M_cl, positive definite
    and finite at each block;
 7. per record: a known route, index >= 1, epsilon > 0, no gains on a
-   Verified record, then Q above its storage floor and Q B2 - C';
+   Verified record, then Q above its storage floor and, for every output
+   channel j, max_i |(Q B2 - C')_ij| <= 1e-8 * max(1, max_i |C_ji|);
 8. record indices contiguous from 1; the state then takes the margins
    of step 6 as they are, with no second recursion.
 
@@ -57,8 +59,7 @@ import numpy as np
 
 from . import blockla
 from .model import CascadeNetwork, Subsystem, as_matrix, validate_network
-from .oracle import storage_residual
-from .protocol import DesignRecord, NetworkDesignState, _derive_margins, _record_shapes
+from .protocol import DesignRecord, NetworkDesignState, _derive_margins, _record_shapes, _storage_test
 
 __all__ = [
     "MalformedFile",
@@ -319,10 +320,11 @@ def state_to_dict(state: NetworkDesignState) -> dict:
 def state_from_dict(doc) -> NetworkDesignState:
     """A state whose records certify its network, each M_cl derived.
 
-    Each Q must pass the storage tests of centralized_sp_check: positive
-    definite with the pivot floor that check sets from the largest |Q_ij|
-    of any record (factoring the block-diagonal Q meets exactly each
-    block's own pivots), and Q B2 - C' within its bound, per subsystem.
+    Each Q must pass the storage tests of centralized_sp_check
+    (protocol._storage_test): positive definite with the pivot floor that
+    check sets from the largest |Q_ij| of any record (factoring the
+    block-diagonal Q meets exactly each block's own pivots), and Q B2 = C'
+    per output channel.
     """
     _expect(doc, "state")
     net = network_from_dict(doc.get("network"))
@@ -351,11 +353,9 @@ def state_from_dict(doc) -> NetworkDesignState:
     floor = blockla.PIVOT_RTOL * max(1.0, max(float(np.abs(H).max()) for H in stacks.values()))
     faults = {}
     for key, ks in groups.items():
-        H = stacks[key]
-        positive = blockla._cholesky_passes(H, floor)
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual, bound = storage_residual(H, np.array([subs[k].B2 for k in ks]), np.array([subs[k].C for k in ks]))
-        for j in np.flatnonzero(~positive | (residual > bound)):
+        equal, positive, residual, bound = _storage_test(
+            stacks[key], np.array([subs[k].B2 for k in ks]), np.array([subs[k].C for k in ks]), floor)
+        for j in np.flatnonzero(~(positive & equal)):
             faults[ks[j]] = "Q is not positive definite" if not positive[j] else (
                 f"max |Q B2 - C'| = {residual[j]:.3e} exceeds {bound[j]:.3e}")
     records = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import blockla
 from .model import _frozen, assemble_global
-from .protocol import NetworkDesignState, _state_gains
+from .protocol import NetworkDesignState, _state_gains, _storage_test
 
 __all__ = [
     "NonFiniteTrajectory",
@@ -33,7 +33,6 @@ __all__ = [
     "SineDisturbance",
     "assemble_closed_loop",
     "sp_matrix",
-    "storage_residual",
     "centralized_sp_check",
     "worst_start",
     "simulate",
@@ -242,15 +241,6 @@ def sp_matrix(cl: ClosedLoopSystem) -> np.ndarray:
     return -(cl.Acl.T @ cl.Q + cl.Q @ cl.Acl) - 2.0 * cl.epsilon * np.eye(cl.n)
 
 
-def storage_residual(Q, B2, C):
-    """max |Q B2 - C'| and its pass bound, 1e-8 * max(1, max |C_ij|).
-
-    For stacks of matrices, an array of each, one entry per matrix.
-    """
-    residual = np.abs(Q @ B2 - np.swapaxes(C, -1, -2)).max(axis=(-2, -1))
-    return residual, 1e-8 * np.maximum(1.0, np.abs(C).max(axis=(-2, -1)))
-
-
 def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     """Algebraic pass/fail for state-strict passivity of the closed loop.
 
@@ -258,30 +248,31 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     Acl, Q and epsilon is positive semidefinite: a floating-point Cholesky
     factorization of its symmetrized float value W, shifted down by
     blockla.rounding_shift, must meet only positive pivots. Pass also
-    requires the storage output to match Q B2 = C' to relative precision,
-    and a positive definite storage. The certificate is then exact for the
-    output map (Q B2)', which eq_residual, max |Q B2 - C'|, compares with
-    C. w_min_eig, W's smallest eigenvalue, is reported, not tested.
+    requires the storage tests a design step and a load apply
+    (protocol._storage_test), on the dense Q, B2 and C: for every output
+    channel j, max_i |(Q B2 - C')_ij| <= 1e-8 * max(1, max_i |C_ji|), and
+    Q positive definite above the pivot floor PIVOT_RTOL * max(1, max
+    |Q_ij|). The certificate is then exact for the output map (Q B2)',
+    which eq_residual, max |Q B2 - C'|, compares with C. w_min_eig, W's
+    smallest eigenvalue, is reported, not tested.
     """
     W = blockla.symmetric_part(sp_matrix(cl), "W")
     w_min = np.linalg.eigvalsh(W)[0]
     shift = blockla.rounding_shift(cl.Acl, cl.Q, cl.epsilon, W)
-    eq_residual, eq_tol = map(float, storage_residual(cl.Q, cl.B2, cl.C))
+    equal, positive, eq_residual, _ = _storage_test(cl.Q, cl.B2, cl.C)
 
     reasons = []
     try:
         blockla._cholesky(W - shift * np.eye(cl.n), 0.0)
     except blockla.NotPositiveDefinite:
         reasons.append("MatrixNotPositive")
-    if eq_residual > eq_tol:
+    if not equal:
         reasons.append("EqualityResidual")
-    try:
-        blockla.cholesky_lower(cl.Q)
-    except blockla.NotPositiveDefinite:
+    if not positive:
         reasons.append("StorageNotPositiveDefinite")
     return Certificate(
         w_min_eig=float(w_min),
-        eq_residual=eq_residual,
+        eq_residual=float(eq_residual),
         verdict=not reasons,
         reasons=tuple(reasons),
     )
@@ -487,31 +478,34 @@ def simulate(cl: ClosedLoopSystem, disturbance, x0=None, T: float = 20.0, dt: fl
     t *= h
     t.flags.writeable = False
 
-    if hasattr(disturbance, "on_grid"):
-        w = disturbance.on_grid(h, steps + 1)
-    else:
-        w = disturbance(t)
-    # A copy, so the trajectory shares no memory with what the disturbance
-    # returned, in the memory order it came in: copying on_grid's
-    # transposed samples into C order would take five times as long.
-    w = np.array(w, dtype=float, order="K")
-    if w.shape == (m,):
-        w = np.broadcast_to(w, (steps + 1, m)).copy()
-    elif w.shape != (steps + 1, m):
-        raise ValueError(
-            f"disturbance must return shape ({steps + 1}, {m}) or ({m},), got {w.shape}"
-        )
-
-    Phi, G0_T, G1_T = _hold_maps(cl.Acl, cl.B2, h)
-    x = np.empty((1 + _scan_rows(steps), n))
-    x[0] = x0
-    x[steps + 1:] = 0.0
-    # One scratch array holds the second forcing product, the scan's
-    # sweep, then x Q.
-    scratch = np.empty_like(x)
-    # A loop that is not Hurwitz overflows; that is reported once, below,
-    # as NonFiniteTrajectory rather than as a warning per operation.
+    # A loop that is not Hurwitz, or a disturbance that overflows (a sine's
+    # angles do on a long enough grid), gives non-finite values; that is
+    # reported once, below, as NonFiniteTrajectory rather than as a warning
+    # per operation.
     with np.errstate(over="ignore", invalid="ignore"):
+        if hasattr(disturbance, "on_grid"):
+            w = disturbance.on_grid(h, steps + 1)
+        else:
+            w = disturbance(t)
+        # A copy, so the trajectory shares no memory with what the
+        # disturbance returned, in the memory order it came in: copying
+        # on_grid's transposed samples into C order would take five times
+        # as long.
+        w = np.array(w, dtype=float, order="K")
+        if w.shape == (m,):
+            w = np.broadcast_to(w, (steps + 1, m)).copy()
+        elif w.shape != (steps + 1, m):
+            raise ValueError(
+                f"disturbance must return shape ({steps + 1}, {m}) or ({m},), got {w.shape}"
+            )
+
+        Phi, G0_T, G1_T = _hold_maps(cl.Acl, cl.B2, h)
+        x = np.empty((1 + _scan_rows(steps), n))
+        x[0] = x0
+        x[steps + 1:] = 0.0
+        # One scratch array holds the second forcing product, the scan's
+        # sweep, then x Q.
+        scratch = np.empty_like(x)
         forcing = x[1:steps + 1]
         np.matmul(w[:-1], G0_T, out=forcing)
         forcing += np.matmul(w[1:], G1_T, out=scratch[:steps])

@@ -95,8 +95,6 @@ TARGET_FRACTION = 0.2
 # Relative spectral-abscissa threshold above which verify is declined
 # without the solver; see _design_step.
 HURWITZ_RTOL = 1e-8
-# Storage equality acceptance: max|Q B2 - C'| <= EQ_RTOL * max(1, max|C|).
-EQ_RTOL = 1e-9
 
 ROUTE_VERIFIED = "Verified"
 ROUTE_SYNTHESIZED = "Synthesized"
@@ -353,7 +351,7 @@ def _storage_space(sub: Subsystem):
     Returns (Q_p, N, consistent). Q_p is the least-squares solution, N a
     stack of symmetric matrices with N_k B2 = 0, orthonormal in lmi's packed
     coordinates, whose combinations are every symmetric Q with Q B2 = 0, and
-    consistent says whether Q_p meets the equality (_meets_storage). So the
+    consistent says whether Q_p meets the equality (_storage_test). So the
     solutions are exactly Q_p + sum_k z_k N_k (Boyd & Vandenberghe, Convex
     Optimization, 2004, sec. 4.2.4). One SVD of the map from Q's packed
     coordinates to Q B2 gives all three; its rank counts the singular values
@@ -373,14 +371,26 @@ def _storage_space(sub: Subsystem):
     if not np.isfinite(Q_p).all():
         raise lmi.MalformedProblem("storage equality overflows when solved")
     N = np.array([lmi.vec_to_sym(v, n) for v in Vt[rank:]]).reshape(-1, n, n)
-    return Q_p, N, _meets_storage(Q_p, sub)
+    return Q_p, N, bool(_storage_test(Q_p, sub.B2, sub.C)[0])
 
 
-def _meets_storage(Q, sub: Subsystem) -> bool:
-    """Whether max|Q B2 - C'| <= EQ_RTOL * max(1, max|C|)."""
+def _storage_test(Q, B2, C, floor=None):
+    """(equal, positive, residual, bound) of one Q or of each in a stack.
+
+    equal: for every output channel j, max_i |(Q B2 - C')_ij| <= 1e-8 *
+    max(1, max_i |C_ji|), which a block-diagonal Q meets exactly when each
+    block does. positive: blockla._cholesky_passes at floor, by default
+    PIVOT_RTOL * max(1, max |Q_ij|). residual is max |Q B2 - C'|; bound is
+    the bound of the channel furthest over its own.
+    """
+    if floor is None:
+        floor = blockla.PIVOT_RTOL * max(1.0, float(np.abs(Q).max()))
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(Q @ sub.B2 - sub.C.T).max()
-    return bool(residual <= EQ_RTOL * max(1.0, float(np.abs(sub.C).max())))
+        gap = np.abs(Q @ B2 - np.swapaxes(C, -1, -2)).max(axis=-2)
+        bounds = 1e-8 * np.maximum(1.0, np.abs(C).max(axis=-1))
+        worst = np.argmax(gap / bounds, axis=-1)[..., None]
+    bound = np.take_along_axis(bounds, worst, axis=-1)[..., 0]
+    return (gap <= bounds).all(axis=-1), blockla._cholesky_passes(Q, floor), gap.max(axis=-1), bound
 
 
 def _solver_target(scale, lam_prev, tau) -> float:
@@ -629,11 +639,12 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     is a diagonal block decoupled from the rest, so a point of either
     problem maps to a point of the other at the same smallest eigenvalue,
     at least tau (Boyd, El Ghaoui, Feron & Balakrishnan, LMIs in System
-    and Control Theory, 1994, sec. 2.1). The Q that stage 1 finds is checked
-    against the equality with the same tolerance, and a miss declines with
-    reason EqualityResidual. The solver chases a target scaled from the
-    master at Q = 0 (_solver_target), not at Q_p, whose storage block
-    would only inflate it.
+    and Control Theory, 1994, sec. 2.1). The Q that stage 1 finds must pass
+    the storage tests of a load and the oracle (_storage_test), at its own
+    pivot floor, else the step declines with reason EqualityResidual or
+    StorageNotPositiveDefinite. The solver chases a target scaled from the
+    master at Q = 0 (_solver_target), not at Q_p, whose storage block would
+    only inflate it.
 
     When B2 has full row rank, N is empty: Q B2 = C' pins Q to Q_p, and
     stage 1 of both routes is decided in closed form, without the solver.
@@ -731,11 +742,10 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
             return point
         theta, lam1 = point.theta, point.lambda_min
     Q = storage(stage1.unpack(theta))
-    if not _meets_storage(Q, sub):
+    equal, positive, _, _ = _storage_test(Q, sub.B2, sub.C)
+    if not equal:
         return _declined(lam1, "EqualityResidual", theta)
-    try:
-        blockla.cholesky_lower(Q)
-    except blockla.NotPositiveDefinite:
+    if not positive:
         return _declined(lam1, "StorageNotPositiveDefinite", theta)
 
     layout = stage1

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import scipy.linalg
 from scipy.linalg import solve_triangular
 
+from cascadepass import blockla
 from cascadepass.blockla import (
     AsymmetricMatrix,
     BlockTriDiagonal,
@@ -17,7 +18,6 @@ from cascadepass.blockla import (
     NotPositiveDefinite,
     cholesky_lower,
     expm,
-    min_eigen_sym,
     rounding_shift,
     schur_step,
     symmetric_part,
@@ -81,10 +81,6 @@ def test_symmetric_part_checks():
         symmetric_part([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         symmetric_part(np.zeros((2, 3)))
-
-
-def test_min_eigen_sym_matches_diagonal():
-    assert min_eigen_sym(np.diag([3.0, -2.0, 7.0])) == -2.0
 
 
 @pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 5.0, 10.0, 50.0, 100.0])
@@ -390,6 +386,26 @@ def test_symmetric_part_matches_the_reference_bit_for_bit(S):
 @given(S=square_candidates(max_n=6))
 def test_cholesky_lower_matches_the_reference_bit_for_bit(S):
     assert_same_outcome(outcome(cholesky_lower, S), outcome(reference_cholesky_lower, S))
+
+
+@PROPERTY
+@given(S=square_candidates(max_n=6), floor=st.sampled_from([0.0, 1e-12, 1.0]))
+def test_cholesky_passes_gives_the_factorization_verdict_for_one_matrix_or_a_stack(S, floor):
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = np.stack([0.5 * (S + S.T), 0.5 * (S + S.T) - np.eye(len(S))])
+        want = []
+        for H in stack:
+            try:
+                blockla._cholesky(H, floor)
+            except NotPositiveDefinite:
+                want.append(False)
+            else:
+                want.append(True)
+    assert blockla._cholesky_passes(stack[0], floor).shape == ()
+    assert blockla._cholesky_passes(stack[0], floor) == want[0]
+    assert blockla._cholesky_passes(stack, floor).tolist() == want
 
 
 @PROPERTY

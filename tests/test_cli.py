@@ -264,6 +264,17 @@ def test_simulate_four_stage_state_with_a_long_step_completes(four_stage_doc, tm
     assert captured.err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_four_stage_state_whose_step_map_overflows_exits_4(four_stage_doc, tmp_path, capsys):
+    # At h = 1.7e307 the sine's angles overflow too; the samples are
+    # judged with the trajectory, so no numpy warning precedes the line.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(four_stage_doc))
+    code = execute(["simulate", "--state", str(path), "--T", "1.7e308", "--dt", "1.7e307"])
+    assert code == EXIT_CHECK_FAILED
+    assert one_stderr_line(capsys) == "simulation failed: the step map of h = 1.7e+307 left the finite range\n"
+
+
 def test_simulate_refuses_a_trajectory_over_the_cap(four_stage_doc, tmp_path, capsys):
     # The four-stage loop has n = 6 states and m = 4 outputs: 16 floats a
     # row, so one step over the cap is 2**30 // 128 steps.

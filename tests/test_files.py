@@ -1,5 +1,6 @@
 """Canonical JSON round trips, fingerprints, schema rejection and re-certified state loads."""
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -7,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadepass.files import (
     MalformedFile,
@@ -27,7 +30,13 @@ from cascadepass.blockla import tridiag_pd_sequence
 from cascadepass.cli import EXIT_INVALID, execute
 from cascadepass.model import CascadeNetwork, Subsystem
 from cascadepass.oracle import assemble_closed_loop, centralized_sp_check
-from cascadepass.protocol import add_subsystem, design_tridiagonal, run_cascade_design
+from cascadepass.protocol import (
+    DesignFailed,
+    NetworkDesignState,
+    add_subsystem,
+    design_tridiagonal,
+    run_cascade_design,
+)
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade, two_stage_scalar_cascade
 
 
@@ -244,6 +253,55 @@ def test_storage_floor_on_load_is_the_oracles(tmp_path):
     for q in (1e-7, 1e6):
         alone = state_from_dict(_uncoupled_scalar_state_doc([q]))
         assert centralized_sp_check(assemble_closed_loop(alone)).verdict
+
+
+def _with_scaled_storage(state, k, factor):
+    """state with record k's Q times factor, and its state document."""
+    rec = state.records[k]
+    records = list(state.records)
+    records[k] = dataclasses.replace(rec, Q=factor * rec.Q)
+    tampered = NetworkDesignState(net=state.net, records=tuple(records))
+    return tampered, _state_doc(tampered)
+
+
+def test_storage_equality_is_judged_per_output_channel():
+    # max|C| of the chain is 1e4: a bound scaled from it (1e-4) would pass
+    # record 2's residual of 5e-5, which is 5000 times record 2's own bound.
+    subs = [Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=c) for c in (1e4, 1e-3)]
+    state = run_cascade_design(CascadeNetwork.from_blocks(subs, {}))
+    assert centralized_sp_check(assemble_closed_loop(state)).verdict
+    tampered, doc = _with_scaled_storage(state, 1, 1.05)
+    cert = centralized_sp_check(assemble_closed_loop(tampered))
+    assert cert.reasons == ("EqualityResidual",)
+    assert cert.eq_residual == pytest.approx(5e-5, rel=1e-9)
+    with pytest.raises(MalformedFile, match=r"records\[1\]: max \|Q B2 - C'\| = 5\.000e-05 exceeds 1\.000e-08"):
+        state_from_dict(doc)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(2, 4).flatmap(lambda count: st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(-3, 3), min_size=count, max_size=count),
+    st.integers(0, count - 1),
+)))
+def test_scaled_chains_load_and_a_scaled_storage_fails_load_and_oracle(case):
+    # Each C times 10^k keeps Q B2 = C' solvable (random_cascade draws
+    # C = (Q0 B2)'), so only the scales of the outputs differ along the chain.
+    seed, powers, k = case
+    net = random_cascade(len(powers), np.random.default_rng(seed))
+    subs = [Subsystem(A=s.A, B1=s.B1, B2=s.B2, B3=s.B3, C=10.0**p * s.C)
+            for s, p in zip(net.subsystems, powers)]
+    try:
+        state = run_cascade_design(CascadeNetwork(subs, net.couplings))
+    except DesignFailed:
+        return
+    loaded = state_from_dict(_state_doc(state))
+    assert all(np.array_equal(a.Q, b.Q) for a, b in zip(state.records, loaded.records))
+    assert centralized_sp_check(assemble_closed_loop(loaded)).verdict
+    tampered, doc = _with_scaled_storage(state, k, 1.0 + 1e-3)
+    assert "EqualityResidual" in centralized_sp_check(assemble_closed_loop(tampered)).reasons
+    with pytest.raises(MalformedFile, match=rf"records\[{k}\]: "):
+        state_from_dict(doc)
 
 
 def test_addition_round_trip(tmp_path):
@@ -502,10 +560,12 @@ def test_network_and_addition_entries_must_be_json_numbers(tmp_path, bad):
 
 # The SHA-256 of every outcome of the _tampers sweep, pinned while the load
 # still ran each check record by record, and re-pinned with every message
-# the same when records came to store half their local problem's rate. A
+# the same when records came to store half their local problem's rate, and
+# again when the storage equality came to be judged per output channel,
+# which changed only the bound printed for 55 multi-output records. A
 # change to the load that moves any single-defect outcome, an error message
 # or a loaded bit, fails here.
-OUTCOMES_PINNED = "243b72abc5157e1628414762bb1d6be8664bce9a1d96ae5cd298610fddf374a7"
+OUTCOMES_PINNED = "e7aca410196231efb33d3cb704a80cab12c1335dcebc741e98e0089dedb33556"
 TAMPER_VALUES = (0.0, -1.0, 1e300, 1.7e308, math.nan, math.inf, -math.inf)
 
 

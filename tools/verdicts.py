@@ -18,6 +18,9 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   ``random_cascade(8, default_rng(5))``;
 * how many designs the centralized oracle accepts: every design above and
   every 10th grown state of each cycle;
+* how many of those it rejects once the Q of the record with the smallest
+  max|C| is scaled by 1 + 1e-4, a tamper that a storage equality judged
+  at the chain's largest |C| can miss;
 * the worst-start check on those same designs: started at the unit
   eigenvector of lambda_min(-(Acl'Q + Q Acl)), with no disturbance, over
   500 steps of dt = 1e-4 (or of 0.1 / rho(Acl) when that is shorter: the
@@ -45,6 +48,7 @@ repository root:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -93,12 +97,18 @@ class Tally:
 
     def __init__(self):
         self.designs, self.failures, self.checked, self.accepted = [], [], 0, 0
-        self.holds, self.separates = 0, 0
+        self.holds, self.separates, self.tampers_rejected = 0, 0, 0
 
     def check(self, state) -> None:
         cl = oracle.assemble_closed_loop(state)
         self.checked += 1
         self.accepted += bool(oracle.centralized_sp_check(cl).verdict)
+        sizes = [sub.n for sub in state.net.subsystems]
+        k = int(np.argmin([np.abs(sub.C).max() for sub in state.net.subsystems]))
+        block = slice(sum(sizes[:k]), sum(sizes[:k + 1]))
+        Q = cl.Q.copy()
+        Q[block, block] *= 1.0 + 1e-4
+        self.tampers_rejected += not oracle.centralized_sp_check(dataclasses.replace(cl, Q=Q)).verdict
         r, x0 = oracle.worst_start(cl)
         dt = min(1e-4, 0.1 / np.abs(np.linalg.eigvals(cl.Acl)).max())
         traj = oracle.simulate(cl, lambda t: np.zeros(cl.m), x0=x0, T=500 * dt, dt=dt)
@@ -213,6 +223,8 @@ def run(seeds) -> dict:
     checked = sum(t.checked for t in out.values())
     accepted = sum(t.accepted for t in out.values())
     print(f"oracle accepts {accepted} of {checked} designs checked")
+    rejected = sum(t.tampers_rejected for t in out.values())
+    print(f"oracle rejects {rejected} of {checked} with the Q of the smallest max|C| scaled by 1 + 1e-4")
     for name, t in out.items():
         print(f"worst start, {name}: holds eps on {t.holds} and separates 1.01 r on "
               f"{t.separates} of {t.checked}")
