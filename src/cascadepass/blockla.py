@@ -1,18 +1,19 @@
 """Block linear algebra for symmetric tri-diagonal certificate matrices.
 
-Provides a Cholesky factorization with an explicit pivot tolerance, the
-rounding shift that turns a floating-point Cholesky factorization of a
-certificate matrix into a proof, a smallest-eigenvalue helper, one Schur
-complement step, a matrix exponential for the oracle's exact time step,
-and the sequential positive-definiteness test for
-symmetric block tri-diagonal matrices, which mirrors the physics of the
-chain: block i can be cleared knowing only the Schur complement left
-behind by block i-1.
+Provides a Cholesky factorization above one pivot floor (_pivot_floor,
+which the storage tests share), the rounding
+shift that turns a floating-point Cholesky factorization of a
+certificate matrix into a proof, one Schur complement step, a matrix
+exponential for the oracle's exact time step, and the sequential
+positive-definiteness test for symmetric block tri-diagonal matrices,
+which mirrors the physics of the chain: block i can be cleared knowing
+only the Schur complement left behind by block i-1. _margin_step clears
+one block, for the recursion, a design step's M_cl and a packet's M_prev
+alike, so the margin a step sends is the block the recursion clears.
 
 The blocks are 1x1 to a few rows, so a call's cost is its Python and
-numpy overhead, not its arithmetic. A matrix is therefore checked and
-symmetrized once, where it enters; a block this module or the protocol
-has just made exactly symmetric is factored without a second pass.
+numpy overhead, not its arithmetic. A matrix is therefore checked once,
+where it enters; _margin_step only half-sums the blocks it is given.
 schur_step calls LAPACK dtrtrs directly, with the arguments scipy's
 solve_triangular passes for a lower factor: trtrs(L, R, lower=1) when L
 is Fortran-ordered and trtrs(L', R, lower=0, trans=1) otherwise. On
@@ -131,25 +132,21 @@ def _checked_half_sum(S, name, rtol, scale):
     return 0.5 * (S + S.T)
 
 
+def _pivot_floor(scale: float) -> float:
+    """PIVOT_RTOL * max(1, scale): the pivot floor of a matrix whose largest |entry| is scale."""
+    return PIVOT_RTOL * max(1.0, scale)
+
+
 def cholesky_lower(P) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    A pivot is accepted only above PIVOT_RTOL * max(1, ||P||_inf); a failing
-    pivot raises NotPositiveDefinite carrying its 0-based index. The
-    outer-product update runs column by column so the failing pivot is exact.
+    A pivot is accepted only above the _pivot_floor of P's largest |entry|;
+    a failing pivot raises NotPositiveDefinite carrying its 0-based index.
+    The outer-product update runs column by column so the failing pivot is
+    exact.
     """
     A = symmetric_part(P, "P")
-    return _cholesky(A, PIVOT_RTOL * max(1.0, _abs_max(A)))
-
-
-def _factor_symmetric(M) -> np.ndarray:
-    """cholesky_lower(M) for an M that 0.5 * (X + X') has just made exactly
-    symmetric: symmetric_part would return such an M unchanged, so of its
-    checks only the finiteness test is repeated."""
-    scale = _abs_max(M)
-    if not math.isfinite(scale):
-        raise NonFiniteMatrix("P contains non-finite entries")
-    return _cholesky(M, PIVOT_RTOL * max(1.0, scale))
+    return _cholesky(A, _pivot_floor(_abs_max(A)))
 
 
 def _cholesky(A, floor: float) -> np.ndarray:
@@ -289,6 +286,23 @@ def schur_step(L, R, D):
     return D - W.T @ W, W
 
 
+def _margin_step(L_prev, R, D):
+    """One cleared block (M, L, W): M = D - R' P^-1 R and W = L_prev^-1 R by
+    schur_step (P = L_prev L_prev'), or M = D and W = None with no L_prev; M
+    made read-only and exactly symmetric as 0.5 * (M + M') in both cases; L its
+    Cholesky factor above _pivot_floor. Raises NonFiniteMatrix, NotPositiveDefinite."""
+    W = None
+    if L_prev is not None:
+        D, W = schur_step(L_prev, R, D)
+    M = 0.5 * (D + D.T)
+    scale = _abs_max(M)
+    if not math.isfinite(scale):
+        raise NonFiniteMatrix("M contains non-finite entries")
+    L = _cholesky(M, _pivot_floor(scale))
+    M.flags.writeable = False
+    return M, L, W
+
+
 @dataclass(frozen=True)
 class BlockTriDiagonal:
     """Symmetric block tri-diagonal matrix in block form.
@@ -384,29 +398,24 @@ def tridiag_pd_sequence(P: BlockTriDiagonal) -> TriDiagFactor:
     """Sequential positive-definiteness test with certificate.
 
     Runs the Schur recursion M_1 = D_1, M_i = D_i - R_i' M_{i-1}^{-1} R_i
-    (R_i the block at (i-1, i)) by schur_step and factors each M_i. Raises
+    (R_i the block at (i-1, i)), clearing each M_i by _margin_step. Raises
     NotPositiveDefinite with the 1-based block index where it first fails,
     and NonFiniteMatrix with the 1-based index of the first M_i that is
     not finite, which a non-finite block of P always causes.
     """
-    Ms: list[np.ndarray] = []
-    Us: list[np.ndarray] = []
-    Vs: list[np.ndarray] = []
-    for i, D in enumerate(P.diag_blocks, start=1):
-        M = D
-        if Us:
-            M, W = schur_step(Us[-1], P.super_blocks[i - 2], D)
-            Vs.append(W.T)
-        M = 0.5 * (M + M.T)
+    Ms, Us, Vs = [], [], []
+    U = None
+    for i, (D, R) in enumerate(zip(P.diag_blocks, (None,) + P.super_blocks), start=1):
         try:
-            U = _factor_symmetric(M)
+            M, U, W = _margin_step(U, R, D)
         except NotPositiveDefinite as err:
             raise NotPositiveDefinite(
                 i, f"Schur complement fails at pivot {err.index}"
             ) from err
         except NonFiniteMatrix:
             raise NonFiniteMatrix(f"block {i} is not finite", i) from None
-        M.flags.writeable = False
         Ms.append(M)
         Us.append(U)
+        if W is not None:
+            Vs.append(W.T)
     return TriDiagFactor(M_blocks=tuple(Ms), U_blocks=tuple(Us), V_blocks=tuple(Vs))

@@ -31,9 +31,9 @@ the first one met (and, within one step, the first record in file order):
 2. the network's structure: each matrix 2-D with JSON numbers for
    entries, each coupling's indices integers and its pair unrepeated;
 3. validate_network: shapes, indices, the cascade pattern, finiteness;
-4. one record per subsystem, each with an integer index, Q and gains of
-   its subsystem's shapes with JSON numbers for entries, and a finite
-   epsilon;
+4. one record per subsystem, each with an integer index, Q and gains
+   with JSON numbers for entries, of the shapes protocol._check_shapes
+   requires (checked once all four are parsed), and a finite epsilon;
 5. every record matrix finite (one test), then each Q symmetric;
 6. the closed-loop recursion that derives each M_cl, positive definite
    and finite at each block;
@@ -57,9 +57,9 @@ from itertools import chain
 
 import numpy as np
 
-from . import blockla
+from . import blockla, protocol
 from .model import CascadeNetwork, Subsystem, as_matrix, validate_network
-from .protocol import DesignRecord, NetworkDesignState, _derive_margins, _record_shapes, _storage_test
+from .protocol import DesignRecord, NetworkDesignState, _check_shapes, _derive_margins, _storage_test
 
 __all__ = [
     "MalformedFile",
@@ -244,23 +244,17 @@ def _record_to_dict(rec: DesignRecord) -> dict:
 
 def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
     """A record's free data, each matrix parsed and of the shape
-    protocol._record_shapes gives it; prev is None for record 1."""
+    protocol._check_shapes requires; prev is None for record 1."""
     if not isinstance(d, dict):
         raise MalformedFile(f"{where} must be an object")
     fields = {"index": _integer(d.get("index"), f"{where}.index")}
-    shapes = _record_shapes(sub, prev)
     for name in _RECORD_MATRICES:
-        shape = shapes[name]
         value = d.get(name)
-        if value is None and name.startswith("K_"):
-            fields[name] = None
-            continue
-        if shape is None:
-            raise MalformedFile(f"{where}: record 1 cannot carry {name}")
-        a = _matrix(value, f"{where}.{name}")
-        if a.shape != shape:
-            raise MalformedFile(f"{where}: {name} is {a.shape}, expected {shape}")
-        fields[name] = a
+        fields[name] = None if value is None and name.startswith("K_") else _matrix(value, f"{where}.{name}")
+    try:
+        _check_shapes(where, fields, sub, prev)
+    except protocol.DimensionMismatch as exc:
+        raise MalformedFile(str(exc)) from None
     fields["epsilon"] = _number(d.get("epsilon"), f"{where}.epsilon")
     fields["route"] = str(d.get("route"))
     return fields
@@ -350,7 +344,7 @@ def state_from_dict(doc) -> NetworkDesignState:
     if failure is not None:
         what = "not finite" if isinstance(failure, blockla.NonFiniteMatrix) else "not positive definite"
         raise MalformedFile(f"the records do not certify the network: closed-loop block {failure.index} is {what}")
-    floor = blockla.PIVOT_RTOL * max(1.0, max(float(np.abs(H).max()) for H in stacks.values()))
+    floor = blockla._pivot_floor(max(float(np.abs(H).max()) for H in stacks.values()))
     faults = {}
     for key, ks in groups.items():
         equal, positive, residual, bound = _storage_test(

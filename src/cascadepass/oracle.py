@@ -51,6 +51,7 @@ class TrajectoryTooLarge(ValueError):
 
 # Largest trajectory simulate returns: (S + 1) rows of t, x, y, w and V.
 MAX_TRAJECTORY_BYTES = 1 << 30
+WAVES = 5  # sinusoids per channel of SineDisturbance.from_seed
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SineDisturbance:
-    """Per-channel sum of unit-amplitude sinusoids, five by default.
+    """Per-channel sum of unit-amplitude sinusoids, WAVES from a seed.
 
     Channel c at time t is the sum over waves w of
     sin(freqs[c, w] t + phases[c, w]). Calling the disturbance samples it
@@ -151,10 +152,10 @@ class SineDisturbance:
             raise ValueError("freqs and phases must share one (channels, waves) shape")
 
     @classmethod
-    def from_seed(cls, channels: int, seed: int, waves: int = 5) -> "SineDisturbance":
+    def from_seed(cls, channels: int, seed: int) -> "SineDisturbance":
         rng = np.random.default_rng(seed)
-        freqs = rng.uniform(0.1, 10.0, size=(channels, waves))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(channels, waves))
+        freqs = rng.uniform(0.1, 10.0, size=(channels, WAVES))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(channels, WAVES))
         return cls(freqs=freqs, phases=phases)
 
     def __call__(self, t) -> np.ndarray:
@@ -251,10 +252,10 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     requires the storage tests a design step and a load apply
     (protocol._storage_test), on the dense Q, B2 and C: for every output
     channel j, max_i |(Q B2 - C')_ij| <= 1e-8 * max(1, max_i |C_ji|), and
-    Q positive definite above the pivot floor PIVOT_RTOL * max(1, max
-    |Q_ij|). The certificate is then exact for the output map (Q B2)',
-    which eq_residual, max |Q B2 - C'|, compares with C. w_min_eig, W's
-    smallest eigenvalue, is reported, not tested.
+    Q positive definite above blockla._pivot_floor of max |Q_ij|. The
+    certificate is then exact for the output map (Q B2)', which
+    eq_residual, max |Q B2 - C'|, compares with C. w_min_eig, W's smallest
+    eigenvalue, is reported, not tested.
     """
     W = blockla.symmetric_part(sp_matrix(cl), "W")
     w_min = np.linalg.eigvalsh(W)[0]

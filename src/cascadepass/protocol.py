@@ -140,8 +140,7 @@ class MessengerPacket:
     def __post_init__(self):
         if self.prev_index < 1:
             raise DimensionMismatch("prev_index must be >= 1")
-        M = blockla.symmetric_part(self.M_prev, "M_prev")
-        L = blockla._factor_symmetric(M)
+        M, L, _ = blockla._margin_step(None, None, blockla.symmetric_part(self.M_prev, "M_prev"))
         G = np.array(self.G_prev, dtype=float)
         T = np.array(self.T_prev, dtype=float)
         n_prev = M.shape[0]
@@ -380,11 +379,11 @@ def _storage_test(Q, B2, C, floor=None):
     equal: for every output channel j, max_i |(Q B2 - C')_ij| <= 1e-8 *
     max(1, max_i |C_ji|), which a block-diagonal Q meets exactly when each
     block does. positive: blockla._cholesky_passes at floor, by default
-    PIVOT_RTOL * max(1, max |Q_ij|). residual is max |Q B2 - C'|; bound is
+    blockla._pivot_floor of max |Q_ij|. residual is max |Q B2 - C'|; bound is
     the bound of the channel furthest over its own.
     """
     if floor is None:
-        floor = blockla.PIVOT_RTOL * max(1.0, float(np.abs(Q).max()))
+        floor = blockla._pivot_floor(float(np.abs(Q).max()))
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(Q @ B2 - np.swapaxes(C, -1, -2)).max(axis=-2)
         bounds = 1e-8 * np.maximum(1.0, np.abs(C).max(axis=-1))
@@ -770,16 +769,13 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         theta = _settle_rate(prob, theta, 0 if gains else layout.size - 1, n, tau).theta
 
     v = layout.unpack(theta)
-    # M_cl = S - X M_prev^-1 X', the same step tridiag_pd_sequence takes.
-    M_cl, X = blocks(Q, v)
-    if X is not None:
-        M_cl, _ = blockla.schur_step(packet.L_prev, X.T, M_cl)
-    M_cl = blockla.symmetric_part(M_cl, "M_cl")
+    # M_cl = S - X M_prev^-1 X', cleared by the _margin_step tridiag_pd_sequence takes.
+    S, X = blocks(Q, v)
+    L_prev, R = (None, None) if X is None else (packet.L_prev, X.T)
     try:
-        blockla._factor_symmetric(M_cl)
+        M_cl = blockla._margin_step(L_prev, R, S)[0]
     except blockla.NotPositiveDefinite:
         return _declined(lam1, "MarginNotPositiveDefinite", theta)
-    M_cl.flags.writeable = False
     rec = DesignRecord(
         index=index, Q=Q, epsilon=0.5 * float(v["eps"]), route=ROUTE_SYNTHESIZED if gains else ROUTE_VERIFIED,
         K_self=v.get("K_self"), K_to_prev=v.get("K_to_prev"), K_prev_to_self=v.get("K_prev_to_self"),

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadepass import blockla, protocol
+from cascadepass import blockla, files, protocol
 
 from cascadepass.model import Subsystem
 from cascadepass.oracle import (
@@ -18,6 +18,7 @@ from cascadepass.oracle import (
     ClosedLoopSystem,
     MAX_TRAJECTORY_BYTES,
     SLACK_TOL,
+    WAVES,
     NonFiniteTrajectory,
     SineDisturbance,
     TrajectoryTooLarge,
@@ -123,6 +124,25 @@ def test_centralized_check_proves_a_long_chain_and_rejects_a_one_percent_overcla
     assert -1e-3 < cert.w_min_eig < 0.0
 
 
+def test_a_storage_moved_off_positive_within_its_equality_fails_the_positivity_check():
+    # N[0] B2 = 0, so record 1's Q keeps Q B2 = C' and loses positivity:
+    # its eigenvalues become -0.968 and 3.24.
+    state = protocol.run_cascade_design(four_stage_cascade())
+    sub = state.net.subsystems[0]
+    Q1 = state.records[0].Q - 2.0 * protocol._storage_space(sub)[1][0]
+    assert np.linalg.eigvalsh(Q1)[0] < -0.9
+    cl = assemble_closed_loop(state)
+    Q = cl.Q.copy()
+    Q[:sub.n, :sub.n] = Q1
+    cert = centralized_sp_check(dataclasses.replace(cl, Q=Q))
+    assert cert.reasons == ("MatrixNotPositive", "StorageNotPositiveDefinite")
+    assert cert.eq_residual < 1e-14
+    doc = files.state_to_dict(state)
+    doc["records"][0]["Q"] = Q1.tolist()
+    with pytest.raises(files.MalformedFile, match="closed-loop block 1 is not positive definite"):
+        files.state_from_dict(doc)
+
+
 def test_centralized_check_flags_indefinite_certificate():
     cl = unit_loop(a=1.0, eps=0.5)
     cert = centralized_sp_check(cl)
@@ -218,6 +238,7 @@ def test_sine_disturbance_shapes_and_determinism():
     assert np.array_equal(d1.freqs, d2.freqs)
     assert np.array_equal(d1.phases, d2.phases)
     assert not np.array_equal(d1.freqs, d3.freqs)
+    assert np.array_equal(seeded_sines(3, 12, WAVES).phases, d1.phases)
     w = d1(0.7)
     assert w.shape == (3,)
     assert np.all(np.abs(w) <= 5.0)
@@ -421,6 +442,13 @@ def test_sine_disturbance_on_array_equals_scalar_calls():
     assert np.array_equal(samples, summed)
 
 
+def seeded_sines(channels, seed, waves):
+    """A SineDisturbance of any number of waves, drawn as from_seed draws its WAVES."""
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(0.1, 10.0, size=(channels, waves))
+    return SineDisturbance(freqs=freqs, phases=rng.uniform(0.0, 2.0 * np.pi, size=(channels, waves)))
+
+
 # Counts 1 and 2 make one-row grids, 14 and 14287 pad the last row of
 # the factored grid, 400 is a perfect square, 20001 is the grid of the
 # default horizon and 40001 its grid at half the step.
@@ -433,7 +461,7 @@ def test_sine_disturbance_on_array_equals_scalar_calls():
     horizon=st.floats(1e-3, 20.0),
 )
 def test_sine_disturbance_on_grid_matches_calls_at_the_same_times(channels, waves, seed, count, horizon):
-    d = SineDisturbance.from_seed(channels, seed, waves)
+    d = seeded_sines(channels, seed, waves)
     step = horizon / max(1, count - 1)
     samples = d.on_grid(step, count)
     assert samples.shape == (count, channels)
@@ -441,7 +469,7 @@ def test_sine_disturbance_on_grid_matches_calls_at_the_same_times(channels, wave
 
 
 def test_sine_disturbance_on_grid_without_waves_or_channels():
-    assert np.array_equal(SineDisturbance.from_seed(3, seed=1, waves=0).on_grid(0.1, 14), np.zeros((14, 3)))
+    assert np.array_equal(seeded_sines(3, 1, 0).on_grid(0.1, 14), np.zeros((14, 3)))
     assert SineDisturbance.from_seed(0, seed=1).on_grid(0.1, 14).shape == (14, 0)
 
 

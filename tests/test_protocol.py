@@ -136,6 +136,42 @@ def counting_solver(monkeypatch):
     return calls
 
 
+def recording_solver(monkeypatch):
+    points = []
+    solve = lmi.solve_feasibility
+
+    def recording(*args, **kwargs):
+        points.append(solve(*args, **kwargs))
+        return points[-1]
+
+    monkeypatch.setattr(lmi, "solve_feasibility", recording)
+    return points
+
+
+@pytest.mark.parametrize("route", [local_verify, local_synthesize])
+@pytest.mark.parametrize("reason", [
+    "EqualityResidual", "StorageNotPositiveDefinite", "MarginNotPositiveDefinite",
+])
+def test_a_step_that_fails_a_check_after_its_search_declines_at_stage_one_margin(route, reason, monkeypatch):
+    points = recording_solver(monkeypatch)
+    if reason == "MarginNotPositiveDefinite":
+        def failing(*args):
+            raise blockla.NotPositiveDefinite(0)
+        monkeypatch.setattr(blockla, "_margin_step", failing)
+    else:
+        test = protocol._storage_test
+        forced = (reason != "EqualityResidual", reason != "StorageNotPositiveDefinite")
+
+        def failing(*args):
+            # _storage_space tests Q_p before the search; only the found Q fails.
+            result = test(*args)
+            return (*forced, *result[2:]) if points else result
+        monkeypatch.setattr(protocol, "_storage_test", failing)
+    out = route(free_storage_subsystem())
+    assert isinstance(out, lmi.Infeasible) and out.reason == reason
+    assert out.best_lambda_min == points[0].lambda_min > 0.0
+
+
 def test_verify_declines_non_hurwitz_drift_without_the_solver(monkeypatch):
     calls = counting_solver(monkeypatch)
     for out in (local_verify(scalar_subsystem(3.0)),

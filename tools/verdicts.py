@@ -31,7 +31,10 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   rate;
 * the four-stage routes and global rate;
 * the global rate of ``random_cascade(128, default_rng(12345))`` and the
-  step that sets it.
+  step that sets it;
+* how every call of ``protocol.local_verify`` and
+  ``protocol.local_synthesize`` in the run above ended, counted per route:
+  designed, or declined with each reason, most frequent first.
 
 ``--json PATH`` also writes every design's routes, per-step rates and
 r / eps, so two trees can be compared design by design: ``--compare OLD
@@ -53,6 +56,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 # The package's matrices are small, and OpenBLAS threads only add
@@ -66,7 +70,7 @@ for sub in ("src", "perfbench"):
 
 import numpy as np  # noqa: E402
 
-from cascadepass import oracle, protocol  # noqa: E402
+from cascadepass import lmi, oracle, protocol  # noqa: E402
 from cascadepass.model import CascadeNetwork, Subsystem  # noqa: E402
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade  # noqa: E402
 from workloads import GROWTH, seeded_additions  # noqa: E402
@@ -159,7 +163,20 @@ def rescaled(net: CascadeNetwork, kind: str, f: float) -> CascadeNetwork:
     return CascadeNetwork.from_blocks(subs, {key: b.h / f for key, b in net.couplings.items()})
 
 
+def counted(route, outcomes: Counter):
+    """route, counting each outcome in outcomes: "designed" or the decline's reason."""
+    def wrapper(*args, **kwargs):
+        result = route(*args, **kwargs)
+        outcomes[result.reason if isinstance(result, lmi.Infeasible) else "designed"] += 1
+        return result
+    return wrapper
+
+
 def run(seeds) -> dict:
+    # The design loop looks both routes up as module globals at each step.
+    outcomes = {"verify": Counter(), "synthesize": Counter()}
+    protocol.local_verify = counted(protocol.local_verify, outcomes["verify"])
+    protocol.local_synthesize = counted(protocol.local_synthesize, outcomes["synthesize"])
     out = {}
     tally, largest = growth(seeds)
     out["growth"] = tally
@@ -228,6 +245,9 @@ def run(seeds) -> dict:
     for name, t in out.items():
         print(f"worst start, {name}: holds eps on {t.holds} and separates 1.01 r on "
               f"{t.separates} of {t.checked}")
+    print("route outcomes: " + "; ".join(
+        f"{route} " + ", ".join(f"{what} {count}" for what, count in counts.most_common())
+        for route, counts in outcomes.items()))
     return {name: t.designs for name, t in out.items()} | {"gain_max": largest}
 
 
