@@ -151,21 +151,30 @@ def cholesky_lower(P) -> np.ndarray:
 
 def _cholesky(A, floor: float) -> np.ndarray:
     """Column-by-column Cholesky factor of the exactly symmetric A, whose
-    pivots must exceed floor; A is not modified."""
-    A = A.copy()
-    n = A.shape[0]
-    L = np.zeros_like(A)
+    pivots must exceed floor; A is not modified.
+
+    Column j divides A's column below the pivot by its root and subtracts
+    the outer product of that column from the block below and right of the
+    pivot. The blocks are a few rows, so this runs on Python floats, each
+    entry taking the IEEE operations numpy's column updates would give it,
+    in the same order; _cholesky_passes runs the same steps on arrays.
+    """
+    a = A.tolist()
+    n = len(a)
+    L = [[0.0] * n for _ in range(n)]
     for j in range(n):
-        pivot = A[j, j]
+        pivot = a[j][j]
         if pivot <= floor:
             raise NotPositiveDefinite(j, f"pivot {pivot:.6e} <= {floor:.6e}")
         root = math.sqrt(pivot)
-        L[j, j] = root
-        if j + 1 < n:
-            col = A[j + 1:, j] / root
-            L[j + 1:, j] = col
-            A[j + 1:, j + 1:] -= col[:, None] * col
-    return L
+        L[j][j] = root
+        col = [a[i][j] / root for i in range(j + 1, n)]
+        for i, c in enumerate(col, start=j + 1):
+            L[i][j] = c
+            row = a[i]
+            for k, d in enumerate(col, start=j + 1):
+                row[k] -= c * d
+    return np.array(L).reshape(n, n)
 
 
 def _cholesky_passes(A, floor: float) -> np.ndarray:
@@ -178,11 +187,12 @@ def _cholesky_passes(A, floor: float) -> np.ndarray:
     """
     A = A.copy()
     with np.errstate(all="ignore"):
-        for j in range(A.shape[-1]):
+        for j in range(A.shape[-1] - 1):
             col = A[..., j + 1:, j] / np.sqrt(A[..., j, j:j + 1])
             A[..., j + 1:, j + 1:] -= col[..., :, None] * col[..., None, :]
     # Step j leaves pivot j on the diagonal and changes only later rows
-    # and columns, so the diagonal ends holding every pivot.
+    # and columns, so the diagonal ends holding every pivot; the last
+    # pivot has nothing left to change.
     return ~(np.diagonal(A, axis1=-2, axis2=-1) <= floor).any(axis=-1)
 
 

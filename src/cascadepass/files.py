@@ -23,18 +23,18 @@ state file does not need, such as the stored M_cl, fingerprint and
 global_epsilon of older files, are ignored.
 Coupling indices and record indices must be JSON integers.
 
-A load parses each matrix into its read-only array once and checks a
-state document in this order, so a document with several defects reports
-the first one met (and, within one step, the first record in file order):
+A load checks a state document in this order, so a document with several
+defects reports the first one met (and, within one step, the first
+record in file order):
 
 1. the document: an object of schema 1 and type "state";
 2. the network's structure: each matrix 2-D with JSON numbers for
    entries, each coupling's indices integers and its pair unrepeated;
 3. validate_network: shapes, indices, the cascade pattern, finiteness;
 4. one record per subsystem, each with an integer index, Q and gains
-   with JSON numbers for entries, of the shapes protocol._check_shapes
-   requires (checked once all four are parsed), and a finite epsilon;
-5. every record matrix finite (one test), then each Q symmetric;
+   with JSON numbers for entries, of the shapes protocol._record_shapes
+   gives (checked once all four are parsed), and a finite epsilon;
+5. every record matrix finite, then each Q symmetric;
 6. the closed-loop recursion that derives each M_cl, positive definite
    and finite at each block;
 7. per record: a known route, index >= 1, epsilon > 0, no gains on a
@@ -43,8 +43,17 @@ the first one met (and, within one step, the first record in file order):
 8. record indices contiguous from 1; the state then takes the margins
    of step 6 as they are, with no second recursion.
 
-The tests on Q run once per stack of records whose subsystems share a
-shape.
+Each step runs once per stack of matrices or records of one shape, not
+once per matrix: a document's matrices are parsed by one _parse, per
+stack of values nested alike, and each loaded matrix is a read-only view
+of a read-only stack; their shapes are compared with one table, each
+stack of record matrices is tested for finiteness, each stack of Q for
+symmetry and positivity and each stack of records sharing B2's shape by
+the storage equality, and the closed-loop blocks are built per stack of
+steps of one shape. A document is a tree as
+json.load returns it. Only when a stacked test fails does the per-item
+code of its step run (_matrix, _record_defect, model._subsystem_violations,
+protocol._check_shapes), to word the first defect.
 """
 
 from __future__ import annotations
@@ -58,8 +67,17 @@ from itertools import chain
 import numpy as np
 
 from . import blockla, protocol
-from .model import CascadeNetwork, Subsystem, as_matrix, validate_network
-from .protocol import DesignRecord, NetworkDesignState, _check_shapes, _derive_margins, _storage_test
+from .model import _SUBSYSTEM_MATRICES, CascadeNetwork, Subsystem, as_matrix, validate_network
+from .protocol import (
+    _RECORD_MATRICES,
+    DesignRecord,
+    NetworkDesignState,
+    _check_shapes,
+    _derive_margins,
+    _groups,
+    _record_shapes,
+    _storage_equality,
+)
 
 __all__ = [
     "MalformedFile",
@@ -115,14 +133,22 @@ def _write(doc, path) -> None:
 # np.array reads the JSON string "1.5" as 1.5 and true as 1.0. (null reads
 # as NaN, which every load rejects as a non-finite entry.)
 _NOT_NUMBERS = frozenset((str, bool))
+# A lone number must also not be null, which _matrix reads as a missing matrix.
+_NOT_LONE_NUMBERS = _NOT_NUMBERS | {type(None)}
 
 
 def _matrix(value, name):
-    """value as a read-only 2-D float array; a lone number becomes 1x1."""
+    """value as a read-only 2-D float array; a lone number becomes 1x1.
+
+    _parse parses every matrix of a document; this parses one, to word the
+    first defect when a stacked test of _parse fails.
+    """
     if value is None:
         raise MalformedFile(f"missing matrix {name!r}")
     try:
         a = np.array(value, dtype=float)
+    except OverflowError:
+        raise MalformedFile(f"matrix {name!r} has an entry too large for a float") from None
     except (TypeError, ValueError) as exc:
         raise MalformedFile(f"matrix {name!r} is not numeric: {exc}") from None
     if a.ndim == 0:
@@ -137,15 +163,78 @@ def _matrix(value, name):
     return a
 
 
+def _parse(values):
+    """(matrices, stacks, shapes): each of values parsed as _matrix parses
+    it, as a read-only view of a read-only stack, the stacks, and an array
+    of the matrices' shapes; or None when a stacked test fails, which it
+    does exactly when _matrix fails on one of values.
+
+    The values nested as matrices of one shape make one stack, built by one
+    np.array call and then given one test of its nesting and one of its
+    entries' types; the other values, which parse only as lone numbers,
+    make one more.
+    """
+    groups = {}
+    for k, value in enumerate(values):
+        try:
+            key = len(value), len(value[0])
+        except (TypeError, IndexError, KeyError):
+            key = None
+        groups.setdefault(key, []).append(k)
+    matrices = [None] * len(values)
+    stacks = []
+    shapes = np.ones((len(values), 2), dtype=int)
+    for key, ks in groups.items():
+        group = [values[k] for k in ks]
+        try:
+            stack = np.array(group, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if key is None:
+            if stack.ndim != 1 or not _NOT_LONE_NUMBERS.isdisjoint(map(type, group)):
+                return None
+            stack = stack.reshape(-1, 1, 1)
+        elif stack.ndim != 3 or not _NOT_NUMBERS.isdisjoint(
+                map(type, chain.from_iterable(chain.from_iterable(group)))):
+            return None
+        else:
+            shapes[ks] = key
+        stack.setflags(write=False)
+        stacks.append(stack)
+        for k, a in zip(ks, stack):
+            matrices[k] = a
+    return matrices, stacks, shapes
+
+
+def _is_integer(value) -> bool:
+    # JSON true loads as bool, which is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(value, name) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise MalformedFile(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise MalformedFile(f"{name} must be a finite number, got {value!r}")
+
+
+def _numbers(values):
+    """Each of values as _number gives it, or None when _number fails on one."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        return None
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    return a.tolist() if np.isfinite(a).all() else None
 
 
 def _integer(value, name) -> int:
-    # JSON true loads as bool, which is a subclass of int.
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise MalformedFile(f"{name} must be an integer, got {value!r}")
     return value
 
@@ -163,19 +252,17 @@ def _subsystem_to_dict(sub: Subsystem) -> dict:
     return {"A": sub.A, "B1": sub.B1, "B2": sub.B2, "B3": sub.B3, "C": sub.C}
 
 
-def _subsystem_from_dict(d, where) -> Subsystem:
-    if not isinstance(d, dict):
-        raise MalformedFile(f"{where} must be an object")
-    try:
-        return Subsystem(
-            A=_matrix(d.get("A"), "A"),
-            B1=_matrix(d.get("B1"), "B1"),
-            B2=_matrix(d.get("B2"), "B2"),
-            B3=_matrix(d.get("B3"), "B3"),
-            C=_matrix(d.get("C"), "C"),
-        )
-    except ValueError as exc:
-        raise MalformedFile(f"{where}: {exc}") from None
+def _subsystem_defect(subs_doc, where) -> None:
+    """Raise MalformedFile at the first defect of the subsystem objects
+    subs_doc, worded at where(k) for subs_doc[k]."""
+    for k, d in enumerate(subs_doc):
+        if not isinstance(d, dict):
+            raise MalformedFile(f"{where(k)} must be an object")
+        for name in _SUBSYSTEM_MATRICES:
+            try:
+                _matrix(d.get(name), name)
+            except MalformedFile as exc:
+                raise MalformedFile(f"{where(k)}: {exc}") from None
 
 
 def network_to_dict(net: CascadeNetwork) -> dict:
@@ -191,25 +278,80 @@ def network_to_dict(net: CascadeNetwork) -> dict:
     }
 
 
-def network_from_dict(doc) -> CascadeNetwork:
+def _coupling_defect(coup_doc) -> None:
+    """Raise MalformedFile at the first defect of a network's couplings."""
+    if not isinstance(coup_doc, list):
+        raise MalformedFile("couplings must be a list")
+    pairs = set()
+    for k, entry in enumerate(coup_doc):
+        if not isinstance(entry, dict):
+            raise MalformedFile(f"couplings[{k}] must be an object")
+        pair = (_integer(entry.get("i"), f"couplings[{k}].i"), _integer(entry.get("j"), f"couplings[{k}].j"))
+        if pair in pairs:
+            raise MalformedFile(f"couplings[{k}] repeats the pair {pair}")
+        pairs.add(pair)
+        _matrix(entry.get("h"), f"couplings[{k}].h")
+
+
+def _subsystem_values(subs_doc) -> list:
+    """The matrix values of the subsystem objects subs_doc, five each."""
+    return [d.get(name) for d in subs_doc for name in _SUBSYSTEM_MATRICES]
+
+
+def _subsystems(matrices, count) -> list:
+    """The count subsystems whose matrices lead matrices, five each."""
+    return [Subsystem._from_built(zip(_SUBSYSTEM_MATRICES, matrices[k:k + 5])) for k in range(0, 5 * count, 5)]
+
+
+def _stacked_network(subs_doc, coup_doc, values):
+    """(subsystems, coupling matrices by pair, rest) of a network's objects,
+    its matrices and the further values parsed by one _parse, rest the
+    (matrices, stacks, shapes) of those values, the stacks holding the
+    network's matrices too; None when the parse fails, or a subsystem or
+    coupling is not an object, or a coupling's indices are not integers or
+    repeat a pair."""
+    if not (all(isinstance(d, dict) for d in subs_doc) and isinstance(coup_doc, list)
+            and all(isinstance(entry, dict) for entry in coup_doc)):
+        return None
+    pairs = [(entry.get("i"), entry.get("j")) for entry in coup_doc]
+    indices = list(chain.from_iterable(pairs))
+    if not ((set(map(type, indices)) <= {int} or all(map(_is_integer, indices))) and len(set(pairs)) == len(pairs)):
+        return None
+    parsed = _parse(_subsystem_values(subs_doc) + [entry.get("h") for entry in coup_doc] + values)
+    if parsed is None:
+        return None
+    matrices, stacks, shapes = parsed
+    held = 5 * len(subs_doc)
+    rest = held + len(pairs)
+    return (_subsystems(matrices, len(subs_doc)), dict(zip(pairs, matrices[held:rest])),
+            (matrices[rest:], stacks, shapes[rest:]))
+
+
+def _network_from_dict(doc, values):
+    """(network, rest): the network of doc and the (matrices, stacks,
+    shapes) of the further values, all parsed by one _parse; rest is None
+    when the values alone fail it. A defect of the network raises as
+    network_from_dict words it."""
     _expect(doc, "network")
     subs_doc = doc.get("subsystems")
     if not isinstance(subs_doc, list) or not subs_doc:
         raise MalformedFile("a network needs a non-empty subsystem list")
-    subs = [_subsystem_from_dict(d, f"subsystems[{k}]") for k, d in enumerate(subs_doc)]
     coup_doc = doc.get("couplings", [])
-    if not isinstance(coup_doc, list):
-        raise MalformedFile("couplings must be a list")
-    blocks = {}
-    for k, entry in enumerate(coup_doc):
-        if not isinstance(entry, dict):
-            raise MalformedFile(f"couplings[{k}] must be an object")
-        i = _integer(entry.get("i"), f"couplings[{k}].i")
-        j = _integer(entry.get("j"), f"couplings[{k}].j")
-        if (i, j) in blocks:
-            raise MalformedFile(f"couplings[{k}] repeats the pair ({i}, {j})")
-        blocks[(i, j)] = _matrix(entry.get("h"), f"couplings[{k}].h")
-    return CascadeNetwork.from_blocks(subs, blocks)
+    parsed = _stacked_network(subs_doc, coup_doc, values)
+    if parsed is None and values:
+        # The failure may lie in the further values alone.
+        parsed = _stacked_network(subs_doc, coup_doc, [])
+        if parsed is not None:
+            parsed = (*parsed[:2], None)
+    if parsed is None:
+        _subsystem_defect(subs_doc, "subsystems[{}]".format)
+        _coupling_defect(coup_doc)
+    subs, blocks, rest = parsed
+    return CascadeNetwork._from_built(subs, blocks), rest
+
+
+def network_from_dict(doc) -> CascadeNetwork:
+    return _network_from_dict(doc, [])[0]
 
 
 def network_fingerprint(net: CascadeNetwork) -> str:
@@ -224,17 +366,15 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: not valid JSON ({exc})") from None
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from None
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer of more digits than int() reads.
+        raise MalformedFile(f"{path}: not valid JSON ({exc})") from None
 
 
 def load_network(path) -> CascadeNetwork:
     return network_from_dict(_load_json(path))
-
-
-_RECORD_MATRICES = ("Q", "K_self", "K_to_prev", "K_prev_to_self")
 
 
 def _record_to_dict(rec: DesignRecord) -> dict:
@@ -242,29 +382,62 @@ def _record_to_dict(rec: DesignRecord) -> dict:
     return {name: getattr(rec, name) for name in ("index", "epsilon", "route") + _RECORD_MATRICES}
 
 
-def _record_fields(d, where, sub: Subsystem, prev: Subsystem | None) -> dict:
-    """A record's free data, each matrix parsed and of the shape
-    protocol._check_shapes requires; prev is None for record 1."""
+def _record_defect(d, where, shapes) -> None:
+    """Raise MalformedFile at the first defect of the record object d (step
+    4 of the module docstring), shapes being its row of _record_shapes."""
     if not isinstance(d, dict):
         raise MalformedFile(f"{where} must be an object")
-    fields = {"index": _integer(d.get("index"), f"{where}.index")}
+    _integer(d.get("index"), f"{where}.index")
+    matrices = {}
     for name in _RECORD_MATRICES:
         value = d.get(name)
-        fields[name] = None if value is None and name.startswith("K_") else _matrix(value, f"{where}.{name}")
+        if value is not None or name == "Q":
+            matrices[name] = _matrix(value, f"{where}.{name}")
     try:
-        _check_shapes(where, fields, sub, prev)
+        _check_shapes(where, matrices, shapes)
     except protocol.DimensionMismatch as exc:
         raise MalformedFile(str(exc)) from None
-    fields["epsilon"] = _number(d.get("epsilon"), f"{where}.epsilon")
-    fields["route"] = str(d.get("route"))
-    return fields
+    _number(d.get("epsilon"), f"{where}.epsilon")
 
 
-def _require_finite(fields) -> None:
-    """One finiteness test over every record matrix; only when it fails is
-    each matrix tested, to name the first non-finite one."""
-    matrices = [f[name] for f in fields for name in _RECORD_MATRICES if f[name] is not None]
-    if np.isfinite(np.concatenate(matrices, axis=None)).all():
+def _record_sites(recs_doc):
+    """The site 4 k + c of record k's _RECORD_MATRICES[c], for its Q and each
+    gain it carries; None unless recs_doc is a list of objects with integer
+    indices."""
+    if not (isinstance(recs_doc, list) and all(isinstance(d, dict) and _is_integer(d.get("index")) for d in recs_doc)):
+        return None
+    return [4 * k + c for k, d in enumerate(recs_doc) for c, name in enumerate(_RECORD_MATRICES)
+            if c == 0 or d.get(name) is not None]
+
+
+def _record_fields(recs_doc, subs, sites, parsed):
+    """(fields, stacks): each record's free data, one mapping by record
+    field name each, its matrices those of parsed, the (matrices, stacks,
+    shapes) _parse gave the values at sites (_record_sites), and the stacks
+    that hold them. The first defect, if any, is raised by _record_defect,
+    which runs only when a test over every record fails: sites or parsed
+    None, a shape other than _record_shapes's or an epsilon that is not a
+    finite number."""
+    table = _record_shapes(subs)
+    numbers = _numbers([d.get("epsilon") for d in recs_doc]) if sites is not None and parsed is not None else None
+    if numbers is not None and np.array_equal(table.reshape(-1, 2)[sites], parsed[2]):
+        fields = [
+            {"index": d["index"], "epsilon": eps, "route": str(d.get("route")),
+             "K_self": None, "K_to_prev": None, "K_prev_to_self": None}
+            for d, eps in zip(recs_doc, numbers)
+        ]
+        for site, a in zip(sites, parsed[0]):
+            fields[site // 4][_RECORD_MATRICES[site % 4]] = a
+        return fields, parsed[1]
+    for k, d in enumerate(recs_doc):
+        _record_defect(d, f"records[{k}]", table[k])
+
+
+def _require_finite(fields, stacks) -> None:
+    """One finiteness test per stack that holds record matrices (beside
+    the network's, which validate_network found finite); only when it fails
+    is each record matrix tested, to name the first non-finite one."""
+    if all(np.isfinite(stack).all() for stack in stacks):
         return
     for k, f in enumerate(fields):
         for name in _RECORD_MATRICES:
@@ -302,6 +475,15 @@ def _symmetrize_storages(fields, groups) -> dict:
     return stacks
 
 
+def _equality_fault(gap, bounds) -> str:
+    """The fault of a storage whose gap exceeds its bound in some output
+    channel (_storage_test): its residual and the bound of the channel
+    furthest over its own."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.argmax(gap / bounds)
+    return f"max |Q B2 - C'| = {gap.max():.3e} exceeds {bounds[worst]:.3e}"
+
+
 def state_to_dict(state: NetworkDesignState) -> dict:
     return {
         "schema": SCHEMA_VERSION,
@@ -321,24 +503,24 @@ def state_from_dict(doc) -> NetworkDesignState:
     per output channel.
     """
     _expect(doc, "state")
-    net = network_from_dict(doc.get("network"))
+    # The records' matrices are parsed with the network's, and checked after it.
+    recs_doc = doc.get("records")
+    sites = _record_sites(recs_doc)
+    values = [] if sites is None else [recs_doc[site // 4].get(_RECORD_MATRICES[site % 4]) for site in sites]
+    net, parsed = _network_from_dict(doc.get("network"), values)
     report = validate_network(net)
     if not report.ok:
         raise MalformedFile(f"invalid network: {report}")
-    recs_doc = doc.get("records")
     if not isinstance(recs_doc, list) or not recs_doc:
         raise MalformedFile("a state needs a non-empty record list")
     subs = net.subsystems
     if len(recs_doc) != len(subs):
         raise MalformedFile(f"{len(subs)} subsystems but {len(recs_doc)} records")
-    fields = [
-        _record_fields(d, f"records[{k}]", subs[k], subs[k - 1] if k else None)
-        for k, d in enumerate(recs_doc)
-    ]
-    _require_finite(fields)
+    fields, stacks = _record_fields(recs_doc, subs, sites, parsed)
+    _require_finite(fields, stacks)
     groups = {}
     for k, sub in enumerate(subs):
-        groups.setdefault(sub.B2.shape, []).append(k)
+        groups.setdefault(sub.n, []).append(k)
     stacks = _symmetrize_storages(fields, groups)
     margins, failure = _derive_margins(net, fields)
     if failure is not None:
@@ -346,12 +528,16 @@ def state_from_dict(doc) -> NetworkDesignState:
         raise MalformedFile(f"the records do not certify the network: closed-loop block {failure.index} is {what}")
     floor = blockla._pivot_floor(max(float(np.abs(H).max()) for H in stacks.values()))
     faults = {}
-    for key, ks in groups.items():
-        equal, positive, residual, bound = _storage_test(
-            stacks[key], np.array([subs[k].B2 for k in ks]), np.array([subs[k].C for k in ks]), floor)
-        for j in np.flatnonzero(~(positive & equal)):
-            faults[ks[j]] = "Q is not positive definite" if not positive[j] else (
-                f"max |Q B2 - C'| = {residual[j]:.3e} exceeds {bound[j]:.3e}")
+    for n, ks in groups.items():
+        # The storage tests (protocol._storage_test): positivity per stack
+        # of Q, the equality per stack of records sharing B2's shape.
+        positive = blockla._cholesky_passes(stacks[n], floor)
+        for js in _groups([subs[k].m for k in ks]):
+            equal, gap, bounds = _storage_equality(
+                stacks[n][js], np.array([subs[ks[j]].B2 for j in js]), np.array([subs[ks[j]].C for j in js]))
+            for i in np.flatnonzero(~(positive[js] & equal)):
+                j = js[i]
+                faults[ks[j]] = "Q is not positive definite" if not positive[j] else _equality_fault(gap[i], bounds[i])
     records = []
     for k, f in enumerate(fields):
         try:
@@ -396,10 +582,15 @@ def save_addition(sub: Subsystem, h_self, h_prev, h_to_new, path) -> None:
 def load_addition(path):
     doc = _load_json(path)
     _expect(doc, "addition")
-    sub = _subsystem_from_dict(doc.get("subsystem"), "subsystem")
-
-    def opt(name):
-        value = doc.get(name)
-        return None if value is None else _matrix(value, name)
-
-    return sub, opt("h_self"), opt("h_prev"), opt("h_to_new")
+    sub_doc = [doc.get("subsystem")]
+    names = [name for name in ("h_self", "h_prev", "h_to_new") if doc.get(name) is not None]
+    parsed = None
+    if isinstance(sub_doc[0], dict):
+        parsed = _parse(_subsystem_values(sub_doc) + [doc[name] for name in names])
+    if parsed is None:
+        _subsystem_defect(sub_doc, lambda k: "subsystem")
+        for name in names:
+            _matrix(doc[name], name)
+    matrices = parsed[0]
+    h = dict(zip(names, matrices[5:]))
+    return _subsystems(matrices, 1)[0], h.get("h_self"), h.get("h_prev"), h.get("h_to_new")

@@ -14,6 +14,8 @@ dimension of v_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
@@ -91,6 +93,13 @@ class Subsystem:
         for f in _SUBSYSTEM_MATRICES:
             object.__setattr__(self, f, as_matrix(getattr(self, f), f))
 
+    @classmethod
+    def _from_built(cls, matrices) -> "Subsystem":
+        """A subsystem of read-only float 2-D arrays the package has just
+        built, such as a load's views of its stacks, given as (name, array)
+        pairs; taken as they are."""
+        return _built(cls, matrices)
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -114,6 +123,14 @@ class CouplingBlock:
         object.__setattr__(self, "h", as_matrix(self.h, "h"))
 
 
+def _built(cls, fields):
+    """An instance of the frozen dataclass cls holding fields, a mapping or
+    (name, value) pairs, as they are."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class CascadeNetwork:
     """A chain of subsystems plus the sparse coupling blocks.
@@ -134,6 +151,13 @@ class CascadeNetwork:
     def from_blocks(cls, subsystems, coupling_matrices) -> "CascadeNetwork":
         """Build from raw matrices keyed by (receiver, source)."""
         coup = {key: CouplingBlock(h=h) for key, h in coupling_matrices.items()}
+        return cls(subsystems=tuple(subsystems), couplings=coup)
+
+    @classmethod
+    def _from_built(cls, subsystems, coupling_matrices) -> "CascadeNetwork":
+        """from_blocks for coupling matrices the package has just built as
+        read-only float 2-D arrays; they are taken as they are."""
+        coup = {key: _built(CouplingBlock, (("h", h),)) for key, h in coupling_matrices.items()}
         return cls(subsystems=tuple(subsystems), couplings=coup)
 
     @property
@@ -217,23 +241,69 @@ class InvalidNetwork(ValueError):
 
 
 def validate_network(net: CascadeNetwork) -> ValidationReport:
-    """Check structure and dimensions; violations are returned as data."""
-    bad: list[Violation] = []
+    """Check structure and dimensions; violations are returned as data.
+
+    One finiteness test covers every matrix, and one comparison with
+    _shape_table every shape and coupling index; only when one of them fails
+    are the subsystems and couplings checked one by one, to word each
+    violation.
+    """
     N = net.n_subsystems
     if N == 0:
-        bad.append(Violation(BAD_INDEX, (), "network has no subsystems"))
-        return ValidationReport(tuple(bad))
-
-    # One finiteness test over every matrix; only when it fails are the
-    # matrices tested one by one, to name each non-finite one.
+        return ValidationReport((Violation(BAD_INDEX, (), "network has no subsystems"),))
     matrices = [getattr(sub, name) for sub in net.subsystems for name in _SUBSYSTEM_MATRICES]
     matrices += [block.h for block in net.couplings.values()]
-    finite = bool(np.isfinite(np.concatenate(matrices, axis=None)).all())
+    finite = _all_finite(matrices)
+    shapes = np.fromiter(chain.from_iterable(map(attrgetter("shape"), matrices)), int, 2 * len(matrices)).reshape(-1, 2)
+    if finite and _shapes_fit(shapes[:5 * N].reshape(N, 5, 2), list(net.couplings), shapes[5 * N:]):
+        return ValidationReport(())
+    bad: list[Violation] = []
     for i, sub in enumerate(net.subsystems, start=1):
         bad += _subsystem_violations(i, sub, finite)
     for key, block in net.couplings.items():
         bad += _coupling_violations(net, key, block, finite)
     return ValidationReport(tuple(bad))
+
+
+def _all_finite(matrices) -> bool:
+    """Whether every matrix is finite, by one test over the distinct arrays
+    they are views of (such as the stacks of a load) and the ones that own
+    their data. A non-finite entry outside the matrices can only make this
+    False, which sends validate_network to its per-matrix tests."""
+    arrays = {}
+    for a in matrices:
+        if type(a.base) is np.ndarray:
+            a = a.base
+        arrays[id(a)] = a
+    return bool(np.isfinite(np.concatenate(list(arrays.values()), axis=None)).all())
+
+
+def _shape_table(n, p, m) -> np.ndarray:
+    """The shape each matrix of _SUBSYSTEM_MATRICES must have in subsystems
+    of state, coupling and output sizes n, p and m (arrays of one length):
+    A n x n, B1 n x p, B2 n x m, B3 n x p, C m x n."""
+    return np.array([n, n, n, p, n, m, n, p, m, n]).T.reshape(-1, 5, 2)
+
+
+def _shapes_fit(shapes, keys, h_shapes) -> bool:
+    """Whether _subsystem_violations and _coupling_violations find nothing
+    but non-finite entries. shapes[i - 1, c] is the shape of subsystem i's
+    matrix _SUBSYSTEM_MATRICES[c], keys the coupling keys and h_shapes
+    their h's shapes. Each subsystem must hold _shape_table's shapes at
+    n = rows of A, p = columns of B1 and m = rows of C, with n and m
+    positive, and each coupling (i, j) be a cascade pair within the chain
+    whose h is p_i x n_j."""
+    n, p, m = shapes[:, 0, 0], shapes[:, 1, 1], shapes[:, 4, 0]
+    if not ((shapes == _shape_table(n, p, m)).all() and min(n.min(), m.min()) > 0):
+        return False
+    if not keys:
+        return True
+    keys = np.array(keys)
+    if keys.dtype.kind != "i" or keys.shape[1:] != (2,):
+        return False
+    i, j = keys.T - 1
+    return (min(i.min(), j.min()) >= 0 and max(i.max(), j.max()) < len(shapes) and np.abs(i - j).max() <= 1
+            and bool((h_shapes == np.array([p[i], n[j]]).T).all()))
 
 
 def validate_last_subsystem(net: CascadeNetwork) -> ValidationReport:

@@ -260,12 +260,10 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     W = blockla.symmetric_part(sp_matrix(cl), "W")
     w_min = np.linalg.eigvalsh(W)[0]
     shift = blockla.rounding_shift(cl.Acl, cl.Q, cl.epsilon, W)
-    equal, positive, eq_residual, _ = _storage_test(cl.Q, cl.B2, cl.C)
+    equal, positive, gap, _ = _storage_test(cl.Q, cl.B2, cl.C)
 
     reasons = []
-    try:
-        blockla._cholesky(W - shift * np.eye(cl.n), 0.0)
-    except blockla.NotPositiveDefinite:
+    if not blockla._cholesky_passes(W - shift * np.eye(cl.n), 0.0):
         reasons.append("MatrixNotPositive")
     if not equal:
         reasons.append("EqualityResidual")
@@ -273,7 +271,7 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
         reasons.append("StorageNotPositiveDefinite")
     return Certificate(
         w_min_eig=float(w_min),
-        eq_residual=float(eq_residual),
+        eq_residual=float(gap.max()),
         verdict=not reasons,
         reasons=tuple(reasons),
     )

@@ -49,6 +49,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -196,8 +197,7 @@ class DesignRecord:
         finite float arrays, Q exactly symmetric. They are taken as they
         are; the scalar fields are checked as the constructor checks them."""
         rec = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(rec, name, value)
+        rec.__dict__.update(fields)
         rec._check()
         return rec
 
@@ -214,29 +214,49 @@ class DesignRecord:
             raise ValueError("a Verified record carries no gains")
 
 
-def _record_shapes(sub: Subsystem, prev: Subsystem | None) -> dict:
-    """The shape of each matrix of a record on sub, prev being the previous
-    step's subsystem; None for a gain that record 1 (prev None) cannot carry."""
-    return {
-        "Q": (sub.n, sub.n),
-        "K_self": (sub.p, sub.n),
-        "K_to_prev": None if prev is None else (sub.p, prev.n),
-        "K_prev_to_self": None if prev is None else (prev.p, sub.n),
-    }
+# The matrix fields of a record, in the order _record_shapes gives their shapes.
+_RECORD_MATRICES = ("Q", "K_self", "K_to_prev", "K_prev_to_self")
 
 
-def _check_shapes(where, matrices, sub, prev) -> None:
+def _record_shapes(subs) -> np.ndarray:
+    """The shape of each matrix of a record on each of subs: entry [k, c] is
+    the (rows, cols) of record k + 1's _RECORD_MATRICES[c], Q n x n, K_self
+    p x n, K_to_prev p x n_prev and K_prev_to_self p_prev x n; (-1, -1) for
+    the two gains that record 1 cannot carry."""
+    n, p = np.array([(sub.A.shape[0], sub.B1.shape[1]) for sub in subs]).reshape(-1, 2).T
+    n_prev, p_prev = np.concatenate(([-1], n[:-1])), np.concatenate(([-1], p[:-1]))
+    table = np.array([n, n, p, n, p, n_prev, p_prev, n]).T.reshape(-1, 4, 2)
+    table[0, 2:] = -1
+    return table
+
+
+def _check_shapes(where, matrices, shapes) -> None:
     """Raise DimensionMismatch, worded as a load words it, at the first
     matrix in matrices (a mapping by record field name; an absent or None
-    one is skipped) whose shape is not the one _record_shapes gives it."""
-    for name, shape in _record_shapes(sub, prev).items():
+    one is skipped) whose shape is not its row of _record_shapes, shapes."""
+    for name, (rows, cols) in zip(_RECORD_MATRICES, shapes.tolist()):
         a = matrices.get(name)
         if a is None:
             continue
-        if shape is None:
+        if rows < 0:
             raise DimensionMismatch(f"{where}: record 1 cannot carry {name}")
-        if a.shape != shape:
-            raise DimensionMismatch(f"{where}: {name} is {a.shape}, expected {shape}")
+        if a.shape != (rows, cols):
+            raise DimensionMismatch(f"{where}: {name} is {a.shape}, expected {(rows, cols)}")
+
+
+def _require_shapes(fields, subs, where) -> None:
+    """_check_shapes over the records of fields, one mapping each, on subs:
+    one comparison of every present matrix's shape with _record_shapes;
+    only when it fails is each record checked, to word the first mismatch
+    at where(k) for record k + 1."""
+    table = _record_shapes(subs)
+    present = [(4 * k + c, a.shape) for k, f in enumerate(fields)
+               for c, name in enumerate(_RECORD_MATRICES) if (a := f.get(name)) is not None]
+    sites, shapes = zip(*present)
+    if np.array_equal(table.reshape(-1, 2)[list(sites)].ravel(), list(chain.from_iterable(shapes))):
+        return
+    for k, f in enumerate(fields):
+        _check_shapes(where(k), f, table[k])
 
 
 @dataclass(frozen=True)
@@ -263,9 +283,7 @@ class NetworkDesignState:
         if not report.ok:
             raise InvalidNetwork(report)
         self._check(map(copy.copy, self.records))
-        subs = self.net.subsystems
-        for k, rec in enumerate(self.records):
-            _check_shapes(f"records[{k}]", vars(rec), subs[k], subs[k - 1] if k else None)
+        _require_shapes([vars(rec) for rec in self.records], self.net.subsystems, "records[{}]".format)
         for rec, M in zip(self.records, _derive_margins(self.net, [vars(r) for r in self.records])[0]):
             object.__setattr__(rec, "M_cl", M)
 
@@ -374,22 +392,29 @@ def _storage_space(sub: Subsystem):
 
 
 def _storage_test(Q, B2, C, floor=None):
-    """(equal, positive, residual, bound) of one Q or of each in a stack.
-
-    equal: for every output channel j, max_i |(Q B2 - C')_ij| <= 1e-8 *
-    max(1, max_i |C_ji|), which a block-diagonal Q meets exactly when each
-    block does. positive: blockla._cholesky_passes at floor, by default
-    blockla._pivot_floor of max |Q_ij|. residual is max |Q B2 - C'|; bound is
-    the bound of the channel furthest over its own.
-    """
+    """(equal, positive, gap, bounds) of one Q or of each in a stack: the
+    storage equality (_storage_equality), and positive, whether
+    blockla._cholesky_passes at floor, by default blockla._pivot_floor of
+    max |Q_ij|."""
     if floor is None:
         floor = blockla._pivot_floor(float(np.abs(Q).max()))
+    equal, gap, bounds = _storage_equality(Q, B2, C)
+    return equal, blockla._cholesky_passes(Q, floor), gap, bounds
+
+
+def _storage_equality(Q, B2, C):
+    """(equal, gap, bounds) of one Q or of each in a stack.
+
+    gap[..., j] is max_i |(Q B2 - C')_ij| for output channel j and
+    bounds[..., j] its bound, 1e-8 * max(1, max_i |C_ji|). equal: gap <=
+    bounds in every channel, which a block-diagonal Q meets exactly when
+    each block does. A storage's residual, max |Q B2 - C'|, is its largest
+    gap.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(Q @ B2 - np.swapaxes(C, -1, -2)).max(axis=-2)
         bounds = 1e-8 * np.maximum(1.0, np.abs(C).max(axis=-1))
-        worst = np.argmax(gap / bounds, axis=-1)[..., None]
-    bound = np.take_along_axis(bounds, worst, axis=-1)[..., 0]
-    return (gap <= bounds).all(axis=-1), blockla._cholesky_passes(Q, floor), gap.max(axis=-1), bound
+    return (gap <= bounds).all(axis=-1), gap, bounds
 
 
 def _solver_target(scale, lam_prev, tau) -> float:
@@ -517,7 +542,7 @@ def _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, gains):
     gains may hold K_to_prev and K_prev_to_self, or, in synthesis's first
     stage, a free matrix Z_prev standing in for Q B3 K_to_prev plus
     K_prev_to_self' T_prev'; absent ones are 0. Every operand may instead
-    be a stack of points of one shape.
+    be a stack of points or steps of one shape.
     """
     K_up = gains.get("K_prev_to_self")
     upstream = G_prev if K_up is None else G_prev + T_prev @ K_up
@@ -947,9 +972,7 @@ def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> b
         | {name: as_matrix(gains[ij], name) for name, ij in _gain_pairs(i).items() if ij in gains}
         for i, (Q, e) in enumerate(zip(storages, epsilons), start=1)
     ]
-    subs = net.subsystems
-    for k, f in enumerate(fields):
-        _check_shapes(f"step {k + 1}", f, subs[k], subs[k - 1] if k else None)
+    _require_shapes(fields, net.subsystems, lambda k: f"step {k + 1}")
     return _closed_loop_blocks(net, fields)
 
 
@@ -958,36 +981,60 @@ def _closed_loop_blocks(net, fields) -> blockla.BlockTriDiagonal:
     subsystem, by DesignRecord field name, of an exactly symmetric float Q,
     a float epsilon and float gains (an absent or None one is zero).
 
-    A diagonal block depends on its own step alone, so the diagonal blocks
-    are evaluated once per stack of steps with the same shapes and the same
-    gains present; Q B1 and Q B3 are formed there, once per step. The
-    coupling blocks follow step by step. Stacked products equal the
-    per-step ones bit for bit.
+    Each block is evaluated once per stack of steps with the same shapes
+    and the same gains present: a diagonal block depends on its own step
+    alone, a coupling block on its step and the one before it. Q B1 and
+    Q B3 are formed with the diagonal blocks, once per step. Stacked
+    products equal the per-step ones bit for bit.
     """
     subs = net.subsystems
     N = len(subs)
-    groups = {}
-    for k, (sub, f) in enumerate(zip(subs, fields)):
-        groups.setdefault((sub.n, sub.p, f.get("K_self") is not None), []).append(k)
+    h = net.h_or_zero
+    sizes = [(sub.n, sub.p) for sub in subs]
     diag, QB1, QB3 = [None] * N, [None] * N, [None] * N
-    for (_, _, has_gain), ks in groups.items():
-        Q = np.array([fields[k]["Q"] for k in ks])
-        qb1 = Q @ np.array([subs[k].B1 for k in ks])
-        qb3 = Q @ np.array([subs[k].B3 for k in ks])
-        gains = {"K_self": np.array([fields[k]["K_self"] for k in ks])} if has_gain else {}
+    for ks in _groups([size + (f.get("K_self") is not None,) for size, f in zip(sizes, fields)]):
+        Q = _stack([fields[k]["Q"] for k in ks])
+        qb1 = Q @ _stack([subs[k].B1 for k in ks])
+        qb3 = Q @ _stack([subs[k].B3 for k in ks])
         eps = 2.0 * np.array([fields[k]["epsilon"] for k in ks])[:, None, None]
-        h_self = np.array([net.h_or_zero(k + 1, k + 1) for k in ks])
-        S = _diagonal_block(np.array([subs[k].A for k in ks]), Q, qb1, qb3, eps, h_self, gains)
+        S = _diagonal_block(_stack([subs[k].A for k in ks]), Q, qb1, qb3, eps,
+                            _stack([h(k + 1, k + 1) for k in ks]), _stacked_gains(fields, ks, ("K_self",)))
         for k, S_k, qb1_k, qb3_k in zip(ks, S, qb1, qb3):
             diag[k], QB1[k], QB3[k] = S_k, qb1_k, qb3_k
-    supers = [
-        -_coupling_block(
-            QB1[k], QB3[k], net.h_or_zero(k + 1, k),
-            QB1[k - 1] @ net.h_or_zero(k, k + 1), QB3[k - 1], fields[k],
-        ).T
-        for k in range(1, N)
-    ]
+    # Coupling block k couples step k + 2 to step k + 1 (records k + 1 and k).
+    supers = [None] * (N - 1)
+    keys = [sizes[k] + sizes[k + 1] + (f.get("K_to_prev") is not None, f.get("K_prev_to_self") is not None)
+            for k, f in enumerate(fields[1:])]
+    for ks in _groups(keys):
+        steps = [k + 1 for k in ks]
+        gains = _stacked_gains(fields, steps, ("K_to_prev", "K_prev_to_self"))
+        X = _coupling_block(
+            _stack([QB1[k] for k in steps]), _stack([QB3[k] for k in steps]) if "K_to_prev" in gains else None,
+            _stack([h(k + 2, k + 1) for k in ks]), _stack([QB1[k] for k in ks]) @ _stack([h(k + 1, k + 2) for k in ks]),
+            _stack([QB3[k] for k in ks]) if "K_prev_to_self" in gains else None, gains,
+        )
+        for k, R in zip(ks, -X.swapaxes(-1, -2)):
+            supers[k] = R
     return blockla.BlockTriDiagonal._from_built(diag, supers)
+
+
+def _groups(keys):
+    """The indices of keys grouped by key, each group in index order."""
+    groups = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return groups.values()
+
+
+def _stack(arrays) -> np.ndarray:
+    """The arrays, of one shape, as one stack; a lone one as a view of it."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _stacked_gains(fields, ks, names) -> dict:
+    """The gains of names that the records ks of fields carry, each as one
+    stack; the records of a stack carry the same ones."""
+    return {name: _stack([fields[k][name] for k in ks]) for name in names if fields[ks[0]].get(name) is not None}
 
 
 def _derive_margins(net, fields):

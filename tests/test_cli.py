@@ -505,3 +505,22 @@ def test_finite_entry_too_large_to_multiply_names_its_closed_loop_block(
         "malformed file: the records do not certify the network: "
         "closed-loop block 2 is not finite\n"
     )
+
+
+@pytest.mark.parametrize("command", ["report", "check", "add", "simulate", "validate"])
+def test_an_integer_too_large_for_a_float_exits_3(four_stage_doc, tmp_path, capsys, command):
+    doc = json.loads(json.dumps(four_stage_doc))
+    doc["network"]["subsystems"][0]["A"][0][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc["network"] if command == "validate" else doc))
+    addition = tmp_path / "fifth.json"
+    files.save_addition(Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1.0), None, None, None, addition)
+    extra = {
+        "simulate": ["--T", "2.0"],
+        "add": ["--sub", str(addition), "--out", str(tmp_path / "never.json")],
+    }.get(command, [])
+    flag = "--net" if command == "validate" else "--state"
+    assert execute([command, flag, str(path), *extra]) == EXIT_INVALID
+    assert one_stderr_line(capsys) == (
+        "malformed file: subsystems[0]: matrix 'A' has an entry too large for a float\n"
+    )

@@ -71,23 +71,33 @@ def test_fingerprint_tracks_content():
     assert network_fingerprint(bumped) != base
 
 
-def test_state_round_trip_is_bitwise(tmp_path):
-    state = run_cascade_design(four_stage_cascade())
-    path = tmp_path / "state.json"
-    save_state(state, path)
-    loaded = load_state(path)
-    assert loaded.global_epsilon == state.global_epsilon
-    for a, b in zip(state.records, loaded.records):
+def _assert_records_equal(state, other):
+    assert other.global_epsilon == state.global_epsilon
+    for a, b in zip(state.records, other.records, strict=True):
         assert a.index == b.index
         assert a.route == b.route
         assert a.epsilon == b.epsilon
         assert np.array_equal(a.Q, b.Q)
-        assert np.array_equal(a.M_cl, b.M_cl)
+        assert a.M_cl.tobytes() == b.M_cl.tobytes()
         for name in ("K_self", "K_to_prev", "K_prev_to_self"):
             left, right = getattr(a, name), getattr(b, name)
             assert (left is None) == (right is None)
             if left is not None:
                 assert np.array_equal(left, right)
+
+
+def test_state_round_trip_is_bitwise(tmp_path):
+    # random_cascade(24, default_rng(3)) holds all six (n, p, m) shapes,
+    # both routes and absent couplings, so its load stacks steps of every kind.
+    for net in (four_stage_cascade(), random_cascade(24, np.random.default_rng(3))):
+        state = run_cascade_design(net)
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        loaded = load_state(path)
+        _assert_records_equal(state, loaded)
+        # The public constructor derives every M_cl afresh: the margins of
+        # the design, of a load and of a rebuilt state agree bit for bit.
+        _assert_records_equal(state, NetworkDesignState(loaded.net, loaded.records))
 
 
 def _state_doc(state):
@@ -556,6 +566,165 @@ def test_network_and_addition_entries_must_be_json_numbers(tmp_path, bad):
                                 "h_self": None, "h_prev": bad, "h_to_new": [[1]]}))
     with pytest.raises(MalformedFile, match=r"matrix 'h_prev' has an entry that is not a JSON number"):
         load_addition(path)
+
+
+# A matrix whose nesting is not two levels of equal rows, and the message
+# a load gives it, wherever it stands in a document.
+MALFORMED_NESTING = [
+    pytest.param([[1.0], [2.0, 3.0]], "is not numeric: setting an array element with a sequence",
+                 id="ragged-rows"),
+    pytest.param([1.0, 2.0], "must be 2-D, got ndim=1", id="1-D-row"),
+    pytest.param([[[1.0]]], "must be 2-D, got ndim=3", id="3-D"),
+    pytest.param([], "must be 2-D, got ndim=1", id="empty-list"),
+]
+
+# Sites of 1x1 matrices in the four-stage state document: (owner, key, label).
+STATE_SITES = {
+    "subsystem": (lambda doc: doc["network"]["subsystems"][1], "A", r"subsystems\[1\]: matrix 'A'"),
+    "coupling": (lambda doc: doc["network"]["couplings"][1], "h", r"matrix 'couplings\[1\]\.h'"),
+    "record": (lambda doc: doc["records"][1], "Q", r"matrix 'records\[1\]\.Q'"),
+}
+
+
+def _network_doc():
+    sub = {"A": [[-1.0]], "B1": [[1.0]], "B2": [[1.0]], "B3": [[1.0]], "C": [[1.0]]}
+    return {"schema": 1, "type": "network", "subsystems": [sub, dict(sub)],
+            "couplings": [{"i": 2, "j": 1, "h": [[0.5]]}]}
+
+
+def _addition_doc():
+    return {"schema": 1, "type": "addition",
+            "subsystem": {"A": [[-1.0]], "B1": [[1.0]], "B2": [[1.0]], "B3": [[1.0]], "C": [[1.0]]},
+            "h_self": [[0.5]], "h_prev": None, "h_to_new": None}
+
+
+def _load_addition_doc(tmp_path, doc):
+    path = tmp_path / "add.json"
+    path.write_text(json.dumps(doc))
+    return load_addition(path)
+
+
+@pytest.mark.parametrize("value,message", MALFORMED_NESTING)
+@pytest.mark.parametrize("site", STATE_SITES)
+def test_a_state_matrix_nested_wrongly_is_malformed(site, value, message):
+    doc = _state_doc(run_cascade_design(four_stage_cascade()))
+    owner, key, label = STATE_SITES[site]
+    owner(doc)[key] = value
+    with pytest.raises(MalformedFile, match=f"^{label} {message}"):
+        state_from_dict(doc)
+
+
+@pytest.mark.parametrize("value,message", MALFORMED_NESTING)
+def test_a_network_or_addition_matrix_nested_wrongly_is_malformed(tmp_path, value, message):
+    for part, label in (("A", r"subsystems\[1\]: matrix 'A'"), ("h", r"matrix 'couplings\[0\]\.h'")):
+        doc = _network_doc()
+        (doc["subsystems"][1] if part == "A" else doc["couplings"][0])[part] = value
+        with pytest.raises(MalformedFile, match=f"^{label} {message}"):
+            network_from_dict(doc)
+    for part, label in (("C", r"subsystem: matrix 'C'"), ("h_self", r"matrix 'h_self'")):
+        doc = _addition_doc()
+        (doc["subsystem"] if part == "C" else doc)[part] = value
+        with pytest.raises(MalformedFile, match=f"^{label} {message}"):
+            _load_addition_doc(tmp_path, doc)
+
+
+def _integral_as_int(tree):
+    """tree with every integral float entry written as a JSON integer."""
+    if isinstance(tree, dict):
+        return {key: _integral_as_int(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_integral_as_int(value) for value in tree]
+    return int(tree) if isinstance(tree, float) and tree.is_integer() else tree
+
+
+def test_bare_numbers_load_as_1x1_and_integers_as_floats(tmp_path):
+    state = run_cascade_design(four_stage_cascade())
+    doc = _state_doc(state)
+    for owner, key, _ in STATE_SITES.values():
+        owner(doc)[key] = owner(doc)[key][0][0]
+    doc["network"] = _integral_as_int(doc["network"])
+    assert doc["network"]["subsystems"][0]["A"] == [[-9, 1], [5, 7]]
+    loaded = state_from_dict(doc)
+    _assert_records_equal(state, loaded)
+    for a, b in zip(state.net.subsystems, loaded.net.subsystems):
+        for name in ("A", "B1", "B2", "B3", "C"):
+            assert getattr(b, name).dtype == float and np.array_equal(getattr(a, name), getattr(b, name))
+    assert all(np.array_equal(loaded.net.h(*key), c.h) for key, c in state.net.couplings.items())
+
+    doc = _network_doc()
+    doc["subsystems"][1] = {"A": -1, "B1": 1, "B2": 2.0, "B3": 1, "C": 0.5}
+    doc["couplings"][0]["h"] = [[1]]
+    net = network_from_dict(doc)
+    assert net.subsystems[1].B2.shape == (1, 1) and net.subsystems[1].C.tolist() == [[0.5]]
+    assert net.subsystems[1].A.dtype == float and net.h(2, 1).dtype == float
+    assert net.subsystems[0].A.tolist() == [[-1.0]] and net.h(2, 1).tolist() == [[1.0]]
+
+    doc = _addition_doc()
+    doc["subsystem"]["A"], doc["h_self"], doc["h_to_new"] = -2, 0.5, [[3]]
+    sub, h_self, h_prev, h_to_new = _load_addition_doc(tmp_path, doc)
+    assert sub.A.tolist() == [[-2.0]] and sub.A.dtype == float
+    assert h_self.tolist() == [[0.5]] and h_prev is None
+    assert h_to_new.tolist() == [[3.0]] and h_to_new.dtype == float
+
+
+def test_loaded_matrices_are_read_only():
+    loaded = state_from_dict(_state_doc(run_cascade_design(four_stage_cascade())))
+    arrays = [getattr(s, name) for s in loaded.net.subsystems for name in ("A", "B1", "B2", "B3", "C")]
+    arrays += [c.h for c in loaded.net.couplings.values()]
+    arrays += [a for r in loaded.records for a in (r.Q, r.K_self, r.K_to_prev, r.K_prev_to_self, r.M_cl)
+               if a is not None]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+# A JSON integer too large for a float, in the four-stage state document.
+HUGE = 10**400
+HUGE_STATE_TAMPERS = {
+    "entry": (lambda doc: doc["network"]["subsystems"][0]["A"][0].__setitem__(0, HUGE),
+              r"subsystems\[0\]: matrix 'A' has an entry too large for a float"),
+    "bare-matrix": (lambda doc: doc["network"]["subsystems"][1].__setitem__("A", HUGE),
+                    r"subsystems\[1\]: matrix 'A' has an entry too large for a float"),
+    "bare-h": (lambda doc: doc["network"]["couplings"][1].__setitem__("h", HUGE),
+               r"matrix 'couplings\[1\]\.h' has an entry too large for a float"),
+    "record-entry": (lambda doc: doc["records"][1]["Q"][0].__setitem__(0, HUGE),
+                     r"matrix 'records\[1\]\.Q' has an entry too large for a float"),
+    "epsilon": (lambda doc: doc["records"][2].__setitem__("epsilon", HUGE),
+                r"records\[2\]\.epsilon must be a finite number, got 1000"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_STATE_TAMPERS)
+def test_an_integer_too_large_for_a_float_is_malformed_in_a_state(case):
+    doc = _state_doc(run_cascade_design(four_stage_cascade()))
+    tamper, message = HUGE_STATE_TAMPERS[case]
+    tamper(doc)
+    with pytest.raises(MalformedFile, match=f"^{message}"):
+        state_from_dict(doc)
+
+
+def test_an_integer_too_large_for_a_float_is_malformed_in_a_network_or_addition(tmp_path):
+    for owner, message in ((lambda doc: doc["subsystems"][1], r"subsystems\[1\]: matrix 'A'"),
+                           (lambda doc: doc["couplings"][0], r"matrix 'couplings\[0\]\.h'")):
+        for value in (HUGE, [[HUGE]]):
+            doc = _network_doc()
+            owner(doc)["h" if "couplings" in message else "A"] = value
+            with pytest.raises(MalformedFile, match=f"^{message} has an entry too large for a float"):
+                network_from_dict(doc)
+    for key, message in (("subsystem", r"subsystem: matrix 'C'"), ("h_to_new", r"matrix 'h_to_new'")):
+        for value in (HUGE, [[HUGE]]):
+            doc = _addition_doc()
+            if key == "subsystem":
+                doc["subsystem"]["C"] = value
+            else:
+                doc[key] = value
+            with pytest.raises(MalformedFile, match=f"^{message} has an entry too large for a float"):
+                _load_addition_doc(tmp_path, doc)
+
+
+def test_an_integer_beyond_the_json_digit_limit_is_malformed(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_network_doc()).replace("-1.0", "-" + "9" * 5000, 1))
+    with pytest.raises(MalformedFile, match="not valid JSON"):
+        load_network(path)
 
 
 # The SHA-256 of every outcome of the _tampers sweep, pinned while the load

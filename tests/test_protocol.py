@@ -1000,6 +1000,48 @@ def test_a_state_that_does_not_certify_builds_but_does_not_grow():
         add_subsystem(tampered, *FOUR_STAGE_ADDITION)
 
 
+def reference_closed_loop_blocks(net, storages, epsilons, gains):
+    """The certificate blocks built one step at a time, from 2-D operands."""
+    subs, N = net.subsystems, net.n_subsystems
+    QB1 = [Q @ s.B1 for Q, s in zip(storages, subs)]
+    QB3 = [Q @ s.B3 for Q, s in zip(storages, subs)]
+    diag = [
+        protocol._diagonal_block(s.A, Q, QB1[k], QB3[k], 2.0 * e, net.h_or_zero(k + 1, k + 1),
+                                 {"K_self": gains[(k + 1, k + 1)]} if (k + 1, k + 1) in gains else {})
+        for k, (s, Q, e) in enumerate(zip(subs, storages, epsilons))
+    ]
+    supers = []
+    for i in range(2, N + 1):
+        links = {name: gains[ij] for name, ij in (("K_to_prev", (i, i - 1)), ("K_prev_to_self", (i - 1, i)))
+                 if ij in gains}
+        X = protocol._coupling_block(QB1[i - 1], QB3[i - 1], net.h_or_zero(i, i - 1),
+                                     QB1[i - 2] @ net.h_or_zero(i - 1, i), QB3[i - 2], links)
+        supers.append(-X.T)
+    return diag, supers
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stacked_closed_loop_blocks_match_the_per_step_blocks_bit_for_bit(seed):
+    # Each gain is present or absent at random, so stacks of steps of one
+    # shape mix steps with and without K(i,i).
+    rng = np.random.default_rng(seed)
+    net = random_cascade(int(rng.integers(1, 13)), rng)
+    subs, N = net.subsystems, net.n_subsystems
+    storages = [blockla.symmetric_part(X @ X.T + np.eye(s.n)) for s in subs
+                for X in [rng.standard_normal((s.n, s.n))]]
+    epsilons = list(rng.uniform(0.01, 1.0, N))
+    gains = {}
+    for i in range(1, N + 1):
+        for j in (i - 1, i, i + 1):
+            if 1 <= j <= N and rng.random() < 0.5:
+                gains[(i, j)] = rng.standard_normal((subs[i - 1].p, subs[j - 1].n))
+    blocks = closed_loop_blocks(net, storages, epsilons, gains)
+    diag, supers = reference_closed_loop_blocks(net, storages, epsilons, gains)
+    assert [D.tobytes() for D in blocks.diag_blocks] == [D.tobytes() for D in diag]
+    assert [R.tobytes() for R in blocks.super_blocks] == [R.tobytes() for R in supers]
+
+
 def test_closed_loop_blocks_requires_matching_lengths():
     net = two_stage_scalar_cascade()
     with pytest.raises(DimensionMismatch):
