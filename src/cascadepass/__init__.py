@@ -61,7 +61,6 @@ from .protocol import (
     build_packet,
     run_cascade_design,
     add_subsystem,
-    closed_loop_blocks,
     design_tridiagonal,
 )
 from .oracle import (
@@ -122,7 +121,6 @@ __all__ = [
     "build_packet",
     "run_cascade_design",
     "add_subsystem",
-    "closed_loop_blocks",
     "design_tridiagonal",
     "NonFiniteTrajectory",
     "TrajectoryTooLarge",

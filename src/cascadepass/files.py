@@ -43,17 +43,19 @@ record in file order):
 8. record indices contiguous from 1; the state then takes the margins
    of step 6 as they are, with no second recursion.
 
-Each step runs once per stack of matrices or records of one shape, not
-once per matrix: a document's matrices are parsed by one _parse, per
-stack of values nested alike, and each loaded matrix is a read-only view
-of a read-only stack; their shapes are compared with one table, each
-stack of record matrices is tested for finiteness, each stack of Q for
-symmetry and positivity and each stack of records sharing B2's shape by
-the storage equality, and the closed-loop blocks are built per stack of
-steps of one shape. A document is a tree as
-json.load returns it. Only when a stacked test fails does the per-item
-code of its step run (_matrix, _record_defect, model._subsystem_violations,
-protocol._check_shapes), to word the first defect.
+A network or state document runs each step once per stack of matrices
+or records of one shape, not once per matrix: its matrices are parsed by
+one _parse, per stack of values nested alike, and each loaded matrix is a
+read-only view of a read-only stack; their shapes are compared with one
+table, each stack of record matrices is tested for finiteness, each stack
+of records sharing B2's shape, (n, m), by one symmetry test and one
+protocol._storage_test at the chain's pivot floor, and the diagonal
+closed-loop blocks are built per stack of steps of one shape, the
+coupling blocks step by step. A document is a tree as json.load returns
+it. Only when a stacked test fails does the per-item code of its step run
+(_matrix, _record_defect, model._subsystem_violations,
+protocol._check_shapes), to word the first defect. An addition document,
+five to eight matrices, is parsed matrix by matrix with _matrix.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from .protocol import (
     _derive_margins,
     _groups,
     _record_shapes,
-    _storage_equality,
+    _storage_test,
 )
 
 __all__ = [
@@ -140,8 +142,9 @@ _NOT_LONE_NUMBERS = _NOT_NUMBERS | {type(None)}
 def _matrix(value, name):
     """value as a read-only 2-D float array; a lone number becomes 1x1.
 
-    _parse parses every matrix of a document; this parses one, to word the
-    first defect when a stacked test of _parse fails.
+    An addition's matrices are parsed by this one by one; _parse parses a
+    network's or a state's together, and this words the first defect when
+    a stacked test of _parse fails.
     """
     if value is None:
         raise MalformedFile(f"missing matrix {name!r}")
@@ -252,17 +255,16 @@ def _subsystem_to_dict(sub: Subsystem) -> dict:
     return {"A": sub.A, "B1": sub.B1, "B2": sub.B2, "B3": sub.B3, "C": sub.C}
 
 
-def _subsystem_defect(subs_doc, where) -> None:
-    """Raise MalformedFile at the first defect of the subsystem objects
-    subs_doc, worded at where(k) for subs_doc[k]."""
-    for k, d in enumerate(subs_doc):
-        if not isinstance(d, dict):
-            raise MalformedFile(f"{where(k)} must be an object")
-        for name in _SUBSYSTEM_MATRICES:
-            try:
-                _matrix(d.get(name), name)
-            except MalformedFile as exc:
-                raise MalformedFile(f"{where(k)}: {exc}") from None
+def _subsystem_matrices(d, where) -> list:
+    """The matrices of the subsystem object d, in _SUBSYSTEM_MATRICES order,
+    each parsed by _matrix; MalformedFile at the first defect, worded at
+    where."""
+    if not isinstance(d, dict):
+        raise MalformedFile(f"{where} must be an object")
+    try:
+        return [_matrix(d.get(name), name) for name in _SUBSYSTEM_MATRICES]
+    except MalformedFile as exc:
+        raise MalformedFile(f"{where}: {exc}") from None
 
 
 def network_to_dict(net: CascadeNetwork) -> dict:
@@ -344,7 +346,8 @@ def _network_from_dict(doc, values):
         if parsed is not None:
             parsed = (*parsed[:2], None)
     if parsed is None:
-        _subsystem_defect(subs_doc, "subsystems[{}]".format)
+        for k, d in enumerate(subs_doc):
+            _subsystem_matrices(d, f"subsystems[{k}]")
         _coupling_defect(coup_doc)
     subs, blocks, rest = parsed
     return CascadeNetwork._from_built(subs, blocks), rest
@@ -445,7 +448,7 @@ def _require_finite(fields, stacks) -> None:
                 raise MalformedFile(f"records[{k}]: {name} has non-finite entries")
 
 
-def _symmetrize_storages(fields, groups) -> dict:
+def _symmetrize_storages(fields, groups) -> list:
     """Each group's stack of Q, made symmetric as blockla.symmetric_part
     makes each Q; each record's Q becomes its view into the stack.
 
@@ -453,8 +456,8 @@ def _symmetrize_storages(fields, groups) -> dict:
     that fails it, to raise its message, or whose entries are large enough
     for Q + Q' to overflow.
     """
-    stacks, exact = {}, []
-    for key, ks in groups.items():
+    stacks, exact = [], []
+    for ks in groups:
         S = np.array([fields[k]["Q"] for k in ks])
         St = S.transpose(0, 2, 1)
         with np.errstate(over="ignore"):
@@ -462,15 +465,15 @@ def _symmetrize_storages(fields, groups) -> dict:
         scale = np.abs(S).max(axis=(1, 2))
         fails = (skew > blockla.SYMMETRY_RTOL * np.maximum(1.0, scale)) | (scale > blockla._HALF_MAX)
         exact += [(ks[j], H, j) for j in np.flatnonzero(fails)]
-        stacks[key] = H
+        stacks.append(H)
     for k, H, j in sorted(exact, key=lambda e: e[0]):
         try:
             H[j] = blockla.symmetric_part(fields[k]["Q"], "Q")
         except blockla.AsymmetricMatrix as exc:
             raise MalformedFile(f"records[{k}]: {exc}") from None
-    for key, ks in groups.items():
-        stacks[key].setflags(write=False)
-        for k, Q in zip(ks, stacks[key]):
+    for ks, H in zip(groups, stacks):
+        H.setflags(write=False)
+        for k, Q in zip(ks, H):
             fields[k]["Q"] = Q
     return stacks
 
@@ -518,26 +521,19 @@ def state_from_dict(doc) -> NetworkDesignState:
         raise MalformedFile(f"{len(subs)} subsystems but {len(recs_doc)} records")
     fields, stacks = _record_fields(recs_doc, subs, sites, parsed)
     _require_finite(fields, stacks)
-    groups = {}
-    for k, sub in enumerate(subs):
-        groups.setdefault(sub.n, []).append(k)
+    groups = _groups([sub.B2.shape for sub in subs])
     stacks = _symmetrize_storages(fields, groups)
     margins, failure = _derive_margins(net, fields)
     if failure is not None:
         what = "not finite" if isinstance(failure, blockla.NonFiniteMatrix) else "not positive definite"
         raise MalformedFile(f"the records do not certify the network: closed-loop block {failure.index} is {what}")
-    floor = blockla._pivot_floor(max(float(np.abs(H).max()) for H in stacks.values()))
+    floor = blockla._pivot_floor(max(float(np.abs(H).max()) for H in stacks))
     faults = {}
-    for n, ks in groups.items():
-        # The storage tests (protocol._storage_test): positivity per stack
-        # of Q, the equality per stack of records sharing B2's shape.
-        positive = blockla._cholesky_passes(stacks[n], floor)
-        for js in _groups([subs[k].m for k in ks]):
-            equal, gap, bounds = _storage_equality(
-                stacks[n][js], np.array([subs[ks[j]].B2 for j in js]), np.array([subs[ks[j]].C for j in js]))
-            for i in np.flatnonzero(~(positive[js] & equal)):
-                j = js[i]
-                faults[ks[j]] = "Q is not positive definite" if not positive[j] else _equality_fault(gap[i], bounds[i])
+    for ks, H in zip(groups, stacks):
+        equal, positive, gap, bounds = _storage_test(
+            H, np.array([subs[k].B2 for k in ks]), np.array([subs[k].C for k in ks]), floor)
+        for j in np.flatnonzero(~(positive & equal)):
+            faults[ks[j]] = "Q is not positive definite" if not positive[j] else _equality_fault(gap[j], bounds[j])
     records = []
     for k, f in enumerate(fields):
         try:
@@ -582,15 +578,6 @@ def save_addition(sub: Subsystem, h_self, h_prev, h_to_new, path) -> None:
 def load_addition(path):
     doc = _load_json(path)
     _expect(doc, "addition")
-    sub_doc = [doc.get("subsystem")]
-    names = [name for name in ("h_self", "h_prev", "h_to_new") if doc.get(name) is not None]
-    parsed = None
-    if isinstance(sub_doc[0], dict):
-        parsed = _parse(_subsystem_values(sub_doc) + [doc[name] for name in names])
-    if parsed is None:
-        _subsystem_defect(sub_doc, lambda k: "subsystem")
-        for name in names:
-            _matrix(doc[name], name)
-    matrices = parsed[0]
-    h = dict(zip(names, matrices[5:]))
-    return _subsystems(matrices, 1)[0], h.get("h_self"), h.get("h_prev"), h.get("h_to_new")
+    sub = Subsystem._from_built(zip(_SUBSYSTEM_MATRICES, _subsystem_matrices(doc.get("subsystem"), "subsystem")))
+    h = [None if doc.get(name) is None else _matrix(doc[name], name) for name in ("h_self", "h_prev", "h_to_new")]
+    return sub, *h

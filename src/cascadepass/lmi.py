@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blockla
 from ._scipy_ext import lbfgsb
 from .model import _frozen
 
@@ -112,7 +113,7 @@ class AffineFeasibilityProblem:
         if len(blocks) - 1 != v:
             raise MalformedProblem(f"expected {v} coefficient blocks, got {len(blocks) - 1}")
         # Checked as one stack; the first block with a wrong shape, non-finite
-        # entries or asymmetry beyond 1e-8 relative is reported.
+        # entries or asymmetry beyond blockla.SYMMETRY_RTOL relative is reported.
         shaped = next((k for k, B in enumerate(blocks) if B.shape != (d, d)), len(blocks))
         stack = np.array(blocks[:shaped])
         flat = stack.reshape(shaped, -1)
@@ -124,7 +125,7 @@ class AffineFeasibilityProblem:
             skew = np.abs(stack - stack.transpose(0, 2, 1)).reshape(shaped, -1).max(axis=1)
             stack = 0.5 * (stack + stack.transpose(0, 2, 1))
         finite = np.isfinite(stack.reshape(shaped, -1)).all(axis=1)
-        bad = np.flatnonzero(~finite | (skew > 1e-8 * scale))
+        bad = np.flatnonzero(~finite | (skew > blockla.SYMMETRY_RTOL * scale))
         if bad.size:
             k = int(bad[0])
             if not finite[k]:

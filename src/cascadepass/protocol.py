@@ -36,8 +36,8 @@ one Schur step clears them, so each record's M_cl is bit for bit the Schur
 recursion of the global matrix, which makes the one-pass design sound; the
 oracle checks it independently. A state derives every M_cl by that
 recursion, never taking one from a record. One table, _record_shapes,
-gives the shape of every record matrix; a state and closed_loop_blocks
-check their matrices against it, and so does a load.
+gives the shape of every record matrix; a state checks its matrices
+against it, and so does a load.
 
 One private step function designs step i from record i-1 alone:
 run_cascade_design loops over it and add_subsystem takes it once on the
@@ -49,7 +49,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -80,7 +79,6 @@ __all__ = [
     "build_packet",
     "run_cascade_design",
     "add_subsystem",
-    "closed_loop_blocks",
     "design_tridiagonal",
 ]
 
@@ -244,21 +242,6 @@ def _check_shapes(where, matrices, shapes) -> None:
             raise DimensionMismatch(f"{where}: {name} is {a.shape}, expected {(rows, cols)}")
 
 
-def _require_shapes(fields, subs, where) -> None:
-    """_check_shapes over the records of fields, one mapping each, on subs:
-    one comparison of every present matrix's shape with _record_shapes;
-    only when it fails is each record checked, to word the first mismatch
-    at where(k) for record k + 1."""
-    table = _record_shapes(subs)
-    present = [(4 * k + c, a.shape) for k, f in enumerate(fields)
-               for c, name in enumerate(_RECORD_MATRICES) if (a := f.get(name)) is not None]
-    sites, shapes = zip(*present)
-    if np.array_equal(table.reshape(-1, 2)[list(sites)].ravel(), list(chain.from_iterable(shapes))):
-        return
-    for k, f in enumerate(fields):
-        _check_shapes(where(k), f, table[k])
-
-
 @dataclass(frozen=True)
 class NetworkDesignState:
     """A fully designed cascade: the network plus one record per subsystem.
@@ -283,7 +266,8 @@ class NetworkDesignState:
         if not report.ok:
             raise InvalidNetwork(report)
         self._check(map(copy.copy, self.records))
-        _require_shapes([vars(rec) for rec in self.records], self.net.subsystems, "records[{}]".format)
+        for k, (rec, shapes) in enumerate(zip(self.records, _record_shapes(self.net.subsystems))):
+            _check_shapes(f"records[{k}]", vars(rec), shapes)
         for rec, M in zip(self.records, _derive_margins(self.net, [vars(r) for r in self.records])[0]):
             object.__setattr__(rec, "M_cl", M)
 
@@ -392,29 +376,22 @@ def _storage_space(sub: Subsystem):
 
 
 def _storage_test(Q, B2, C, floor=None):
-    """(equal, positive, gap, bounds) of one Q or of each in a stack: the
-    storage equality (_storage_equality), and positive, whether
-    blockla._cholesky_passes at floor, by default blockla._pivot_floor of
-    max |Q_ij|."""
-    if floor is None:
-        floor = blockla._pivot_floor(float(np.abs(Q).max()))
-    equal, gap, bounds = _storage_equality(Q, B2, C)
-    return equal, blockla._cholesky_passes(Q, floor), gap, bounds
-
-
-def _storage_equality(Q, B2, C):
-    """(equal, gap, bounds) of one Q or of each in a stack.
+    """(equal, positive, gap, bounds) of one Q or of each in a stack.
 
     gap[..., j] is max_i |(Q B2 - C')_ij| for output channel j and
     bounds[..., j] its bound, 1e-8 * max(1, max_i |C_ji|). equal: gap <=
     bounds in every channel, which a block-diagonal Q meets exactly when
     each block does. A storage's residual, max |Q B2 - C'|, is its largest
-    gap.
+    gap. positive: whether blockla._cholesky_passes at floor, by default
+    blockla._pivot_floor of max |Q_ij| (a load passes the floor of its
+    whole chain).
     """
+    if floor is None:
+        floor = blockla._pivot_floor(float(np.abs(Q).max()))
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(Q @ B2 - np.swapaxes(C, -1, -2)).max(axis=-2)
         bounds = 1e-8 * np.maximum(1.0, np.abs(C).max(axis=-1))
-    return (gap <= bounds).all(axis=-1), gap, bounds
+    return (gap <= bounds).all(axis=-1), blockla._cholesky_passes(Q, floor), gap, bounds
 
 
 def _solver_target(scale, lam_prev, tau) -> float:
@@ -541,8 +518,9 @@ def _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, gains):
 
     gains may hold K_to_prev and K_prev_to_self, or, in synthesis's first
     stage, a free matrix Z_prev standing in for Q B3 K_to_prev plus
-    K_prev_to_self' T_prev'; absent ones are 0. Every operand may instead
-    be a stack of points or steps of one shape.
+    K_prev_to_self' T_prev'; absent ones are 0. QB1, QB3 and the gains may
+    instead be stacks of points of one shape, as a local problem's probes
+    are.
     """
     K_up = gains.get("K_prev_to_self")
     upstream = G_prev if K_up is None else G_prev + T_prev @ K_up
@@ -941,80 +919,42 @@ def add_subsystem(
     return NetworkDesignState._from_built(net, records, [rec.M_cl for rec in records])
 
 
-def closed_loop_blocks(net: CascadeNetwork, storages, epsilons, gains=None) -> blockla.BlockTriDiagonal:
-    """Blocks of the closed-loop certificate matrix for given (Q_i, eps_i, K).
-
-    storages and epsilons are per-subsystem, each epsilon a record's rate,
-    so block i holds -2 eps_i I; gains maps (i, j) index pairs
-    to gain matrices K(i,j), absent pairs meaning zero. Only (i, i) and
-    (i, i+-1) pairs within the chain are gains; any other key, or a storage
-    or gain whose shape is not _record_shapes's, raises DimensionMismatch.
-    Block i is built as design step i builds it, from the same packet
-    products, so on a designed state blockla.tridiag_pd_sequence
-    reproduces each M_cl bit for bit. The blocks are exactly symmetric by
-    construction and are not checked again; tridiag_pd_sequence rejects a
-    non-finite one.
-    """
-    N = net.n_subsystems
-    storages = [blockla.symmetric_part(Qi, f"storages[{k}]") for k, Qi in enumerate(storages)]
-    epsilons = [float(e) for e in epsilons]
-    if len(storages) != N or len(epsilons) != N:
-        raise DimensionMismatch("need one storage matrix and one epsilon per subsystem")
-    gains = {} if gains is None else gains
-    band = {(i, j) for i in range(1, N + 1) for j in (i - 1, i, i + 1) if 1 <= j <= N}
-    for key in gains:
-        if key not in band:
-            raise DimensionMismatch(
-                f"gain key {key!r} is not (i, i) or (i, i+-1) within a {N}-subsystem chain"
-            )
-    fields = [
-        {"Q": Q, "epsilon": e}
-        | {name: as_matrix(gains[ij], name) for name, ij in _gain_pairs(i).items() if ij in gains}
-        for i, (Q, e) in enumerate(zip(storages, epsilons), start=1)
-    ]
-    _require_shapes(fields, net.subsystems, lambda k: f"step {k + 1}")
-    return _closed_loop_blocks(net, fields)
-
-
 def _closed_loop_blocks(net, fields) -> blockla.BlockTriDiagonal:
-    """closed_loop_blocks for records in stored form: one mapping per
-    subsystem, by DesignRecord field name, of an exactly symmetric float Q,
-    a float epsilon and float gains (an absent or None one is zero).
+    """Blocks of the closed-loop certificate matrix of records in stored
+    form: one mapping per subsystem, by DesignRecord field name, of an
+    exactly symmetric float Q, a float epsilon, a record's rate, so block i
+    holds -2 eps_i I, and float gains (an absent or None one is zero).
 
-    Each block is evaluated once per stack of steps with the same shapes
-    and the same gains present: a diagonal block depends on its own step
-    alone, a coupling block on its step and the one before it. Q B1 and
-    Q B3 are formed with the diagonal blocks, once per step. Stacked
-    products equal the per-step ones bit for bit.
+    Block i is built as design step i builds it, from the same packet
+    products, so on a designed state blockla.tridiag_pd_sequence reproduces
+    each M_cl bit for bit. A diagonal block depends on its own step alone,
+    so the diagonal blocks are evaluated once per stack of steps with the
+    same shapes and the same gains present; Q B1 and Q B3 are formed there,
+    once per step. The coupling blocks follow step by step. Stacked
+    products equal the per-step ones bit for bit. The blocks are exactly
+    symmetric by construction and are not checked again;
+    tridiag_pd_sequence rejects a non-finite one.
     """
     subs = net.subsystems
     N = len(subs)
-    h = net.h_or_zero
-    sizes = [(sub.n, sub.p) for sub in subs]
     diag, QB1, QB3 = [None] * N, [None] * N, [None] * N
-    for ks in _groups([size + (f.get("K_self") is not None,) for size, f in zip(sizes, fields)]):
-        Q = _stack([fields[k]["Q"] for k in ks])
-        qb1 = Q @ _stack([subs[k].B1 for k in ks])
-        qb3 = Q @ _stack([subs[k].B3 for k in ks])
+    for ks in _groups([(sub.n, sub.p, f.get("K_self") is not None) for sub, f in zip(subs, fields)]):
+        Q = np.array([fields[k]["Q"] for k in ks])
+        qb1 = Q @ np.array([subs[k].B1 for k in ks])
+        qb3 = Q @ np.array([subs[k].B3 for k in ks])
+        gains = {} if fields[ks[0]].get("K_self") is None else {"K_self": np.array([fields[k]["K_self"] for k in ks])}
         eps = 2.0 * np.array([fields[k]["epsilon"] for k in ks])[:, None, None]
-        S = _diagonal_block(_stack([subs[k].A for k in ks]), Q, qb1, qb3, eps,
-                            _stack([h(k + 1, k + 1) for k in ks]), _stacked_gains(fields, ks, ("K_self",)))
+        h_self = np.array([net.h_or_zero(k + 1, k + 1) for k in ks])
+        S = _diagonal_block(np.array([subs[k].A for k in ks]), Q, qb1, qb3, eps, h_self, gains)
         for k, S_k, qb1_k, qb3_k in zip(ks, S, qb1, qb3):
             diag[k], QB1[k], QB3[k] = S_k, qb1_k, qb3_k
-    # Coupling block k couples step k + 2 to step k + 1 (records k + 1 and k).
-    supers = [None] * (N - 1)
-    keys = [sizes[k] + sizes[k + 1] + (f.get("K_to_prev") is not None, f.get("K_prev_to_self") is not None)
-            for k, f in enumerate(fields[1:])]
-    for ks in _groups(keys):
-        steps = [k + 1 for k in ks]
-        gains = _stacked_gains(fields, steps, ("K_to_prev", "K_prev_to_self"))
-        X = _coupling_block(
-            _stack([QB1[k] for k in steps]), _stack([QB3[k] for k in steps]) if "K_to_prev" in gains else None,
-            _stack([h(k + 2, k + 1) for k in ks]), _stack([QB1[k] for k in ks]) @ _stack([h(k + 1, k + 2) for k in ks]),
-            _stack([QB3[k] for k in ks]) if "K_prev_to_self" in gains else None, gains,
-        )
-        for k, R in zip(ks, -X.swapaxes(-1, -2)):
-            supers[k] = R
+    supers = [
+        -_coupling_block(
+            QB1[k], QB3[k], net.h_or_zero(k + 1, k),
+            QB1[k - 1] @ net.h_or_zero(k, k + 1), QB3[k - 1], fields[k],
+        ).T
+        for k in range(1, N)
+    ]
     return blockla.BlockTriDiagonal._from_built(diag, supers)
 
 
@@ -1024,17 +964,6 @@ def _groups(keys):
     for k, key in enumerate(keys):
         groups.setdefault(key, []).append(k)
     return groups.values()
-
-
-def _stack(arrays) -> np.ndarray:
-    """The arrays, of one shape, as one stack; a lone one as a view of it."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
-def _stacked_gains(fields, ks, names) -> dict:
-    """The gains of names that the records ks of fields carry, each as one
-    stack; the records of a stack carry the same ones."""
-    return {name: _stack([fields[k][name] for k in ks]) for name in names if fields[ks[0]].get(name) is not None}
 
 
 def _derive_margins(net, fields):
@@ -1052,17 +981,14 @@ def _derive_margins(net, fields):
             return blockla.tridiag_pd_sequence(head).M_blocks + (None,) * (len(fields) - k), exc
 
 
-def _gain_pairs(i: int) -> dict:
-    """Each gain field of record i and the (i, j) pair of the gain K(i,j) it holds."""
-    return {"K_self": (i, i), "K_to_prev": (i, i - 1), "K_prev_to_self": (i - 1, i)}
-
-
 def _state_gains(state: NetworkDesignState) -> dict:
+    """Each gain K(i,j) of the state's records, keyed by its (i, j) pair."""
     return {
-        ij: getattr(rec, name)
+        ij: K
         for rec in state.records
-        for name, ij in _gain_pairs(rec.index).items()
-        if getattr(rec, name) is not None
+        for ij, K in (((rec.index, rec.index), rec.K_self), ((rec.index, rec.index - 1), rec.K_to_prev),
+                      ((rec.index - 1, rec.index), rec.K_prev_to_self))
+        if K is not None
     }
 
 

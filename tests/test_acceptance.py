@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cascadepass import blockla, files, lmi, oracle, protocol
+from cascadepass.model import CascadeNetwork
 from cascadepass.protocol import (
     ROUTE_SYNTHESIZED,
     ROUTE_VERIFIED,
@@ -118,11 +119,6 @@ def test_3_block_tridiagonal_factorization_accuracy():
 
 def test_4_two_stage_chain_rates_and_margins():
     net = two_stage_scalar_cascade()
-    blocks = protocol.closed_loop_blocks(net, [[[1.0]], [[1.0]]], [0.5, 0.25])
-    factor = blockla.tridiag_pd_sequence(blocks)
-    m1 = factor.M_blocks[0][0, 0]
-    m2 = factor.M_blocks[1][0, 0]
-
     pinned = NetworkDesignState(
         net=net,
         records=(
@@ -132,6 +128,9 @@ def test_4_two_stage_chain_rates_and_margins():
                          K_to_prev=None, K_prev_to_self=None, route=ROUTE_VERIFIED),
         ),
     )
+    factor = blockla.tridiag_pd_sequence(protocol.design_tridiagonal(pinned))
+    m1 = factor.M_blocks[0][0, 0]
+    m2 = factor.M_blocks[1][0, 0]
     eigs = np.linalg.eigvalsh(oracle.sp_matrix(oracle.assemble_closed_loop(pinned)))
 
     state = protocol.run_cascade_design(net)
@@ -229,3 +228,26 @@ def test_7_every_emitted_point_recertifies(campaign):
         f"acceptance 7, {len(emitted)} emitted feasible points, {bad} failed re-certification",
         ok,
     )
+
+
+def test_8_every_prefix_of_a_design_is_passive(campaign):
+    # The paper's guarantee is passivity "of the interconnected system up
+    # to that point": the first k subsystems, the couplings among them and
+    # the first k records make a state the oracle accepts, whose margins
+    # are the design's own.
+    states, _, _ = campaign
+    prefixes = failed = 0
+    for state in states:
+        net = state.net
+        for k in range(1, net.n_subsystems + 1):
+            head = CascadeNetwork(
+                subsystems=net.subsystems[:k],
+                couplings={ij: block for ij, block in net.couplings.items() if max(ij) <= k},
+            )
+            prefix = NetworkDesignState(net=head, records=state.records[:k])
+            cert = oracle.centralized_sp_check(oracle.assemble_closed_loop(prefix))
+            same = all(np.array_equal(a.M_cl, b.M_cl) for a, b in zip(prefix.records, state.records))
+            prefixes += 1
+            failed += not (cert.verdict and same)
+    ok = failed == 0 and prefixes > len(states)
+    verdict(f"acceptance 8, {prefixes} prefixes of {len(states)} designs, {failed} not passive", ok)

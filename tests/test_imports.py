@@ -1,16 +1,21 @@
-"""Importing the package loads two compiled scipy modules and no scipy package.
+"""Importing the package loads two compiled scipy modules and no scipy
+package, and every name a module exports exists.
 
-Each check runs in a fresh interpreter, since the test session itself has
-long since imported scipy.linalg and scipy.optimize.
+The scipy checks run in a fresh interpreter, since the test session
+itself has long since imported scipy.linalg and scipy.optimize.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import cascadepass
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,3 +62,13 @@ def test_scipy_and_the_package_share_one_copy_of_each_kernel(first, second):
         "}))\n"
     )
     assert shared == dict.fromkeys(["dtrtrs", "setulb", "registered", "minimized"], True)
+
+
+def test_every_exported_name_resolves():
+    # A public name deleted from a module must leave its __all__ and the
+    # package's too.
+    modules = [cascadepass] + [importlib.import_module(f"cascadepass.{info.name}")
+                               for info in pkgutil.iter_modules(cascadepass.__path__)]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

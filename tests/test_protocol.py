@@ -21,7 +21,6 @@ from cascadepass.protocol import (
     NetworkDesignState,
     add_subsystem,
     build_packet,
-    closed_loop_blocks,
     design_tridiagonal,
     local_synthesize,
     local_verify,
@@ -905,32 +904,15 @@ def test_add_subsystem_rejects_bad_column_shape():
         ]
 
 
-def test_closed_loop_blocks_pinned_rates_recursion():
-    net = two_stage_scalar_cascade()
-    blocks = closed_loop_blocks(net, [[[1.0]], [[1.0]]], [0.5, 0.25])
-    factor = blockla.tridiag_pd_sequence(blocks)
-    assert factor.M_blocks[0][0, 0] == 1.0
-    assert factor.M_blocks[1][0, 0] == 0.5
-
-
-def test_closed_loop_blocks_rejects_gains_outside_the_band():
+def test_state_rejects_records_that_do_not_match_its_network():
     state = run_cascade_design(four_stage_cascade())
-    storages = [rec.Q for rec in state.records]
-    epsilons = [rec.epsilon for rec in state.records]
-    for key in ((1, 3), (0, 1), (4, 5)):
-        with pytest.raises(DimensionMismatch, match=re.escape(repr(key))):
-            closed_loop_blocks(state.net, storages, epsilons, {key: 100 * np.ones((1, 1))})
-
-
-def test_closed_loop_blocks_rejects_a_misshapen_gain_or_storage():
-    state = run_cascade_design(four_stage_cascade())
-    storages = [rec.Q for rec in state.records]
-    epsilons = [rec.epsilon for rec in state.records]
-    # K(2,1) maps subsystem 1's two states to subsystem 2's one input.
-    with pytest.raises(DimensionMismatch, match=re.escape("step 2: K_to_prev is (1, 1), expected (1, 2)")):
-        closed_loop_blocks(state.net, storages, epsilons, {(2, 1): [[1.0]]})
-    with pytest.raises(DimensionMismatch, match=re.escape("step 1: Q is (1, 1), expected (2, 2)")):
-        closed_loop_blocks(state.net, [[[1.0]]] + storages[1:], epsilons)
+    records = state.records
+    with pytest.raises(ValueError, match=re.escape("a design state needs at least one record")):
+        NetworkDesignState(net=state.net, records=())
+    with pytest.raises(ValueError, match=re.escape("4 subsystems but 3 records")):
+        NetworkDesignState(net=state.net, records=records[:3])
+    with pytest.raises(ValueError, match=re.escape("records must be contiguous from 1, found index 2 at position 1")):
+        NetworkDesignState(net=state.net, records=(records[1], records[0]) + records[2:])
 
 
 def test_state_rejects_a_misshapen_gain():
@@ -946,6 +928,12 @@ def test_state_rejects_a_misshapen_gain():
     stray = dataclasses.replace(first, K_to_prev=[[1.0]])
     with pytest.raises(DimensionMismatch, match=re.escape("records[0]: record 1 cannot carry K_to_prev")):
         NetworkDesignState(net=state.net, records=(stray,) + state.records[1:])
+    # K(2,1) maps subsystem 1's two states to subsystem 2's one input.
+    second = state.records[1]
+    assert second.route == ROUTE_SYNTHESIZED
+    short = dataclasses.replace(second, K_to_prev=[[1.0]])
+    with pytest.raises(DimensionMismatch, match=re.escape("records[1]: K_to_prev is (1, 1), expected (1, 2)")):
+        NetworkDesignState(net=state.net, records=(first, short) + state.records[2:])
 
 
 def test_a_margin_is_derived_never_given():
@@ -1024,7 +1012,8 @@ def reference_closed_loop_blocks(net, storages, epsilons, gains):
 @given(st.integers(0, 2**32 - 1))
 def test_stacked_closed_loop_blocks_match_the_per_step_blocks_bit_for_bit(seed):
     # Each gain is present or absent at random, so stacks of steps of one
-    # shape mix steps with and without K(i,i).
+    # shape mix steps with and without K(i,i). The records need not
+    # certify the network: a state of them still builds its blocks.
     rng = np.random.default_rng(seed)
     net = random_cascade(int(rng.integers(1, 13)), rng)
     subs, N = net.subsystems, net.n_subsystems
@@ -1036,16 +1025,15 @@ def test_stacked_closed_loop_blocks_match_the_per_step_blocks_bit_for_bit(seed):
         for j in (i - 1, i, i + 1):
             if 1 <= j <= N and rng.random() < 0.5:
                 gains[(i, j)] = rng.standard_normal((subs[i - 1].p, subs[j - 1].n))
-    blocks = closed_loop_blocks(net, storages, epsilons, gains)
+    records = tuple(
+        DesignRecord(index=i, Q=Q, epsilon=e, route=ROUTE_SYNTHESIZED, K_self=gains.get((i, i)),
+                     K_to_prev=gains.get((i, i - 1)), K_prev_to_self=gains.get((i - 1, i)))
+        for i, (Q, e) in enumerate(zip(storages, epsilons), start=1)
+    )
+    blocks = design_tridiagonal(NetworkDesignState(net=net, records=records))
     diag, supers = reference_closed_loop_blocks(net, storages, epsilons, gains)
     assert [D.tobytes() for D in blocks.diag_blocks] == [D.tobytes() for D in diag]
     assert [R.tobytes() for R in blocks.super_blocks] == [R.tobytes() for R in supers]
-
-
-def test_closed_loop_blocks_requires_matching_lengths():
-    net = two_stage_scalar_cascade()
-    with pytest.raises(DimensionMismatch):
-        closed_loop_blocks(net, [[[1.0]]], [1.0, 0.5])
 
 
 def test_schur_recursion_reproduces_step_margins():
