@@ -1,7 +1,7 @@
 """Block linear algebra for symmetric tri-diagonal certificate matrices.
 
-Provides a Cholesky factorization above one pivot floor (_pivot_floor,
-which the storage tests share), the rounding
+Provides a Cholesky factorization above one pivot floor per row (_row_floors,
+so a block-diagonal matrix meets its blocks' own floors), the rounding
 shift that turns a floating-point Cholesky factorization of a
 certificate matrix into a proof, one Schur complement step, a matrix
 exponential for the oracle's exact time step, and the sequential
@@ -47,7 +47,7 @@ __all__ = [
     "tridiag_pd_sequence",
 ]
 
-# Pivot acceptance threshold, relative to max(1, ||P||_inf).
+# Pivot acceptance threshold, relative to max(1, largest |entry| of the pivot's row).
 PIVOT_RTOL = 1e-12
 # Largest tolerated relative asymmetry before input is considered a bug.
 SYMMETRY_RTOL = 1e-8
@@ -91,11 +91,6 @@ def _require_finite(a: np.ndarray, name: str):
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
 
 
-def _abs_max(a: np.ndarray):
-    """max |a_ij|, 0 for an empty a; NaN or inf exactly when a holds one."""
-    return np.abs(a).max() if a.size else 0.0
-
-
 def symmetric_part(S, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     """Return (S + S') / 2 after checking S is symmetric within ``rtol``.
 
@@ -106,7 +101,7 @@ def symmetric_part(S, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.n
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"{name} must be square, got shape {S.shape}")
-    scale = _abs_max(S)
+    scale = np.abs(S).max() if S.size else 0.0
     if not math.isfinite(scale):
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
     if scale > _HALF_MAX:
@@ -132,26 +127,27 @@ def _checked_half_sum(S, name, rtol, scale):
     return 0.5 * (S + S.T)
 
 
-def _pivot_floor(scale: float) -> float:
-    """PIVOT_RTOL * max(1, scale): the pivot floor of a matrix whose largest |entry| is scale."""
-    return PIVOT_RTOL * max(1.0, scale)
+def _row_floors(A) -> np.ndarray:
+    """PIVOT_RTOL * max(1, max_k |A_jk|), the floor pivot j must exceed, for
+    each row j of A or of each matrix of a stack; not finite for a row that is not."""
+    return PIVOT_RTOL * np.abs(A).max(axis=-1, initial=1.0)
 
 
 def cholesky_lower(P) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    A pivot is accepted only above the _pivot_floor of P's largest |entry|;
-    a failing pivot raises NotPositiveDefinite carrying its 0-based index.
+    Pivot j is accepted only above the floor of P's row j (_row_floors); a
+    failing pivot raises NotPositiveDefinite carrying its 0-based index.
     The outer-product update runs column by column so the failing pivot is
     exact.
     """
-    A = symmetric_part(P, "P")
-    return _cholesky(A, _pivot_floor(_abs_max(A)))
+    return _cholesky(symmetric_part(P, "P"))
 
 
-def _cholesky(A, floor: float) -> np.ndarray:
-    """Column-by-column Cholesky factor of the exactly symmetric A, whose
-    pivots must exceed floor; A is not modified.
+def _cholesky(A) -> np.ndarray:
+    """Column-by-column Cholesky factor of the exactly symmetric A, pivot j
+    above the floor of A's row j (NonFiniteMatrix for a non-finite A); A is
+    not modified.
 
     Column j divides A's column below the pivot by its root and subtracts
     the outer product of that column from the block below and right of the
@@ -159,10 +155,13 @@ def _cholesky(A, floor: float) -> np.ndarray:
     entry taking the IEEE operations numpy's column updates would give it,
     in the same order; _cholesky_passes runs the same steps on arrays.
     """
+    floors = _row_floors(A).tolist()
+    if not all(map(math.isfinite, floors)):
+        raise NonFiniteMatrix("matrix contains non-finite entries")
     a = A.tolist()
     n = len(a)
     L = [[0.0] * n for _ in range(n)]
-    for j in range(n):
+    for j, floor in enumerate(floors):
         pivot = a[j][j]
         if pivot <= floor:
             raise NotPositiveDefinite(j, f"pivot {pivot:.6e} <= {floor:.6e}")
@@ -177,14 +176,15 @@ def _cholesky(A, floor: float) -> np.ndarray:
     return np.array(L).reshape(n, n)
 
 
-def _cholesky_passes(A, floor: float) -> np.ndarray:
-    """For one matrix A or each matrix of a stack, whether _cholesky(A[k],
-    floor) succeeds.
+def _cholesky_passes(A, floor=None) -> np.ndarray:
+    """For one finite matrix A or each matrix of a stack, whether
+    _cholesky(A[k]) succeeds, or with floor given, whether its pivots exceed floor.
 
     The same column-by-column elimination runs on every matrix at once, so
     each verdict is _cholesky's; a matrix that fails keeps being reduced,
     on values that no longer matter.
     """
+    floors = _row_floors(A) if floor is None else floor
     A = A.copy()
     with np.errstate(all="ignore"):
         for j in range(A.shape[-1] - 1):
@@ -193,7 +193,7 @@ def _cholesky_passes(A, floor: float) -> np.ndarray:
     # Step j leaves pivot j on the diagonal and changes only later rows
     # and columns, so the diagonal ends holding every pivot; the last
     # pivot has nothing left to change.
-    return ~(np.diagonal(A, axis1=-2, axis2=-1) <= floor).any(axis=-1)
+    return ~(np.diagonal(A, axis1=-2, axis2=-1) <= floors).any(axis=-1)
 
 
 def _gamma(k: int) -> float:
@@ -300,15 +300,13 @@ def _margin_step(L_prev, R, D):
     """One cleared block (M, L, W): M = D - R' P^-1 R and W = L_prev^-1 R by
     schur_step (P = L_prev L_prev'), or M = D and W = None with no L_prev; M
     made read-only and exactly symmetric as 0.5 * (M + M') in both cases; L its
-    Cholesky factor above _pivot_floor. Raises NonFiniteMatrix, NotPositiveDefinite."""
+    Cholesky factor by _cholesky, whose row floors also find a non-finite M.
+    Raises NonFiniteMatrix, NotPositiveDefinite."""
     W = None
     if L_prev is not None:
         D, W = schur_step(L_prev, R, D)
     M = 0.5 * (D + D.T)
-    scale = _abs_max(M)
-    if not math.isfinite(scale):
-        raise NonFiniteMatrix("M contains non-finite entries")
-    L = _cholesky(M, _pivot_floor(scale))
+    L = _cholesky(M)
     M.flags.writeable = False
     return M, L, W
 

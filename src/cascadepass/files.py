@@ -17,7 +17,7 @@ the global rate, it derives on load as NetworkDesignState does, by the
 same function. A state loads only if its network validates, its
 closed-loop recursion is positive definite, and each Q passes the
 storage tests the oracle also applies (protocol._storage_test: positive
-definite above its pivot floor, and Q B2 = C' per output channel), so
+definite, each pivot above its own row's floor, and Q B2 = C' per channel), so
 every state that loads certifies its own network and can be grown. Keys a
 state file does not need, such as the stored M_cl, fingerprint and
 global_epsilon of older files, are ignored.
@@ -38,8 +38,9 @@ record in file order):
 6. the closed-loop recursion that derives each M_cl, positive definite
    and finite at each block;
 7. per record: a known route, index >= 1, epsilon > 0, no gains on a
-   Verified record, then Q above its storage floor and, for every output
-   channel j, max_i |(Q B2 - C')_ij| <= 1e-8 * max(1, max_i |C_ji|);
+   Verified record, then Q positive definite, each pivot above 1e-12 *
+   max(1, max_k |Q_jk|) of its own row j, and, for every output channel
+   j, max_i |(Q B2 - C')_ij| <= 1e-8 * max(1, max_i |C_ji|);
 8. record indices contiguous from 1; the state then takes the margins
    of step 6 as they are, with no second recursion.
 
@@ -49,7 +50,8 @@ one _parse, per stack of values nested alike, and each loaded matrix is a
 read-only view of a read-only stack; their shapes are compared with one
 table, each stack of record matrices is tested for finiteness, each stack
 of records sharing B2's shape, (n, m), by one symmetry test and one
-protocol._storage_test at the chain's pivot floor, and the diagonal
+protocol._storage_test, whose verdict for each record is the one it
+would get alone or in the oracle's dense Q, and the diagonal
 closed-loop blocks are built per stack of steps of one shape, the
 coupling blocks step by step. A document is a tree as json.load returns
 it. Only when a stacked test fails does the per-item code of its step run
@@ -108,8 +110,7 @@ def _dumps(doc) -> str:
     """The canonical text of a document: sorted keys, no whitespace."""
     try:
         # Every document is a tree built here, so no reference cycle to check.
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                          check_circular=False, default=lambda a: a.tolist())
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
     except ValueError:
         raise MalformedFile("non-finite value cannot be serialized") from None
 
@@ -252,7 +253,7 @@ def _expect(doc, kind):
 
 
 def _subsystem_to_dict(sub: Subsystem) -> dict:
-    return {"A": sub.A, "B1": sub.B1, "B2": sub.B2, "B3": sub.B3, "C": sub.C}
+    return {name: getattr(sub, name).tolist() for name in _SUBSYSTEM_MATRICES}
 
 
 def _subsystem_matrices(d, where) -> list:
@@ -269,7 +270,7 @@ def _subsystem_matrices(d, where) -> list:
 
 def network_to_dict(net: CascadeNetwork) -> dict:
     couplings = [
-        {"i": i, "j": j, "h": net.couplings[(i, j)].h}
+        {"i": i, "j": j, "h": net.couplings[(i, j)].h.tolist()}
         for (i, j) in sorted(net.couplings)
     ]
     return {
@@ -382,7 +383,11 @@ def load_network(path) -> CascadeNetwork:
 
 def _record_to_dict(rec: DesignRecord) -> dict:
     """A record's free data; its M_cl is derived on load, so not written."""
-    return {name: getattr(rec, name) for name in ("index", "epsilon", "route") + _RECORD_MATRICES}
+    doc = {"index": rec.index, "epsilon": rec.epsilon, "route": rec.route}
+    for name in _RECORD_MATRICES:
+        a = getattr(rec, name)
+        doc[name] = None if a is None else a.tolist()
+    return doc
 
 
 def _record_defect(d, where, shapes) -> None:
@@ -499,11 +504,10 @@ def state_to_dict(state: NetworkDesignState) -> dict:
 def state_from_dict(doc) -> NetworkDesignState:
     """A state whose records certify its network, each M_cl derived.
 
-    Each Q must pass the storage tests of centralized_sp_check
-    (protocol._storage_test): positive definite with the pivot floor that
-    check sets from the largest |Q_ij| of any record (factoring the
-    block-diagonal Q meets exactly each block's own pivots), and Q B2 = C'
-    per output channel.
+    Each Q must pass the storage tests of a design step and of
+    centralized_sp_check (protocol._storage_test): positive definite, each
+    pivot above the floor of its own row, which the oracle's block-diagonal
+    Q gives it too, and Q B2 = C' per output channel.
     """
     _expect(doc, "state")
     # The records' matrices are parsed with the network's, and checked after it.
@@ -527,11 +531,10 @@ def state_from_dict(doc) -> NetworkDesignState:
     if failure is not None:
         what = "not finite" if isinstance(failure, blockla.NonFiniteMatrix) else "not positive definite"
         raise MalformedFile(f"the records do not certify the network: closed-loop block {failure.index} is {what}")
-    floor = blockla._pivot_floor(max(float(np.abs(H).max()) for H in stacks))
     faults = {}
     for ks, H in zip(groups, stacks):
         equal, positive, gap, bounds = _storage_test(
-            H, np.array([subs[k].B2 for k in ks]), np.array([subs[k].C for k in ks]), floor)
+            H, np.array([subs[k].B2 for k in ks]), np.array([subs[k].C for k in ks]))
         for j in np.flatnonzero(~(positive & equal)):
             faults[ks[j]] = "Q is not positive definite" if not positive[j] else _equality_fault(gap[j], bounds[j])
     records = []
@@ -564,14 +567,9 @@ def save_addition(sub: Subsystem, h_self, h_prev, h_to_new, path) -> None:
     Each is coerced as model.as_matrix does, so 1-D or 3-D input raises
     ValueError and a scalar is written as a 1x1 matrix.
     """
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "type": "addition",
-        "subsystem": _subsystem_to_dict(sub),
-        "h_self": None if h_self is None else as_matrix(h_self, "h_self"),
-        "h_prev": None if h_prev is None else as_matrix(h_prev, "h_prev"),
-        "h_to_new": None if h_to_new is None else as_matrix(h_to_new, "h_to_new"),
-    }
+    doc = {"schema": SCHEMA_VERSION, "type": "addition", "subsystem": _subsystem_to_dict(sub)}
+    for name, h in (("h_self", h_self), ("h_prev", h_prev), ("h_to_new", h_to_new)):
+        doc[name] = None if h is None else as_matrix(h, name).tolist()
     _write(doc, path)
 
 

@@ -395,7 +395,11 @@ def assemble_global(net: CascadeNetwork) -> GlobalSystem:
     report = validate_network(net)
     if not report.ok:
         raise InvalidNetwork(report)
+    return _stack_network(net)
 
+
+def _stack_network(net: CascadeNetwork) -> GlobalSystem:
+    """assemble_global of a network already validated, such as a design state's."""
     subs = net.subsystems
     ns = [s.n for s in subs]
     ms = [s.m for s in subs]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blockla
-from .model import _frozen, assemble_global
+from .model import _frozen, _stack_network
 from .protocol import NetworkDesignState, _state_gains, _storage_test
 
 __all__ = [
@@ -213,9 +213,9 @@ def assemble_closed_loop(state: NetworkDesignState) -> ClosedLoopSystem:
 
     A state holds one record per subsystem, each storage and gain of the
     shape its subsystems give it (NetworkDesignState checks both), so
-    every block lands in place.
+    every block lands in place; the state's network is already validated.
     """
-    glob = assemble_global(state.net)
+    glob = _stack_network(state.net)
     n_total = glob.A.shape[0]
     p_total = glob.B1.shape[1]
     n_starts = np.concatenate(([0], np.cumsum(glob.state_sizes)))
@@ -252,7 +252,8 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     requires the storage tests a design step and a load apply
     (protocol._storage_test), on the dense Q, B2 and C: for every output
     channel j, max_i |(Q B2 - C')_ij| <= 1e-8 * max(1, max_i |C_ji|), and
-    Q positive definite above blockla._pivot_floor of max |Q_ij|. The
+    Q positive definite, each pivot above its own row's floor, which judges
+    each record at its own scale, as a design step and a load do. The
     certificate is then exact for the output map (Q B2)', which
     eq_residual, max |Q B2 - C'|, compares with C. w_min_eig, W's smallest
     eigenvalue, is reported, not tested.

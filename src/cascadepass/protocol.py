@@ -375,23 +375,21 @@ def _storage_space(sub: Subsystem):
     return Q_p, N, bool(_storage_test(Q_p, sub.B2, sub.C)[0])
 
 
-def _storage_test(Q, B2, C, floor=None):
+def _storage_test(Q, B2, C):
     """(equal, positive, gap, bounds) of one Q or of each in a stack.
 
     gap[..., j] is max_i |(Q B2 - C')_ij| for output channel j and
     bounds[..., j] its bound, 1e-8 * max(1, max_i |C_ji|). equal: gap <=
-    bounds in every channel, which a block-diagonal Q meets exactly when
-    each block does. A storage's residual, max |Q B2 - C'|, is its largest
-    gap. positive: whether blockla._cholesky_passes at floor, by default
-    blockla._pivot_floor of max |Q_ij| (a load passes the floor of its
-    whole chain).
+    bounds in every channel. A storage's residual, max |Q B2 - C'|, is its
+    largest gap. positive: whether blockla._cholesky_passes, each pivot
+    above its own row's floor. Both are judged per channel and per row, so
+    a block-diagonal Q passes exactly when each block does, alone or in a
+    stack: a design step, a load and the oracle judge each at its own scale.
     """
-    if floor is None:
-        floor = blockla._pivot_floor(float(np.abs(Q).max()))
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(Q @ B2 - np.swapaxes(C, -1, -2)).max(axis=-2)
         bounds = 1e-8 * np.maximum(1.0, np.abs(C).max(axis=-1))
-    return (gap <= bounds).all(axis=-1), blockla._cholesky_passes(Q, floor), gap, bounds
+    return (gap <= bounds).all(axis=-1), blockla._cholesky_passes(Q), gap, bounds
 
 
 def _solver_target(scale, lam_prev, tau) -> float:
@@ -642,8 +640,8 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     problem maps to a point of the other at the same smallest eigenvalue,
     at least tau (Boyd, El Ghaoui, Feron & Balakrishnan, LMIs in System
     and Control Theory, 1994, sec. 2.1). The Q that stage 1 finds must pass
-    the storage tests of a load and the oracle (_storage_test), at its own
-    pivot floor, else the step declines with reason EqualityResidual or
+    the storage tests of a load and the oracle (_storage_test), else the
+    step declines with reason EqualityResidual or
     StorageNotPositiveDefinite. The solver chases a target scaled from the
     master at Q = 0 (_solver_target), not at Q_p, whose storage block would
     only inflate it.

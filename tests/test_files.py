@@ -27,7 +27,7 @@ from cascadepass.files import (
 )
 from cascadepass import blockla, files
 from cascadepass.blockla import tridiag_pd_sequence
-from cascadepass.cli import EXIT_INVALID, execute
+from cascadepass.cli import EXIT_INVALID, EXIT_OK, execute
 from cascadepass.model import CascadeNetwork, Subsystem
 from cascadepass.oracle import assemble_closed_loop, centralized_sp_check
 from cascadepass.protocol import (
@@ -250,19 +250,44 @@ def _uncoupled_scalar_state_doc(storages):
     return json.loads(json.dumps(doc, default=lambda a: np.asarray(a).tolist()))
 
 
-def test_storage_floor_on_load_is_the_oracles(tmp_path):
-    # The oracle factors the block-diagonal Q with the pivot floor
-    # 1e-12 * max(1, largest |Q_ij| of any record). Q = 1e-7 clears its own
-    # floor but not the one Q = 1e6 sets, so this state once loaded and then
-    # failed check with StorageNotPositiveDefinite (exit 4).
+def test_loader_and_oracle_both_accept_storages_of_far_apart_scales(tmp_path):
+    # Each pivot of Q must exceed 1e-12 * max(1, largest |Q_jk| of its own
+    # row j), in the loader's stacks and in the oracle's block-diagonal Q
+    # alike. Q = 1e-7 clears its own floor beside Q = 1e6, so this state,
+    # once rejected by both against the floor Q = 1e6 set, now passes both.
     path = tmp_path / "state.json"
     path.write_text(json.dumps(_uncoupled_scalar_state_doc([1e-7, 1e6])))
-    with pytest.raises(MalformedFile, match=r"records\[0\]: Q is not positive definite"):
-        load_state(path)
-    assert execute(["check", "--state", str(path)]) == EXIT_INVALID
+    assert centralized_sp_check(assemble_closed_loop(load_state(path))).verdict
+    assert execute(["check", "--state", str(path)]) == EXIT_OK
     for q in (1e-7, 1e6):
         alone = state_from_dict(_uncoupled_scalar_state_doc([q]))
         assert centralized_sp_check(assemble_closed_loop(alone)).verdict
+
+
+def _far_apart_design(grown):
+    """Decoupled scalar subsystems A = -1, B1 = B2 = B3 = 1 with C = 1e9
+    and C = 2e-4, designed together or the first alone and then grown."""
+    big, small = (Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=c) for c in (1e9, 2e-4))
+    if grown:
+        return add_subsystem(run_cascade_design(CascadeNetwork.from_blocks([big], {})), small)
+    return run_cascade_design(CascadeNetwork.from_blocks([big, small], {}))
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["designed", "grown"])
+def test_storages_of_far_apart_scales_design_load_and_check(tmp_path, grown):
+    # The design step judged each Q at its own pivot floor while the loader
+    # and the oracle judged it at the floor of the chain's largest |Q|, so
+    # this state's Q = 2e-4 failed both: records[1] did not load and the
+    # oracle reported StorageNotPositiveDefinite.
+    state = _far_apart_design(grown)
+    assert centralized_sp_check(assemble_closed_loop(state)).verdict
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    loaded = load_state(path)
+    _assert_records_equal(state, loaded)
+    for a, b in zip(state.records, loaded.records):
+        assert a.Q.tobytes() == b.Q.tobytes()
+    assert execute(["check", "--state", str(path)]) == EXIT_OK
 
 
 def _with_scaled_storage(state, k, factor):

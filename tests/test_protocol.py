@@ -559,6 +559,30 @@ def test_storage_space_parametrizes_the_storage_equality(case):
         assert not protocol._storage_space(sub((Q0 @ B2 + R).T))[2]
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.lists(st.tuples(
+    st.integers(-8, 8), st.lists(st.sampled_from([1.0, 1e-6, 1e-11, 1e-13]), min_size=3, max_size=3),
+), min_size=2, max_size=4))
+def test_storage_positivity_is_judged_per_block_alone_stacked_or_dense(n, seed, blocks):
+    # Positive definite blocks V diag(lam) V' times 10^k: the storage test's
+    # positivity of each block alone is its entry in the stacked call, and
+    # the dense block-diagonal Q passes exactly when every block does, so a
+    # design step (one Q), a load (stacks) and the oracle (the dense Q)
+    # agree however far apart the blocks' scales lie.
+    rng = np.random.default_rng(seed)
+    Qs = []
+    for k, lam in blocks:
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        Q = (V * lam[:n]) @ V.T
+        Qs.append(10.0**k * (0.5 * (Q + Q.T)))
+    alone = [bool(protocol._storage_test(Q, np.eye(n), Q)[1]) for Q in Qs]
+    stack = np.array(Qs)
+    stacked = protocol._storage_test(stack, np.array([np.eye(n)] * len(Qs)), stack)[1]
+    assert stacked.tolist() == alone
+    dense = scipy.linalg.block_diag(*Qs)
+    assert bool(protocol._storage_test(dense, np.eye(len(dense)), dense)[1]) == all(alone)
+
+
 def test_stage_one_target_is_scaled_from_the_master_at_zero_storage(monkeypatch):
     targets = []
     solve = lmi.solve_feasibility

@@ -34,7 +34,11 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   step that sets it;
 * how every call of ``protocol.local_verify`` and
   ``protocol.local_synthesize`` in the run above ended, counted per route:
-  designed, or declined with each reason, most frequent first.
+  designed, or declined with each reason, most frequent first;
+* the scale spread: of the decoupled scalar pairs A = -1, B1 = B2 = B3 =
+  1 with C = (1e9, 2e-4), (1e11, 1e-3) and (1e12, 1e-3), how many design,
+  how many the oracle accepts and how many save and load, storages whose
+  scales lie up to 1e15 apart along one chain.
 
 ``--json PATH`` also writes every design's routes, per-step rates and
 r / eps, so two trees can be compared design by design: ``--compare OLD
@@ -70,7 +74,7 @@ for sub in ("src", "perfbench"):
 
 import numpy as np  # noqa: E402
 
-from cascadepass import lmi, oracle, protocol  # noqa: E402
+from cascadepass import files, lmi, oracle, protocol  # noqa: E402
 from cascadepass.model import CascadeNetwork, Subsystem  # noqa: E402
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade  # noqa: E402
 from workloads import GROWTH, seeded_additions  # noqa: E402
@@ -78,6 +82,7 @@ from workloads import GROWTH, seeded_additions  # noqa: E402
 CYCLES = 4
 ORACLE_EVERY = 10
 UNIT_POWERS = (-10, -6, -3, 3, 6, 10)
+SCALE_SPREADS = ((1e9, 2e-4), (1e11, 1e-3), (1e12, 1e-3))
 
 
 def summary(state) -> dict:
@@ -248,7 +253,30 @@ def run(seeds) -> dict:
     print("route outcomes: " + "; ".join(
         f"{route} " + ", ".join(f"{what} {count}" for what, count in counts.most_common())
         for route, counts in outcomes.items()))
+    print(scale_spread())
     return {name: t.designs for name, t in out.items()} | {"gain_max": largest}
+
+
+def scale_spread() -> str:
+    """The line on the decoupled scalar pairs of SCALE_SPREADS: how many
+    design, pass the oracle, and load from their saved text."""
+    designed = accepted = loaded = 0
+    for pair in SCALE_SPREADS:
+        subs = [Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=c) for c in pair]
+        try:
+            state = protocol.run_cascade_design(CascadeNetwork.from_blocks(subs, {}))
+        except protocol.DesignFailed:
+            continue
+        designed += 1
+        accepted += oracle.centralized_sp_check(oracle.assemble_closed_loop(state)).verdict
+        try:
+            files.state_from_dict(json.loads(json.dumps(files.state_to_dict(state))))
+        except files.MalformedFile:
+            continue
+        loaded += 1
+    pairs = ", ".join(f"({big:.0e}, {small:.0e})" for big, small in SCALE_SPREADS)
+    return (f"scale spread, decoupled scalar pairs C = {pairs}: {designed} of {len(SCALE_SPREADS)} design, "
+            f"oracle accepts {accepted}, {loaded} load")
 
 
 def failed(design) -> bool:
