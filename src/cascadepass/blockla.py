@@ -201,28 +201,35 @@ def _gamma(k: int) -> float:
     return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
-def rounding_shift(A, Q, epsilon: float, W) -> float:
+def rounding_shift(A, Q, epsilon: float, W, d=1.0) -> float:
     """The shift c for which a floating-point Cholesky factorization of
-    W - cI, W the symmetrized float value of -(A'Q + QA) - 2 eps I, proves
-    the exact -(A'Q + QA) - 2 eps I positive semidefinite (Q symmetric;
-    barring underflow):
+    W - cI proves the exact -(A'Q + QA) - 2 eps I positive semidefinite (Q
+    symmetric; barring underflow), where W = D W0 D: W0 the symmetrized
+    float value of -(A'Q + QA) - 2 eps I and D = diag(d), d powers of two
+    (1 by default, W = W0):
 
-        c = g(n+2) || |A'||Q| + |Q||A| + 2 eps I + |W| ||_inf
+        c = g(n+2) || D (|A'||Q| + |Q||A| + 2 eps I) D + |W| ||_inf
             + a sum_i max(W_ii, 0),
 
     g(k) = k u / (1 - k u), u = 2^-53 and a = g(n+1) / (1 - 2 g(n+1)).
-    The first term bounds the rounding error of forming W, entry by entry
+    The first term bounds the rounding error of forming W0, entry by entry
     (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., sec. 3.5), and so its spectral norm; the second covers the
-    Cholesky factorization's own error (S. M. Rump, "Verification of
-    positive definiteness", BIT 46, 2006). The products need only g(n), so
-    the slack of g(n+2) covers c's own rounding.
+    ed., sec. 3.5), scaled by D, and so its spectral norm; the second
+    covers the Cholesky factorization's own error (S. M. Rump,
+    "Verification of positive definiteness", BIT 46, 2006). The products
+    need only g(n), so the slack of g(n+2) covers c's own rounding.
+    Scaling by powers of two is exact, and congruence by D keeps inertia,
+    so a proof for W is one for W0; with D equalizing the diagonal, each
+    block is judged against the rounding of its own entries.
     """
     A, Q, W = (np.asarray(a, dtype=float) for a in (A, Q, W))
     n = W.shape[0]
+    d = np.broadcast_to(np.asarray(d, dtype=float), (n,))
     alpha = _gamma(n + 1) / (1.0 - 2.0 * _gamma(n + 1))
-    bound = np.abs(A).T @ np.abs(Q) + np.abs(Q) @ np.abs(A) + np.abs(W)
+    bound = np.abs(A).T @ np.abs(Q) + np.abs(Q) @ np.abs(A)
     bound[np.diag_indices(n)] += 2.0 * epsilon
+    bound *= np.multiply.outer(d, d)
+    bound += np.abs(W)
     cholesky_error = np.maximum(np.diagonal(W), 0.0).sum()
     return float(_gamma(n + 2) * bound.sum(axis=1).max(initial=0.0) + alpha * cholesky_error)
 

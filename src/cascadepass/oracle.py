@@ -247,9 +247,12 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
 
     Pass requires a proof that the exact certificate matrix of the stored
     Acl, Q and epsilon is positive semidefinite: a floating-point Cholesky
-    factorization of its symmetrized float value W, shifted down by
-    blockla.rounding_shift, must meet only positive pivots. Pass also
-    requires the storage tests a design step and a load apply
+    factorization of D W D, W its symmetrized float value, shifted down by
+    blockla.rounding_shift, must meet only positive pivots. D = diag(d)
+    holds the power of two nearest 1 / sqrt|W_ii| (1 where W_ii is 0 or not
+    finite), so each block is judged against the rounding of its own
+    entries, not of the largest block's. Pass also requires the
+    storage tests a design step and a load apply
     (protocol._storage_test), on the dense Q, B2 and C: for every output
     channel j, max_i |(Q B2 - C')_ij| <= 1e-8 * max(1, max_i |C_ji|), and
     Q positive definite, each pivot above its own row's floor, which judges
@@ -260,11 +263,16 @@ def centralized_sp_check(cl: ClosedLoopSystem) -> Certificate:
     """
     W = blockla.symmetric_part(sp_matrix(cl), "W")
     w_min = np.linalg.eigvalsh(W)[0]
-    shift = blockla.rounding_shift(cl.Acl, cl.Q, cl.epsilon, W)
+    # W_ii = m 2^e with 1/2 <= |m| < 1, so d_i = 2^-(e // 2) leaves d_i^2 |W_ii|
+    # in [1/2, 2); frexp gives e = 0 for 0, inf and nan.
+    d = np.ldexp(1.0, -(np.frexp(np.diagonal(W))[1] >> 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.multiply.outer(d, d) * W
+    shift = blockla.rounding_shift(cl.Acl, cl.Q, cl.epsilon, scaled, d)
     equal, positive, gap, _ = _storage_test(cl.Q, cl.B2, cl.C)
 
     reasons = []
-    if not blockla._cholesky_passes(W - shift * np.eye(cl.n), 0.0):
+    if not blockla._cholesky_passes(scaled - shift * np.eye(cl.n), 0.0):
         reasons.append("MatrixNotPositive")
     if not equal:
         reasons.append("EqualityResidual")

@@ -11,6 +11,9 @@ that fails, with them:
   K(i-1,i), resolving the Q*K bilinearity in two stages: stage 1 finds Q
   alone, with free matrices in place of the terms the gains contribute,
   and stage 2 freezes Q and solves exactly for the rate and the gains.
+  When B3 has full row rank, both stages take closed forms, searching
+  only where one misses: the gains decouple the step, so any positive
+  definite storage serves.
 
 The storage equality Q B2 = C' involves nothing but the subsystem's own
 data, so it is solved once, before any problem is built: every Q the
@@ -495,6 +498,58 @@ def _settle_rate(prob, theta, eps_index, n, tau):
     return _declined(bound, "PinnedStorageInfeasible", theta)
 
 
+def _decoupling_point(prob, n, sigma, tau):
+    """Stage 2's decoupling point, the least-norm gains that set S = sigma I
+    and X = 0 at eps = 0, with its rate settled by _settle_rate: an
+    lmi.FeasiblePoint or lmi.Infeasible, or None when the solve overflows.
+
+    Stage 2's master is diag([[S, X], [X', M_prev]], eps - EPS_MIN) at a
+    fixed Q, with Q B3 K(i,i) in S and Q B3 K(i,i-1) in X. When B3 has full
+    row rank n, so has Q B3, and the gains reach every symmetric S and every
+    X (the projection lemma with nothing left to project; Boyd, El Ghaoui,
+    Feron & Balakrishnan, 1994, sec. 2.6.2). One least-squares solve on the
+    first n rows of the coefficient blocks finds them; the master is then
+    diag(sigma I - eps I, M_prev, eps - EPS_MIN), which clears tau at some
+    eps exactly when M_prev does, as the packet screen has checked.
+    """
+    rows = np.array(prob.coeff_blocks[1:])[:, :n, :-1]
+    target = np.zeros((n, prob.dim - 1))
+    target[:, :n] = sigma * np.eye(n)
+    gains = np.linalg.lstsq(rows.reshape(len(rows), -1).T, (target - prob.constant_block[:n, :-1]).ravel())[0]
+    theta = np.concatenate(([0.0], gains))
+    return _settle_rate(prob, theta, 0, n, tau) if np.isfinite(theta).all() else None
+
+
+def _closed_form_storage(sub, Q_p, N, tau):
+    """(z, lambda_min(Q - Q_FLOOR I)) of a storage Q = Q_p + sum_k z_k N_k
+    chosen without a search, or None when it is not found or misses tau.
+
+    With stage 2 at its decoupling point, any Q that clears Q_FLOOR serves.
+    When B2 has full column rank and C B2 is positive definite,
+
+        Q* = C'(C B2)^-1 C + mu (I - B2 B2^+),  mu = max(1, max|C'(C B2)^-1 C|),
+
+    meets Q* B2 = C' and is positive definite: it is C'(C B2)^-1 C on the
+    range of B2 and mu I on its orthogonal complement. Q* - Q_p lies in the
+    span of N, which is orthonormal, so the least-squares coefficients z are
+    its inner products with N.
+    """
+    B2, C = sub.B2, sub.C
+    CB2 = C @ B2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (np.isfinite(CB2).all() and np.linalg.matrix_rank(B2) == B2.shape[1]
+                and np.linalg.eigvalsh(0.5 * (CB2 + CB2.T))[0] > 0.0):
+            return None
+        P = C.T @ np.linalg.solve(CB2, C)
+        target = P + max(1.0, float(np.abs(P).max())) * (np.eye(sub.n) - B2 @ np.linalg.pinv(B2))
+        z = np.tensordot(N, target - Q_p, axes=2)
+        Q = Q_p + np.tensordot(z, N, axes=1)
+    if not np.isfinite(Q).all():
+        return None
+    lam1 = float(np.linalg.eigvalsh(Q - Q_FLOOR * np.eye(sub.n))[0])
+    return (z, lam1) if lam1 >= tau else None
+
+
 def _diagonal_block(A, Q, QB1, QB3, eps, h_self, gains):
     """Step i's diagonal block S = -(Y + Y') - eps I, Y = A'Q + Q B1 h(i,i) + Q B3 K(i,i).
 
@@ -632,19 +687,38 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         S = -(Y + Y'), Y = A'Q + Q B1 h(i,i) + Z_self,
         X = G_prev' + Q B1 h(i,i-1) + Z_prev,
 
-    and its only output is Q: stage 2 solves for eps and all three gains
-    afresh. Adding the rate and K(i-1,i) would not change which Q it
+    and its only output is Q: stage 2 freezes Q and solves for eps and all
+    three gains afresh, over
+
+        diag([[S, X], [X', M_prev]], eps - EPS_MIN),
+        Y = A'Q + Q B1 h(i,i) + Q B3 K(i,i),
+        X = (G_prev + T_prev K(i-1,i))' + Q B1 h(i,i-1) + Q B3 K(i,i-1).
+
+    Adding the rate and K(i-1,i) to stage 1 would not change which Q it
     accepts: Z_self + Z_self' absorbs -eps I, the free n x n_prev Z_prev
     spans the term K(i-1,i)' T_prev' of X, and the rate floor eps - EPS_MIN
     is a diagonal block decoupled from the rest, so a point of either
     problem maps to a point of the other at the same smallest eigenvalue,
     at least tau (Boyd, El Ghaoui, Feron & Balakrishnan, LMIs in System
-    and Control Theory, 1994, sec. 2.1). The Q that stage 1 finds must pass
+    and Control Theory, 1994, sec. 2.1). The Q that stage 1 gives must pass
     the storage tests of a load and the oracle (_storage_test), else the
     step declines with reason EqualityResidual or
-    StorageNotPositiveDefinite. The solver chases a target scaled from the
+    StorageNotPositiveDefinite. Its search chases a target scaled from the
     master at Q = 0 (_solver_target), not at Q_p, whose storage block would
     only inflate it.
+
+    When B3 has full row rank n (numpy's matrix_rank rule), synthesis
+    takes closed forms where it can, and searches only where one misses:
+
+    * Stage 2 takes the decoupling point (_decoupling_point): Q B3 has
+      full row rank, so K(i,i) sets S = sigma I and K(i,i-1) sets X = 0,
+      with sigma = max(1, max |master at eps = 0 and zero gains|), the
+      scale the search takes its target from. The rate then follows by
+      _settle_rate; only if that declines does the search run.
+    * Any Q > Q_FLOOR I then serves stage 2, so stage 1 takes the
+      closed-form storage of _closed_form_storage when B2 has full column
+      rank and C B2 is positive definite, and searches when those fail or
+      its Q misses the margin.
 
     When B2 has full row rank, N is empty: Q B2 = C' pins Q to Q_p, and
     stage 1 of both routes is decided in closed form, without the solver.
@@ -658,7 +732,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
       and lambda_min(M_prev) >= tau, and the packet screen has checked the
       latter. Otherwise it declines with reason PinnedStorageInfeasible and
       best_lambda_min = lambda_min(Q - Q_FLOOR I), a principal block.
-      Stage 2 runs the solver as for any other Q.
+      Stage 2 follows as for any other Q.
     """
     index = 1 if packet is None else packet.prev_index + 1
     bad = _subsystem_violations(index, sub, finite=True)
@@ -678,6 +752,7 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
             return declined
     n, p = sub.n, sub.p
     G_prev, T_prev = (None, None) if packet is None else (packet.G_prev, packet.T_prev)
+    decoupled = gains and np.isfinite(sub.B3).all() and np.linalg.matrix_rank(sub.B3) == n
 
     def blocks(Q, v):
         QB1, QB3 = Q @ sub.B1, Q @ sub.B3
@@ -723,7 +798,10 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     stage1 = _Layout(*slots)
 
     theta = np.zeros(stage1.size)
-    if pinned and gains:
+    found = _closed_form_storage(sub, Q_p, N, tau) if decoupled and not pinned else None
+    if found is not None:
+        theta[:len(N)], lam1 = found
+    elif pinned and gains:
         lam1 = float(np.linalg.eigvalsh(Q_p - Q_FLOOR * np.eye(n))[0])
         if lam1 < tau:
             return _declined(lam1, "PinnedStorageInfeasible", theta)
@@ -760,14 +838,17 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
         # floor; deriving a fresh one from the stage-2 constant block would let
         # a large found Q inflate the requirement beyond reach.
         scale = max(1.0, float(np.abs(prob.constant_block).max()))
-        point = lmi.solve_feasibility(prob, tau, target=_solver_target(scale, lam_prev, tau))
-        if isinstance(point, lmi.Infeasible):
-            return point
+        point = _decoupling_point(prob, n, scale, tau) if decoupled else None
+        if not isinstance(point, lmi.FeasiblePoint):
+            point = lmi.solve_feasibility(prob, tau, target=_solver_target(scale, lam_prev, tau))
+            if isinstance(point, lmi.Infeasible):
+                return point
+            # The solver's own point certifies, so this settles on a FeasiblePoint.
+            point = _settle_rate(prob, point.theta, 0, n, tau)
         theta = point.theta
-    if gains or not pinned:
-        # The rate is slot 0 in stage 2 and last in verify's stage 1; the
-        # solver's own point certifies, so this settles on a FeasiblePoint.
-        theta = _settle_rate(prob, theta, 0 if gains else layout.size - 1, n, tau).theta
+    elif not pinned:
+        # The rate is verify's last slot; as above, this settles on a FeasiblePoint.
+        theta = _settle_rate(prob, theta, layout.size - 1, n, tau).theta
 
     v = layout.unpack(theta)
     # M_cl = S - X M_prev^-1 X', cleared by the _margin_step tridiag_pd_sequence takes.
@@ -808,12 +889,16 @@ def local_synthesize(
 ):
     """Design local feedback gains that passivate the step.
 
-    Stage 1 searches Q alone, keeping the problem affine: free matrices
+    Stage 1 finds Q alone, keeping the problem affine: free matrices
     Z_self and Z_prev stand in for the products Q B3 K(i,i) and
     Q B3 K(i,i-1), Z_prev also for the upstream term K(i-1,i)' T_prev',
-    and Z_self for the rate. Stage 2 freezes Q and re-solves directly over
+    and Z_self for the rate. Stage 2 freezes Q and solves directly for
     the rate and the gains, so the returned gains are exactly realizable.
-    Returns a DesignRecord with route Synthesized, or lmi.Infeasible.
+    When B3 has full row rank, stage 2 takes the gains that decouple the
+    step (S = sigma I, X = 0) in one least-squares solve, so any Q above
+    Q_FLOOR serves and stage 1 takes a closed-form storage; each searches
+    only where its closed form misses (see _design_step). Returns a
+    DesignRecord with route Synthesized, or lmi.Infeasible.
     """
     return _design_step(sub, h_self, h_prev, packet, gains=True)
 

@@ -117,7 +117,8 @@ def test_expm_of_zero_and_empty_matrices_and_bad_input():
 def test_rounding_shift_bounds_the_error_of_forming_the_certificate_matrix():
     # The float W = -(A'Q + QA) - 2 eps I, symmetrized, against the exact
     # matrix of the same float A, Q and eps, in rational arithmetic.
-    rng = np.random.default_rng(7)
+    # Scaled by D = diag(d), d powers of two, the error is D (exact - W) D.
+    rng, scales = np.random.default_rng(7), np.random.default_rng(8)
     for k in range(60):
         n = 1 + k % 6
         A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
@@ -126,12 +127,13 @@ def test_rounding_shift_bounds_the_error_of_forming_the_certificate_matrix():
         eps = 10.0 ** rng.uniform(-3, 3)
         W = symmetric_part(-(A.T @ Q + Q @ A) - 2.0 * eps * np.eye(n))
         Af, Qf = [[Fraction(v) for v in row] for row in A], [[Fraction(v) for v in row] for row in Q]
-        error = max(
-            sum(abs(-sum(Af[s][i] * Qf[s][j] + Qf[i][s] * Af[s][j] for s in range(n))
-                    - 2 * Fraction(eps) * (i == j) - Fraction(W[i, j])) for j in range(n))
-            for i in range(n)
-        )
+        diff = [[-sum(Af[s][i] * Qf[s][j] + Qf[i][s] * Af[s][j] for s in range(n))
+                 - 2 * Fraction(eps) * (i == j) - Fraction(W[i, j]) for j in range(n)] for i in range(n)]
+        error = max(sum(abs(x) for x in row) for row in diff)
         assert error <= rounding_shift(A, Q, eps, W), k
+        d = 2.0 ** scales.integers(-20, 21, size=n)
+        error = max(sum(abs(Fraction(d[i] * d[j]) * x) for j, x in enumerate(row)) for i, row in enumerate(diff))
+        assert error <= rounding_shift(A, Q, eps, np.multiply.outer(d, d) * W, d), k
 
 
 def test_blocktridiagonal_shape_validation():

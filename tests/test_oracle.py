@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cascadepass import blockla, files, protocol
 
-from cascadepass.model import Subsystem
+from cascadepass.model import CascadeNetwork, Subsystem
 from cascadepass.oracle import (
     Certificate,
     ClosedLoopSystem,
@@ -122,6 +122,20 @@ def test_centralized_check_proves_a_long_chain_and_rejects_a_one_percent_overcla
     cert = centralized_sp_check(dataclasses.replace(cl, epsilon=1.01 * r))
     assert cert.reasons == ("MatrixNotPositive",)
     assert -1e-3 < cert.w_min_eig < 0.0
+
+
+@pytest.mark.parametrize("big", [1e12, 1e14])
+def test_centralized_check_proves_each_block_at_its_own_scale(big):
+    # Decoupled scalar subsystems with C = big and 1e-3: one shift for the
+    # whole W, set by the large block's rounding, exceeds the small block's
+    # entry of W; scaled to a unit diagonal, each block meets its own.
+    subs = [Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=c) for c in (big, 1e-3)]
+    cl = assemble_closed_loop(protocol.run_cascade_design(CascadeNetwork.from_blocks(subs, {})))
+    W = sp_matrix(cl)
+    assert blockla.rounding_shift(cl.Acl, cl.Q, cl.epsilon, W) > W[1, 1]
+    assert centralized_sp_check(cl).verdict
+    r = worst_start(cl)[0]
+    assert centralized_sp_check(dataclasses.replace(cl, epsilon=1.01 * r)).reasons == ("MatrixNotPositive",)
 
 
 def test_a_storage_moved_off_positive_within_its_equality_fails_the_positivity_check():
@@ -532,16 +546,16 @@ def test_simulate_rejects_disturbance_of_wrong_shape(shape):
 # T = 20, dt = 1e-3) from _hold_reference: at the design rate, and at the
 # overclaimed rate 10, where the margin is negative.
 REFERENCE_MARGINS = [
-    (0.0, -80.99816533026528),
-    (0.0, -35.79580668979512),
-    (0.0, -43.97443318799298),
-    (0.0, -19.86684484899868),
-    (0.0, -18.01555625694355),
-    (0.0, -34.94840728312331),
-    (0.0, -66.5022454138343),
-    (0.0, -32.87528049159155),
-    (0.0, -76.3139994215111),
-    (0.0, -70.80425285193543),
+    (0.0, -80.46250236332388),
+    (0.0, -36.4417784369735),
+    (0.0, -43.94238000172916),
+    (0.0, -20.20164206116668),
+    (0.0, -17.342942560275798),
+    (0.0, -37.51800852697573),
+    (0.0, -66.1640695672818),
+    (0.0, -32.50129877016226),
+    (0.0, -77.03898813403231),
+    (0.0, -70.34120433655862),
 ]
 
 

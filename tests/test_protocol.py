@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ from cascadepass.sample_cascades import (
 )
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 def scalar_subsystem(a=-1.0):
     return Subsystem(A=a, B1=1.0, B2=1.0, B3=1.0, C=1.0)
 
@@ -41,6 +45,14 @@ def free_storage_subsystem(a=-1.0):
     # Two states and one output: Q B2 = C' fixes Q's first column only, so
     # Q[1, 1] stays free and verify is a search.
     return Subsystem(A=a * np.eye(2), B1=np.eye(2), B2=[[1.0], [0.0]], B3=np.eye(2), C=[[1.0, 0.0]])
+
+
+def rank_deficient(sub):
+    """sub with every B3 column but the first zeroed. B3 then lacks full row
+    rank (n > 1), so synthesis takes no closed form and searches both stages."""
+    B3 = sub.B3.copy()
+    B3[:, 1:] = 0.0
+    return Subsystem(A=sub.A, B1=sub.B1, B2=sub.B2, B3=B3, C=sub.C)
 
 
 def verified_record(index=1, q=1.0, eps=1.0):
@@ -166,7 +178,7 @@ def test_a_step_that_fails_a_check_after_its_search_declines_at_stage_one_margin
             result = test(*args)
             return (*forced, *result[2:]) if points else result
         monkeypatch.setattr(protocol, "_storage_test", failing)
-    out = route(free_storage_subsystem())
+    out = route(rank_deficient(free_storage_subsystem()))
     assert isinstance(out, lmi.Infeasible) and out.reason == reason
     assert out.best_lambda_min == points[0].lambda_min > 0.0
 
@@ -199,10 +211,13 @@ def counting_searches(monkeypatch):
 def test_local_search_stops_once_a_finer_level_cannot_change_its_outcome(monkeypatch):
     # L-BFGS runs of the search, one per smoothing level. The full ladder
     # took 20 for the four-stage design and 8 for this declining verify.
+    # The four-stage searches run at steps 1 and 4, whose B3 lacks full row
+    # rank (4 and 2 runs); step 2's scalar B3 has it, so that step searches
+    # no more.
     runs = counting_searches(monkeypatch)
     state = run_cascade_design(four_stage_cascade())
     assert [rec.route for rec in state.records] == ["Synthesized", "Synthesized", "Verified", "Synthesized"]
-    assert len(runs) == 7
+    assert len(runs) == 6
 
     runs.clear()
     net = random_cascade(1, np.random.default_rng(39))
@@ -218,18 +233,45 @@ def test_rank_deficient_b3_designs_the_same_chains():
     designed = []
     for k in range(30):
         net = random_cascade(1 + k % 5, rng)
-        subs = []
-        for sub in net.subsystems:
-            B3 = sub.B3.copy()
-            B3[:, 1:] = 0.0
-            subs.append(Subsystem(A=sub.A, B1=sub.B1, B2=sub.B2, B3=B3, C=sub.C))
         try:
-            state = run_cascade_design(CascadeNetwork(subs, net.couplings))
+            state = run_cascade_design(CascadeNetwork([rank_deficient(sub) for sub in net.subsystems], net.couplings))
         except DesignFailed:
             continue
         assert oracle.centralized_sp_check(oracle.assemble_closed_loop(state)).verdict
         designed.append(k)
     assert designed == [0, 1, 2, 5, 8, 10, 12, 15, 18, 20, 21, 24, 25]
+
+
+def test_full_row_rank_synthesis_runs_no_search(monkeypatch):
+    calls = counting_solver(monkeypatch)
+    sub, h_self, h_prev, packet = planted_step(1, 2, 1, 2)
+    # B3 is 2 x 2 and Q B2 = C' leaves Q one free direction: stage 1 takes
+    # the closed-form storage and stage 2 the decoupling point.
+    assert np.linalg.matrix_rank(sub.B3) == 2 and len(protocol._storage_space(sub)[1]) == 1
+    assert isinstance(local_synthesize(sub, h_self, h_prev, packet), DesignRecord)
+    assert calls == []
+    # With every B3 column but the first zeroed, both stages search.
+    assert isinstance(local_synthesize(rank_deficient(sub), h_self, h_prev, packet), DesignRecord)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed, cycle, step", [(27, 0, 9), (7203, 1, 15)])
+def test_growth_steps_that_stalled_in_a_search_now_design(seed, cycle, step, monkeypatch):
+    # The benchmark's growth cycle (counted from 0, as grow_persist counts
+    # them) on these seeds declined at this step with a Stalled search, at
+    # margins -1.781 and -8.412.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import GROWTH, fixed_design, seeded_additions
+
+    state = fixed_design()
+    rng = np.random.default_rng(seed)
+    cycles = [seeded_additions(rng, state.net.subsystems[-1], state.net.n_subsystems + 1, GROWTH)
+              for _ in range(cycle + 1)]
+    for addition in cycles[cycle][:step - state.net.n_subsystems]:
+        state = add_subsystem(state, *addition)
+        assert oracle.centralized_sp_check(oracle.assemble_closed_loop(state)).verdict
+    assert state.net.n_subsystems == step
+    assert state.records[-1].route == ROUTE_SYNTHESIZED
 
 
 def test_verify_reaches_the_solver_on_hurwitz_drift(monkeypatch):
@@ -402,7 +444,8 @@ def assembled_problems(monkeypatch):
 def test_stacked_assembly_matches_one_probe_at_a_time(monkeypatch):
     problems = assembled_problems(monkeypatch)
     # Verify stalls in its search, then synthesis assembles both stages.
-    step = planted_step(1, 2, 1, 2)
+    sub, *couplings = planted_step(1, 2, 1, 2)
+    step = (rank_deficient(sub), *couplings)
     assert local_verify(*step).reason == "Stalled"
     assert isinstance(local_synthesize(*step), DesignRecord)
     assert len(problems) == 3
@@ -417,7 +460,8 @@ def test_stacked_assembly_matches_one_probe_at_a_time(monkeypatch):
 def test_synthesis_stage_one_searches_storage_and_free_products_only(monkeypatch):
     problems = assembled_problems(monkeypatch)
     n, n_prev = 2, 2
-    step = planted_step(1, n, 1, n_prev)
+    sub, *couplings = planted_step(1, n, 1, n_prev)
+    step = (rank_deficient(sub), *couplings)
     assert isinstance(local_synthesize(*step), DesignRecord)
     [(layout, _, prob)] = [p for p in problems if "Z_self" in p[0].unpack(np.zeros(p[0].size))]
     Q_p, N, _ = protocol._storage_space(step[0])
@@ -438,8 +482,10 @@ def test_pinned_steps_make_no_solver_call_in_stage_one(monkeypatch):
     declined = local_verify(scalar_subsystem(-1.0), h_prev=[[0.0]], packet=packet)
     assert declined.reason == "PinnedStorageInfeasible"
     assert calls == []
-    # Synthesis searches only its stage 2, over the gains.
-    assert isinstance(local_synthesize(scalar_subsystem(3.0)), DesignRecord)
+    # With B2 = I, Q B2 = C' pins Q = I; B3 lacks full row rank, so
+    # synthesis searches its stage 2, over the gains, and only that.
+    unstable = Subsystem(A=np.diag([3.0, -1.0]), B1=np.eye(2), B2=np.eye(2), B3=np.eye(2), C=np.eye(2))
+    assert isinstance(local_synthesize(rank_deficient(unstable)), DesignRecord)
     assert len(calls) == 1
     assert local_synthesize(Subsystem(A=-1.0, B1=1.0, B2=1.0, B3=1.0, C=1e-5)).reason == (
         "PinnedStorageInfeasible"
@@ -594,7 +640,9 @@ def test_stage_one_target_is_scaled_from_the_master_at_zero_storage(monkeypatch)
     monkeypatch.setattr(lmi, "solve_feasibility", capturing)
     # Q B2 = C' fixes Q's first column to (30, 0), so the master at Q_p
     # holds entries of 60; the target keeps the scale of the master at Q = 0.
-    sub = Subsystem(A=-np.eye(2), B1=np.eye(2), B2=[[1.0], [0.0]], B3=np.eye(2), C=[[30.0, 0.0]])
+    sub = rank_deficient(
+        Subsystem(A=-np.eye(2), B1=np.eye(2), B2=[[1.0], [0.0]], B3=np.eye(2), C=[[30.0, 0.0]])
+    )
     packet = MessengerPacket(
         prev_index=1, M_prev=[[3.0, 0.5], [0.5, 2.0]], G_prev=[[7.0, 0.0], [0.0, -1.0]], T_prev=np.eye(2)
     )

@@ -22,7 +22,7 @@ from cascadepass import files, protocol
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PINNED = "685462d03d91e13486662b5a2ce8d275c4ff130eb899363697fac0214aa3b516"
+PINNED = "46407a2377bc63664543db30b4e0096ad71a188a036acad0aeb91450f5fdea24"
 
 
 def record_bytes(state):

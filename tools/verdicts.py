@@ -34,7 +34,8 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   step that sets it;
 * how every call of ``protocol.local_verify`` and
   ``protocol.local_synthesize`` in the run above ended, counted per route:
-  designed, or declined with each reason, most frequent first;
+  designed in closed form (no ``lmi.solve_feasibility`` call) or after a
+  search, or declined with each reason, most frequent first;
 * the scale spread: of the decoupled scalar pairs A = -1, B1 = B2 = B3 =
   1 with C = (1e9, 2e-4), (1e11, 1e-3) and (1e12, 1e-3), how many design,
   how many the oracle accepts and how many save and load, storages whose
@@ -168,20 +169,34 @@ def rescaled(net: CascadeNetwork, kind: str, f: float) -> CascadeNetwork:
     return CascadeNetwork.from_blocks(subs, {key: b.h / f for key, b in net.couplings.items()})
 
 
-def counted(route, outcomes: Counter):
-    """route, counting each outcome in outcomes: "designed" or the decline's reason."""
+def counted(route, outcomes: Counter, searches: Counter):
+    """route, counting each outcome in outcomes: the decline's reason, or
+    "designed searched" when the call ran lmi.solve_feasibility (whose runs
+    searches["runs"] counts) and "designed closed-form" when it did not."""
     def wrapper(*args, **kwargs):
+        before = searches["runs"]
         result = route(*args, **kwargs)
-        outcomes[result.reason if isinstance(result, lmi.Infeasible) else "designed"] += 1
+        if isinstance(result, lmi.Infeasible):
+            outcomes[result.reason] += 1
+        else:
+            outcomes["designed searched" if searches["runs"] > before else "designed closed-form"] += 1
         return result
     return wrapper
 
 
 def run(seeds) -> dict:
-    # The design loop looks both routes up as module globals at each step.
-    outcomes = {"verify": Counter(), "synthesize": Counter()}
-    protocol.local_verify = counted(protocol.local_verify, outcomes["verify"])
-    protocol.local_synthesize = counted(protocol.local_synthesize, outcomes["synthesize"])
+    # The design loop looks both routes up as module globals at each step,
+    # and the routes look up lmi.solve_feasibility at each search.
+    outcomes, searches = {"verify": Counter(), "synthesize": Counter()}, Counter()
+    solve = lmi.solve_feasibility
+
+    def searching(*args, **kwargs):
+        searches["runs"] += 1
+        return solve(*args, **kwargs)
+
+    lmi.solve_feasibility = searching
+    protocol.local_verify = counted(protocol.local_verify, outcomes["verify"], searches)
+    protocol.local_synthesize = counted(protocol.local_synthesize, outcomes["synthesize"], searches)
     out = {}
     tally, largest = growth(seeds)
     out["growth"] = tally
