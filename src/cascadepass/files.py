@@ -14,11 +14,11 @@ boolean is malformed, where numpy would read it as a number.
 A state file holds the network and each record's free data: Q, epsilon,
 the gains and the route. What a state derives from them, each M_cl and
 the global rate, it derives on load as NetworkDesignState does, by the
-same function. A state loads only if its network validates, its
-closed-loop recursion is positive definite, and each Q passes the
-storage tests the oracle also applies (protocol._storage_test: positive
-definite, each pivot above its own row's floor, and Q B2 = C' per channel), so
-every state that loads certifies its own network and can be grown. Keys a
+same function. A state loads only if its network validates and its
+records certify it by the one rule a state's constructor applies too
+(protocol._derive_margins: the closed-loop recursion positive definite,
+then each Q passing the storage tests the oracle also applies), so every
+state that loads certifies its own network and can be grown. Keys a
 state file does not need, such as the stored M_cl, fingerprint and
 global_epsilon of older files, are ignored.
 Coupling indices and record indices must be JSON integers.
@@ -35,27 +35,28 @@ record in file order):
    with JSON numbers for entries, of the shapes protocol._record_shapes
    gives (checked once all four are parsed), and a finite epsilon;
 5. every record matrix finite, then each Q symmetric;
-6. the closed-loop recursion that derives each M_cl, positive definite
-   and finite at each block;
-7. per record: a known route, index >= 1, epsilon > 0, no gains on a
-   Verified record, then Q positive definite, each pivot above 1e-12 *
+6. the records' scalar checks: a known route, index >= 1, epsilon > 0,
+   no gains on a Verified record;
+7. the one certification call, protocol._derive_margins: the recursion
+   that derives each M_cl, positive definite and finite at each block,
+   then the storages: Q positive definite, each pivot above 1e-12 *
    max(1, max_k |Q_jk|) of its own row j, and, for every output channel
    j, max_i |(Q B2 - C')_ij| <= 1e-8 * max(1, max_i |C_ji|);
 8. record indices contiguous from 1; the state then takes the margins
-   of step 6 as they are, with no second recursion.
+   of step 7 as they are, with no second recursion.
 
 A network or state document runs each step once per stack of matrices
 or records of one shape, not once per matrix: its matrices are parsed by
 one _parse, per stack of values nested alike, and each loaded matrix is a
 read-only view of a read-only stack; their shapes are compared with one
 table, each stack of record matrices is tested for finiteness, each stack
-of records sharing B2's shape, (n, m), by one symmetry test and one
-protocol._storage_test, whose verdict for each record is the one it
-would get alone or in the oracle's dense Q, and the diagonal
-closed-loop blocks are built per stack of steps of one shape, the
-coupling blocks step by step. A document is a tree as json.load returns
-it. Only when a stacked test fails does the per-item code of its step run
-(_matrix, _record_defect, model._subsystem_violations,
+of storages of one size for symmetry, each stack of records sharing B2's
+shape, (n, m), by one protocol._storage_test, whose verdict for each
+record is the one it would get alone or in the oracle's dense Q, and the
+diagonal closed-loop blocks are built per stack of steps of one shape,
+the coupling blocks step by step. A document is a tree as json.load
+returns it. Only when a stacked test fails does the per-item code of its
+step run (_matrix, _record_defect, model._subsystem_violations,
 protocol._check_shapes), to word the first defect. An addition document,
 five to eight matrices, is parsed matrix by matrix with _matrix.
 """
@@ -80,7 +81,6 @@ from .protocol import (
     _derive_margins,
     _groups,
     _record_shapes,
-    _storage_test,
 )
 
 __all__ = [
@@ -453,16 +453,16 @@ def _require_finite(fields, stacks) -> None:
                 raise MalformedFile(f"records[{k}]: {name} has non-finite entries")
 
 
-def _symmetrize_storages(fields, groups) -> list:
-    """Each group's stack of Q, made symmetric as blockla.symmetric_part
-    makes each Q; each record's Q becomes its view into the stack.
+def _symmetrize_storages(fields) -> None:
+    """Each record's Q made symmetric as blockla.symmetric_part makes it, as
+    its view into the stack of the storages of its size.
 
     The symmetry test runs once per stack; symmetric_part runs only on a Q
     that fails it, to raise its message, or whose entries are large enough
     for Q + Q' to overflow.
     """
     stacks, exact = [], []
-    for ks in groups:
+    for ks in _groups([len(f["Q"]) for f in fields]):
         S = np.array([fields[k]["Q"] for k in ks])
         St = S.transpose(0, 2, 1)
         with np.errstate(over="ignore"):
@@ -470,26 +470,16 @@ def _symmetrize_storages(fields, groups) -> list:
         scale = np.abs(S).max(axis=(1, 2))
         fails = (skew > blockla.SYMMETRY_RTOL * np.maximum(1.0, scale)) | (scale > blockla._HALF_MAX)
         exact += [(ks[j], H, j) for j in np.flatnonzero(fails)]
-        stacks.append(H)
+        stacks.append((ks, H))
     for k, H, j in sorted(exact, key=lambda e: e[0]):
         try:
             H[j] = blockla.symmetric_part(fields[k]["Q"], "Q")
         except blockla.AsymmetricMatrix as exc:
             raise MalformedFile(f"records[{k}]: {exc}") from None
-    for ks, H in zip(groups, stacks):
+    for ks, H in stacks:
         H.setflags(write=False)
         for k, Q in zip(ks, H):
             fields[k]["Q"] = Q
-    return stacks
-
-
-def _equality_fault(gap, bounds) -> str:
-    """The fault of a storage whose gap exceeds its bound in some output
-    channel (_storage_test): its residual and the bound of the channel
-    furthest over its own."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst = np.argmax(gap / bounds)
-    return f"max |Q B2 - C'| = {gap.max():.3e} exceeds {bounds[worst]:.3e}"
 
 
 def state_to_dict(state: NetworkDesignState) -> dict:
@@ -504,10 +494,8 @@ def state_to_dict(state: NetworkDesignState) -> dict:
 def state_from_dict(doc) -> NetworkDesignState:
     """A state whose records certify its network, each M_cl derived.
 
-    Each Q must pass the storage tests of a design step and of
-    centralized_sp_check (protocol._storage_test): positive definite, each
-    pivot above the floor of its own row, which the oracle's block-diagonal
-    Q gives it too, and Q B2 = C' per output channel.
+    The records are judged as NetworkDesignState judges them, by one call
+    of protocol._derive_margins, whose fault is raised as MalformedFile.
     """
     _expect(doc, "state")
     # The records' matrices are parsed with the network's, and checked after it.
@@ -525,26 +513,16 @@ def state_from_dict(doc) -> NetworkDesignState:
         raise MalformedFile(f"{len(subs)} subsystems but {len(recs_doc)} records")
     fields, stacks = _record_fields(recs_doc, subs, sites, parsed)
     _require_finite(fields, stacks)
-    groups = _groups([sub.B2.shape for sub in subs])
-    stacks = _symmetrize_storages(fields, groups)
-    margins, failure = _derive_margins(net, fields)
-    if failure is not None:
-        what = "not finite" if isinstance(failure, blockla.NonFiniteMatrix) else "not positive definite"
-        raise MalformedFile(f"the records do not certify the network: closed-loop block {failure.index} is {what}")
-    faults = {}
-    for ks, H in zip(groups, stacks):
-        equal, positive, gap, bounds = _storage_test(
-            H, np.array([subs[k].B2 for k in ks]), np.array([subs[k].C for k in ks]))
-        for j in np.flatnonzero(~(positive & equal)):
-            faults[ks[j]] = "Q is not positive definite" if not positive[j] else _equality_fault(gap[j], bounds[j])
+    _symmetrize_storages(fields)
     records = []
     for k, f in enumerate(fields):
         try:
             records.append(DesignRecord._from_built(**f))
         except ValueError as exc:
             raise MalformedFile(f"records[{k}]: {exc}") from None
-        if k in faults:
-            raise MalformedFile(f"records[{k}]: {faults[k]}")
+    margins, fault = _derive_margins(net, fields)
+    if fault is not None:
+        raise MalformedFile(fault[1])
     try:
         return NetworkDesignState._from_built(net, records, margins)
     except ValueError as exc:

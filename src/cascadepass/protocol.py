@@ -38,9 +38,9 @@ and global certificate blocks (a diagonal block and a coupling block) and
 one Schur step clears them, so each record's M_cl is bit for bit the Schur
 recursion of the global matrix, which makes the one-pass design sound; the
 oracle checks it independently. A state derives every M_cl by that
-recursion, never taking one from a record. One table, _record_shapes,
-gives the shape of every record matrix; a state checks its matrices
-against it, and so does a load.
+recursion, never taking one from a record, then tests each storage, one
+rule that a load applies too. One table, _record_shapes, gives the shape
+of every record matrix; a state and a load check against it.
 
 One private step function designs step i from record i-1 alone:
 run_cascade_design loops over it and add_subsystem takes it once on the
@@ -255,9 +255,10 @@ class NetworkDesignState:
     subsystem gives them (DimensionMismatch).
 
     The state holds copies of the records, each carrying the margin M_cl
-    that _derive_margins gives it. Records that do not certify the network
-    still make a state, which the oracle rejects: they carry no margin from
-    the failing block on, and add_subsystem raises MissingMargin.
+    that _derive_margins gives it, by the rule a load applies too. Records
+    that do not certify the network (a closed-loop block or a storage
+    fails) still make a state, which the oracle rejects: they carry no
+    margin from the failing record on, and add_subsystem raises MissingMargin.
     """
 
     net: CascadeNetwork
@@ -393,6 +394,15 @@ def _storage_test(Q, B2, C):
         gap = np.abs(Q @ B2 - np.swapaxes(C, -1, -2)).max(axis=-2)
         bounds = 1e-8 * np.maximum(1.0, np.abs(C).max(axis=-1))
     return (gap <= bounds).all(axis=-1), blockla._cholesky_passes(Q), gap, bounds
+
+
+def _equality_fault(gap, bounds) -> str:
+    """The fault of a storage whose gap exceeds its bound in some output
+    channel (_storage_test): its residual and the bound of the channel
+    furthest over its own."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.argmax(gap / bounds)
+    return f"max |Q B2 - C'| = {gap.max():.3e} exceeds {bounds[worst]:.3e}"
 
 
 def _solver_target(scale, lam_prev, tau) -> float:
@@ -1050,18 +1060,35 @@ def _groups(keys):
 
 
 def _derive_margins(net, fields):
-    """(margins, None): the M_cl of each record of fields, in the stored form
-    of _closed_loop_blocks. When block i is not positive definite or not
-    finite: the margins with None from record i on, and the recursion's
-    error, which names i. Blocks that overflow are left for it to name."""
+    """(margins, fault): the M_cl of each record of fields, in the stored
+    form of _closed_loop_blocks, and whether those records certify net, by
+    the one rule for every state: the recursion, then one _storage_test per
+    stack of storages sharing B2's shape. fault is None, or (k, message) of
+    the first failure, worded as a load reports it: closed-loop block k + 1
+    not positive definite or not finite (blocks that overflow are left for
+    the recursion to name), or record k's storage. The margins are None
+    from record k on."""
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = _closed_loop_blocks(net, fields)
         try:
-            return blockla.tridiag_pd_sequence(blocks).M_blocks, None
+            margins = blockla.tridiag_pd_sequence(blocks).M_blocks
         except (blockla.NotPositiveDefinite, blockla.NonFiniteMatrix) as exc:
             k = exc.index - 1
             head = blockla.BlockTriDiagonal._from_built(blocks.diag_blocks[:k], blocks.super_blocks[:max(k - 1, 0)])
-            return blockla.tridiag_pd_sequence(head).M_blocks + (None,) * (len(fields) - k), exc
+            what = "not finite" if isinstance(exc, blockla.NonFiniteMatrix) else "not positive definite"
+            return (blockla.tridiag_pd_sequence(head).M_blocks + (None,) * (len(fields) - k),
+                    (k, f"the records do not certify the network: closed-loop block {exc.index} is {what}"))
+    subs, faults = net.subsystems, {}
+    for ks in _groups([sub.B2.shape for sub in subs]):
+        equal, positive, gap, bounds = _storage_test(
+            np.array([fields[k]["Q"] for k in ks]), np.array([subs[k].B2 for k in ks]),
+            np.array([subs[k].C for k in ks]))
+        for j in np.flatnonzero(~(positive & equal)):
+            faults[ks[j]] = "Q is not positive definite" if not positive[j] else _equality_fault(gap[j], bounds[j])
+    if not faults:
+        return margins, None
+    k = min(faults)
+    return margins[:k] + (None,) * (len(fields) - k), (k, f"records[{k}]: {faults[k]}")
 
 
 def _state_gains(state: NetworkDesignState) -> dict:

@@ -604,14 +604,15 @@ def test_worst_start_holds_the_design_rate_of_random_designs():
 
 def grown_state(seed, cycle, additions, monkeypatch):
     """The grow_persist state after the given number of additions in the
-    given 1-based cycle of a seed, as tools/verdicts.py grows it."""
+    given cycle of a seed, counted from 0 as grow_persist and
+    tools/verdicts.py count them."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import GROWTH, fixed_design, seeded_additions
 
     state = fixed_design()
     last, first = state.net.subsystems[-1], state.net.n_subsystems + 1
     rng = np.random.default_rng(seed)
-    for _ in range(cycle):
+    for _ in range(cycle + 1):
         drawn = seeded_additions(rng, last, first, GROWTH)
     for addition in drawn[:additions]:
         state = protocol.add_subsystem(state, *addition)
@@ -621,7 +622,7 @@ def grown_state(seed, cycle, additions, monkeypatch):
 # Grown states where RK4 at dt = 1e-3 overflowed from the worst start
 # (rho(Acl) dt = 8.66, 3.68 and 18.4) and so flagged the design rate as
 # violated.
-@pytest.mark.parametrize("seed,cycle,additions", [(2, 1, 20), (3, 2, 20), (5, 3, 30)])
+@pytest.mark.parametrize("seed,cycle,additions", [(2, 0, 20), (3, 1, 20), (5, 2, 30)])
 def test_worst_start_holds_and_separates_stiff_grown_states_at_the_default_step(
         seed, cycle, additions, monkeypatch):
     cl = assemble_closed_loop(grown_state(seed, cycle, additions, monkeypatch))

@@ -1,6 +1,8 @@
 """Step-by-step design protocol: packets, records, routes and recursion."""
 
 import dataclasses
+import functools
+import json
 import re
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadepass import blockla, lmi, model, oracle, protocol
+from cascadepass import blockla, files, lmi, model, oracle, protocol
 from cascadepass.model import CascadeNetwork, InvalidNetwork, Subsystem
 from cascadepass.protocol import (
     ROUTE_SYNTHESIZED,
@@ -88,6 +90,16 @@ def test_record_validation():
         DesignRecord(index=1, Q=[[1.0]], epsilon=0.0, K_self=None,
                      K_to_prev=None, K_prev_to_self=None,
                      route=ROUTE_VERIFIED)
+    # A designed record tampered the same ways cannot be built either, so
+    # no state holds one to grow.
+    designed = run_cascade_design(four_stage_cascade()).records[3]
+    assert designed.route == ROUTE_SYNTHESIZED
+    for tamper, message in ((dict(epsilon=0.0), "epsilon must be positive"),
+                            (dict(epsilon=-1.0), "epsilon must be positive"),
+                            (dict(route="Guessed"), "unknown route"),
+                            (dict(route=ROUTE_VERIFIED), "a Verified record carries no gains")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(designed, **tamper)
 
 
 def test_state_validation():
@@ -1058,6 +1070,66 @@ def test_a_state_that_does_not_certify_builds_but_does_not_grow():
     assert not oracle.centralized_sp_check(oracle.assemble_closed_loop(tampered)).verdict
     with pytest.raises(protocol.MissingMargin, match="record 4"):
         add_subsystem(tampered, *FOUR_STAGE_ADDITION)
+
+
+def with_storage(state, k, factor):
+    """state rebuilt by the public constructor with record k's Q times factor."""
+    records = list(state.records)
+    records[k] = dataclasses.replace(records[k], Q=factor * records[k].Q)
+    return NetworkDesignState(net=state.net, records=tuple(records))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_a_state_whose_storage_fails_the_equality_builds_but_does_not_grow(k):
+    # Each of these tampers passes the recursion; only the storage test
+    # finds it. Growth once took it on trust and made a state the oracle
+    # rejects with EqualityResidual.
+    tampered = with_storage(run_cascade_design(four_stage_cascade()), k, 1.0 + 1e-3)
+    assert [rec.M_cl is None for rec in tampered.records] == [j >= k for j in range(4)]
+    fault = protocol._derive_margins(tampered.net, [vars(rec) for rec in tampered.records])[1]
+    assert fault[0] == k and fault[1].startswith(f"records[{k}]: max |Q B2 - C'| = ")
+    # The loader judges by the same rule and reports the same fault.
+    with pytest.raises(files.MalformedFile, match=f"^{re.escape(fault[1])}$"):
+        files.state_from_dict(json.loads(json.dumps(files.state_to_dict(tampered))))
+    result = oracle.centralized_sp_check(oracle.assemble_closed_loop(tampered))
+    assert not result.verdict and "EqualityResidual" in result.reasons
+    with pytest.raises(protocol.MissingMargin, match="record 4"):
+        add_subsystem(tampered, *FOUR_STAGE_ADDITION)
+
+
+def test_a_state_whose_storage_is_not_positive_definite_builds_but_does_not_grow():
+    # Q = C = -1 meets the equality, and the recursion's block
+    # -(A'Q + QA) = 2 is positive definite at A = +1.
+    net = CascadeNetwork.from_blocks([Subsystem(A=1.0, B1=1.0, B2=1.0, B3=1.0, C=-1.0)], {})
+    tampered = NetworkDesignState(net=net, records=(verified_record(q=-1.0, eps=0.5),))
+    assert tampered.records[0].M_cl is None
+    assert protocol._derive_margins(net, [vars(tampered.records[0])])[1] == (0, "records[0]: Q is not positive definite")
+    result = oracle.centralized_sp_check(oracle.assemble_closed_loop(tampered))
+    assert not result.verdict and "StorageNotPositiveDefinite" in result.reasons
+    with pytest.raises(protocol.MissingMargin, match="record 1"):
+        add_subsystem(tampered, scalar_subsystem(), None, [[1.0]], [[1.0]])
+
+
+@functools.cache
+def random_design(n, seed):
+    return run_cascade_design(random_cascade(n, np.random.default_rng(seed)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 5),
+       st.sampled_from((2.0 ** -52, 1e-9, 1e-6, 1e-3)))
+def test_a_tampered_storage_refuses_to_grow_or_grows_soundly(n, seed, k, delta):
+    # From an ulp to far past the equality's 1e-8 bound, a scaled storage
+    # either certifies and so grows into a state the oracle accepts, or
+    # carries no margin to grow from.
+    state = random_design(n, seed)
+    tampered = with_storage(state, k % n, 1.0 + delta)
+    last = state.net.subsystems[-1]
+    try:
+        grown = add_subsystem(tampered, scalar_subsystem(), None, np.ones((1, last.n)), np.ones((last.p, 1)))
+    except protocol.MissingMargin:
+        return
+    assert oracle.centralized_sp_check(oracle.assemble_closed_loop(grown)).verdict
 
 
 def reference_closed_loop_blocks(net, storages, epsilons, gains):

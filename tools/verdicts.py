@@ -4,7 +4,7 @@ One deterministic run (about 20 s for seeds 1-10) prints:
 
 * ``DesignFailed`` counts over the ``grow_persist`` growth cycles: for
   each seed, the 4 cycles the benchmark draws from ``default_rng(seed)``,
-  each growing the four-stage design by 60 ``seeded_additions`` with
+  numbered from 0 as ``perfbench/workloads.py`` numbers them, each growing the four-stage design by 60 ``seeded_additions`` with
   ``add_subsystem`` in process (a cycle ends at its first failure), with
   the largest designed gain entry, as ``log10``;
 * ``DesignFailed`` counts over the 80 random designs
@@ -20,7 +20,10 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   every 10th grown state of each cycle;
 * how many of those it rejects once the Q of the record with the smallest
   max|C| is scaled by 1 + 1e-4, a tamper that a storage equality judged
-  at the chain's largest |C| can miss;
+  at the chain's largest |C| can miss, and how many of the same tampers,
+  built as a ``NetworkDesignState``, refuse to grow: their last record
+  carries no margin ``M_cl``, so ``add_subsystem`` raises
+  ``MissingMargin``;
 * the worst-start check on those same designs: started at the unit
   eigenvector of lambda_min(-(Acl'Q + Q Acl)), with no disturbance, over
   500 steps of dt = 1e-4 (or of 0.1 / rho(Acl) when that is shorter: the
@@ -107,7 +110,7 @@ class Tally:
 
     def __init__(self):
         self.designs, self.failures, self.checked, self.accepted = [], [], 0, 0
-        self.holds, self.separates, self.tampers_rejected = 0, 0, 0
+        self.holds, self.separates, self.tampers_rejected, self.tampers_refused = 0, 0, 0, 0
 
     def check(self, state) -> None:
         cl = oracle.assemble_closed_loop(state)
@@ -119,6 +122,9 @@ class Tally:
         Q = cl.Q.copy()
         Q[block, block] *= 1.0 + 1e-4
         self.tampers_rejected += not oracle.centralized_sp_check(dataclasses.replace(cl, Q=Q)).verdict
+        records = list(state.records)
+        records[k] = dataclasses.replace(records[k], Q=(1.0 + 1e-4) * records[k].Q)
+        self.tampers_refused += protocol.NetworkDesignState(state.net, tuple(records)).records[-1].M_cl is None
         r, x0 = oracle.worst_start(cl)
         dt = min(1e-4, 0.1 / np.abs(np.linalg.eigvals(cl.Acl)).max())
         traj = oracle.simulate(cl, lambda t: np.zeros(cl.m), x0=x0, T=500 * dt, dt=dt)
@@ -150,12 +156,12 @@ def growth(seeds) -> tuple[Tally, float]:
                 try:
                     state = protocol.add_subsystem(state, *addition)
                 except protocol.DesignFailed as exc:
-                    tally.failures.append(f"seed {seed} cycle {cycle + 1}: {exc}")
+                    tally.failures.append(f"seed {seed} cycle {cycle}: {exc}")
                     failed = True
                     break
                 if k % ORACLE_EVERY == 0:
                     tally.check(state)
-            tally.designs.append(summary(state) | {"seed": seed, "cycle": cycle + 1, "failed": failed})
+            tally.designs.append(summary(state) | {"seed": seed, "cycle": cycle, "failed": failed})
             largest = max(largest, gain_max(state))
     return tally, largest
 
@@ -261,7 +267,9 @@ def run(seeds) -> dict:
     accepted = sum(t.accepted for t in out.values())
     print(f"oracle accepts {accepted} of {checked} designs checked")
     rejected = sum(t.tampers_rejected for t in out.values())
-    print(f"oracle rejects {rejected} of {checked} with the Q of the smallest max|C| scaled by 1 + 1e-4")
+    refused = sum(t.tampers_refused for t in out.values())
+    print(f"oracle rejects {rejected} of {checked} with the Q of the smallest max|C| scaled by 1 + 1e-4; "
+          f"built as states, {refused} refuse to grow")
     for name, t in out.items():
         print(f"worst start, {name}: holds eps on {t.holds} and separates 1.01 r on "
               f"{t.separates} of {t.checked}")
