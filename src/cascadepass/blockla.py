@@ -51,8 +51,6 @@ __all__ = [
 PIVOT_RTOL = 1e-12
 # Largest tolerated relative asymmetry before input is considered a bug.
 SYMMETRY_RTOL = 1e-8
-# Below this |entry|, S + S' and S - S' cannot overflow.
-_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 class NotPositiveDefinite(Exception):
@@ -71,14 +69,20 @@ class NotPositiveDefinite(Exception):
 
 
 class AsymmetricMatrix(ValueError):
-    """Input that must be symmetric is not, beyond tolerance."""
+    """Input that must be symmetric is not, beyond tolerance; ``index`` is
+    the failing matrix's 0-based place in a stack (_symmetric_parts), else None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class NonFiniteMatrix(ValueError):
     """Input contains NaN or infinity.
 
-    ``index`` is the 1-based failing block for the tri-diagonal recursion
-    and None elsewhere.
+    ``index`` is the 1-based failing block for the tri-diagonal recursion,
+    the failing matrix's 0-based place in a stack (_symmetric_parts), and
+    None elsewhere.
     """
 
     def __init__(self, message: str, index: int | None = None):
@@ -94,37 +98,41 @@ def _require_finite(a: np.ndarray, name: str):
 def symmetric_part(S, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     """Return (S + S') / 2 after checking S is symmetric within ``rtol``.
 
-    The relative measure is ||S - S'||_inf / max(1, ||S||_inf). Each entry
-    is the correctly rounded mean of S_ij and S_ji, also where their sum
-    would overflow.
+    The relative measure is max_ij |S_ij - S_ji| / max(1, max_ij |S_ij|).
+    Each entry is the correctly rounded mean of S_ij and S_ji, also where
+    their sum would overflow.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"{name} must be square, got shape {S.shape}")
-    scale = np.abs(S).max() if S.size else 0.0
-    if not math.isfinite(scale):
-        raise NonFiniteMatrix(f"{name} contains non-finite entries")
-    if scale > _HALF_MAX:
-        # Only here can S - S' and S + S' overflow. An infinite skew still
-        # reads as asymmetric; where S + S' overflows, both entries exceed
-        # 2**970, so halving each before adding is exact.
-        with np.errstate(over="ignore"):
-            H = _checked_half_sum(S, name, rtol, scale)
-        big = np.isinf(H)
-        H[big] = 0.5 * S[big] + 0.5 * S.T[big]
-        return H
-    return _checked_half_sum(S, name, rtol, max(1.0, scale))
+    return _symmetric_parts(S, name, rtol)
 
 
-def _checked_half_sum(S, name, rtol, scale):
-    """(S + S') / 2 after the symmetry check of symmetric_part."""
-    # S - S' is exactly antisymmetric, so its largest entry is its largest |entry|.
-    skew = (S - S.T).max() if S.size else 0.0
-    if skew > rtol * scale:
-        raise AsymmetricMatrix(
-            f"{name} is asymmetric: relative skew {skew / scale:.3e} exceeds {rtol:.1e}"
-        )
-    return 0.5 * (S + S.T)
+def _symmetric_parts(S, name: str, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+    """symmetric_part of the square float array S or of each matrix of the
+    stack S, as one new array; the first matrix that fails raises as
+    symmetric_part words it, ``index`` its place in the stack (None for a 2-D S)."""
+    St = np.swapaxes(S, -1, -2)
+    scale = np.abs(S).max(axis=(-2, -1), initial=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # S - S' is exactly antisymmetric, so its largest entry is its
+        # largest |entry|; where it overflows, S reads as asymmetric.
+        skew = (S - St).max(axis=(-2, -1), initial=0.0)
+        H = 0.5 * (S + St)
+    fails = ~np.isfinite(scale) | (skew > rtol * scale)
+    if fails.any():
+        j = int(np.argmax(fails))
+        index = j if S.ndim == 3 else None
+        scale, skew = np.ravel(scale)[j], np.ravel(skew)[j]
+        if not math.isfinite(scale):
+            raise NonFiniteMatrix(f"{name} contains non-finite entries", index)
+        raise AsymmetricMatrix(f"{name} is asymmetric: relative skew {skew / scale:.3e} exceeds {rtol:.1e}", index)
+    # Where S + S' overflows, both entries exceed 2**970, so halving each
+    # before adding is exact.
+    big = np.isinf(H)
+    if big.any():
+        H[big] = 0.5 * S[big] + 0.5 * St[big]
+    return H
 
 
 def _row_floors(A) -> np.ndarray:

@@ -46,33 +46,34 @@ record in file order):
    of step 7 as they are, with no second recursion.
 
 A network or state document runs each step once per stack of matrices
-or records of one shape, not once per matrix: its matrices are parsed by
-one _parse, per stack of values nested alike, and each loaded matrix is a
-read-only view of a read-only stack; their shapes are compared with one
-table, each stack of record matrices is tested for finiteness, each stack
-of storages of one size for symmetry, each stack of records sharing B2's
-shape, (n, m), by one protocol._storage_test, whose verdict for each
-record is the one it would get alone or in the oracle's dense Q, and the
-diagonal closed-loop blocks are built per stack of steps of one shape,
-the coupling blocks step by step. A document is a tree as json.load
-returns it. Only when a stacked test fails does the per-item code of its
-step run (_matrix, _record_defect, model._subsystem_violations,
-protocol._check_shapes), to word the first defect. An addition document,
-five to eight matrices, is parsed matrix by matrix with _matrix.
+or records of one shape, not once per matrix, and calls the function
+that owns each check: its matrices are parsed by one _parse, per stack
+of values nested alike, and each loaded matrix is a read-only view of a
+read-only stack; their shapes are compared with one table, the record
+matrices tested for finiteness by model._all_finite, each stack of
+storages of one size for symmetry by blockla._symmetric_parts, each
+stack of records sharing B2's shape, (n, m), by one
+protocol._storage_test, whose verdict for each record is the one it
+would get alone or in the oracle's dense Q, and the diagonal closed-loop
+blocks are built per stack of steps of one shape, the coupling blocks
+step by step. A document is a tree as json.load returns it. Only when a
+stacked test fails does the per-item code of its step run (_matrix,
+_record_defect, model._subsystem_violations, protocol._check_shapes), to
+word the first defect. An addition document, five to eight matrices, is
+parsed matrix by matrix with _matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from itertools import chain
 
 import numpy as np
 
 from . import blockla, protocol
-from .model import _SUBSYSTEM_MATRICES, CascadeNetwork, Subsystem, as_matrix, validate_network
+from .model import _SUBSYSTEM_MATRICES, CascadeNetwork, Subsystem, _all_finite, as_matrix, validate_network
 from .protocol import (
     _RECORD_MATRICES,
     DesignRecord,
@@ -168,10 +169,10 @@ def _matrix(value, name):
 
 
 def _parse(values):
-    """(matrices, stacks, shapes): each of values parsed as _matrix parses
-    it, as a read-only view of a read-only stack, the stacks, and an array
-    of the matrices' shapes; or None when a stacked test fails, which it
-    does exactly when _matrix fails on one of values.
+    """(matrices, shapes): each of values parsed as _matrix parses it, as a
+    read-only view of a read-only stack, and an array of the matrices'
+    shapes; or None when a stacked test fails, which it does exactly when
+    _matrix fails on one of values.
 
     The values nested as matrices of one shape make one stack, built by one
     np.array call and then given one test of its nesting and one of its
@@ -186,7 +187,6 @@ def _parse(values):
             key = None
         groups.setdefault(key, []).append(k)
     matrices = [None] * len(values)
-    stacks = []
     shapes = np.ones((len(values), 2), dtype=int)
     for key, ks in groups.items():
         group = [values[k] for k in ks]
@@ -204,10 +204,9 @@ def _parse(values):
         else:
             shapes[ks] = key
         stack.setflags(write=False)
-        stacks.append(stack)
         for k, a in zip(ks, stack):
             matrices[k] = a
-    return matrices, stacks, shapes
+    return matrices, shapes
 
 
 def _is_integer(value) -> bool:
@@ -215,19 +214,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(value, name) -> float:
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            x = float(value)
-        except OverflowError:
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise MalformedFile(f"{name} must be a finite number, got {value!r}")
-
-
 def _numbers(values):
-    """Each of values as _number gives it, or None when _number fails on one."""
+    """Each of values as a float, or None unless every one is a JSON number
+    (not a boolean) that a float holds finitely."""
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         return None
     try:
@@ -235,6 +224,13 @@ def _numbers(values):
     except OverflowError:
         return None
     return a.tolist() if np.isfinite(a).all() else None
+
+
+def _number(value, name) -> float:
+    x = _numbers([value])
+    if x is None:
+        raise MalformedFile(f"{name} must be a finite number, got {value!r}")
+    return x[0]
 
 
 def _integer(value, name) -> int:
@@ -309,10 +305,9 @@ def _subsystems(matrices, count) -> list:
 def _stacked_network(subs_doc, coup_doc, values):
     """(subsystems, coupling matrices by pair, rest) of a network's objects,
     its matrices and the further values parsed by one _parse, rest the
-    (matrices, stacks, shapes) of those values, the stacks holding the
-    network's matrices too; None when the parse fails, or a subsystem or
-    coupling is not an object, or a coupling's indices are not integers or
-    repeat a pair."""
+    (matrices, shapes) of those values; None when the parse fails, or a
+    subsystem or coupling is not an object, or a coupling's indices are not
+    integers or repeat a pair."""
     if not (all(isinstance(d, dict) for d in subs_doc) and isinstance(coup_doc, list)
             and all(isinstance(entry, dict) for entry in coup_doc)):
         return None
@@ -323,17 +318,17 @@ def _stacked_network(subs_doc, coup_doc, values):
     parsed = _parse(_subsystem_values(subs_doc) + [entry.get("h") for entry in coup_doc] + values)
     if parsed is None:
         return None
-    matrices, stacks, shapes = parsed
+    matrices, shapes = parsed
     held = 5 * len(subs_doc)
     rest = held + len(pairs)
     return (_subsystems(matrices, len(subs_doc)), dict(zip(pairs, matrices[held:rest])),
-            (matrices[rest:], stacks, shapes[rest:]))
+            (matrices[rest:], shapes[rest:]))
 
 
 def _network_from_dict(doc, values):
-    """(network, rest): the network of doc and the (matrices, stacks,
-    shapes) of the further values, all parsed by one _parse; rest is None
-    when the values alone fail it. A defect of the network raises as
+    """(network, rest): the network of doc and the (matrices, shapes) of
+    the further values, all parsed by one _parse; rest is None when the
+    values alone fail it. A defect of the network raises as
     network_from_dict words it."""
     _expect(doc, "network")
     subs_doc = doc.get("subsystems")
@@ -343,9 +338,7 @@ def _network_from_dict(doc, values):
     parsed = _stacked_network(subs_doc, coup_doc, values)
     if parsed is None and values:
         # The failure may lie in the further values alone.
-        parsed = _stacked_network(subs_doc, coup_doc, [])
-        if parsed is not None:
-            parsed = (*parsed[:2], None)
+        return _network_from_dict(doc, [])[0], None
     if parsed is None:
         for k, d in enumerate(subs_doc):
             _subsystem_matrices(d, f"subsystems[{k}]")
@@ -419,16 +412,15 @@ def _record_sites(recs_doc):
 
 
 def _record_fields(recs_doc, subs, sites, parsed):
-    """(fields, stacks): each record's free data, one mapping by record
-    field name each, its matrices those of parsed, the (matrices, stacks,
-    shapes) _parse gave the values at sites (_record_sites), and the stacks
-    that hold them. The first defect, if any, is raised by _record_defect,
-    which runs only when a test over every record fails: sites or parsed
-    None, a shape other than _record_shapes's or an epsilon that is not a
-    finite number."""
+    """Each record's free data, one mapping by record field name each, its
+    matrices those of parsed, the (matrices, shapes) _parse gave the values
+    at sites (_record_sites). The first defect, if any, is raised by
+    _record_defect, which runs only when a test over every record fails:
+    sites or parsed None, a shape other than _record_shapes's or an epsilon
+    that is not a finite number."""
     table = _record_shapes(subs)
     numbers = _numbers([d.get("epsilon") for d in recs_doc]) if sites is not None and parsed is not None else None
-    if numbers is not None and np.array_equal(table.reshape(-1, 2)[sites], parsed[2]):
+    if numbers is not None and np.array_equal(table.reshape(-1, 2)[sites], parsed[1]):
         fields = [
             {"index": d["index"], "epsilon": eps, "route": str(d.get("route")),
              "K_self": None, "K_to_prev": None, "K_prev_to_self": None}
@@ -436,16 +428,15 @@ def _record_fields(recs_doc, subs, sites, parsed):
         ]
         for site, a in zip(sites, parsed[0]):
             fields[site // 4][_RECORD_MATRICES[site % 4]] = a
-        return fields, parsed[1]
+        return fields
     for k, d in enumerate(recs_doc):
         _record_defect(d, f"records[{k}]", table[k])
 
 
-def _require_finite(fields, stacks) -> None:
-    """One finiteness test per stack that holds record matrices (beside
-    the network's, which validate_network found finite); only when it fails
-    is each record matrix tested, to name the first non-finite one."""
-    if all(np.isfinite(stack).all() for stack in stacks):
+def _require_finite(fields) -> None:
+    """One model._all_finite test of the record matrices; only when it
+    fails is each record matrix tested, to name the first non-finite one."""
+    if _all_finite([f[name] for f in fields for name in _RECORD_MATRICES if f[name] is not None]):
         return
     for k, f in enumerate(fields):
         for name in _RECORD_MATRICES:
@@ -454,32 +445,23 @@ def _require_finite(fields, stacks) -> None:
 
 
 def _symmetrize_storages(fields) -> None:
-    """Each record's Q made symmetric as blockla.symmetric_part makes it, as
-    its view into the stack of the storages of its size.
-
-    The symmetry test runs once per stack; symmetric_part runs only on a Q
-    that fails it, to raise its message, or whose entries are large enough
-    for Q + Q' to overflow.
-    """
-    stacks, exact = [], []
+    """Each record's Q replaced by its symmetric part, a view into the
+    stack of the storages of its size, which blockla._symmetric_parts
+    checks and symmetrizes in one call; MalformedFile at the first
+    asymmetric Q in file order."""
+    faults = []
     for ks in _groups([len(f["Q"]) for f in fields]):
-        S = np.array([fields[k]["Q"] for k in ks])
-        St = S.transpose(0, 2, 1)
-        with np.errstate(over="ignore"):
-            skew, H = (S - St).max(axis=(1, 2)), 0.5 * (S + St)
-        scale = np.abs(S).max(axis=(1, 2))
-        fails = (skew > blockla.SYMMETRY_RTOL * np.maximum(1.0, scale)) | (scale > blockla._HALF_MAX)
-        exact += [(ks[j], H, j) for j in np.flatnonzero(fails)]
-        stacks.append((ks, H))
-    for k, H, j in sorted(exact, key=lambda e: e[0]):
         try:
-            H[j] = blockla.symmetric_part(fields[k]["Q"], "Q")
+            H = blockla._symmetric_parts(np.array([fields[k]["Q"] for k in ks]), "Q")
         except blockla.AsymmetricMatrix as exc:
-            raise MalformedFile(f"records[{k}]: {exc}") from None
-    for ks, H in stacks:
+            faults.append((ks[exc.index], str(exc)))
+            continue
         H.setflags(write=False)
         for k, Q in zip(ks, H):
             fields[k]["Q"] = Q
+    if faults:
+        k, message = min(faults)
+        raise MalformedFile(f"records[{k}]: {message}")
 
 
 def state_to_dict(state: NetworkDesignState) -> dict:
@@ -511,8 +493,8 @@ def state_from_dict(doc) -> NetworkDesignState:
     subs = net.subsystems
     if len(recs_doc) != len(subs):
         raise MalformedFile(f"{len(subs)} subsystems but {len(recs_doc)} records")
-    fields, stacks = _record_fields(recs_doc, subs, sites, parsed)
-    _require_finite(fields, stacks)
+    fields = _record_fields(recs_doc, subs, sites, parsed)
+    _require_finite(fields)
     _symmetrize_storages(fields)
     records = []
     for k, f in enumerate(fields):

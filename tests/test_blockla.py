@@ -390,6 +390,52 @@ def test_symmetric_part_matches_the_reference_bit_for_bit(S):
     assert_same_outcome(outcome(symmetric_part, S), outcome(reference_symmetric_part, S))
 
 
+@st.composite
+def symmetry_stacks(draw):
+    """1-4 squares of one size, each symmetric, near the float limit
+    (entries above 2**970, where S + S' overflows), slightly or grossly
+    asymmetric, or non-finite."""
+    n = draw(st.integers(1, 4))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["symmetric", "huge", "slight", "gross", "non-finite"]))
+        if kind == "huge":
+            big = np.finfo(float).max
+            X = draw(arrays(np.float64, (n, n), elements=st.floats(2.0**970, big) | st.sampled_from([0.75 * big, big])))
+            X *= draw(arrays(np.float64, (n, n), elements=st.sampled_from([-1.0, 1.0])))
+            S = np.triu(X) + np.triu(X, 1).T
+            if n > 1:
+                # Two units in the last place, or the opposite sign, whose skew overflows.
+                S[0, n - 1] = draw(st.sampled_from([
+                    np.nextafter(np.nextafter(S[0, n - 1], 0.0), 0.0), -S[0, n - 1]]))
+        else:
+            X = draw(matrices((n, n)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                S = X + X.T
+            skew = {"slight": draw(st.sampled_from([1e-9, 1e-8, 2e-8])), "gross": 1.0}.get(kind, 0.0)
+            if n > 1 and skew:
+                S[0, n - 1] += skew * max(1.0, float(np.abs(S).max()))
+            if kind == "non-finite":
+                S[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(special)
+        stack.append(S)
+    return np.array(stack)
+
+
+@PROPERTY
+@given(stack=symmetry_stacks())
+def test_stacked_symmetric_parts_match_the_reference_matrix_by_matrix(stack):
+    # A stack passes bit for bit as each matrix does alone, or raises the
+    # reference's outcome for its first failing matrix, at its place.
+    got = outcome(blockla._symmetric_parts, stack, "Q")
+    want = [outcome(reference_symmetric_part, S, "Q") for S in stack]
+    first = next((j for j, w in enumerate(want) if w[0] != "ok"), None)
+    if first is None:
+        assert got[0] == "ok" and got[1].shape == stack.shape, got
+        assert_same_outcome(("ok", list(got[1])), ("ok", [w[1] for w in want]))
+    else:
+        assert got == (*want[first][:2], first)
+
+
 @PROPERTY
 @given(S=square_candidates(max_n=6))
 def test_cholesky_lower_matches_the_reference_bit_for_bit(S):

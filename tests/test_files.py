@@ -164,22 +164,36 @@ def test_inflated_margin_in_a_state_file_cannot_unsound_a_growth(tmp_path):
 
 
 def test_a_load_checks_each_record_matrix_once(tmp_path, monkeypatch):
-    # Q where it is parsed; the closed-loop blocks, the Schur complements
-    # and the record built from them are not checked again.
+    # Q where it is parsed, by one symmetry test per storage size; the
+    # closed-loop blocks, the Schur complements and the record built from
+    # them are not checked again. symmetric_part runs the same test, so
+    # the count covers it too.
     state = run_cascade_design(four_stage_cascade())
     path = tmp_path / "state.json"
     save_state(state, path)
     calls = 0
-    original = blockla.symmetric_part
+    original = blockla._symmetric_parts
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(blockla, "symmetric_part", counting)
+    monkeypatch.setattr(blockla, "_symmetric_parts", counting)
     load_state(path)
-    assert calls <= len(state.records)
+    assert 1 <= calls <= len({rec.Q.shape for rec in state.records})
+
+
+def test_a_load_reports_the_first_asymmetric_storage_in_file_order():
+    # Records 1 and 2 both hold an asymmetric Q. Record 2 has record 0's
+    # size, so its stack is tested first; record 1 comes first in the file.
+    state = run_cascade_design(random_cascade(3, np.random.default_rng(7)))
+    assert [rec.Q.shape[0] for rec in state.records] == [3, 2, 3]
+    doc = _state_doc(state)
+    for rec in doc["records"][1:]:
+        rec["Q"][0][1] += 1e-3 * max(1.0, np.abs(rec["Q"]).max())
+    with pytest.raises(MalformedFile, match=r"^records\[1\]: Q is asymmetric: relative skew"):
+        state_from_dict(doc)
 
 
 def _scale(where, name, factor):
