@@ -1,17 +1,15 @@
-"""scipy's compiled L-BFGS-B and LAPACK modules, without their packages.
+"""scipy's compiled LAPACK module, without its package.
 
-The package calls two compiled scipy kernels: ``setulb`` from
-``scipy.optimize._lbfgsb`` (in ``lmi``) and ``dtrtrs`` from
-``scipy.linalg._flapack`` (in ``blockla``). Importing those modules the usual way first
-runs ``scipy/optimize/__init__.py`` and ``scipy/linalg/__init__.py``,
-which take about half a second, more than a whole ``cascadepass add``
-design step. ``_load`` reads each extension module straight from scipy's
-installed package directory and registers it in ``sys.modules`` under
-its own name. A later ``import scipy.optimize`` or ``import scipy.linalg``
-then finds it there, so scipy and this package share one copy; a module
-that scipy has already imported is used as it is. Only the parent
-package's attribute is not set: reach the module by an import, not as
-``scipy.optimize._lbfgsb``.
+The package calls one compiled scipy kernel: ``dtrtrs`` from
+``scipy.linalg._flapack`` (in ``blockla``). Importing that module the
+usual way first runs ``scipy/linalg/__init__.py``, which takes about half
+a second, more than a whole ``cascadepass add`` design step. ``_load``
+reads the extension module straight from scipy's installed package
+directory and registers it in ``sys.modules`` under its own name. A later
+``import scipy.linalg`` then finds it there, so scipy and this package
+share one copy; a module that scipy has already imported is used as it
+is. Only the parent package's attribute is not set: reach the module by
+an import, not as ``scipy.linalg._flapack``.
 """
 
 from __future__ import annotations
@@ -42,5 +40,4 @@ def _load(name: str):
     return module
 
 
-lbfgsb = _load("scipy.optimize._lbfgsb")
 flapack = _load("scipy.linalg._flapack")

@@ -7,17 +7,10 @@ A problem asks for theta in R^v with
 A bound such as theta_k >= c is stated as the 1x1 diagonal block
 theta_k - c of Phi. There are no equality constraints: a caller with one
 parametrizes its solutions and poses the problem over the parameters. The
-solver maximizes a smoothed minimum eigenvalue of Phi. The returned point
+solver maximizes the smallest eigenvalue of Phi by following a log-det
+barrier path with damped Newton steps, in numpy alone. The returned point
 is always re-certified from scratch; the contract is the certificate, not
 the search path. Everything is deterministic: no randomness anywhere.
-
-The search runs thousands of L-BFGS-B iterations on matrices of a few
-rows, where scipy's ``minimize`` wrapper costs more than the objective.
-``minimize`` here calls scipy's ``setulb`` directly, in the loop scipy's
-``minimize(method="L-BFGS-B", jac=True)`` runs and with the same
-memoisation of evaluated points, so every iterate is the wrapper's
-without the wrapper's cost. ``setulb`` comes from scipy's compiled module,
-loaded by ``_scipy_ext`` without importing ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blockla
-from ._scipy_ext import lbfgsb
 from .model import _frozen
 
 __all__ = [
@@ -191,64 +183,42 @@ class _TargetReached(Exception):
     pass
 
 
-# L-BFGS-B settings of every local search; the number of stored corrections
-# and of line-search steps are scipy's defaults.
-LBFGS_CORRECTIONS = 10
-LBFGS_MAXLS = 20
-LBFGS_MAXITER = 100
-LBFGS_MAXFUN = 200
-LBFGS_FTOL = 1e-15
-LBFGS_GTOL = 1e-12
-
 # Share of the achieved margin the search gives up: the pull-back may shed
-# it, and a finer smoothing level that could add no more is not run.
+# it, and a barrier round that could add no more is not followed.
 SHED = 0.05
 
 
 def minimize(fun, x0):
-    """Minimize ``fun`` by unbounded L-BFGS-B from x0; return the last iterate.
+    """Minimize a convex ``fun`` by damped Newton from x0; return the last
+    iterate.
 
-    ``fun(x)`` returns (value, gradient). This drives scipy's ``setulb``
-    with the loop of scipy's ``minimize(method="L-BFGS-B", jac=True)``, and
-    evaluates ``fun`` at exactly the points that would: once at a copy of
-    x0, then at each point ``setulb`` asks for that differs from the last
-    one evaluated. An exception raised by ``fun`` propagates.
+    ``fun(x)`` returns (value, gradient, Hessian), or None outside its
+    domain, which must contain x0. Each step halves the Newton step until
+    ``fun`` is defined there and falls by at least a quarter of the
+    predicted decrease (Boyd & Vandenberghe, *Convex Optimization*, 2004,
+    section 9.5). It stops at a squared Newton decrement of at most 1e-10,
+    after 50 steps, or when no step above 1e-12 is accepted. An exception
+    raised by ``fun`` propagates.
     """
-    m = LBFGS_CORRECTIONS
     x = np.array(x0, dtype=float)
-    n = x.size
-    last = x.copy()
-    f, g = fun(last.copy())
-    nfev, nit = 1, 0
-    unbounded = np.zeros(n)
-    nbd = np.zeros(n, np.int32)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task = np.zeros(2, np.int32)
-    ln_task = np.zeros(2, np.int32)
-    lsave = np.zeros(4, np.int32)
-    isave = np.zeros(44, np.int32)
-    dsave = np.zeros(29)
-    factr = LBFGS_FTOL / np.finfo(float).eps
-    while True:
-        lbfgsb.setulb(m, x, unbounded, unbounded, nbd, f, np.array(g, dtype=float), factr,
-                      LBFGS_GTOL, wa, iwa, task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
-        # task[0] is 3 when setulb asks for f and g at x and 1 after each
-        # iteration; (5, 504) and (5, 502) stop it at the iteration and the
-        # evaluation cap.
-        if task[0] == 3:
-            if not np.array_equal(x, last):
-                last = x.copy()
-                f, g = fun(x.copy())
-                nfev += 1
-        elif task[0] == 1:
-            nit += 1
-            if nit >= LBFGS_MAXITER:
-                task[:] = 5, 504
-            elif nfev > LBFGS_MAXFUN:
-                task[:] = 5, 502
+    f, g, H = fun(x.copy())
+    for _ in range(50):
+        dx = -np.linalg.solve(H, g)
+        decrement = -float(g @ dx)
+        # A NaN or non-positive decrement is a step no line search can take.
+        if not decrement > 1e-10:
+            break
+        s = 1.0
+        while s > 1e-12:
+            trial = fun(x + s * dx)
+            if trial is not None and trial[0] <= f - 0.25 * s * decrement:
+                break
+            s *= 0.5
         else:
-            return x
+            break
+        x = x + s * dx
+        f, g, H = trial
+    return x
 
 
 def solve_feasibility(
@@ -293,17 +263,25 @@ def solve_feasibility(
 def _search(prob: AffineFeasibilityProblem, tau: float, target: float):
     """Maximize the smallest eigenvalue of Phi from theta = 0.
 
-    L-BFGS maximizes the log-sum-exp smoothing f_s of lambda_min on a
-    ladder of levels s, each finer than the last, from the best point so
-    far. With d the size of Phi, lambda_min - s*ln(d) <= f_s <= lambda_min
-    (Nesterov's bound), so once a level has maximized f_s no point has a
-    lambda_min above best_lam + s*ln(d). The search stops as soon as the
-    target is met, and after a level when no finer level can change the
-    outcome or raise the margin by more than the pull-back gives up:
+    The search follows the log-det barrier path of "maximize t subject to
+    Phi(u) - tI positive definite" (Boyd & Vandenberghe, *Convex
+    Optimization*, 2004, chapter 11): round k centers
 
-    * best_lam + s*ln(d) < tau: a decline, reported as Stalled;
-    * best_lam >= tau and s*ln(d) <= SHED * best_lam: an accept, since a
-      finer level adds at most the slice the pull-back may shed.
+        phi_w(u, t) = -w t - log det(Phi(u) - tI) + (1e-2 / 2) |u|^2
+
+    by damped Newton (``minimize``) at w = 1e3 * 8^k, from u = 0 and t one
+    below lambda_min(Phi(0)), then from each round's end. With d the size
+    of Phi, a centered point's t lies within d/w of the best its round
+    allows, where the quadratic term weighs 1e-2/w against t, so after a
+    round t + d/w bounds the margin any finer round could reach, up to
+    that fading term. The search stops as soon as the target is met, and
+    after a round when no finer round can change the outcome or raise the
+    margin by more than the pull-back gives up:
+
+    * t + d/w < tau: a decline, reported as Stalled;
+    * best_lam >= tau and t + d/w - best_lam <= SHED * best_lam: an
+      accept, since a finer round adds at most the slice the pull-back
+      may shed.
 
     The point is then pulled back along its ray from 0 by 20 halvings of
     a bisection whose upper end always clears the threshold.
@@ -315,8 +293,8 @@ def _search(prob: AffineFeasibilityProblem, tau: float, target: float):
     d = prob.dim
 
     # Work in normalized units: the constant block is scaled to unit size
-    # and every variable to a unit coefficient, so the line searches behave
-    # the same regardless of the data's magnitude.
+    # and every variable to a unit coefficient, so the search behaves the
+    # same regardless of the data's magnitude.
     norm = max(1.0, float(np.abs(prob.constant_block).max()))
     C0n = prob.constant_block / norm
     if v:
@@ -330,69 +308,70 @@ def _search(prob: AffineFeasibilityProblem, tau: float, target: float):
     best_lam = -np.inf
     evals = 0
 
-    def evaluate(u):
+    def evaluate(u, M):
+        """Count an evaluation of Phi(u) = M and keep the best point."""
         nonlocal evals, best_u, best_lam
         evals += 1
-        M = C0n if v == 0 else C0n + (u @ Dn).reshape(d, d)
-        lam, vecs = np.linalg.eigh(M)
-        if lam[0] > best_lam:
-            best_lam = float(lam[0])
+        lam = float(np.linalg.eigvalsh(M)[0])
+        if lam > best_lam:
+            best_lam = lam
             best_u = np.array(u, dtype=float)
-        return lam, vecs
 
     if v > 0:
-        # Smoothing ladder: f_s = -s*log(tr exp(-M/s)) is smooth and concave
-        # in theta, and under-estimates lambda_min by at most the gap
-        # s*ln(d) (Nesterov, Math. Program. 103, 2005). The ladder ends at
-        # the first level whose gap is at most a quarter of tau_n; s*ln(d + 1)
-        # bounds the gap and keeps the floor finite at d = 1.
-        levels = []
-        s = 0.25
-        s_floor = max(tau_n / (4.0 * np.log(d + 1.0)), 1e-300)
-        while True:
-            levels.append(s)
-            if s <= s_floor or len(levels) >= 14:
-                break
-            s /= 10.0
+        D = Dn.reshape(v, d, d)
+        # The quadratic term keeps phi_w bounded below where some direction
+        # raises lambda_min without end.
+        reg = 1e-2
 
-        # The tiny quadratic penalty keeps the objective coercive: without
-        # it the optimizer can chase an asymptotic eigenvalue cap forever,
-        # inflating the point until roundoff swamps it.
-        reg = 1e-12
-
-        def make_objective(s):
-            def fun(u):
-                lam, vecs = evaluate(u)
+        def barrier(w):
+            def fun(x):
+                u, t = x[:v], x[v]
+                M = C0n + (u @ Dn).reshape(d, d)
+                try:
+                    L = np.linalg.cholesky(M - t * np.eye(d))
+                except np.linalg.LinAlgError:
+                    return None
+                evaluate(u, M)
                 if best_lam >= target_n:
                     raise _TargetReached
-                shifted = -(lam - lam[0]) / s
-                w = np.exp(shifted)
-                total = w.sum()
-                value = lam[0] - s * np.log(total) - reg * float(u @ u)
-                w /= total
-                G = (vecs * w) @ vecs.T
-                grad = Dn @ G.ravel() - 2.0 * reg * u
-                return -value, -grad
+                # With X = M - tI = LL', the derivatives in u_k and t are
+                # traces and inner products of G_k = L^-1 D_k L^-T and of
+                # S = L^-1 L^-T, the image of the I that t subtracts.
+                Linv = np.linalg.inv(L)
+                G = Linv @ D @ Linv.T
+                S = Linv @ Linv.T
+                Gv, Sv = G.reshape(v, -1), S.ravel()
+                value = -w * t - 2.0 * float(np.log(np.diag(L)).sum()) + 0.5 * reg * float(u @ u)
+                grad = np.append(reg * u - G.trace(axis1=1, axis2=2), np.trace(S) - w)
+                H = np.empty((v + 1, v + 1))
+                H[:v, :v] = Gv @ Gv.T + reg * np.eye(v)
+                H[:v, v] = H[v, :v] = -(Gv @ Sv)
+                H[v, v] = Sv @ Sv
+                return value, grad, H
             return fun
 
         try:
-            evaluate(best_u)
+            evaluate(best_u, C0n)
             if best_lam < target_n:
-                for s in levels:
-                    minimize(make_objective(s), best_u)
+                x = np.append(best_u, best_lam - 1.0)
+                w = 1e3
+                for _ in range(40):
+                    x = minimize(barrier(w), x)
                     # The docstring's two stop rules.
-                    gap = s * np.log(d)
-                    if best_lam + gap < tau_n or tau_n <= best_lam and gap <= SHED * best_lam:
+                    bound = x[v] + d / w
+                    if bound < tau_n or tau_n <= best_lam and bound - best_lam <= SHED * best_lam:
                         break
+                    w *= 8.0
         except _TargetReached:
             pass
 
-        # Pull the point back along the ray from 0: the smallest eigenvalue is concave on the segment, so bisecting
-        # for the shortest prefix that still clears a threshold sheds the
-        # norm overshoot of the line searches. Below target the SHED slice
-        # of the achieved margin is traded for the same norm relief. The
-        # kept end hi clears the threshold, so 20 halvings leave at most
-        # 2^-20 of the ray's length unshed.
+        # Pull the point back along the ray from 0: the smallest eigenvalue
+        # is concave on the segment, so bisecting for the shortest prefix
+        # that still clears a threshold sheds the norm overshoot of the
+        # search. Below target the SHED slice of the achieved margin is
+        # traded for the same norm relief. The kept end hi clears the
+        # threshold, so 20 halvings leave at most 2^-20 of the ray's length
+        # unshed.
         if np.isfinite(best_lam) and best_lam > tau_n and np.any(best_u):
             shed = max(target_n, 2.0 * tau_n)
             if best_lam >= shed:
@@ -419,7 +398,7 @@ def _search(prob: AffineFeasibilityProblem, tau: float, target: float):
                 best_u = hi * u_end
                 best_lam = lam_at(hi)
     else:
-        evaluate(np.zeros(0))
+        evaluate(best_u, C0n)
 
     with np.errstate(over="ignore", invalid="ignore"):
         theta = (best_u / gamma) * norm if v else np.zeros(0)

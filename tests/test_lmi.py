@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,109 +207,100 @@ def test_certify_point_reasons():
     assert low.reasons == ("MatrixNotPositive",)
 
 
+def convex_quadratic(points):
+    """0.5 x'Hx - b'x with H positive definite, recording each point."""
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((4, 4))
+    H = G @ G.T + np.eye(4)
+    b = rng.standard_normal(4)
 
-def smoothed_lambda_min(seed, d, v, level):
-    """A pure objective of the kind lmi's search minimizes: minus the
-    smoothed smallest eigenvalue of C0 + sum_k u_k D_k, with its gradient,
-    in the search's normalized units and at rung ``level`` of its ladder."""
-    rng = np.random.default_rng(seed)
-    C0 = rng.standard_normal((d, d))
-    C0 = C0 + C0.T - 2.0 * np.eye(d)
-    D = rng.standard_normal((v, d, d))
-    D = D + D.transpose(0, 2, 1)
-    C0 /= max(1.0, np.abs(C0).max())
-    Dn = (D / np.abs(D).max(axis=(1, 2))[:, None, None]).reshape(v, -1)
-    s = 0.25
-    for _ in range(level):
-        s /= 10.0
+    def fun(x):
+        points.append(x.copy())
+        return 0.5 * x @ H @ x - b @ x, H @ x - b, H
 
-    def fun(u):
-        lam, vecs = np.linalg.eigh(C0 + (u @ Dn).reshape(d, d))
-        w = np.exp(-(lam - lam[0]) / s)
-        total = w.sum()
-        value = lam[0] - s * np.log(total) - 1e-12 * float(u @ u)
-        w /= total
-        G = (vecs * w) @ vecs.T
-        return -value, -(Dn @ G.ravel() - 2e-12 * u)
+    return fun, np.linalg.solve(H, b)
+
+
+def x_minus_log_x(points, fail_at=None):
+    """x - log x on x > 0, minimized at 1, recording each point."""
+    def fun(x):
+        points.append(float(x[0]))
+        if len(points) == fail_at:
+            raise lmi._TargetReached
+        if x[0] <= 0.0:
+            return None
+        return x[0] - np.log(x[0]), np.array([1.0 - 1.0 / x[0]]), np.array([[x[0] ** -2]])
 
     return fun
 
 
-def recording(fun, points, fail_at=None):
-    def wrapped(u):
-        points.append(u.copy())
-        if len(points) == fail_at:
-            raise lmi._TargetReached
-        return fun(u)
+def test_newton_reaches_the_minimizer_of_a_convex_quadratic_in_one_step():
+    points = []
+    fun, minimizer = convex_quadratic(points)
+    x0 = np.zeros(4)
+    x = lmi.minimize(fun, x0)
+    assert np.allclose(x, minimizer, rtol=0.0, atol=1e-12)
+    # x0, then the full step, whose Newton decrement ends the run.
+    assert len(points) == 2 and np.array_equal(points[0], x0)
+    assert not x0.any()
 
-    return wrapped
+
+def test_newton_backtracks_when_the_full_step_leaves_the_domain():
+    # From 3 the full step lands at -3 and its half at 0, both outside
+    # x > 0; the quarter step to 1.5 falls far enough.
+    points = []
+    x = lmi.minimize(x_minus_log_x(points), np.array([3.0]))
+    assert points[:4] == pytest.approx([3.0, -3.0, 0.0, 1.5], abs=1e-12)
+    # A squared decrement (x - 1)^2 of at most 1e-10 ends the run.
+    assert abs(x[0] - 1.0) <= 1e-5
 
 
-def scipy_lbfgsb(fun, x0):
-    return scipy.optimize.minimize(
-        fun,
-        x0.copy(),
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxcor": lmi.LBFGS_CORRECTIONS,
-            "maxls": lmi.LBFGS_MAXLS,
-            "maxiter": lmi.LBFGS_MAXITER,
-            "maxfun": lmi.LBFGS_MAXFUN,
-            "ftol": lmi.LBFGS_FTOL,
-            "gtol": lmi.LBFGS_GTOL,
-        },
+def test_an_exception_escapes_newton_at_its_evaluation():
+    for k in (1, 3, 5):
+        points = []
+        with pytest.raises(lmi._TargetReached):
+            lmi.minimize(x_minus_log_x(points, fail_at=k), np.array([3.0]))
+        assert len(points) == k
+
+
+def planted_pair(seed, d, v, tau):
+    """A problem with a point of margin exactly 10 tau, and the same
+    problem with an extra 1 x 1 block -1 that no variable touches."""
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((v, d, d))
+    D = D + D.transpose(0, 2, 1)
+    theta = rng.standard_normal(v)
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    eigs = rng.uniform(10.0 * tau, 1.0, size=d)
+    eigs[0] = 10.0 * tau
+    C0 = (basis * eigs) @ basis.T - np.tensordot(theta, D, axes=1)
+    C0 = 0.5 * (C0 + C0.T)
+    prob = AffineFeasibilityProblem(var_count=v, constant_block=C0, coeff_blocks=tuple(D))
+
+    def bordered(B, corner):
+        out = np.zeros((d + 1, d + 1))
+        out[:d, :d] = B
+        out[d, d] = corner
+        return out
+
+    blocked = AffineFeasibilityProblem(
+        var_count=v,
+        constant_block=bordered(C0, -1.0),
+        coeff_blocks=tuple(bordered(B, 0.0) for B in D),
     )
+    return prob, blocked
 
 
-def objectives():
-    return st.tuples(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 8),
-        st.integers(1, 12),
-        st.integers(0, 13),
-        st.sampled_from([0.0, 0.1, 1.0]),
-    )
-
-
-def start(seed, v, spread):
-    return spread * np.random.default_rng(seed + 1).standard_normal(v)
-
-
-def test_lbfgs_driver_evaluates_the_points_scipy_does():
-    stops = set()
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(objectives())
-    def check(case):
-        seed, d, v, level, spread = case
-        fun = smoothed_lambda_min(seed, d, v, level)
-        x0 = start(seed, v, spread)
-        x0_before = x0.copy()
-        ours, theirs = [], []
-        x = lmi.minimize(recording(fun, ours), x0)
-        result = scipy_lbfgsb(recording(fun, theirs), x0)
-        assert np.array_equal(x0, x0_before)
-        assert len(ours) == len(theirs) == result.nfev
-        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
-        assert np.array_equal(x, result.x)
-        stops.add("iteration cap" if result.nit == lmi.LBFGS_MAXITER else result.success)
-
-    check()
-    assert stops >= {True, "iteration cap"}
-
-
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(objectives(), st.integers(0, 2**16))
-def test_an_exception_escapes_the_lbfgs_driver_at_its_evaluation(case, draw):
-    seed, d, v, level, spread = case
-    fun = smoothed_lambda_min(seed, d, v, level)
-    x0 = start(seed, v, spread)
-    theirs = []
-    scipy_lbfgsb(recording(fun, theirs), x0)
-    k = 1 + draw % len(theirs)
-    ours = []
-    with pytest.raises(lmi._TargetReached):
-        lmi.minimize(recording(fun, ours, fail_at=k), x0)
-    assert len(ours) == k
-    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 12),
+       st.sampled_from([1e-6, 1e-4, 1e-2]))
+def test_the_barrier_search_meets_planted_margins_and_declines_blocked_ones(seed, d, v, tau):
+    prob, blocked = planted_pair(seed, d, v, tau)
+    point = solve_feasibility(prob, tau, target=5.0 * tau)
+    assert isinstance(point, FeasiblePoint)
+    assert certify_point(point.theta, prob, tau).ok
+    out = solve_feasibility(blocked, tau, target=5.0 * tau)
+    assert isinstance(out, Infeasible) and out.reason == "Stalled"
+    # The block -1 caps every point's margin; the search's normalized units
+    # may round it by an ulp.
+    assert out.best_lambda_min <= -1.0 + 1e-12

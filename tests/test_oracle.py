@@ -140,10 +140,10 @@ def test_centralized_check_proves_each_block_at_its_own_scale(big):
 
 def test_a_storage_moved_off_positive_within_its_equality_fails_the_positivity_check():
     # N[0] B2 = 0, so record 1's Q keeps Q B2 = C' and loses positivity:
-    # its eigenvalues become -0.968 and 3.24.
+    # its eigenvalues become -1.41 and 3.23.
     state = protocol.run_cascade_design(four_stage_cascade())
     sub = state.net.subsystems[0]
-    Q1 = state.records[0].Q - 2.0 * protocol._storage_space(sub)[1][0]
+    Q1 = state.records[0].Q - 3.0 * protocol._storage_space(sub)[1][0]
     assert np.linalg.eigvalsh(Q1)[0] < -0.9
     cl = assemble_closed_loop(state)
     Q = cl.Q.copy()
@@ -546,16 +546,16 @@ def test_simulate_rejects_disturbance_of_wrong_shape(shape):
 # T = 20, dt = 1e-3) from _hold_reference: at the design rate, and at the
 # overclaimed rate 10, where the margin is negative.
 REFERENCE_MARGINS = [
-    (0.0, -80.46250236332388),
-    (0.0, -36.4417784369735),
-    (0.0, -43.94238000172916),
-    (0.0, -20.20164206116668),
-    (0.0, -17.342942560275798),
-    (0.0, -37.51800852697573),
-    (0.0, -66.1640695672818),
-    (0.0, -32.50129877016226),
-    (0.0, -77.03898813403231),
-    (0.0, -70.34120433655862),
+    (0.0, -92.26312194972259),
+    (0.0, -36.21912009053316),
+    (0.0, -44.5645296277857),
+    (0.0, -23.016389953362246),
+    (0.0, -19.604149979197842),
+    (0.0, -38.314916235109436),
+    (0.0, -75.08993952865578),
+    (0.0, -33.733326123083664),
+    (0.0, -71.65261406386462),
+    (0.0, -80.969329235064),
 ]
 
 

@@ -221,21 +221,22 @@ def counting_searches(monkeypatch):
 
 
 def test_local_search_stops_once_a_finer_level_cannot_change_its_outcome(monkeypatch):
-    # L-BFGS runs of the search, one per smoothing level. The full ladder
-    # took 20 for the four-stage design and 8 for this declining verify.
-    # The four-stage searches run at steps 1 and 4, whose B3 lacks full row
-    # rank (4 and 2 runs); step 2's scalar B3 has it, so that step searches
-    # no more.
+    # Newton centerings of the search, one per barrier round. The
+    # four-stage searches run at steps 1 and 4, whose B3 lacks full row
+    # rank; step 2's scalar B3 has it, so that step searches no more. The
+    # declining verify stops after its first round, whose bound t + d/w
+    # already lies below the margin.
     runs = counting_searches(monkeypatch)
     state = run_cascade_design(four_stage_cascade())
     assert [rec.route for rec in state.records] == ["Synthesized", "Synthesized", "Verified", "Synthesized"]
-    assert len(runs) == 6
+    assert len(runs) == 4
 
     runs.clear()
     net = random_cascade(1, np.random.default_rng(39))
     out = local_verify(net.subsystems[0], net.h(1, 1))
     assert isinstance(out, lmi.Infeasible) and out.reason == "Stalled"
-    assert len(runs) == 3
+    assert len(runs) == 1 and out.evaluations == 14
+    assert out.best_lambda_min == pytest.approx(-0.4518, abs=1e-4)
 
 
 def test_rank_deficient_b3_designs_the_same_chains():

@@ -22,7 +22,7 @@ from cascadepass import files, protocol
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PINNED = "46407a2377bc63664543db30b4e0096ad71a188a036acad0aeb91450f5fdea24"
+PINNED = "3d8a87dc474b69a1dbfa266eec763d0be4f2028abf9332a9aed52e6446237016"
 
 
 def record_bytes(state):

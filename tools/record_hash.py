@@ -1,4 +1,4 @@
-"""Print the 761-state record hash and the L-BFGS runs it took.
+"""Print the 761-state record hash and the Newton centerings it took.
 
 One SHA-256, fed by ``tests/test_record_hash.py``'s ``feed`` with every
 record of each state in order:
@@ -15,8 +15,8 @@ record of each state in order:
 derives every M_cl afresh, and fails unless every record comes back bit
 for bit. A change that keeps every record bit for bit, in a design and in
 a load, leaves the hash unchanged. The script also prints how many times the
-local search ran ``lmi.minimize`` over those states, a count that does
-not depend on the hardware. Run from the repository root (about 15 s):
+local search ran ``lmi.minimize`` over those states, one Newton centering
+per barrier round, a count that does not depend on the hardware. Run from the repository root (about 15 s):
 
     python3 tools/record_hash.py
 """
@@ -51,7 +51,8 @@ RANDOM_DESIGNS = 40
 
 
 def record_hash() -> tuple[str, int, int]:
-    """The hex digest, the number of states fed and the lmi.minimize runs."""
+    """The hex digest, the number of states fed and the lmi.minimize runs
+    (Newton centerings)."""
     runs = 0
     minimize = lmi.minimize
 
@@ -95,4 +96,4 @@ def _fed(digest) -> tuple[str, int]:
 
 if __name__ == "__main__":
     hexdigest, states, runs = record_hash()
-    print(f"{hexdigest}  ({states} states, {runs} lmi.minimize runs)")
+    print(f"{hexdigest}  ({states} states, {runs} lmi.minimize runs (Newton centerings))")

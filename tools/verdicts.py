@@ -39,6 +39,9 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   ``protocol.local_synthesize`` in the run above ended, counted per route:
   designed in closed form (no ``lmi.solve_feasibility`` call) or after a
   search, or declined with each reason, most frequent first;
+* the search effort of the run above: its ``lmi.solve_feasibility``
+  calls, their ``lmi.minimize`` runs (Newton centerings), and the median
+  ``evaluations`` of the searches that declined;
 * the scale spread: of the decoupled scalar pairs A = -1, B1 = B2 = B3 =
   1 with C = (1e9, 2e-4), (1e11, 1e-3) and (1e12, 1e-3), how many design,
   how many the oracle accepts and how many save and load, storages whose
@@ -194,13 +197,22 @@ def run(seeds) -> dict:
     # The design loop looks both routes up as module globals at each step,
     # and the routes look up lmi.solve_feasibility at each search.
     outcomes, searches = {"verify": Counter(), "synthesize": Counter()}, Counter()
-    solve = lmi.solve_feasibility
+    declined_evaluations = []
+    solve, minimize = lmi.solve_feasibility, lmi.minimize
 
     def searching(*args, **kwargs):
         searches["runs"] += 1
-        return solve(*args, **kwargs)
+        result = solve(*args, **kwargs)
+        if isinstance(result, lmi.Infeasible):
+            declined_evaluations.append(result.evaluations)
+        return result
+
+    def centering(*args):
+        searches["centerings"] += 1
+        return minimize(*args)
 
     lmi.solve_feasibility = searching
+    lmi.minimize = centering
     protocol.local_verify = counted(protocol.local_verify, outcomes["verify"], searches)
     protocol.local_synthesize = counted(protocol.local_synthesize, outcomes["synthesize"], searches)
     out = {}
@@ -276,6 +288,10 @@ def run(seeds) -> dict:
     print("route outcomes: " + "; ".join(
         f"{route} " + ", ".join(f"{what} {count}" for what, count in counts.most_common())
         for route, counts in outcomes.items()))
+    median = np.median(declined_evaluations) if declined_evaluations else math.nan
+    print(f"search effort: {searches['runs']} lmi.solve_feasibility calls, "
+          f"{searches['centerings']} lmi.minimize runs, median {median:g} evaluations "
+          f"over {len(declined_evaluations)} declined searches")
     print(scale_spread())
     return {name: t.designs for name, t in out.items()} | {"gain_max": largest}
 
