@@ -14,14 +14,8 @@ alike, so the margin a step sends is the block the recursion clears.
 The blocks are 1x1 to a few rows, so a call's cost is its Python and
 numpy overhead, not its arithmetic. A matrix is therefore checked once,
 where it enters; _margin_step only half-sums the blocks it is given.
-schur_step calls LAPACK dtrtrs directly, with the arguments scipy's
-solve_triangular passes for a lower factor: trtrs(L, R, lower=1) when L
-is Fortran-ordered and trtrs(L', R, lower=0, trans=1) otherwise. On
-these sizes the wrapper costs over ten times the solve, and calling
-trtrs any other way could change the last bits of every Schur
-complement, and so of every stored design record. dtrtrs comes from
-scipy's compiled LAPACK module, which _scipy_ext loads without
-importing scipy.linalg.
+For the same reason _cholesky and schur_step's triangular solve run on
+Python floats, and the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -30,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._scipy_ext import flapack
 
 __all__ = [
     "NotPositiveDefinite",
@@ -154,8 +146,8 @@ def cholesky_lower(P) -> np.ndarray:
 
 def _cholesky(A) -> np.ndarray:
     """Column-by-column Cholesky factor of the exactly symmetric A, pivot j
-    above the floor of A's row j (NonFiniteMatrix for a non-finite A); A is
-    not modified.
+    above the floor of A's row j, taken as _row_floors takes it
+    (NonFiniteMatrix for a non-finite A); A is not modified.
 
     Column j divides A's column below the pivot by its root and subtracts
     the outer product of that column from the block below and right of the
@@ -163,10 +155,12 @@ def _cholesky(A) -> np.ndarray:
     entry taking the IEEE operations numpy's column updates would give it,
     in the same order; _cholesky_passes runs the same steps on arrays.
     """
-    floors = _row_floors(A).tolist()
-    if not all(map(math.isfinite, floors)):
-        raise NonFiniteMatrix("matrix contains non-finite entries")
     a = A.tolist()
+    # A sum with NaN or an infinity among its terms is not finite, and a
+    # sum of finite terms is unless it overflows.
+    if not math.isfinite(sum(map(sum, a))) and not all(math.isfinite(x) for row in a for x in row):
+        raise NonFiniteMatrix("matrix contains non-finite entries")
+    floors = [PIVOT_RTOL * max(1.0, *map(abs, row)) for row in a]
     n = len(a)
     L = [[0.0] * n for _ in range(n)]
     for j, floor in enumerate(floors):
@@ -298,16 +292,19 @@ def schur_step(L, R, D):
     """(D - W' W, W) with W = L^-1 R: the Schur complement D - R' P^-1 R
     of P = L L' (L lower), by one triangular solve; P^-1 is never formed.
 
-    The solve is LAPACK trtrs called as scipy's solve_triangular calls it
-    (see the module docstring); unlike that wrapper it does not check L
-    and R for NaN or infinity.
+    The solve is forward substitution on Python floats, as _cholesky
+    factors: row i of W is row i of R less L_ik times row k of W for k < i
+    in turn, divided by L_ii. Raises np.linalg.LinAlgError for a zero
+    diagonal entry of L; NaN and infinity are not checked.
     """
-    if L.flags.f_contiguous:
-        W, info = flapack.dtrtrs(L, R, lower=1)
-    else:
-        W, info = flapack.dtrtrs(L.T, R, lower=0, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"singular triangular factor (trtrs info {info})")
+    W = []
+    for i, (l, r) in enumerate(zip(L.tolist(), R.tolist())):
+        for c, w in zip(l, W):  # the i rows of W solved so far
+            r = [x - c * y for x, y in zip(r, w)]
+        if l[i] == 0.0:
+            raise np.linalg.LinAlgError(f"singular triangular factor (zero diagonal entry {i})")
+        W.append([x / l[i] for x in r])
+    W = np.array(W)
     return D - W.T @ W, W
 
 

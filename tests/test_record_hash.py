@@ -10,7 +10,8 @@ default_rng(12345), and every state of a 10-step growth of the four-stage
 design by the benchmark's seeded_additions(default_rng(1)), each step
 saved and loaded as `cascadepass add` does. A change that moves any
 record fails here; such a change updates PINNED and says so in
-CHANGES.md.
+CHANGES.md. Two fresh interpreters, one with one OpenBLAS thread and
+one with two, must compute the same digest.
 """
 
 import hashlib
@@ -20,9 +21,11 @@ import numpy as np
 
 from cascadepass import files, protocol
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade
+from test_imports import run_fresh
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PINNED = "3d8a87dc474b69a1dbfa266eec763d0be4f2028abf9332a9aed52e6446237016"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
+PINNED = "8129511ec620fcbd55b47a66aa753b7fbd835b2b3f42fc1f988bfff324a4343f"
 
 
 def record_bytes(state):
@@ -46,8 +49,9 @@ def feed(digest, state):
         digest.update(chunk)
 
 
-def test_records_match_the_pinned_digest(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+def pinned_digest(tmp_path) -> str:
+    """The hex digest of the states the module docstring lists; the
+    benchmark's workloads module must be importable."""
     from workloads import seeded_additions
 
     digest = hashlib.sha256()
@@ -66,4 +70,27 @@ def test_records_match_the_pinned_digest(tmp_path, monkeypatch):
         state = files.load_state(path)
         feed(digest, state)
     assert state.net.n_subsystems == 14
-    assert digest.hexdigest() == PINNED
+    return digest.hexdigest()
+
+
+def test_records_match_the_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert pinned_digest(tmp_path) == PINNED
+
+
+def test_the_digest_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Runs stay deterministic: OpenBLAS splits larger products across its
+    # threads, and a product whose bits followed the split would move records.
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        digests.append(run_fresh(
+            "import json, sys\n"
+            f"sys.path[:0] = [{str(TESTS)!r}, {str(PERFBENCH)!r}]\n"
+            "from pathlib import Path\n"
+            "from test_record_hash import pinned_digest\n"
+            f"print(json.dumps(pinned_digest(Path({str(out)!r}))))\n",
+            OPENBLAS_NUM_THREADS=threads,
+        ))
+    assert digests[0] == digests[1]
