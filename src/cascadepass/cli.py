@@ -202,8 +202,7 @@ def execute(argv=None) -> int:
         print(f"cannot read or write file: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except protocol.DesignFailed as exc:
-        print(f"design failed at step {exc.index}: {exc.diagnosis.reason} "
-              f"(best margin {exc.diagnosis.best_lambda_min:.3e})", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_INFEASIBLE
     except lmi.MalformedProblem as exc:
         print(f"malformed problem: {exc}", file=sys.stderr)

@@ -15,18 +15,13 @@ that fails, with them:
   only where one misses: the gains decouple the step, so any positive
   definite storage serves.
 
-The storage equality Q B2 = C' involves nothing but the subsystem's own
-data, so it is solved once, before any problem is built: every Q the
-step considers is a least-squares solution Q_p plus a combination of a
-basis N of the symmetric matrices with N B2 = 0, and the local problems
-are posed over those coefficients, with no equality left. When B2 has full
-row rank, N is empty and the equality pins Q, and stage 1 of both routes
-is decided in closed form with no search: verify has only the rate left,
-and synthesis's stage 1 passes exactly when Q - Q_FLOOR I and M_prev clear
-the margin. A step whose equality has no solution, or whose incoming
-M_prev is below its margin, is declined on both routes before any problem
-is built. Each such decline carries a typed reason and an upper bound on
-the margin any point could reach.
+A route's step runs four stages (_design_step): a screen, which declines
+before any problem is built, the storage, the rate and gains, and the
+close, which forms the record. The storage equality Q B2 = C' involves
+nothing but the subsystem's own data, so the screen solves it once: every
+Q the step considers is a least-squares solution Q_p plus a combination
+of a basis N of the symmetric matrices with N B2 = 0, and the local
+problems are posed over those coefficients, with no equality left.
 
 Every route settles the rate with one rule, _settle_rate: a Schur
 complement gives the interval of rates the master admits at the point's
@@ -51,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +91,7 @@ Q_FLOOR = 1e-4
 # early. Larger values fatten M_cl for downstream steps.
 TARGET_FRACTION = 0.2
 # Relative spectral-abscissa threshold above which verify is declined
-# without the solver; see _design_step.
+# without the solver; see _screen.
 HURWITZ_RTOL = 1e-8
 
 ROUTE_VERIFIED = "Verified"
@@ -107,14 +103,16 @@ class DimensionMismatch(ValueError):
 
 
 class DesignFailed(Exception):
-    """Both the verification and synthesis routes failed at one step."""
+    """Both routes failed at one step: diagnosis is synthesis's decline,
+    verify_diagnosis verify's."""
 
-    def __init__(self, index: int, diagnosis: lmi.Infeasible):
+    def __init__(self, index: int, diagnosis: lmi.Infeasible, verify_diagnosis: lmi.Infeasible):
         self.index = index
         self.diagnosis = diagnosis
+        self.verify_diagnosis = verify_diagnosis
         super().__init__(
-            f"design failed at step {index} "
-            f"(best margin {diagnosis.best_lambda_min:.3e}, {diagnosis.reason})"
+            f"design failed at step {index}: {diagnosis.reason} (best margin {diagnosis.best_lambda_min:.3e}); "
+            f"verify declined: {verify_diagnosis.reason} (best margin {verify_diagnosis.best_lambda_min:.3e})"
         )
 
 
@@ -591,30 +589,13 @@ def _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, gains):
     return upstream.swapaxes(-1, -2) + QB1 @ h_prev + (gains.get("Z_prev", 0.0) if K is None else QB3 @ K)
 
 
-def _check_self_coupling(h_self, sub):
-    if h_self is None:
-        return np.zeros((sub.p, sub.n))
-    h = as_matrix(h_self, "h(i,i)")
-    if h.shape != (sub.p, sub.n):
-        raise DimensionMismatch(f"h(i,i) is {h.shape}, expected ({sub.p}, {sub.n})")
-    return h
-
-
-def _check_prev_coupling(h_prev, sub, packet):
-    if packet is None:
-        if h_prev is not None:
-            raise DimensionMismatch("a coupling to the previous subsystem needs a packet")
-        return None
-    n_prev = packet.M_prev.shape[0]
-    if packet.G_prev.shape[1] != sub.n:
-        raise DimensionMismatch(
-            f"packet G_prev has {packet.G_prev.shape[1]} columns, subsystem has {sub.n} states"
-        )
-    if h_prev is None:
-        return np.zeros((sub.p, n_prev))
-    h = as_matrix(h_prev, "h(i,i-1)")
-    if h.shape != (sub.p, n_prev):
-        raise DimensionMismatch(f"h(i,i-1) is {h.shape}, expected ({sub.p}, {n_prev})")
+def _check_coupling(h, name, shape):
+    """h as a matrix of the given shape, zeros for None (DimensionMismatch)."""
+    if h is None:
+        return np.zeros(shape)
+    h = as_matrix(h, name)
+    if h.shape != shape:
+        raise DimensionMismatch(f"{name} is {h.shape}, expected {shape}")
     return h
 
 
@@ -646,26 +627,55 @@ def _not_hurwitz(A_s) -> lmi.Infeasible | None:
     return _declined(-(2.0 * g * Q_FLOOR + EPS_MIN) / (2.0 + 2.0 * g), "NotHurwitz")
 
 
-def _design_step(sub, h_self, h_prev, packet, gains: bool):
-    """One local design problem, without (verify) or with (synthesize) gains.
+class _Step(namedtuple("_Step", "sub index h_self h_prev packet gains tau lam_prev Q_p N decoupled")):
+    """A screened step for the later stages: its data, margin tau, lam_prev
+    = lambda_min(M_prev) or None, storage space and decoupled (_screen)."""
 
-    Verification's problem is synthesis's stage 1 with the rate eps in
-    place of the free products Z; see local_verify and local_synthesize.
-    eps is the local problem's rate, and the record keeps half of it, the
-    rate of the documented supply (DesignRecord). Returns a DesignRecord or
-    lmi.Infeasible. Every decline made without a search carries a
-    best_lambda_min that bounds the smallest eigenvalue of the master at
-    every point, so it is below the margin tau exactly when the decline is
-    a proof. A subsystem whose shapes validate_network rejects raises
-    DimensionMismatch; non-finite data is left to the local problem, which
-    reports it as MalformedProblem.
+    def blocks(self, Q, v):
+        """S and X (None at step 1) at storage Q and variables v (_diagonal_block)."""
+        sub, packet = self.sub, self.packet
+        QB1, QB3 = Q @ sub.B1, Q @ sub.B3
+        eps = np.asarray(v.get("eps", 0.0))[..., None, None]
+        S = _diagonal_block(sub.A, Q, QB1, QB3, eps, self.h_self, v)
+        return S, None if packet is None else _coupling_block(QB1, QB3, self.h_prev, packet.G_prev, packet.T_prev, v)
+
+    def master(self, Q, v):
+        # diag([[S, X], [X', M_prev]], Q - Q_FLOOR I, eps - EPS_MIN), copied
+        # into place, for one point v or a stack of them. X and M_prev are
+        # absent at step 1, the storage block when Q is not a variable (no z
+        # slot), the rate floor when the rate is not (no eps slot).
+        n = self.sub.n
+        S, X = self.blocks(Q, v)
+        k = n if X is None else n + X.shape[-1]
+        size = k + n * ("z" in v) + ("eps" in v)
+        M = np.zeros(S.shape[:-2] + (size, size))
+        M[..., :n, :n] = S
+        if X is not None:
+            M[..., :n, n:k] = X
+            M[..., n:k, :n] = X.swapaxes(-1, -2)
+            M[..., n:k, n:k] = self.packet.M_prev
+        if "z" in v:
+            M[..., k:k + n, k:k + n] = Q - Q_FLOOR * np.eye(n)
+        if "eps" in v:
+            M[..., -1, -1] = v["eps"] - EPS_MIN
+        return M
+
+    def storage(self, v):
+        return self.Q_p + np.tensordot(v["z"], self.N, axes=1)
+
+
+def _screen(sub, h_self, h_prev, packet, gains):
+    """The design step's screen: (the _Step,), or a decline made before any
+    problem is assembled. A subsystem whose shapes validate_network rejects
+    raises DimensionMismatch; non-finite data is left to the local problem,
+    which reports it as MalformedProblem.
 
     Both routes are screened first. M_prev is a principal block of every
     master, in both stages, so when lambda_min(M_prev) < tau no point
     reaches the margin: both routes decline with reason
     PacketMarginTooSmall and best_lambda_min = lambda_min(M_prev).
 
-    Verify is then screened before any problem is assembled: its master holds
+    Verify is then screened: its master holds
     S = -(A_s'Q + Q A_s) - eps I as a principal block, with A_s = A + B1 h(i,i),
     Q - Q_FLOOR I as another and eps - EPS_MIN as a third, so a feasible point
     needs a Hurwitz A_s (Lyapunov; Khalil, Nonlinear Systems, Thm. 4.6).
@@ -689,21 +699,50 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     The storage equality Q B2 = C' is then solved once (_storage_space).
     When its least-squares solution Q_p misses it, no Q exists, and both
     routes decline with reason InconsistentEqualities and
-    best_lambda_min = -inf. Otherwise stage 1 is posed over the
-    coefficients z of Q = Q_p + sum_k z_k N_k, then eps in verify, or
-    Z_self and Z_prev in synthesis. Synthesis's stage 1 searches
+    best_lambda_min = -inf.
+    """
+    index = 1 if packet is None else packet.prev_index + 1
+    bad = _subsystem_violations(index, sub, finite=True)
+    if bad:
+        raise DimensionMismatch("; ".join(v.message for v in bad))
+    h_self = _check_coupling(h_self, "h(i,i)", (sub.p, sub.n))
+    if packet is None:
+        if h_prev is not None:
+            raise DimensionMismatch("a coupling to the previous subsystem needs a packet")
+    elif packet.G_prev.shape[1] != sub.n:
+        raise DimensionMismatch(f"packet G_prev has {packet.G_prev.shape[1]} columns, subsystem has {sub.n} states")
+    else:
+        h_prev = _check_coupling(h_prev, "h(i,i-1)", (sub.p, packet.M_prev.shape[0]))
+    tau = _step_margin(sub)
+    lam_prev = None
+    if packet is not None:
+        lam_prev = float(np.linalg.eigvalsh(packet.M_prev)[0])
+        if lam_prev < tau:
+            return _declined(lam_prev, "PacketMarginTooSmall")
+    if not gains:
+        declined = _not_hurwitz(sub.A + sub.B1 @ h_self)
+        if declined is not None:
+            return declined
+    decoupled = gains and np.isfinite(sub.B3).all() and np.linalg.matrix_rank(sub.B3) == sub.n
+    Q_p, N, consistent = _storage_space(sub)
+    if not consistent:
+        return _declined(-np.inf, "InconsistentEqualities")
+    return (_Step(sub, index, h_self, h_prev, packet, gains, tau, lam_prev, Q_p, N, decoupled),)
+
+
+def _storage(step):
+    """Stage 1, the storage: (step, Q, lam1, layout, theta, prob), or a decline.
+
+    Stage 1 is posed over the coefficients z of Q = Q_p + sum_k z_k N_k,
+    then eps in verify, or Z_self and Z_prev in synthesis: layout places
+    them in theta, lam1 is the margin the point clears and prob its problem
+    (None when no problem is assembled). Synthesis's stage 1 searches
 
         diag([[S, X], [X', M_prev]], Q - Q_FLOOR I),
         S = -(Y + Y'), Y = A'Q + Q B1 h(i,i) + Z_self,
         X = G_prev' + Q B1 h(i,i-1) + Z_prev,
 
-    and its only output is Q: stage 2 freezes Q and solves for eps and all
-    three gains afresh, over
-
-        diag([[S, X], [X', M_prev]], eps - EPS_MIN),
-        Y = A'Q + Q B1 h(i,i) + Q B3 K(i,i),
-        X = (G_prev + T_prev K(i-1,i))' + Q B1 h(i,i-1) + Q B3 K(i,i-1).
-
+    and its only output is Q, which stage 2 (_rate_and_gains) freezes.
     Adding the rate and K(i-1,i) to stage 1 would not change which Q it
     accepts: Z_self + Z_self' absorbs -eps I, the free n x n_prev Z_prev
     spans the term K(i-1,i)' T_prev' of X, and the rate floor eps - EPS_MIN
@@ -717,18 +756,11 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
     master at Q = 0 (_solver_target), not at Q_p, whose storage block would
     only inflate it.
 
-    When B3 has full row rank n (numpy's matrix_rank rule), synthesis
-    takes closed forms where it can, and searches only where one misses:
-
-    * Stage 2 takes the decoupling point (_decoupling_point): Q B3 has
-      full row rank, so K(i,i) sets S = sigma I and K(i,i-1) sets X = 0,
-      with sigma = max(1, max |master at eps = 0 and zero gains|), the
-      scale the search takes its target from. The rate then follows by
-      _settle_rate; only if that declines does the search run.
-    * Any Q > Q_FLOOR I then serves stage 2, so stage 1 takes the
-      closed-form storage of _closed_form_storage when B2 has full column
-      rank and C B2 is positive definite, and searches when those fail or
-      its Q misses the margin.
+    When B3 has full row rank n (numpy's matrix_rank rule), any Q > Q_FLOOR I
+    serves stage 2 (_rate_and_gains), so stage 1 takes the closed-form
+    storage of _closed_form_storage when B2 has full column rank and C B2 is
+    positive definite, and searches when those fail or its Q misses the
+    margin.
 
     When B2 has full row rank, N is empty: Q B2 = C' pins Q to Q_p, and
     stage 1 of both routes is decided in closed form, without the solver.
@@ -744,144 +776,126 @@ def _design_step(sub, h_self, h_prev, packet, gains: bool):
       best_lambda_min = lambda_min(Q - Q_FLOOR I), a principal block.
       Stage 2 follows as for any other Q.
     """
-    index = 1 if packet is None else packet.prev_index + 1
-    bad = _subsystem_violations(index, sub, finite=True)
-    if bad:
-        raise DimensionMismatch("; ".join(v.message for v in bad))
-    h_self = _check_self_coupling(h_self, sub)
-    h_prev = _check_prev_coupling(h_prev, sub, packet)
-    tau = _step_margin(sub)
-    lam_prev = None
-    if packet is not None:
-        lam_prev = float(np.linalg.eigvalsh(packet.M_prev)[0])
-        if lam_prev < tau:
-            return _declined(lam_prev, "PacketMarginTooSmall")
-    if not gains:
-        declined = _not_hurwitz(sub.A + sub.B1 @ h_self)
-        if declined is not None:
-            return declined
-    n, p = sub.n, sub.p
-    G_prev, T_prev = (None, None) if packet is None else (packet.G_prev, packet.T_prev)
-    decoupled = gains and np.isfinite(sub.B3).all() and np.linalg.matrix_rank(sub.B3) == n
-
-    def blocks(Q, v):
-        QB1, QB3 = Q @ sub.B1, Q @ sub.B3
-        eps = np.asarray(v.get("eps", 0.0))[..., None, None]
-        S = _diagonal_block(sub.A, Q, QB1, QB3, eps, h_self, v)
-        return S, None if packet is None else _coupling_block(QB1, QB3, h_prev, G_prev, T_prev, v)
-
-    def master(Q, v):
-        # diag([[S, X], [X', M_prev]], Q - Q_FLOOR I, eps - EPS_MIN), copied
-        # into place, for one point v or a stack of them. X and M_prev are
-        # absent at step 1, the storage block when Q is not a variable (no z
-        # slot), the rate floor when the rate is not (no eps slot).
-        S, X = blocks(Q, v)
-        k = n if X is None else n + X.shape[-1]
-        size = k + n * ("z" in v) + ("eps" in v)
-        M = np.zeros(S.shape[:-2] + (size, size))
-        M[..., :n, :n] = S
-        if X is not None:
-            M[..., :n, n:k] = X
-            M[..., n:k, :n] = X.swapaxes(-1, -2)
-            M[..., n:k, n:k] = packet.M_prev
-        if "z" in v:
-            M[..., k:k + n, k:k + n] = Q - Q_FLOOR * np.eye(n)
-        if "eps" in v:
-            M[..., -1, -1] = v["eps"] - EPS_MIN
-        return M
-
-    Q_p, N, consistent = _storage_space(sub)
-    if not consistent:
-        return _declined(-np.inf, "InconsistentEqualities")
-    pinned = not len(N)
-
-    def storage(v):
-        return Q_p + np.tensordot(v["z"], N, axes=1)
-
-    slots = [("z", (len(N),))]
-    if not gains:
-        slots.append(("eps", ()))
-    else:
-        slots.append(("Z_self", (n, n)))
-        if packet is not None:
-            slots.append(("Z_prev", (n, packet.M_prev.shape[0])))
-    stage1 = _Layout(*slots)
-
-    theta = np.zeros(stage1.size)
-    found = _closed_form_storage(sub, Q_p, N, tau) if decoupled and not pinned else None
+    sub, packet, N, tau = step.sub, step.packet, step.N, step.tau
+    n, pinned = sub.n, not len(N)
+    slots = [("z", (len(N),)), ("Z_self", (n, n)) if step.gains else ("eps", ())]
+    if step.gains and packet is not None:
+        slots.append(("Z_prev", (n, packet.M_prev.shape[0])))
+    layout = _Layout(*slots)
+    theta, prob = np.zeros(layout.size), None
+    found = _closed_form_storage(sub, step.Q_p, N, tau) if step.decoupled and not pinned else None
     if found is not None:
         theta[:len(N)], lam1 = found
-    elif pinned and gains:
-        lam1 = float(np.linalg.eigvalsh(Q_p - Q_FLOOR * np.eye(n))[0])
+    elif pinned and step.gains:
+        lam1 = float(np.linalg.eigvalsh(step.Q_p - Q_FLOOR * np.eye(n))[0])
         if lam1 < tau:
             return _declined(lam1, "PinnedStorageInfeasible", theta)
     else:
-        prob = _assemble_problem(stage1, lambda v: master(storage(v), v))
+        prob = _assemble_problem(layout, lambda v: step.master(step.storage(v), v))
         if pinned:
-            point = _settle_rate(prob, theta, stage1.size - 1, n, tau)
+            point = _settle_rate(prob, theta, layout.size - 1, n, tau)
         else:
             # Besides M_prev and X = G_prev', the master at Q = 0 holds
             # no entry larger than Q_FLOOR.
             scale = 1.0
             if packet is not None:
-                scale = max(1.0, float(np.abs(packet.M_prev).max()), float(np.abs(G_prev).max()))
-            point = lmi.solve_feasibility(prob, tau, target=_solver_target(scale, lam_prev, tau))
+                scale = max(1.0, float(np.abs(packet.M_prev).max()), float(np.abs(packet.G_prev).max()))
+            point = lmi.solve_feasibility(prob, tau, target=_solver_target(scale, step.lam_prev, tau))
         if isinstance(point, lmi.Infeasible):
             return point
         theta, lam1 = point.theta, point.lambda_min
-    Q = storage(stage1.unpack(theta))
+    Q = step.storage(layout.unpack(theta))
     equal, positive, _, _ = _storage_test(Q, sub.B2, sub.C)
     if not equal:
         return _declined(lam1, "EqualityResidual", theta)
     if not positive:
         return _declined(lam1, "StorageNotPositiveDefinite", theta)
+    return step, Q, lam1, layout, theta, prob
 
-    layout = stage1
-    if gains:
-        slots = [("eps", ()), ("K_self", (p, n))]
-        if packet is not None:
-            slots.append(("K_to_prev", (p, packet.M_prev.shape[0])))
-            slots.append(("K_prev_to_self", (packet.T_prev.shape[1], n)))
-        layout = _Layout(*slots)
-        prob = _assemble_problem(layout, lambda v: master(Q, v))
-        # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
-        # floor; deriving a fresh one from the stage-2 constant block would let
-        # a large found Q inflate the requirement beyond reach.
-        scale = max(1.0, float(np.abs(prob.constant_block).max()))
-        point = _decoupling_point(prob, n, scale, tau) if decoupled else None
-        if not isinstance(point, lmi.FeasiblePoint):
-            point = lmi.solve_feasibility(prob, tau, target=_solver_target(scale, lam_prev, tau))
-            if isinstance(point, lmi.Infeasible):
-                return point
-            # The solver's own point certifies, so this settles on a FeasiblePoint.
-            point = _settle_rate(prob, point.theta, 0, n, tau)
-        theta = point.theta
-    elif not pinned:
-        # The rate is verify's last slot; as above, this settles on a FeasiblePoint.
-        theta = _settle_rate(prob, theta, layout.size - 1, n, tau).theta
 
+def _rate_and_gains(step, Q, lam1, layout, theta, prob):
+    """Stage 2, the rate and the gains: (step, Q, lam1, layout, theta), or a decline.
+
+    Verify settles the rate of stage 1's point by _settle_rate (a pinned
+    Q's already is). Synthesis freezes Q and solves for eps and all three
+    gains afresh, over
+
+        diag([[S, X], [X', M_prev]], eps - EPS_MIN),
+        Y = A'Q + Q B1 h(i,i) + Q B3 K(i,i),
+        X = (G_prev + T_prev K(i-1,i))' + Q B1 h(i,i-1) + Q B3 K(i,i-1).
+
+    When B3 has full row rank n, this stage takes the decoupling point
+    (_decoupling_point): Q B3 has full row rank, so K(i,i) sets S = sigma I
+    and K(i,i-1) sets X = 0, with sigma = max(1, max |master at eps = 0 and
+    zero gains|), the scale the search takes its target from. The rate then
+    follows by _settle_rate; only if that declines does the search run.
+    """
+    sub, packet, n, tau = step.sub, step.packet, step.sub.n, step.tau
+    if not step.gains:
+        if len(step.N):
+            # Verify's last slot; a solver point certifies, so this settles.
+            theta = _settle_rate(prob, theta, layout.size - 1, n, tau).theta
+        return step, Q, lam1, layout, theta
+    slots = [("eps", ()), ("K_self", (sub.p, n))]
+    if packet is not None:
+        slots += [("K_to_prev", (sub.p, packet.M_prev.shape[0])), ("K_prev_to_self", (packet.T_prev.shape[1], n))]
+    layout = _Layout(*slots)
+    prob = _assemble_problem(layout, lambda v: step.master(Q, v))
+    # Stage 2 re-solves the same positivity problem, so it keeps stage 1's
+    # floor; deriving a fresh one from the stage-2 constant block would let
+    # a large found Q inflate the requirement beyond reach.
+    scale = max(1.0, float(np.abs(prob.constant_block).max()))
+    point = _decoupling_point(prob, n, scale, tau) if step.decoupled else None
+    if not isinstance(point, lmi.FeasiblePoint):
+        point = lmi.solve_feasibility(prob, tau, target=_solver_target(scale, step.lam_prev, tau))
+        if isinstance(point, lmi.Infeasible):
+            return point
+        # The solver's own point certifies, so this settles on a FeasiblePoint.
+        point = _settle_rate(prob, point.theta, 0, n, tau)
+    return step, Q, lam1, layout, point.theta
+
+
+def _close(step, Q, lam1, layout, theta):
+    """The design step's last stage: the DesignRecord with its margin
+    M_cl = S - X M_prev^-1 X', cleared by the _margin_step that
+    tridiag_pd_sequence takes, or MarginNotPositiveDefinite."""
     v = layout.unpack(theta)
-    # M_cl = S - X M_prev^-1 X', cleared by the _margin_step tridiag_pd_sequence takes.
-    S, X = blocks(Q, v)
-    L_prev, R = (None, None) if X is None else (packet.L_prev, X.T)
+    S, X = step.blocks(Q, v)
+    L_prev, R = (None, None) if X is None else (step.packet.L_prev, X.T)
     try:
         M_cl = blockla._margin_step(L_prev, R, S)[0]
     except blockla.NotPositiveDefinite:
         return _declined(lam1, "MarginNotPositiveDefinite", theta)
     rec = DesignRecord(
-        index=index, Q=Q, epsilon=0.5 * float(v["eps"]), route=ROUTE_SYNTHESIZED if gains else ROUTE_VERIFIED,
+        index=step.index, Q=Q, epsilon=0.5 * float(v["eps"]),
+        route=ROUTE_SYNTHESIZED if step.gains else ROUTE_VERIFIED,
         K_self=v.get("K_self"), K_to_prev=v.get("K_to_prev"), K_prev_to_self=v.get("K_prev_to_self"),
     )
     object.__setattr__(rec, "M_cl", M_cl)
     return rec
 
 
-def local_verify(
-    sub: Subsystem,
-    h_self=None,
-    h_prev=None,
-    packet: MessengerPacket | None = None,
-):
+def _design_step(sub, h_self, h_prev, packet, gains: bool):
+    """One local design problem, without (verify) or with (synthesize) gains.
+
+    Verification's problem is synthesis's stage 1 with the rate eps in
+    place of the free products Z. eps is the local problem's rate, and the
+    record keeps half of it, the rate of the documented supply
+    (DesignRecord). Each stage runs on what the one before returns, and the
+    first lmi.Infeasible one returns is the step's outcome. Every decline made without
+    a search carries a best_lambda_min that bounds the smallest eigenvalue
+    of the master at every point, so it is below the margin tau exactly
+    when the decline is a proof.
+    """
+    out = (sub, h_self, h_prev, packet, gains)
+    for stage in (_screen, _storage, _rate_and_gains, _close):
+        out = stage(*out)
+        if isinstance(out, lmi.Infeasible):
+            break
+    return out
+
+
+def local_verify(sub: Subsystem, h_self=None, h_prev=None, packet: MessengerPacket | None = None):
     """Try to certify the step with all gains pinned to zero.
 
     Returns a DesignRecord with route Verified, or lmi.Infeasible (which
@@ -891,24 +905,14 @@ def local_verify(
     return _design_step(sub, h_self, h_prev, packet, gains=False)
 
 
-def local_synthesize(
-    sub: Subsystem,
-    h_self=None,
-    h_prev=None,
-    packet: MessengerPacket | None = None,
-):
+def local_synthesize(sub: Subsystem, h_self=None, h_prev=None, packet: MessengerPacket | None = None):
     """Design local feedback gains that passivate the step.
 
-    Stage 1 finds Q alone, keeping the problem affine: free matrices
-    Z_self and Z_prev stand in for the products Q B3 K(i,i) and
-    Q B3 K(i,i-1), Z_prev also for the upstream term K(i-1,i)' T_prev',
-    and Z_self for the rate. Stage 2 freezes Q and solves directly for
-    the rate and the gains, so the returned gains are exactly realizable.
-    When B3 has full row rank, stage 2 takes the gains that decouple the
-    step (S = sigma I, X = 0) in one least-squares solve, so any Q above
-    Q_FLOOR serves and stage 1 takes a closed-form storage; each searches
-    only where its closed form misses (see _design_step). Returns a
-    DesignRecord with route Synthesized, or lmi.Infeasible.
+    Stage 1 finds Q alone, keeping the problem affine (_storage), and
+    stage 2 freezes Q and solves directly for the rate and the gains
+    (_rate_and_gains), so the returned gains are exactly realizable; each
+    searches only where its closed form misses. Returns a DesignRecord
+    with route Synthesized, or lmi.Infeasible.
     """
     return _design_step(sub, h_self, h_prev, packet, gains=True)
 
@@ -942,8 +946,8 @@ def _design_next(net: CascadeNetwork, records) -> DesignRecord:
     """Design step i = len(records) + 1 of a validated network.
 
     The packet is built from record i-1 and the coupling h(i-1,i); then
-    verify, else synthesize, and DesignFailed(i) when neither clears the
-    step. Step i reads nothing past h(i-1,i), so a whole design and a
+    verify, else synthesize, and DesignFailed(i) with both declines when
+    neither clears the step. Step i reads nothing past h(i-1,i), so a whole design and a
     later addition take the same step. The routes are looked up as module
     globals on every call, so a wrapper installed on them sees both.
     """
@@ -954,7 +958,7 @@ def _design_next(net: CascadeNetwork, records) -> DesignRecord:
         packet = build_packet(records[-1], net.subsystems[i - 2], net.h_or_zero(i - 1, i))
     h_self, h_prev = net.h(i, i), net.h(i, i - 1)
     try:
-        rec = local_verify(sub, h_self, h_prev, packet)
+        verified = rec = local_verify(sub, h_self, h_prev, packet)
         if isinstance(rec, lmi.Infeasible):
             rec = local_synthesize(sub, h_self, h_prev, packet)
     except lmi.MalformedProblem as exc:
@@ -963,7 +967,7 @@ def _design_next(net: CascadeNetwork, records) -> DesignRecord:
         # data overflowed to a non-finite block.
         raise lmi.MalformedProblem(f"step {i} is not finite (local problem {exc})") from None
     if isinstance(rec, lmi.Infeasible):
-        raise DesignFailed(i, rec)
+        raise DesignFailed(i, rec, verified)
     return rec
 
 

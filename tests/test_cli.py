@@ -91,6 +91,21 @@ def test_design_infeasible_network(tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_a_failed_step_names_the_declines_of_both_routes(tmp_path, capsys):
+    # tau = 1e-6 |A| = 1: A = 1e6 is not Hurwitz, so verify declines, and
+    # Q B2 = C' pins Q = 1, whose lambda_min(Q - Q_FLOOR I) = 0.9999 is
+    # below tau, so synthesis declines too, both without a search.
+    sub = Subsystem(A=1e6, B1=1.0, B2=1.0, B3=1.0, C=1.0)
+    net_path = tmp_path / "unstable.json"
+    files.save_network(CascadeNetwork.from_blocks([sub], {}), net_path)
+    code = execute(["design", "--net", str(net_path), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_INFEASIBLE
+    assert one_stderr_line(capsys) == (
+        "design failed at step 1: PinnedStorageInfeasible (best margin 9.999e-01); "
+        "verify declined: NotHurwitz (best margin -1.000e-04)\n"
+    )
+
+
 def test_check_passes_designed_state(state_file, capsys):
     assert execute(["check", "--state", state_file]) == EXIT_OK
     assert capsys.readouterr().out.startswith("pass:")

@@ -1,9 +1,13 @@
-"""The design-verdict comparison of tools/verdicts.py, on hand-written files."""
+"""tools/verdicts.py: its design-verdict comparison, on hand-written files,
+and its golden-verdict writer."""
 
 import json
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
+
+from test_golden_verdicts import load_verdicts, read_golden
 
 VERDICTS = Path(__file__).resolve().parents[1] / "tools" / "verdicts.py"
 
@@ -37,3 +41,19 @@ def test_compare_counts_identical_designs_one_sided_failures_and_rate_ratios(tmp
         "random: 2 of 5 identical; fail only in OLD 1, only in NEW 1; "
         "global eps NEW/OLD over 2: median 1.5, quartiles 1.25 1.75, range 1 2",
     ]
+
+
+def test_golden_writes_a_campaign_that_the_golden_test_reads_back(tmp_path):
+    verdicts = load_verdicts()
+    campaign = list(islice(verdicts.golden_campaign(), 2))
+    path = tmp_path / "golden.json"
+    verdicts.write_golden(path, campaign)
+    designs = read_golden(path)
+    assert [(d["group"], d["name"]) for d in designs] == [
+        ("four_stage", "four-stage"), ("random", "random_cascade(1 + 0 % 6, default_rng(0))"),
+    ]
+    four = designs[0]
+    assert (four["failed"], four["routes"], len(four["steps"])) == (False, "SSVS", 4)
+    assert four["steps"][2] == ["designed", None]
+    assert four["steps"][0][0][0] == "NotHurwitz" and four["steps"][0][1] == "designed"
+    assert designs == verdicts.golden(campaign)

@@ -1,6 +1,6 @@
 """Print the design verdicts a change to the protocol or the solver must keep.
 
-One deterministic run (about 20 s for seeds 1-10) prints:
+One deterministic run (about 13 s for seeds 1-10 on 2 vCPUs) prints:
 
 * ``DesignFailed`` counts over the ``grow_persist`` growth cycles: for
   each seed, the 4 cycles the benchmark draws from ``default_rng(seed)``,
@@ -39,6 +39,8 @@ One deterministic run (about 20 s for seeds 1-10) prints:
   ``protocol.local_synthesize`` in the run above ended, counted per route:
   designed in closed form (no ``lmi.solve_feasibility`` call) or after a
   search, or declined with each reason, most frequent first;
+* where each of those calls ended: in the design step's screen, storage,
+  rate-and-gains or close stage, or designed;
 * the search effort of the run above: its ``lmi.solve_feasibility``
   calls, their ``lmi.minimize`` runs (Newton centerings), and the median
   ``evaluations`` of the searches that declined;
@@ -62,7 +64,9 @@ repository root:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -90,6 +94,11 @@ CYCLES = 4
 ORACLE_EVERY = 10
 UNIT_POWERS = (-10, -6, -3, 3, 6, 10)
 SCALE_SPREADS = ((1e9, 2e-4), (1e11, 1e-3), (1e12, 1e-3))
+N128 = "random_cascade(128, default_rng(12345))"
+# The design step's stages, as protocol names them and as the tool prints them.
+STAGES = (("_screen", "screen"), ("_storage", "storage"), ("_rate_and_gains", "rate"), ("_close", "close"))
+# The growth seeds whose cycles the golden file pins.
+GOLDEN_SEEDS = (1,)
 
 
 def summary(state) -> dict:
@@ -178,25 +187,70 @@ def rescaled(net: CascadeNetwork, kind: str, f: float) -> CascadeNetwork:
     return CascadeNetwork.from_blocks(subs, {key: b.h / f for key, b in net.couplings.items()})
 
 
-def counted(route, outcomes: Counter, searches: Counter):
+def random_nets():
+    """The 80 random designs, as (name, network)."""
+    for seed, period in ((0, 6), (12345, 8)):
+        rng = np.random.default_rng(seed)
+        for k in range(40):
+            yield f"random_cascade(1 + {k} % {period}, default_rng({seed}))", random_cascade(1 + k % period, rng)
+
+
+def deficient_nets():
+    """The 30 chains with every B3 column but the first zeroed, as (name, network)."""
+    rng = np.random.default_rng(3)
+    for k in range(30):
+        net = random_cascade(1 + k % 5, rng)
+        subs = []
+        for s in net.subsystems:
+            B3 = s.B3.copy()
+            B3[:, 1:] = 0.0
+            subs.append(Subsystem(A=s.A, B1=s.B1, B2=s.B2, B3=B3, C=s.C))
+        yield f"chain {k}", CascadeNetwork(subs, net.couplings)
+
+
+def unit_nets():
+    """The 24 power-of-two changes of units, as (name, network)."""
+    for base_name, base in (("four-stage", four_stage_cascade()),
+                            ("random_cascade(8, default_rng(5))", random_cascade(8, np.random.default_rng(5)))):
+        for kind, symbol in (("time", "s"), ("state", "d")):
+            for k in UNIT_POWERS:
+                yield f"{base_name} {symbol}=2^{k}", rescaled(base, kind, 2.0 ** k)
+
+
+def staged(stage, label, ended: dict):
+    """stage, noting its label in ended["stage"] whenever it declines."""
+    def wrapper(*args):
+        result = stage(*args)
+        if isinstance(result, lmi.Infeasible):
+            ended["stage"] = label
+        return result
+    return wrapper
+
+
+def counted(route, outcomes: Counter, searches: Counter, stages: Counter, ended: dict):
     """route, counting each outcome in outcomes: the decline's reason, or
     "designed searched" when the call ran lmi.solve_feasibility (whose runs
-    searches["runs"] counts) and "designed closed-form" when it did not."""
+    searches["runs"] counts) and "designed closed-form" when it did not;
+    and in stages where the call ended: the label of the design-step stage
+    that declined (staged), or "designed"."""
     def wrapper(*args, **kwargs):
         before = searches["runs"]
         result = route(*args, **kwargs)
         if isinstance(result, lmi.Infeasible):
             outcomes[result.reason] += 1
+            stages[ended["stage"]] += 1
         else:
             outcomes["designed searched" if searches["runs"] > before else "designed closed-form"] += 1
+            stages["designed"] += 1
         return result
     return wrapper
 
 
 def run(seeds) -> dict:
     # The design loop looks both routes up as module globals at each step,
-    # and the routes look up lmi.solve_feasibility at each search.
+    # the design step its stages, and the stages lmi.solve_feasibility.
     outcomes, searches = {"verify": Counter(), "synthesize": Counter()}, Counter()
+    stages, ended = {"verify": Counter(), "synthesize": Counter()}, {}
     declined_evaluations = []
     solve, minimize = lmi.solve_feasibility, lmi.minimize
 
@@ -213,8 +267,11 @@ def run(seeds) -> dict:
 
     lmi.solve_feasibility = searching
     lmi.minimize = centering
-    protocol.local_verify = counted(protocol.local_verify, outcomes["verify"], searches)
-    protocol.local_synthesize = counted(protocol.local_synthesize, outcomes["synthesize"], searches)
+    for name, label in STAGES:
+        setattr(protocol, name, staged(getattr(protocol, name), label, ended))
+    protocol.local_verify = counted(protocol.local_verify, outcomes["verify"], searches, stages["verify"], ended)
+    protocol.local_synthesize = counted(
+        protocol.local_synthesize, outcomes["synthesize"], searches, stages["synthesize"], ended)
     out = {}
     tally, largest = growth(seeds)
     out["growth"] = tally
@@ -224,38 +281,25 @@ def run(seeds) -> dict:
         print(f"  {line}")
 
     random = Tally()
-    for seed, period in ((0, 6), (12345, 8)):
-        rng = np.random.default_rng(seed)
-        for k in range(40):
-            random.design(f"random_cascade(1 + {k} % {period}, default_rng({seed}))",
-                          random_cascade(1 + k % period, rng))
+    for name, net in random_nets():
+        random.design(name, net)
     out["random"] = random
     print(f"random designs: {len(random.failures)} DesignFailed of 80")
     for line in random.failures:
         print(f"  {line}")
 
     deficient = Tally()
-    rng = np.random.default_rng(3)
-    for k in range(30):
-        net = random_cascade(1 + k % 5, rng)
-        subs = []
-        for s in net.subsystems:
-            B3 = s.B3.copy()
-            B3[:, 1:] = 0.0
-            subs.append(Subsystem(A=s.A, B1=s.B1, B2=s.B2, B3=B3, C=s.C))
-        deficient.design(f"chain {k}", CascadeNetwork(subs, net.couplings))
+    for name, net in deficient_nets():
+        deficient.design(name, net)
     out["rank_deficient"] = deficient
     designed = [k for k, d in enumerate(deficient.designs) if d is not None]
     print(f"rank-deficient B3 chains designed ({len(designed)} of 30): {' '.join(map(str, designed))}")
 
     units = Tally()
     names = []
-    for base_name, base in (("four-stage", four_stage_cascade()),
-                            ("random_cascade(8, default_rng(5))", random_cascade(8, np.random.default_rng(5)))):
-        for kind, symbol in (("time", "s"), ("state", "d")):
-            for k in UNIT_POWERS:
-                names.append(f"{base_name} {symbol}=2^{k}")
-                units.design(names[-1], rescaled(base, kind, 2.0 ** k))
+    for name, net in unit_nets():
+        names.append(name)
+        units.design(name, net)
     out["units"] = units
     failed = [name for name, d in zip(names, units.designs) if d is None]
     print(f"unit changes designed: {24 - len(failed)} of 24; failing: {', '.join(failed) or 'none'}")
@@ -267,7 +311,7 @@ def run(seeds) -> dict:
           f"global eps {state.global_epsilon:.6f}")
 
     long = Tally()
-    state = long.design("random_cascade(128, default_rng(12345))", random_cascade(128, np.random.default_rng(12345)))
+    state = long.design(N128, random_cascade(128, np.random.default_rng(12345)))
     out["n128"] = long
     if state is None:
         print(f"N = 128: {long.failures[0]}")
@@ -288,6 +332,9 @@ def run(seeds) -> dict:
     print("route outcomes: " + "; ".join(
         f"{route} " + ", ".join(f"{what} {count}" for what, count in counts.most_common())
         for route, counts in outcomes.items()))
+    print("stage outcomes: " + "; ".join(
+        f"{route} " + ", ".join(f"{label} {counts[label]}" for _, label in STAGES + (("", "designed"),))
+        for route, counts in stages.items()))
     median = np.median(declined_evaluations) if declined_evaluations else math.nan
     print(f"search effort: {searches['runs']} lmi.solve_feasibility calls, "
           f"{searches['centerings']} lmi.minimize runs, median {median:g} evaluations "
@@ -349,6 +396,103 @@ def compare(old_path: Path, new_path: Path) -> None:
         print(line)
 
 
+def outcome(result):
+    """A route call's outcome as the golden file holds it: "designed", or
+    the decline's [reason, best_lambda_min, evaluations]."""
+    if isinstance(result, lmi.Infeasible):
+        return [result.reason, result.best_lambda_min, result.evaluations]
+    return "designed"
+
+
+@contextlib.contextmanager
+def recording(steps: list):
+    """Within, each protocol.local_verify call appends a step [verify's
+    outcome, None] to steps, and each protocol.local_synthesize call puts
+    its outcome in the last step's second entry."""
+    verify, synthesize = protocol.local_verify, protocol.local_synthesize
+
+    def verifying(*args, **kwargs):
+        result = verify(*args, **kwargs)
+        steps.append([outcome(result), None])
+        return result
+
+    def synthesizing(*args, **kwargs):
+        result = synthesize(*args, **kwargs)
+        steps[-1][1] = outcome(result)
+        return result
+
+    protocol.local_verify, protocol.local_synthesize = verifying, synthesizing
+    try:
+        yield
+    finally:
+        protocol.local_verify, protocol.local_synthesize = verify, synthesize
+
+
+def designed(net):
+    """(state, failed) of a design of net from scratch; state None when it fails."""
+    try:
+        return protocol.run_cascade_design(net), False
+    except protocol.DesignFailed:
+        return None, True
+
+
+def grown(fixed, rng):
+    """(state, failed) of one growth cycle: fixed grown by the GROWTH
+    seeded_additions drawn from rng, up to the first DesignFailed."""
+    state = fixed
+    for addition in seeded_additions(rng, fixed.net.subsystems[-1], fixed.net.n_subsystems + 1, GROWTH):
+        try:
+            state = protocol.add_subsystem(state, *addition)
+        except protocol.DesignFailed:
+            return state, True
+    return state, False
+
+
+def golden_campaign():
+    """The designs the golden file pins, in order, as (group, name, build),
+    build() giving (state, failed): the four-stage design, the random, the
+    rank-deficient and the unit-change designs, N = 128, and the CYCLES
+    growth cycles of each of GOLDEN_SEEDS. The builds of one seed's cycles
+    share its generator, so they are called in order."""
+    yield "four_stage", "four-stage", functools.partial(designed, four_stage_cascade())
+    for group, nets in (("random", random_nets()), ("rank_deficient", deficient_nets()), ("units", unit_nets())):
+        for name, net in nets:
+            yield group, name, functools.partial(designed, net)
+    yield "n128", N128, functools.partial(designed, random_cascade(128, np.random.default_rng(12345)))
+    fixed = protocol.run_cascade_design(four_stage_cascade())
+    for seed in GOLDEN_SEEDS:
+        rng = np.random.default_rng(seed)
+        for cycle in range(CYCLES):
+            yield "growth", f"seed {seed} cycle {cycle}", functools.partial(grown, fixed, rng)
+
+
+def golden(campaign) -> list[dict]:
+    """The golden verdict of each design of campaign: its group and name,
+    whether it failed, the route letter (V or S) of each step it designed,
+    the global rate of the state it reached (None when a design from
+    scratch fails), and each step's outcomes, [verify's, synthesis's or
+    None when verify designed] (outcome). Growth cycles hold the steps of
+    their additions."""
+    designs = []
+    for group, name, build in campaign:
+        steps = []
+        with recording(steps):
+            state, fails = build()
+        designs.append({
+            "group": group, "name": name, "failed": fails,
+            "routes": "".join("V" if v == "designed" else "S" for v, s in steps if "designed" in (v, s)),
+            "epsilon": None if state is None else state.global_epsilon,
+            "steps": steps,
+        })
+    return designs
+
+
+def write_golden(path: Path, campaign) -> None:
+    """Write golden(campaign) to path as JSON, one design a line."""
+    lines = [json.dumps(design) for design in golden(campaign)]
+    Path(path).write_text("[\n" + ",\n".join(lines) + "\n]\n")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", nargs=2, type=int, default=(1, 10), metavar=("FIRST", "LAST"),
@@ -356,9 +500,15 @@ def main(argv=None) -> None:
     parser.add_argument("--json", type=Path, help="write every design's routes and rates here")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
                         help="compare two --json files design by design, running no design")
+    parser.add_argument("--golden", type=Path, metavar="PATH",
+                        help="write the golden verdicts that tests/test_golden_verdicts.py "
+                             "pins to PATH, running nothing else")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
+        return
+    if args.golden:
+        write_golden(args.golden, golden_campaign())
         return
     designs = run(list(range(args.seeds[0], args.seeds[1] + 1)))
     if args.json:
