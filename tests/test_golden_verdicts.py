@@ -3,12 +3,14 @@
 tests/data/golden_verdicts.json holds, for each design of a fixed
 campaign (the four-stage design, the 80 random designs, the 30
 rank-deficient chains, the 24 unit changes, N = 128 and the 4 growth
-cycles of seed 1, as tools/verdicts.py draws them), whether it failed, the
-routes of the steps it designed, its global rate and, for every step, each
+cycles of seed 1: tools/verdicts.py's one campaign, whose verdict run
+adds the growth cycles of further seeds), whether it failed, the routes
+of the steps it designed, its global rate and, for every step, each
 route's outcome: designed, or the decline's reason, best_lambda_min and
-evaluations. The test designs the campaign afresh, running no oracle
-trial, and requires the same failures, routes, reasons and evaluations,
-with every rate and bound within RTOL of the file's.
+evaluations, as the tool's one recorder notes each route call. The test
+designs the campaign afresh, running no oracle trial, and requires the
+same failures, routes, reasons and evaluations, with every rate and
+bound within RTOL of the file's.
 
 Unlike the record digest of test_record_hash.py, this does not move with
 the last bit of a record, so a change that re-pins the digest still has to

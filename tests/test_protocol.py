@@ -336,7 +336,7 @@ def test_non_finite_subsystem_stays_a_malformed_problem_on_both_routes():
 
 def test_non_hurwitz_bound_holds_for_the_solver(monkeypatch):
     # With the screen off the solver's best point stays below the bound the
-    # screen reports, as the Lyapunov argument in _design_step requires. So
+    # screen reports, as the Lyapunov argument in _screen's docstring requires. So
     # does the closed form's exact bound on a pinned (scalar) step.
     for sub in (free_storage_subsystem(3.0), scalar_subsystem(3.0)):
         screened = local_verify(sub)

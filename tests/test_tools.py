@@ -1,5 +1,5 @@
 """tools/verdicts.py: its design-verdict comparison, on hand-written files,
-and its golden-verdict writer."""
+its golden-verdict writer, its recorder and the order of its campaign."""
 
 import json
 import subprocess
@@ -7,7 +7,11 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from test_golden_verdicts import load_verdicts, read_golden
+import pytest
+
+from cascadepass import lmi, protocol
+from cascadepass.sample_cascades import four_stage_cascade
+from test_golden_verdicts import GOLDEN, load_verdicts, read_golden
 
 VERDICTS = Path(__file__).resolve().parents[1] / "tools" / "verdicts.py"
 
@@ -57,3 +61,29 @@ def test_golden_writes_a_campaign_that_the_golden_test_reads_back(tmp_path):
     assert four["steps"][2] == ["designed", None]
     assert four["steps"][0][0][0] == "NotHurwitz" and four["steps"][0][1] == "designed"
     assert designs == verdicts.golden(campaign)
+
+
+def test_recording_restores_every_wrapped_name_and_records_each_route_call_once():
+    verdicts = load_verdicts()
+    names = [(lmi, "solve_feasibility"), (lmi, "minimize")]
+    names += [(protocol, name) for name, _ in verdicts.STAGES]
+    names += [(protocol, "local_verify"), (protocol, "local_synthesize")]
+    originals = [getattr(module, name) for module, name in names]
+    four = verdicts.golden(islice(verdicts.golden_campaign(), 1))[0]
+    assert all(getattr(module, name) is f for (module, name), f in zip(names, originals))
+    steps = []
+    with pytest.raises(RuntimeError), verdicts.recording(steps) as effort:
+        protocol.run_cascade_design(four_stage_cascade())
+        raise RuntimeError("the body fails")
+    assert all(getattr(module, name) is f for (module, name), f in zip(names, originals))
+    assert [[verdicts.outcome(v), verdicts.outcome(s)] for v, s in steps] == four["steps"]
+    result, searched, stage = steps[0][0]
+    assert (result.reason, searched, stage) == ("NotHurwitz", False, "screen")
+    assert effort["runs"] >= sum(r[1] for step in steps for r in step if r is not None) > 0
+
+
+def test_the_campaign_yields_the_golden_designs_then_each_further_seeds_cycles():
+    verdicts = load_verdicts()
+    pairs = [(group, name) for group, name, _ in verdicts.campaign((1, 2))]
+    golden = [(d["group"], d["name"]) for d in read_golden(GOLDEN)]
+    assert pairs == golden + [("growth", f"seed 2 cycle {cycle}") for cycle in range(4)]

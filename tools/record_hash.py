@@ -9,14 +9,17 @@ record of each state in order:
   the cycle's 60 ``seeded_additions`` (drawn in turn from one
   ``default_rng(seed)``), and every grown state is saved and loaded, as
   ``cascadepass add`` does, then fed and grown further;
-* 40 designs ``random_cascade(1 + k % 8, default_rng(12345))``.
+* the 40 designs ``random_cascade(1 + k % 8, default_rng(12345))``, the
+  second half of ``tools/verdicts.py``'s ``random_nets``.
 
 ``feed`` also rebuilds each state through the public constructor, which
 derives every M_cl afresh, and fails unless every record comes back bit
 for bit. A change that keeps every record bit for bit, in a design and in
 a load, leaves the hash unchanged. The script also prints how many times the
 local search ran ``lmi.minimize`` over those states, one Newton centering
-per barrier round, a count that does not depend on the hardware. Run from the repository root (about 15 s):
+per barrier round, a count that does not depend on the hardware, as
+``tools/verdicts.py``'s ``recording`` counts it. Run from the repository
+root (about 8 s):
 
     python3 tools/record_hash.py
 """
@@ -27,6 +30,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 # The package's matrices are small, and OpenBLAS threads only add
@@ -40,58 +44,43 @@ for sub in ("src", "tests", "perfbench"):
 
 import numpy as np  # noqa: E402
 
-from cascadepass import files, lmi, protocol  # noqa: E402
-from cascadepass.sample_cascades import random_cascade  # noqa: E402
+from cascadepass import files, protocol  # noqa: E402
 from test_record_hash import feed  # noqa: E402
+from verdicts import random_nets, recording  # noqa: E402
 from workloads import GROWTH, fixed_design, seeded_additions  # noqa: E402
 
 SEEDS = (1, 2, 3)
 CYCLES = 4
-RANDOM_DESIGNS = 40
+
+
+def hashed_states(path: Path):
+    """Every state the hash is fed, in order; each grown state passes
+    through a save to path and a load."""
+    fixed = fixed_design()
+    yield fixed
+    last, first = fixed.net.subsystems[-1], fixed.net.n_subsystems + 1
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        for _ in range(CYCLES):
+            state = fixed
+            for addition in seeded_additions(rng, last, first, GROWTH):
+                files.save_state(protocol.add_subsystem(state, *addition), path)
+                state = files.load_state(path)
+                yield state
+    # random_nets yields the 40 designs of default_rng(0) first.
+    for _, net in islice(random_nets(), 40, None):
+        yield protocol.run_cascade_design(net)
 
 
 def record_hash() -> tuple[str, int, int]:
     """The hex digest, the number of states fed and the lmi.minimize runs
     (Newton centerings)."""
-    runs = 0
-    minimize = lmi.minimize
-
-    def counting(*args):
-        nonlocal runs
-        runs += 1
-        return minimize(*args)
-
-    lmi.minimize = counting
-    try:
-        hexdigest, states = _fed(hashlib.sha256())
-    finally:
-        lmi.minimize = minimize
-    return hexdigest, states, runs
-
-
-def _fed(digest) -> tuple[str, int]:
-    """Feed every state to digest; the hex digest and the states fed."""
-    fixed = fixed_design()
-    feed(digest, fixed)
-    states = 1
-    last, first = fixed.net.subsystems[-1], fixed.net.n_subsystems + 1
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "state.json"
-        for seed in SEEDS:
-            rng = np.random.default_rng(seed)
-            cycles = [seeded_additions(rng, last, first, GROWTH) for _ in range(CYCLES)]
-            for additions in cycles:
-                state = fixed
-                for addition in additions:
-                    files.save_state(protocol.add_subsystem(state, *addition), path)
-                    state = files.load_state(path)
-                    feed(digest, state)
-                    states += 1
-    rng = np.random.default_rng(12345)
-    for k in range(RANDOM_DESIGNS):
-        feed(digest, protocol.run_cascade_design(random_cascade(1 + k % 8, rng)))
-        states += 1
-    return digest.hexdigest(), states
+    digest, states = hashlib.sha256(), 0
+    with recording([]) as effort, tempfile.TemporaryDirectory() as tmp:
+        for state in hashed_states(Path(tmp) / "state.json"):
+            feed(digest, state)
+            states += 1
+    return digest.hexdigest(), states, effort["centerings"]
 
 
 if __name__ == "__main__":

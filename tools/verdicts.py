@@ -1,6 +1,9 @@
 """Print the design verdicts a change to the protocol or the solver must keep.
 
-One deterministic run (about 13 s for seeds 1-10 on 2 vCPUs) prints:
+One deterministic run (about 12 s for seeds 1-10 on 2 vCPUs) designs one
+campaign (``campaign``) under one recorder (``recording``), which notes
+how each call of ``protocol.local_verify`` and ``protocol.local_synthesize``
+ended and the search it took, and prints:
 
 * ``DesignFailed`` counts over the ``grow_persist`` growth cycles: for
   each seed, the 4 cycles the benchmark draws from ``default_rng(seed)``,
@@ -35,13 +38,12 @@ One deterministic run (about 13 s for seeds 1-10 on 2 vCPUs) prints:
 * the four-stage routes and global rate;
 * the global rate of ``random_cascade(128, default_rng(12345))`` and the
   step that sets it;
-* how every call of ``protocol.local_verify`` and
-  ``protocol.local_synthesize`` in the run above ended, counted per route:
+* how every route call of the campaign ended, counted per route:
   designed in closed form (no ``lmi.solve_feasibility`` call) or after a
   search, or declined with each reason, most frequent first;
 * where each of those calls ended: in the design step's screen, storage,
   rate-and-gains or close stage, or designed;
-* the search effort of the run above: its ``lmi.solve_feasibility``
+* the search effort of the campaign: its ``lmi.solve_feasibility``
   calls, their ``lmi.minimize`` runs (Newton centerings), and the median
   ``evaluations`` of the searches that declined;
 * the scale spread: of the decoupled scalar pairs A = -1, B1 = B2 = B3 =
@@ -54,11 +56,14 @@ r / eps, so two trees can be compared design by design: ``--compare OLD
 NEW`` reads two such files, runs no design, and prints per group how many
 designs are identical (the same outcome, routes and every rate), how
 many fail in only one file, and the median, quartiles and range of the
-NEW / OLD global rate over the designs that succeed in both. Run from the
-repository root:
+NEW / OLD global rate over the designs that succeed in both.
+``--golden PATH`` writes the recorded outcomes of the golden campaign,
+the campaign with the growth cycles of GOLDEN_SEEDS alone, with no oracle
+trial. Run from the repository root:
 
     python3 tools/verdicts.py [--seeds FIRST LAST] [--json PATH]
     python3 tools/verdicts.py --compare OLD.json NEW.json
+    python3 tools/verdicts.py --golden PATH
 """
 
 from __future__ import annotations
@@ -75,8 +80,8 @@ from collections import Counter
 from pathlib import Path
 
 # The package's matrices are small, and OpenBLAS threads only add
-# synchronization: with one thread the run takes about half the time on
-# two cores, with the same output.
+# synchronization: on two cores one thread takes 60% of the CPU time of
+# two and about 10% more wall time, with the same output.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +100,8 @@ ORACLE_EVERY = 10
 UNIT_POWERS = (-10, -6, -3, 3, 6, 10)
 SCALE_SPREADS = ((1e9, 2e-4), (1e11, 1e-3), (1e12, 1e-3))
 N128 = "random_cascade(128, default_rng(12345))"
+# The groups of the campaign, in the order the run prints them.
+GROUPS = ("growth", "random", "rank_deficient", "units", "four_stage", "n128")
 # The design step's stages, as protocol names them and as the tool prints them.
 STAGES = (("_screen", "screen"), ("_storage", "storage"), ("_rate_and_gains", "rate"), ("_close", "close"))
 # The growth seeds whose cycles the golden file pins.
@@ -118,7 +125,8 @@ def gain_max(state) -> float:
 
 
 class Tally:
-    """Designs, failures and oracle verdicts of one group of designs."""
+    """Designs, failures (name, DesignFailed) and oracle verdicts of one
+    group of designs."""
 
     def __init__(self):
         self.designs, self.failures, self.checked, self.accepted = [], [], 0, 0
@@ -142,40 +150,6 @@ class Tally:
         traj = oracle.simulate(cl, lambda t: np.zeros(cl.m), x0=x0, T=500 * dt, dt=dt)
         self.holds += oracle.dissipation_margin(traj, cl.epsilon) >= -oracle.SLACK_TOL
         self.separates += oracle.dissipation_margin(traj, 1.01 * r) < 0.0
-
-    def design(self, name, net) -> protocol.NetworkDesignState | None:
-        try:
-            state = protocol.run_cascade_design(net)
-        except protocol.DesignFailed as exc:
-            self.failures.append(f"{name}: {exc}")
-            self.designs.append(None)
-            return None
-        self.check(state)
-        self.designs.append(summary(state))
-        return state
-
-
-def growth(seeds) -> tuple[Tally, float]:
-    """The growth cycles of each seed; the tally and the largest gain."""
-    tally, largest = Tally(), 0.0
-    fixed = protocol.run_cascade_design(four_stage_cascade())
-    last, first = fixed.net.subsystems[-1], fixed.net.n_subsystems + 1
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for cycle in range(CYCLES):
-            state, failed = fixed, False
-            for k, addition in enumerate(seeded_additions(rng, last, first, GROWTH), start=1):
-                try:
-                    state = protocol.add_subsystem(state, *addition)
-                except protocol.DesignFailed as exc:
-                    tally.failures.append(f"seed {seed} cycle {cycle}: {exc}")
-                    failed = True
-                    break
-                if k % ORACLE_EVERY == 0:
-                    tally.check(state)
-            tally.designs.append(summary(state) | {"seed": seed, "cycle": cycle, "failed": failed})
-            largest = max(largest, gain_max(state))
-    return tally, largest
 
 
 def rescaled(net: CascadeNetwork, kind: str, f: float) -> CascadeNetwork:
@@ -217,130 +191,186 @@ def unit_nets():
                 yield f"{base_name} {symbol}=2^{k}", rescaled(base, kind, 2.0 ** k)
 
 
-def staged(stage, label, ended: dict):
-    """stage, noting its label in ended["stage"] whenever it declines."""
-    def wrapper(*args):
+def designed(net):
+    """(state, failure, checked) of a design of net from scratch: the state
+    (None when it fails), its DesignFailed or None, and the states the
+    oracle checks."""
+    try:
+        state = protocol.run_cascade_design(net)
+    except protocol.DesignFailed as exc:
+        return None, exc, []
+    return state, None, [state]
+
+
+def grown(fixed, rng):
+    """(state, failure, checked) of one growth cycle: fixed grown by the
+    GROWTH seeded_additions drawn from rng, up to the first DesignFailed;
+    the last state grown, that DesignFailed or None, and every
+    ORACLE_EVERY-th state grown."""
+    state, checked = fixed, []
+    additions = seeded_additions(rng, fixed.net.subsystems[-1], fixed.net.n_subsystems + 1, GROWTH)
+    for k, addition in enumerate(additions, start=1):
+        try:
+            state = protocol.add_subsystem(state, *addition)
+        except protocol.DesignFailed as exc:
+            return state, exc, checked
+        if k % ORACLE_EVERY == 0:
+            checked.append(state)
+    return state, None, checked
+
+
+def campaign(seeds):
+    """The designs of a run, in order, as (group, name, build), build()
+    giving (state, failure, checked) (designed, grown): the four-stage
+    design, the random, the rank-deficient and the unit-change designs,
+    N = 128, and the CYCLES growth cycles of each seed. The builds of one
+    seed's cycles share its generator, so they are called in order."""
+    yield "four_stage", "four-stage", functools.partial(designed, four_stage_cascade())
+    for group, nets in (("random", random_nets()), ("rank_deficient", deficient_nets()), ("units", unit_nets())):
+        for name, net in nets:
+            yield group, name, functools.partial(designed, net)
+    yield "n128", N128, functools.partial(designed, random_cascade(128, np.random.default_rng(12345)))
+    fixed = protocol.run_cascade_design(four_stage_cascade())
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for cycle in range(CYCLES):
+            yield "growth", f"seed {seed} cycle {cycle}", functools.partial(grown, fixed, rng)
+
+
+def golden_campaign():
+    """The designs the golden file pins: the campaign of GOLDEN_SEEDS."""
+    return campaign(GOLDEN_SEEDS)
+
+
+@contextlib.contextmanager
+def recording(steps: list):
+    """Within, each protocol.local_verify call appends a step [its record,
+    None] to steps, and each protocol.local_synthesize call puts its record
+    in the last step's second entry. A record is (result, searched, stage):
+    the route's result, whether the call ran lmi.solve_feasibility, and the
+    label (STAGES) of the design-step stage that declined, or "designed".
+    Yields the search effort: the lmi.solve_feasibility calls ("runs"),
+    the lmi.minimize runs ("centerings") and the evaluations of each
+    declined search ("declined"). Every wrapped name is restored on exit.
+
+    The design loop looks both routes up as module globals at each step,
+    the design step its stages, and the stages and the search
+    lmi.solve_feasibility and lmi.minimize, so wrapping the names sees
+    every call."""
+    effort, ended = {"runs": 0, "centerings": 0, "declined": []}, None
+
+    def solving(solve, *args, **kwargs):
+        effort["runs"] += 1
+        result = solve(*args, **kwargs)
+        if isinstance(result, lmi.Infeasible):
+            effort["declined"].append(result.evaluations)
+        return result
+
+    def centering(minimize, *args):
+        effort["centerings"] += 1
+        return minimize(*args)
+
+    def staged(label, stage, *args):
+        nonlocal ended
         result = stage(*args)
         if isinstance(result, lmi.Infeasible):
-            ended["stage"] = label
+            ended = label
         return result
-    return wrapper
 
-
-def counted(route, outcomes: Counter, searches: Counter, stages: Counter, ended: dict):
-    """route, counting each outcome in outcomes: the decline's reason, or
-    "designed searched" when the call ran lmi.solve_feasibility (whose runs
-    searches["runs"] counts) and "designed closed-form" when it did not;
-    and in stages where the call ended: the label of the design-step stage
-    that declined (staged), or "designed"."""
-    def wrapper(*args, **kwargs):
-        before = searches["runs"]
+    def routed(first, route, *args, **kwargs):
+        before = effort["runs"]
         result = route(*args, **kwargs)
-        if isinstance(result, lmi.Infeasible):
-            outcomes[result.reason] += 1
-            stages[ended["stage"]] += 1
+        declined = isinstance(result, lmi.Infeasible)
+        record = (result, effort["runs"] > before, ended if declined else "designed")
+        if first:
+            steps.append([record, None])
         else:
-            outcomes["designed searched" if searches["runs"] > before else "designed closed-form"] += 1
-            stages["designed"] += 1
+            steps[-1][1] = record
         return result
-    return wrapper
+
+    wrappers = [(lmi, "solve_feasibility", solving), (lmi, "minimize", centering)]
+    wrappers += [(protocol, name, functools.partial(staged, label)) for name, label in STAGES]
+    wrappers += [(protocol, "local_verify", functools.partial(routed, True)),
+                 (protocol, "local_synthesize", functools.partial(routed, False))]
+    originals = [getattr(module, name) for module, name, _ in wrappers]
+    try:
+        for (module, name, wrapper), original in zip(wrappers, originals):
+            setattr(module, name, functools.partial(wrapper, original))
+        yield effort
+    finally:
+        for (module, name, _), original in zip(wrappers, originals):
+            setattr(module, name, original)
 
 
 def run(seeds) -> dict:
-    # The design loop looks both routes up as module globals at each step,
-    # the design step its stages, and the stages lmi.solve_feasibility.
-    outcomes, searches = {"verify": Counter(), "synthesize": Counter()}, Counter()
-    stages, ended = {"verify": Counter(), "synthesize": Counter()}, {}
-    declined_evaluations = []
-    solve, minimize = lmi.solve_feasibility, lmi.minimize
+    """Design campaign(seeds) under one recording, print the verdicts and
+    return every design's --json summary by group, and the largest gain."""
+    tallies, steps, largest = {group: Tally() for group in GROUPS}, [], 0.0
+    with recording(steps) as effort:
+        for group, name, build in campaign(seeds):
+            state, failure, checked = build()
+            tally = tallies[group]
+            for s in checked:
+                tally.check(s)
+            if failure is not None:
+                tally.failures.append((name, failure))
+            if group == "growth":
+                seed, cycle = map(int, name.split()[1::2])
+                tally.designs.append(summary(state) | {"seed": seed, "cycle": cycle, "failed": failure is not None})
+                largest = max(largest, gain_max(state))
+            else:
+                tally.designs.append(None if state is None else summary(state))
 
-    def searching(*args, **kwargs):
-        searches["runs"] += 1
-        result = solve(*args, **kwargs)
-        if isinstance(result, lmi.Infeasible):
-            declined_evaluations.append(result.evaluations)
-        return result
-
-    def centering(*args):
-        searches["centerings"] += 1
-        return minimize(*args)
-
-    lmi.solve_feasibility = searching
-    lmi.minimize = centering
-    for name, label in STAGES:
-        setattr(protocol, name, staged(getattr(protocol, name), label, ended))
-    protocol.local_verify = counted(protocol.local_verify, outcomes["verify"], searches, stages["verify"], ended)
-    protocol.local_synthesize = counted(
-        protocol.local_synthesize, outcomes["synthesize"], searches, stages["synthesize"], ended)
-    out = {}
-    tally, largest = growth(seeds)
-    out["growth"] = tally
+    growth, random, deficient, units, four, long = tallies.values()
     print(f"growth, seeds {seeds[0]}-{seeds[-1]}, {CYCLES} cycles of {GROWTH} additions each: "
-          f"{len(tally.failures)} DesignFailed; gain_max_log10 {math.log10(largest):.2f}")
-    for line in tally.failures:
-        print(f"  {line}")
-
-    random = Tally()
-    for name, net in random_nets():
-        random.design(name, net)
-    out["random"] = random
+          f"{len(growth.failures)} DesignFailed; gain_max_log10 {math.log10(largest):.2f}")
+    for name, exc in growth.failures:
+        print(f"  {name}: {exc}")
     print(f"random designs: {len(random.failures)} DesignFailed of 80")
-    for line in random.failures:
-        print(f"  {line}")
-
-    deficient = Tally()
-    for name, net in deficient_nets():
-        deficient.design(name, net)
-    out["rank_deficient"] = deficient
-    designed = [k for k, d in enumerate(deficient.designs) if d is not None]
-    print(f"rank-deficient B3 chains designed ({len(designed)} of 30): {' '.join(map(str, designed))}")
-
-    units = Tally()
-    names = []
-    for name, net in unit_nets():
-        names.append(name)
-        units.design(name, net)
-    out["units"] = units
-    failed = [name for name, d in zip(names, units.designs) if d is None]
-    print(f"unit changes designed: {24 - len(failed)} of 24; failing: {', '.join(failed) or 'none'}")
-
-    four = Tally()
-    state = four.design("four-stage", four_stage_cascade())
-    out["four_stage"] = four
-    print(f"four-stage routes {','.join(four.designs[0]['routes'])}, "
-          f"global eps {state.global_epsilon:.6f}")
-
-    long = Tally()
-    state = long.design(N128, random_cascade(128, np.random.default_rng(12345)))
-    out["n128"] = long
-    if state is None:
-        print(f"N = 128: {long.failures[0]}")
+    for name, exc in random.failures:
+        print(f"  {name}: {exc}")
+    chains = [k for k, d in enumerate(deficient.designs) if d is not None]
+    print(f"rank-deficient B3 chains designed ({len(chains)} of 30): {' '.join(map(str, chains))}")
+    failing = [name for name, _ in units.failures]
+    print(f"unit changes designed: {24 - len(failing)} of 24; failing: {', '.join(failing) or 'none'}")
+    print(f"four-stage routes {','.join(four.designs[0]['routes'])}, global eps {min(four.designs[0]['eps']):.6f}")
+    if long.failures:
+        name, exc = long.failures[0]
+        print(f"N = 128: {name}: {exc}")
     else:
-        step = 1 + int(np.argmin([rec.epsilon for rec in state.records]))
-        print(f"N = 128 global eps {state.global_epsilon:.6f} at step {step}")
+        eps = long.designs[0]["eps"]
+        print(f"N = 128 global eps {min(eps):.6f} at step {1 + int(np.argmin(eps))}")
 
-    checked = sum(t.checked for t in out.values())
-    accepted = sum(t.accepted for t in out.values())
-    print(f"oracle accepts {accepted} of {checked} designs checked")
-    rejected = sum(t.tampers_rejected for t in out.values())
-    refused = sum(t.tampers_refused for t in out.values())
-    print(f"oracle rejects {rejected} of {checked} with the Q of the smallest max|C| scaled by 1 + 1e-4; "
-          f"built as states, {refused} refuse to grow")
-    for name, t in out.items():
+    checked = sum(t.checked for t in tallies.values())
+    print(f"oracle accepts {sum(t.accepted for t in tallies.values())} of {checked} designs checked")
+    print(f"oracle rejects {sum(t.tampers_rejected for t in tallies.values())} of {checked} with the Q of the "
+          f"smallest max|C| scaled by 1 + 1e-4; built as states, "
+          f"{sum(t.tampers_refused for t in tallies.values())} refuse to grow")
+    for name, t in tallies.items():
         print(f"worst start, {name}: holds eps on {t.holds} and separates 1.01 r on "
               f"{t.separates} of {t.checked}")
+
+    outcomes, stages = {"verify": Counter(), "synthesize": Counter()}, {"verify": Counter(), "synthesize": Counter()}
+    for step in steps:
+        for route, record in zip(outcomes, step):
+            if record is not None:
+                result, searched, stage = record
+                how = "designed searched" if searched else "designed closed-form"
+                outcomes[route][result.reason if isinstance(result, lmi.Infeasible) else how] += 1
+                stages[route][stage] += 1
     print("route outcomes: " + "; ".join(
         f"{route} " + ", ".join(f"{what} {count}" for what, count in counts.most_common())
         for route, counts in outcomes.items()))
     print("stage outcomes: " + "; ".join(
         f"{route} " + ", ".join(f"{label} {counts[label]}" for _, label in STAGES + (("", "designed"),))
         for route, counts in stages.items()))
-    median = np.median(declined_evaluations) if declined_evaluations else math.nan
-    print(f"search effort: {searches['runs']} lmi.solve_feasibility calls, "
-          f"{searches['centerings']} lmi.minimize runs, median {median:g} evaluations "
-          f"over {len(declined_evaluations)} declined searches")
+    declined = effort["declined"]
+    median = np.median(declined) if declined else math.nan
+    print(f"search effort: {effort['runs']} lmi.solve_feasibility calls, "
+          f"{effort['centerings']} lmi.minimize runs, median {median:g} evaluations "
+          f"over {len(declined)} declined searches")
     print(scale_spread())
-    return {name: t.designs for name, t in out.items()} | {"gain_max": largest}
+    return {name: t.designs for name, t in tallies.items()} | {"gain_max": largest}
 
 
 def scale_spread() -> str:
@@ -396,74 +426,16 @@ def compare(old_path: Path, new_path: Path) -> None:
         print(line)
 
 
-def outcome(result):
-    """A route call's outcome as the golden file holds it: "designed", or
-    the decline's [reason, best_lambda_min, evaluations]."""
+def outcome(record):
+    """A recorded route call as the golden file holds it: None when the
+    route was not called, "designed", or the decline's [reason,
+    best_lambda_min, evaluations]."""
+    if record is None:
+        return None
+    result = record[0]
     if isinstance(result, lmi.Infeasible):
         return [result.reason, result.best_lambda_min, result.evaluations]
     return "designed"
-
-
-@contextlib.contextmanager
-def recording(steps: list):
-    """Within, each protocol.local_verify call appends a step [verify's
-    outcome, None] to steps, and each protocol.local_synthesize call puts
-    its outcome in the last step's second entry."""
-    verify, synthesize = protocol.local_verify, protocol.local_synthesize
-
-    def verifying(*args, **kwargs):
-        result = verify(*args, **kwargs)
-        steps.append([outcome(result), None])
-        return result
-
-    def synthesizing(*args, **kwargs):
-        result = synthesize(*args, **kwargs)
-        steps[-1][1] = outcome(result)
-        return result
-
-    protocol.local_verify, protocol.local_synthesize = verifying, synthesizing
-    try:
-        yield
-    finally:
-        protocol.local_verify, protocol.local_synthesize = verify, synthesize
-
-
-def designed(net):
-    """(state, failed) of a design of net from scratch; state None when it fails."""
-    try:
-        return protocol.run_cascade_design(net), False
-    except protocol.DesignFailed:
-        return None, True
-
-
-def grown(fixed, rng):
-    """(state, failed) of one growth cycle: fixed grown by the GROWTH
-    seeded_additions drawn from rng, up to the first DesignFailed."""
-    state = fixed
-    for addition in seeded_additions(rng, fixed.net.subsystems[-1], fixed.net.n_subsystems + 1, GROWTH):
-        try:
-            state = protocol.add_subsystem(state, *addition)
-        except protocol.DesignFailed:
-            return state, True
-    return state, False
-
-
-def golden_campaign():
-    """The designs the golden file pins, in order, as (group, name, build),
-    build() giving (state, failed): the four-stage design, the random, the
-    rank-deficient and the unit-change designs, N = 128, and the CYCLES
-    growth cycles of each of GOLDEN_SEEDS. The builds of one seed's cycles
-    share its generator, so they are called in order."""
-    yield "four_stage", "four-stage", functools.partial(designed, four_stage_cascade())
-    for group, nets in (("random", random_nets()), ("rank_deficient", deficient_nets()), ("units", unit_nets())):
-        for name, net in nets:
-            yield group, name, functools.partial(designed, net)
-    yield "n128", N128, functools.partial(designed, random_cascade(128, np.random.default_rng(12345)))
-    fixed = protocol.run_cascade_design(four_stage_cascade())
-    for seed in GOLDEN_SEEDS:
-        rng = np.random.default_rng(seed)
-        for cycle in range(CYCLES):
-            yield "growth", f"seed {seed} cycle {cycle}", functools.partial(grown, fixed, rng)
 
 
 def golden(campaign) -> list[dict]:
@@ -473,17 +445,18 @@ def golden(campaign) -> list[dict]:
     scratch fails), and each step's outcomes, [verify's, synthesis's or
     None when verify designed] (outcome). Growth cycles hold the steps of
     their additions."""
-    designs = []
-    for group, name, build in campaign:
-        steps = []
-        with recording(steps):
-            state, fails = build()
-        designs.append({
-            "group": group, "name": name, "failed": fails,
-            "routes": "".join("V" if v == "designed" else "S" for v, s in steps if "designed" in (v, s)),
-            "epsilon": None if state is None else state.global_epsilon,
-            "steps": steps,
-        })
+    designs, steps = [], []
+    with recording(steps):
+        for group, name, build in campaign:
+            start = len(steps)
+            state, failure, _ = build()
+            own = [[outcome(v), outcome(s)] for v, s in steps[start:]]
+            designs.append({
+                "group": group, "name": name, "failed": failure is not None,
+                "routes": "".join("V" if v == "designed" else "S" for v, s in own if "designed" in (v, s)),
+                "epsilon": None if state is None else state.global_epsilon,
+                "steps": own,
+            })
     return designs
 
 
