@@ -49,11 +49,12 @@ class NotPositiveDefinite(Exception):
     """A matrix failed its positive-definiteness test.
 
     ``index`` is the 0-based failing pivot for a plain factorization, or the
-    1-based failing block for the tri-diagonal recursion (see the raiser).
+    1-based failing block for the tri-diagonal recursion (see the raiser),
+    which also gives ``margins``, the M_i it cleared before that block.
     """
 
-    def __init__(self, index: int, detail: str = ""):
-        self.index = index
+    def __init__(self, index: int, detail: str = "", margins: tuple | None = None):
+        self.index, self.margins = index, margins
         msg = f"not positive definite (index {index})"
         if detail:
             msg += f": {detail}"
@@ -72,13 +73,13 @@ class AsymmetricMatrix(ValueError):
 class NonFiniteMatrix(ValueError):
     """Input contains NaN or infinity.
 
-    ``index`` is the 1-based failing block for the tri-diagonal recursion,
-    the failing matrix's 0-based place in a stack (_symmetric_parts), and
-    None elsewhere.
+    ``index`` is the 1-based failing block for the tri-diagonal recursion
+    (which also gives ``margins``, as for NotPositiveDefinite), the failing
+    matrix's 0-based place in a stack (_symmetric_parts), and None elsewhere.
     """
 
-    def __init__(self, message: str, index: int | None = None):
-        self.index = index
+    def __init__(self, message: str, index: int | None = None, margins: tuple | None = None):
+        self.index, self.margins = index, margins
         super().__init__(message)
 
 
@@ -421,7 +422,8 @@ def tridiag_pd_sequence(P: BlockTriDiagonal) -> TriDiagFactor:
     (R_i the block at (i-1, i)), clearing each M_i by _margin_step. Raises
     NotPositiveDefinite with the 1-based block index where it first fails,
     and NonFiniteMatrix with the 1-based index of the first M_i that is
-    not finite, which a non-finite block of P always causes.
+    not finite, which a non-finite block of P always causes; either carries
+    in ``margins`` the tuple of the M_i cleared before that block.
     """
     Ms, Us, Vs = [], [], []
     U = None
@@ -429,11 +431,9 @@ def tridiag_pd_sequence(P: BlockTriDiagonal) -> TriDiagFactor:
         try:
             M, U, W = _margin_step(U, R, D)
         except NotPositiveDefinite as err:
-            raise NotPositiveDefinite(
-                i, f"Schur complement fails at pivot {err.index}"
-            ) from err
+            raise NotPositiveDefinite(i, f"Schur complement fails at pivot {err.index}", tuple(Ms)) from err
         except NonFiniteMatrix:
-            raise NonFiniteMatrix(f"block {i} is not finite", i) from None
+            raise NonFiniteMatrix(f"block {i} is not finite", i, tuple(Ms)) from None
         Ms.append(M)
         Us.append(U)
         if W is not None:

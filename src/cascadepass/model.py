@@ -298,7 +298,10 @@ def _shapes_fit(shapes, keys, h_shapes) -> bool:
         return False
     if not keys:
         return True
-    keys = np.array(keys)
+    try:
+        keys = np.array(keys)
+    except ValueError:  # keys of mixed lengths
+        return False
     if keys.dtype.kind != "i" or keys.shape[1:] != (2,):
         return False
     i, j = keys.T - 1
@@ -367,6 +370,8 @@ def _subsystem_violations(i: int, sub: Subsystem, finite: bool) -> list[Violatio
 
 
 def _coupling_violations(net: CascadeNetwork, key, block: CouplingBlock, finite: bool) -> list[Violation]:
+    if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, (int, np.integer)) for x in key)):
+        return [Violation(BAD_INDEX, (), f"coupling key {key!r} is not a pair of integers")]
     i, j = key
     N = net.n_subsystems
     if not (1 <= i <= N and 1 <= j <= N):

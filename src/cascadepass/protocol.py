@@ -1086,9 +1086,8 @@ def _derive_margins(net, fields):
             margins = blockla.tridiag_pd_sequence(blocks).M_blocks
         except (blockla.NotPositiveDefinite, blockla.NonFiniteMatrix) as exc:
             k = exc.index - 1
-            head = blockla.BlockTriDiagonal._from_built(blocks.diag_blocks[:k], blocks.super_blocks[:max(k - 1, 0)])
             what = "not finite" if isinstance(exc, blockla.NonFiniteMatrix) else "not positive definite"
-            return (blockla.tridiag_pd_sequence(head).M_blocks + (None,) * (len(fields) - k),
+            return (exc.margins + (None,) * (len(fields) - k),
                     (k, f"the records do not certify the network: closed-loop block {exc.index} is {what}"))
     subs, faults = net.subsystems, {}
     for ks in _groups([sub.B2.shape for sub in subs]):

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -665,6 +666,60 @@ def test_a_network_or_addition_matrix_nested_wrongly_is_malformed(tmp_path, valu
         (doc["subsystem"] if part == "C" else doc)[part] = value
         with pytest.raises(MalformedFile, match=f"^{label} {message}"):
             _load_addition_doc(tmp_path, doc)
+
+
+def _four_stage_state_doc():
+    return _state_doc(run_cascade_design(four_stage_cascade()))
+
+
+DROP = object()
+# One defect per document, each worded by its own loader branch: (loader,
+# document, path of keys to the edited value, the value or DROP to delete
+# it, the MalformedFile message). An empty path replaces the document.
+LOADER_DEFECTS = [
+    pytest.param(load_addition, _addition_doc, ("subsystem", "A"), DROP, "subsystem: missing matrix 'A'",
+                 id="addition-without-A"),
+    pytest.param(load_state, _four_stage_state_doc, ("records", 1, "Q"), DROP, "missing matrix 'records[1].Q'",
+                 id="record-without-Q"),
+    pytest.param(load_network, _network_doc, (), [], "top-level document must be an object", id="top-level-list"),
+    pytest.param(load_network, _network_doc, ("subsystems", 1), [], "subsystems[1] must be an object",
+                 id="subsystem-list"),
+    pytest.param(load_state, _four_stage_state_doc, ("network", "subsystems", 1), [],
+                 "subsystems[1] must be an object", id="state-subsystem-list"),
+    pytest.param(load_network, _network_doc, ("couplings",), {}, "couplings must be a list", id="couplings-dict"),
+    pytest.param(load_network, _network_doc, ("couplings", 0), 3, "couplings[0] must be an object",
+                 id="coupling-number"),
+    pytest.param(load_state, _four_stage_state_doc, ("records", 1), 3, "records[1] must be an object",
+                 id="record-number"),
+    pytest.param(load_state, _four_stage_state_doc, ("records",), [], "a state needs a non-empty record list",
+                 id="no-records"),
+]
+
+
+@pytest.mark.parametrize("load,make,path,value,message", LOADER_DEFECTS)
+def test_each_loader_branch_words_its_defect(tmp_path, load, make, path, value, message):
+    doc = owner = make()
+    for key in path[:-1]:
+        owner = owner[key]
+    if not path:
+        doc = value
+    elif value is DROP:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(MalformedFile, match=f"^{re.escape(message)}$"):
+        load(file)
+
+
+def test_check_exits_invalid_on_a_state_without_records(tmp_path, capsys):
+    doc = _four_stage_state_doc()
+    doc["records"] = []
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert execute(["check", "--state", str(path)]) == EXIT_INVALID
+    assert "a state needs a non-empty record list" in capsys.readouterr().err
 
 
 def _integral_as_int(tree):

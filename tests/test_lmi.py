@@ -63,6 +63,10 @@ def test_sym_vec_round_trip_and_isometry():
 
 
 def test_problem_validation():
+    with pytest.raises(MalformedProblem, match="var_count must be nonnegative"):
+        AffineFeasibilityProblem(var_count=-1, constant_block=[[1.0]], coeff_blocks=())
+    with pytest.raises(MalformedProblem, match=r"constant_block must be square, got \(1, 2\)"):
+        AffineFeasibilityProblem(var_count=0, constant_block=[[1.0, 0.0]], coeff_blocks=())
     with pytest.raises(MalformedProblem):
         AffineFeasibilityProblem(var_count=1, constant_block=[[1.0]], coeff_blocks=())
     with pytest.raises(MalformedProblem):
@@ -261,6 +265,41 @@ def test_an_exception_escapes_newton_at_its_evaluation():
         with pytest.raises(lmi._TargetReached):
             lmi.minimize(x_minus_log_x(points, fail_at=k), np.array([3.0]))
         assert len(points) == k
+
+
+def test_newton_stops_when_no_step_falls():
+    # The reported gradient of x'x points uphill, so every trial step,
+    # halved down to 1e-12, rises: minimize returns its start.
+    points = []
+
+    def uphill(x):
+        points.append(x.copy())
+        return float(x @ x), -2.0 * x, 2.0 * np.eye(len(x))
+
+    x = lmi.minimize(uphill, np.array([1.0]))
+    assert x.tolist() == [1.0]
+    assert len(points) == 41 and all(p[0] > 1.0 for p in points[1:])
+
+
+def test_the_pull_back_returns_the_zero_point_when_it_clears_the_threshold():
+    # lambda_min(diag(1 + u, 1.02 - u)) peaks at 1.01 at u = 0.01, short of
+    # the target; the search ends there, and u = 0 keeps more than the
+    # SHED share of it, so the pull-back takes the zero point.
+    prob = AffineFeasibilityProblem(var_count=1, constant_block=np.diag([1.0, 1.02]),
+                                    coeff_blocks=(np.diag([1.0, -1.0]),))
+    centered = []
+    minimize = lmi.minimize
+
+    def recording(*args):
+        centered.append(minimize(*args))
+        return centered[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmi, "minimize", recording)
+        point = solve_feasibility(prob, 1e-3, target=2.0)
+    assert len(centered) == 1 and abs(centered[0][0] - 0.01) < 1e-3
+    assert isinstance(point, FeasiblePoint)
+    assert point.theta.tolist() == [0.0] and point.lambda_min == 1.0
 
 
 def planted_pair(seed, d, v, tau):

@@ -12,6 +12,8 @@ from cascadepass.model import (
     extend_network,
     validate_network,
 )
+from cascadepass.protocol import run_cascade_design
+from cascadepass.sample_cascades import four_stage_cascade
 
 
 def scalar_subsystem(a=-1.0):
@@ -113,6 +115,24 @@ def test_validate_rejects_nonfinite_and_bad_indices():
 
     report = validate_network(CascadeNetwork(subsystems=()))
     assert not report.ok
+
+
+@pytest.mark.parametrize("keys", [
+    [(1.0, 1.0)], [(1, 1.5)], [("1", "1")], [(1, 1, 1)], [(1, 1), (1, 2, 3)],
+])
+def test_a_coupling_key_that_is_not_a_pair_of_integers_is_a_violation(keys):
+    subs = four_stage_cascade(2).subsystems
+    net = CascadeNetwork.from_blocks(subs, {key: np.ones((subs[0].p, subs[0].n)) for key in keys})
+    bad = [v for v in validate_network(net).violations if v.code == "BadIndex"]
+    assert [v.message for v in bad] == [f"coupling key {keys[-1]!r} is not a pair of integers"]
+    with pytest.raises(InvalidNetwork, match="not a pair of integers"):
+        run_cascade_design(net)
+
+
+@pytest.mark.parametrize("count", [0, 5])
+def test_the_four_stage_cascade_has_one_to_four_stages(count):
+    with pytest.raises(ValueError, match="count must be between 1 and 4"):
+        four_stage_cascade(count)
 
 
 def test_validate_rejects_wrong_coupling_shape():

@@ -21,6 +21,7 @@ from cascadepass.oracle import (
     WAVES,
     NonFiniteTrajectory,
     SineDisturbance,
+    Trajectory,
     TrajectoryTooLarge,
     assemble_closed_loop,
     centralized_sp_check,
@@ -61,6 +62,28 @@ def two_scalar_state(**record2_gains):
 
 def unit_loop(a=-1.0, eps=1.0):
     return ClosedLoopSystem(Acl=[[a]], B2=[[1.0]], C=[[1.0]], Q=[[1.0]], epsilon=eps)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(Acl=[[-1.0, 0.0]]), "Acl must be square"),
+    (dict(Q=np.eye(2)), "closed-loop matrix shapes are inconsistent"),
+    (dict(epsilon=0.0), "epsilon must be positive and finite"),
+    (dict(epsilon=np.inf), "epsilon must be positive and finite"),
+])
+def test_a_closed_loop_system_checks_its_shapes_and_rate(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ClosedLoopSystem(**(dict(Acl=[[-1.0]], B2=[[1.0]], C=[[1.0]], Q=[[1.0]], epsilon=1.0) | fields))
+
+
+def test_a_trajectory_built_by_its_constructor_holds_read_only_copies():
+    arrays = {"t": np.arange(3.0), "x": np.ones((3, 2)), "y": np.ones((3, 1)), "w": np.ones((3, 1)),
+              "V": np.arange(3.0)}
+    traj = Trajectory(**arrays)
+    for name, a in arrays.items():
+        kept = getattr(traj, name)
+        a[0] = 99.0
+        assert not kept.flags.writeable and not np.shares_memory(kept, a), name
+        assert kept[0].tolist() != a[0].tolist(), name
 
 
 def test_assemble_closed_loop_folds_couplings():

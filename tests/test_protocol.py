@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,8 @@ def test_packet_validation():
         MessengerPacket(prev_index=1, M_prev=[[1.0]], G_prev=[[0.5], [0.5]], T_prev=[[1.0]])
     with pytest.raises(DimensionMismatch):
         MessengerPacket(prev_index=0, M_prev=[[1.0]], G_prev=[[0.5]], T_prev=[[1.0]])
+    with pytest.raises(DimensionMismatch, match=re.escape("T_prev must have 1 rows, got shape (2, 1)")):
+        MessengerPacket(prev_index=1, M_prev=[[1.0]], G_prev=[[0.5]], T_prev=[[1.0], [1.0]])
 
 
 def test_record_validation():
@@ -90,6 +93,10 @@ def test_record_validation():
         DesignRecord(index=1, Q=[[1.0]], epsilon=0.0, K_self=None,
                      K_to_prev=None, K_prev_to_self=None,
                      route=ROUTE_VERIFIED)
+    with pytest.raises(ValueError, match="K_self contains non-finite entries"):
+        DesignRecord(index=1, Q=[[1.0]], epsilon=1.0, K_self=[[np.nan]],
+                     K_to_prev=None, K_prev_to_self=None,
+                     route=ROUTE_SYNTHESIZED)
     # A designed record tampered the same ways cannot be built either, so
     # no state holds one to grow.
     designed = run_cascade_design(four_stage_cascade()).records[3]
@@ -133,6 +140,35 @@ def test_verify_stable_scalar_exact_outcome():
 def test_verify_rejects_upstream_coupling_without_packet():
     with pytest.raises(DimensionMismatch):
         local_verify(scalar_subsystem(), h_prev=[[1.0]])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(h_self=[[1.0, 0.0]]), "h(i,i) is (1, 2), expected (1, 1)"),
+    (dict(packet=MessengerPacket(prev_index=1, M_prev=np.eye(2), G_prev=np.ones((2, 2)), T_prev=np.ones((2, 1)))),
+     "packet G_prev has 2 columns, subsystem has 1 states"),
+], ids=["h_self-shape", "packet-columns"])
+def test_a_coupling_or_packet_that_does_not_fit_the_subsystem_is_a_dimension_mismatch(kwargs, message):
+    for route in (local_verify, local_synthesize):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            route(scalar_subsystem(), **kwargs)
+
+
+def test_a_storage_equality_that_overflows_ends_cleanly_on_both_routes():
+    # Q B2 = C' solves to Q = 1e600: the step is malformed.
+    tiny = Subsystem(A=-1.0, B1=1.0, B2=1e-300, B3=1.0, C=1e300)
+    # Q_p is finite, but C'(C B2)^-1 C is not: the closed-form storage
+    # gives up and the search declines.
+    wide = Subsystem(A=-np.eye(2), B1=np.ones((2, 1)), B2=[[1.0], [0.0]], B3=np.ones((2, 1)), C=[[1.0, 1e200]])
+    Q_p, N, consistent = protocol._storage_space(wide)
+    assert consistent and np.isfinite(Q_p).all()
+    assert protocol._closed_form_storage(wide, Q_p, N, protocol._step_margin(wide)) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (local_verify, local_synthesize):
+            with pytest.raises(lmi.MalformedProblem, match="storage equality overflows when solved"):
+                route(tiny)
+            out = route(wide)
+            assert isinstance(out, lmi.Infeasible) and out.reason == "Stalled"
 
 
 def test_synthesize_stabilizes_unstable_scalar():
@@ -1071,6 +1107,26 @@ def test_a_state_that_does_not_certify_builds_but_does_not_grow():
     assert not oracle.centralized_sp_check(oracle.assemble_closed_loop(tampered)).verdict
     with pytest.raises(protocol.MissingMargin, match="record 4"):
         add_subsystem(tampered, *FOUR_STAGE_ADDITION)
+
+
+def test_a_failing_certification_runs_its_recursion_once(monkeypatch):
+    state = run_cascade_design(four_stage_cascade())
+    records = list(state.records)
+    records[1] = dataclasses.replace(records[1], epsilon=1e3 * records[1].epsilon)
+    calls = []
+    step = blockla._margin_step
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(blockla, "_margin_step", counting)
+    tampered = NetworkDesignState(net=state.net, records=tuple(records))
+    # Block 1 clears and block 2 fails; the fault carries block 1's margin,
+    # so no second recursion re-clears it.
+    assert len(calls) == 2
+    assert tampered.records[0].M_cl.tobytes() == state.records[0].M_cl.tobytes()
+    assert [rec.M_cl is None for rec in tampered.records] == [False, True, True, True]
 
 
 def with_storage(state, k, factor):

@@ -1,17 +1,19 @@
 """Design records are pinned bit for bit.
 
-The digest is the ROADMAP's record hash: one SHA-256 fed, per state in
-order and per record in order, str(index), the route, float.hex(epsilon),
-then the tobytes() of Q, M_cl, K_self, K_to_prev and K_prev_to_self, with
-b"<None>" for an absent gain. Each state is also rebuilt through the
-public constructor, which must give every record bit for bit. The states
-are the four-stage design, 8 random_cascade(1 + k % 8) designs on one
-default_rng(12345), and every state of a 10-step growth of the four-stage
-design by the benchmark's seeded_additions(default_rng(1)), each step
-saved and loaded as `cascadepass add` does. A change that moves any
-record fails here; such a change updates PINNED and says so in
-CHANGES.md. Two fresh interpreters, one with one OpenBLAS thread and
-one with two, must compute the same digest.
+The digest is the record hash that tools/verdicts.py prints on its
+`record hash:` line over every state its campaign builds: one SHA-256
+fed, per state in order and per record in order, str(index), the route,
+float.hex(epsilon), then the tobytes() of Q, M_cl, K_self, K_to_prev and
+K_prev_to_self, with b"<None>" for an absent gain. Each state is also
+rebuilt through the public constructor, which must give every record bit
+for bit. The states here are the four-stage design, 8 random_cascade(1 +
+k % 8) designs on one default_rng(12345), and every state of a 10-step
+growth of the four-stage design by the benchmark's
+seeded_additions(default_rng(1)), each step saved and loaded as
+`cascadepass add` does. A change that moves any record fails here; such
+a change updates PINNED and says so in CHANGES.md. Two fresh
+interpreters, one with one OpenBLAS thread and one with two, must
+compute the same digest.
 """
 
 import hashlib

@@ -1,17 +1,22 @@
 """tools/verdicts.py: its design-verdict comparison, on hand-written files,
-its golden-verdict writer, its recorder and the order of its campaign."""
+its golden-verdict writer, its recorder, the order of its campaign and
+its record hash."""
 
+import functools
+import hashlib
 import json
 import subprocess
 import sys
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cascadepass import lmi, protocol
-from cascadepass.sample_cascades import four_stage_cascade
+from cascadepass.sample_cascades import four_stage_cascade, random_cascade
 from test_golden_verdicts import GOLDEN, load_verdicts, read_golden
+from test_record_hash import feed
 
 VERDICTS = Path(__file__).resolve().parents[1] / "tools" / "verdicts.py"
 
@@ -87,3 +92,28 @@ def test_the_campaign_yields_the_golden_designs_then_each_further_seeds_cycles()
     pairs = [(group, name) for group, name, _ in verdicts.campaign((1, 2))]
     golden = [(d["group"], d["name"]) for d in read_golden(GOLDEN)]
     assert pairs == golden + [("growth", f"seed 2 cycle {cycle}") for cycle in range(4)]
+
+
+def test_the_record_hash_feeds_each_design_that_succeeds_and_each_cycles_last_state(monkeypatch, capsys):
+    verdicts = load_verdicts()
+    four = four_stage_cascade()
+    fixed = protocol.run_cascade_design(four)
+    small, failing = random_cascade(3, np.random.default_rng(0)), verdicts.rescaled(four, "time", 2.0 ** 10)
+    # One design of each group run reads; the unit change fails, N = 3
+    # stands in for N = 128, and the growth is one 60-addition cycle.
+    short = [
+        ("four_stage", "four-stage", functools.partial(verdicts.designed, four)),
+        ("units", "four-stage s=2^10", functools.partial(verdicts.designed, failing)),
+        ("n128", "random_cascade(3, default_rng(0))", functools.partial(verdicts.designed, small)),
+        ("growth", "seed 1 cycle 0", functools.partial(verdicts.grown, fixed, np.random.default_rng(1))),
+    ]
+    monkeypatch.setattr(verdicts, "campaign", lambda seeds: short)
+    verdicts.run([1])
+    out = capsys.readouterr().out.splitlines()
+    additions = verdicts.seeded_additions(np.random.default_rng(1), four.subsystems[-1], 5, verdicts.GROWTH)
+    grown = functools.reduce(lambda state, addition: protocol.add_subsystem(state, *addition), additions, fixed)
+    digest = hashlib.sha256()
+    for state in (fixed, protocol.run_cascade_design(small), grown):
+        feed(digest, state)
+    assert "unit changes designed: 23 of 24; failing: four-stage s=2^10" in out
+    assert out[-1] == f"record hash: {digest.hexdigest()}  (3 states)"

@@ -49,7 +49,14 @@ ended and the search it took, and prints:
 * the scale spread: of the decoupled scalar pairs A = -1, B1 = B2 = B3 =
   1 with C = (1e9, 2e-4), (1e11, 1e-3) and (1e12, 1e-3), how many design,
   how many the oracle accepts and how many save and load, storages whose
-  scales lie up to 1e15 apart along one chain.
+  scales lie up to 1e15 apart along one chain;
+* the record hash: one SHA-256 fed by ``tests/test_record_hash.py``'s
+  ``feed`` with the records of every state the campaign builds, in its
+  order (each design from scratch that succeeds and the last state of
+  each growth cycle), and the number of those states. ``feed`` also
+  rebuilds each state through the public constructor, which derives every
+  M_cl afresh, and fails unless every record comes back bit for bit. The
+  hash moves with the last bit of any record.
 
 ``--json PATH`` also writes every design's routes, per-step rates and
 r / eps, so two trees can be compared design by design: ``--compare OLD
@@ -72,6 +79,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -85,7 +93,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
-for sub in ("src", "perfbench"):
+for sub in ("src", "tests", "perfbench"):
     sys.path.insert(0, str(ROOT / sub))
 
 import numpy as np  # noqa: E402
@@ -93,6 +101,7 @@ import numpy as np  # noqa: E402
 from cascadepass import files, lmi, oracle, protocol  # noqa: E402
 from cascadepass.model import CascadeNetwork, Subsystem  # noqa: E402
 from cascadepass.sample_cascades import four_stage_cascade, random_cascade  # noqa: E402
+from test_record_hash import feed  # noqa: E402
 from workloads import GROWTH, seeded_additions  # noqa: E402
 
 CYCLES = 4
@@ -304,11 +313,16 @@ def recording(steps: list):
 
 def run(seeds) -> dict:
     """Design campaign(seeds) under one recording, print the verdicts and
-    return every design's --json summary by group, and the largest gain."""
+    the record hash, and return every design's --json summary by group,
+    and the largest gain."""
     tallies, steps, largest = {group: Tally() for group in GROUPS}, [], 0.0
+    digest, hashed = hashlib.sha256(), 0
     with recording(steps) as effort:
         for group, name, build in campaign(seeds):
             state, failure, checked = build()
+            if state is not None:
+                feed(digest, state)
+                hashed += 1
             tally = tallies[group]
             for s in checked:
                 tally.check(s)
@@ -370,6 +384,7 @@ def run(seeds) -> dict:
           f"{effort['centerings']} lmi.minimize runs, median {median:g} evaluations "
           f"over {len(declined)} declined searches")
     print(scale_spread())
+    print(f"record hash: {digest.hexdigest()}  ({hashed} states)")
     return {name: t.designs for name, t in tallies.items()} | {"gain_max": largest}
 
 
